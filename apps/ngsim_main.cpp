@@ -77,7 +77,8 @@ Options:
 Observability (see bench/README.md "Observability"):
   --progress            render a [progress] line on stderr every ~500 ms
   --stats-json PATH     write an end-of-sweep telemetry report (records,
-                        journal fsync lag, per-worker fleet stats) to PATH
+                        per-job simulate/metrics phase split, journal fsync
+                        lag, per-worker fleet stats) to PATH
   --trace CATS          record a decision trace to <out>/<scenario>_trace.jsonl;
                         CATS = comma list of blocks, adversary, events (or all).
                         In-process runs only (not --procs/--hosts); artifacts

@@ -1,13 +1,15 @@
 // Micro-benchmarks (google-benchmark) for the primitives underpinning the
 // simulation: hashing, Merkle trees, ECDSA, the event queue, the network
-// fast path, fork choice, and mempool assembly. These bound how far the
-// experiment harness scales.
+// fast path, fork choice, mempool assembly, and the consensus-delay metric.
+// These bound how far the experiment harness scales.
 //
 // Machine-readable output: pass --benchmark_format=json (or use
 // bench_sim_core, which writes BENCH_core.json with the headline metrics).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <map>
+#include <memory>
 
 #include "core_bench_util.hpp"
 #include "chain/block_tree.hpp"
@@ -15,6 +17,7 @@
 #include "crypto/ecdsa.hpp"
 #include "crypto/merkle.hpp"
 #include "crypto/sha256.hpp"
+#include "metrics/metrics.hpp"
 #include "net/event_queue.hpp"
 #include "net/fault_plan.hpp"
 #include "net/latency_model.hpp"
@@ -457,6 +460,33 @@ void BM_TraceRingRecord(benchmark::State& state) {
   state.counters["dropped"] = static_cast<double>(ring.dropped());
 }
 BENCHMARK(BM_TraceRingRecord)->Arg(0)->Arg(1);
+
+/// A finished `nodes`-node Bitcoin run (fork-prone 12 s blocks), built and
+/// run once per node count and shared by every benchmark repetition.
+const sim::Experiment& finished_bitcoin_run(std::uint32_t nodes) {
+  static std::map<std::uint32_t, std::unique_ptr<sim::Experiment>> runs;
+  std::unique_ptr<sim::Experiment>& exp = runs[nodes];
+  if (!exp) {
+    sim::ExperimentConfig cfg;
+    cfg.params = chain::Params::bitcoin();
+    cfg.params.block_interval = 12;
+    cfg.params.max_block_size = 20'000;
+    cfg.num_nodes = nodes;
+    cfg.target_blocks = 20;
+    cfg.seed = 7;
+    exp = std::make_unique<sim::Experiment>(cfg);
+    exp->run();
+  }
+  return *exp;
+}
+
+void BM_ConsensusDelay(benchmark::State& state) {
+  // The metric layer's largest cost: the (eps,delta) consensus delay at the
+  // paper's eps = delta = 0.9 over a finished run. Only the metric is timed.
+  const sim::Experiment& exp = finished_bitcoin_run(static_cast<std::uint32_t>(state.range(0)));
+  for (auto _ : state) benchmark::DoNotOptimize(metrics::consensus_delay(exp, 0.9, 0.9));
+}
+BENCHMARK(BM_ConsensusDelay)->Arg(1000);
 
 }  // namespace
 

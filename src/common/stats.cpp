@@ -8,15 +8,20 @@
 namespace bng {
 
 double percentile(std::vector<double> samples, double p) {
-  if (samples.empty()) return 0.0;
-  assert(p >= 0.0 && p <= 100.0);
   std::sort(samples.begin(), samples.end());
-  if (samples.size() == 1) return samples[0];
-  double rank = p / 100.0 * static_cast<double>(samples.size() - 1);
+  return percentile_sorted(samples, p);
+}
+
+double percentile_sorted(std::span<const double> sorted, double p) {
+  if (sorted.empty()) return 0.0;
+  assert(p >= 0.0 && p <= 100.0);
+  assert(std::is_sorted(sorted.begin(), sorted.end()));
+  if (sorted.size() == 1) return sorted[0];
+  double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
   auto lo = static_cast<std::size_t>(rank);
-  std::size_t hi = std::min(lo + 1, samples.size() - 1);
+  std::size_t hi = std::min(lo + 1, sorted.size() - 1);
   double frac = rank - static_cast<double>(lo);
-  return samples[lo] * (1.0 - frac) + samples[hi] * frac;
+  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
 double mean(std::span<const double> samples) {
@@ -71,10 +76,10 @@ Summary summarize(std::vector<double> samples) {
   s.min = samples.front();
   s.max = samples.back();
   s.mean = mean(samples);
-  s.p25 = percentile(samples, 25);
-  s.p50 = percentile(samples, 50);
-  s.p75 = percentile(samples, 75);
-  s.p90 = percentile(samples, 90);
+  s.p25 = percentile_sorted(samples, 25);
+  s.p50 = percentile_sorted(samples, 50);
+  s.p75 = percentile_sorted(samples, 75);
+  s.p90 = percentile_sorted(samples, 90);
   return s;
 }
 

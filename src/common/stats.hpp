@@ -12,6 +12,10 @@ namespace bng {
 /// Input does not need to be sorted.
 double percentile(std::vector<double> samples, double p);
 
+/// percentile() over input already sorted ascending: no copy, no sort, so
+/// several ranks of one sample set cost a single sort.
+double percentile_sorted(std::span<const double> sorted, double p);
+
 double mean(std::span<const double> samples);
 double stddev(std::span<const double> samples);
 

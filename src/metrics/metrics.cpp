@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <type_traits>
-#include <unordered_map>
 
 #include "common/stats.hpp"
 #include "obs/registry.hpp"
@@ -70,39 +69,21 @@ double consensus_delay(const Experiment& exp, double epsilon, double delta) {
   const std::size_t n_nodes = nodes.size();
   const auto quorum = static_cast<std::size_t>(epsilon * static_cast<double>(n_nodes));
 
-  // Generation times (ascending) with global indices: candidate prefix cuts.
-  struct Gen {
-    Seconds at;
-    std::uint32_t gidx;
-  };
-  std::vector<Gen> gens;
+  // Generation times (ascending): candidate prefix cuts.
+  std::vector<Seconds> gens;
   gens.reserve(exp.trace().generated().size());
-  for (const auto& rec : exp.trace().generated()) {
-    if (const std::uint32_t gi = g.index_of_id(rec.id); gi != BlockTree::kNoIndex)
-      gens.push_back({rec.at, gi});
-  }
-  std::sort(gens.begin(), gens.end(), [](const Gen& a, const Gen& b) { return a.at < b.at; });
+  for (const auto& rec : exp.trace().generated())
+    if (g.contains_id(rec.id)) gens.push_back(rec.at);
+  std::sort(gens.begin(), gens.end());
   if (gens.empty()) return 0.0;
-
-  // Per node: map node-tree entries to global indices once. Node and global
-  // trees share one interner, so this is a flat id-indexed pass, no hashing.
-  std::vector<std::vector<std::uint32_t>> global_of(n_nodes);
-  for (std::size_t n = 0; n < n_nodes; ++n) {
-    const BlockTree& t = nodes[n]->tree();
-    global_of[n].resize(t.size());
-    for (std::uint32_t i = 0; i < t.size(); ++i) {
-      const std::uint32_t gi = g.index_of_id(t.entry(i).id);
-      global_of[n][i] = gi != BlockTree::kNoIndex ? gi : 0;  // unknowns -> root
-    }
-  }
 
   // Sample the point consensus delay on a uniform grid across the run
   // (prefix cuts happen at block generation times, per Fig. 4; the reported
   // delay is measured back to the newest commonly-agreed block's generation).
   // The first 10% of the run is skipped as genesis warm-up.
   constexpr std::size_t kSamples = 240;
-  const Seconds t_begin = gens.front().at + 0.1 * (gens.back().at - gens.front().at);
-  const Seconds t_end = gens.back().at;
+  const Seconds t_begin = gens.front() + 0.1 * (gens.back() - gens.front());
+  const Seconds t_end = gens.back();
   std::vector<Seconds> sample_times;
   if (t_end <= t_begin) {
     sample_times.push_back(t_end);
@@ -112,51 +93,91 @@ double consensus_delay(const Experiment& exp, double epsilon, double delta) {
                                            static_cast<double>(kSamples));
   }
 
+  // Nodes holding the same tip hold the same chain, so the vote is taken per
+  // distinct tip, weighted by how many nodes hold it. One stable merge of
+  // every node's tip history (each already in time order) into the sample
+  // intervals replays the holder counts forward: a change lands in the
+  // first sample at or after it. Filling node by node keeps each node's
+  // changes in history order, and a node's tip at a sample is its last
+  // change at or before it; every history opens with genesis at time 0.
+  struct Change {
+    std::uint32_t node;
+    std::uint32_t index;  ///< the tip's index in that node's tree
+    BlockId tip;
+  };
+  std::vector<std::vector<Change>> changes_before(sample_times.size());
+  for (std::size_t n = 0; n < n_nodes; ++n) {
+    const BlockTree& tree = nodes[n]->tree();
+    auto s_it = sample_times.begin();
+    for (const BlockTree::TipChange& c : tree.tip_history()) {
+      s_it = std::lower_bound(s_it, sample_times.end(), c.at);
+      if (s_it == sample_times.end()) break;
+      changes_before[static_cast<std::size_t>(s_it - sample_times.begin())].push_back(
+          {static_cast<std::uint32_t>(n), c.tip, tree.entry(c.tip).id});
+    }
+  }
+
+  // Per tip BlockId: its holder count and where one holder's tree has it
+  // (any holder's tree walks the same chain). `live` lists each held tip
+  // exactly once.
+  struct Tip {
+    std::size_t holders = 0;
+    std::uint32_t node = 0;
+    std::uint32_t index = 0;
+    bool listed = false;
+  };
+  std::vector<Tip> tips;
+  std::vector<BlockId> live;
+  std::vector<BlockId> held(n_nodes, kNoBlockId);
+
   std::vector<double> point_delays;
   point_delays.reserve(sample_times.size());
-  std::vector<std::vector<std::pair<Seconds, std::uint32_t>>> chains(n_nodes);
-  std::unordered_map<std::uint32_t, std::size_t> votes;
+  std::vector<std::size_t> votes(g.size(), 0);  // by global index
+  std::vector<std::uint32_t> voted;
 
-  for (const Seconds t : sample_times) {
-    // Each node's chain at time t: (timestamp, global idx) ascending.
-    for (std::size_t n = 0; n < n_nodes; ++n) {
-      const BlockTree& tree = nodes[n]->tree();
-      const auto& hist = tree.tip_history();
-      // Last tip change at or before t.
-      auto it = std::upper_bound(
-          hist.begin(), hist.end(), t,
-          [](Seconds value, const BlockTree::TipChange& c) { return value < c.at; });
-      const std::uint32_t tip = (it == hist.begin()) ? 0 : std::prev(it)->tip;
-      auto& chain = chains[n];
-      chain.clear();
-      for (std::int32_t cur = static_cast<std::int32_t>(tip); cur != -1;
-           cur = tree.entry(static_cast<std::uint32_t>(cur)).parent) {
-        const auto& e = tree.entry(static_cast<std::uint32_t>(cur));
-        chain.emplace_back(e.block->header().timestamp,
-                           global_of[n][static_cast<std::uint32_t>(cur)]);
+  for (std::size_t s = 0; s < sample_times.size(); ++s) {
+    const Seconds t = sample_times[s];
+    for (const Change& c : changes_before[s]) {
+      if (held[c.node] != kNoBlockId) --tips[held[c.node]].holders;
+      held[c.node] = c.tip;
+      if (c.tip >= tips.size()) tips.resize(static_cast<std::size_t>(c.tip) + 1);
+      Tip& tip = tips[c.tip];
+      ++tip.holders;
+      tip.node = c.node;
+      tip.index = c.index;
+      if (!tip.listed) {
+        tip.listed = true;
+        live.push_back(c.tip);
       }
-      std::reverse(chain.begin(), chain.end());
     }
+    // Unlist tips nobody holds any more. A tip that lost its last holder and
+    // regained one since the previous sample was never unlisted, so it still
+    // appears once.
+    std::erase_if(live, [&](BlockId id) {
+      if (tips[id].holders != 0) return false;
+      tips[id].listed = false;
+      return true;
+    });
 
     // Scan candidate cut times from most recent backwards.
     double delay = t;  // worst case: only the genesis prefix is agreed
-    for (auto g_it = std::upper_bound(
-             gens.begin(), gens.end(), t,
-             [](Seconds value, const Gen& rec) { return value < rec.at; });
-         g_it != gens.begin();) {
-      --g_it;
-      const Seconds tau = g_it->at;
-      votes.clear();
+    for (auto g_it = std::upper_bound(gens.begin(), gens.end(), t); g_it != gens.begin();) {
+      const Seconds tau = *--g_it;
       std::size_t best = 0;
-      for (std::size_t n = 0; n < n_nodes; ++n) {
-        const auto& chain = chains[n];
-        // Last chain block with timestamp <= tau.
-        auto c_it = std::upper_bound(
-            chain.begin(), chain.end(), tau,
-            [](Seconds value, const auto& pr) { return value < pr.first; });
-        const std::uint32_t cut = (c_it == chain.begin()) ? 0 : std::prev(c_it)->second;
-        best = std::max(best, ++votes[cut]);
+      for (const BlockId id : live) {
+        const Tip& tip = tips[id];
+        const BlockTree& tree = nodes[tip.node]->tree();
+        // Last chain block with timestamp <= tau; blocks the global tree
+        // does not know vote for its root.
+        const std::uint32_t cut =
+            g.index_of_id(tree.entry(tree.ancestor_at_or_before(tip.index, tau)).id);
+        const std::uint32_t key = cut != BlockTree::kNoIndex ? cut : 0;
+        if (votes[key] == 0) voted.push_back(key);
+        votes[key] += tip.holders;
+        best = std::max(best, votes[key]);
       }
+      for (const std::uint32_t key : voted) votes[key] = 0;
+      voted.clear();
       if (best >= quorum) {
         delay = t - tau;
         break;
@@ -351,9 +372,13 @@ MetricsReport compute_metrics(const Experiment& exp, double epsilon, double delt
   r.chain_duration_s = g.best_entry().received;
 
   r.prop_delay_samples = propagation_delays(exp);
-  r.prop_delay_p50_s = percentile(r.prop_delay_samples, 50);
-  r.prop_delay_p90_s = percentile(r.prop_delay_samples, 90);
-  r.prop_delay_p99_s = percentile(r.prop_delay_samples, 99);
+  // One sorted copy serves all three ranks; the samples themselves keep
+  // their order, which the histogram's floating-point sum depends on.
+  std::vector<double> sorted = r.prop_delay_samples;
+  std::sort(sorted.begin(), sorted.end());
+  r.prop_delay_p50_s = percentile_sorted(sorted, 50);
+  r.prop_delay_p90_s = percentile_sorted(sorted, 90);
+  r.prop_delay_p99_s = percentile_sorted(sorted, 99);
   return r;
 }
 

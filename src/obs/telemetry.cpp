@@ -14,6 +14,9 @@ void SweepTelemetry::start(std::size_t total_jobs, std::size_t prefilled) {
   prefilled_ = prefilled;
   delivered_ = 0;
   events_total_ = 0;
+  phase_jobs_ = 0;
+  simulate_ms_ = 0;
+  metrics_ms_ = 0;
   started_ = std::chrono::steady_clock::now();
 }
 
@@ -25,6 +28,13 @@ void SweepTelemetry::on_record_delivered() {
 void SweepTelemetry::add_events(std::uint64_t n) {
   std::lock_guard lock(mu_);
   events_total_ += n;
+}
+
+void SweepTelemetry::add_phase_ms(double simulate_ms, double metrics_ms) {
+  std::lock_guard lock(mu_);
+  ++phase_jobs_;
+  simulate_ms_ += simulate_ms;
+  metrics_ms_ += metrics_ms;
 }
 
 std::uint64_t SweepTelemetry::peak_rss_bytes() {
@@ -166,6 +176,13 @@ std::string SweepTelemetry::to_json(const std::string& scenario, double wall_s) 
                 wall_s > 0 ? static_cast<double>(events_total_) / wall_s : 0.0,
                 static_cast<double>(peak_rss_bytes()) / (1024.0 * 1024.0));
   j += buf;
+  if (phase_jobs_ > 0) {
+    std::snprintf(buf, sizeof buf,
+                  ",\n  \"phases\": {\"jobs\": %llu, \"simulate_ms\": %.3f, "
+                  "\"metrics_ms\": %.3f}",
+                  static_cast<unsigned long long>(phase_jobs_), simulate_ms_, metrics_ms_);
+    j += buf;
+  }
   if (has_journal_) {
     std::snprintf(buf, sizeof buf,
                   ",\n  \"journal\": {\"fsyncs\": %llu, \"fsync_total_ms\": %.3f, "

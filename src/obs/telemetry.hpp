@@ -73,6 +73,12 @@ class SweepTelemetry {
   /// Reported by the in-process thread executor; process/fleet workers run
   /// their experiments in other address spaces and report 0.
   void add_events(std::uint64_t n);
+  /// One finished job's wall time split into its simulation phase (build and
+  /// run the experiment) and its metric-extraction phase (metrics, hooks,
+  /// record), ms. Reported by the in-process thread executor only, like
+  /// add_events; adds a "phases" section to the stats JSON. Never part of a
+  /// record.
+  void add_phase_ms(double simulate_ms, double metrics_ms);
 
   /// Peak resident set of THIS process so far, bytes (getrusage ru_maxrss);
   /// 0 where unsupported. Free function so callers outside a sweep (the
@@ -132,6 +138,9 @@ class SweepTelemetry {
   std::size_t prefilled_ = 0;
   std::size_t delivered_ = 0;
   std::uint64_t events_total_ = 0;
+  std::uint64_t phase_jobs_ = 0;
+  double simulate_ms_ = 0;
+  double metrics_ms_ = 0;
   std::chrono::steady_clock::time_point started_{};
   std::uint64_t journal_fsyncs_ = 0;
   double journal_fsync_total_ms_ = 0;

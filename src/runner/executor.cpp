@@ -1,6 +1,7 @@
 #include "runner/executor.hpp"
 
 #include <atomic>
+#include <chrono>
 #include <exception>
 #include <memory>
 #include <mutex>
@@ -60,6 +61,11 @@ RunRecord run_job(const Scenario& scenario, const SweepPoint& point,
   // scheduler state mid-flight); those assumptions are serial-only.
   if (scenario.run) cfg.shards = 1;
 
+  using Clock = std::chrono::steady_clock;
+  const auto ms_since = [](Clock::time_point from, Clock::time_point to) {
+    return std::chrono::duration<double, std::milli>(to - from).count();
+  };
+  const Clock::time_point simulate_start = Clock::now();
   sim::Experiment exp(std::move(cfg));
   NamedValues hook_values;
   if (scenario.run) {
@@ -68,11 +74,16 @@ RunRecord run_job(const Scenario& scenario, const SweepPoint& point,
   } else {
     exp.run();
   }
+  const Clock::time_point metrics_start = Clock::now();
   NamedValues values = standard_metric_values(exp);
   values.insert(values.end(), hook_values.begin(), hook_values.end());
   if (scenario.extra) scenario.extra(exp, values);
   if (events_executed != nullptr) *events_executed = exp.events_executed();
   RunRecord record = extract_record(exp, std::move(values), point_index, ordinal);
+  if (telemetry != nullptr) {
+    telemetry->add_phase_ms(ms_since(simulate_start, metrics_start),
+                            ms_since(metrics_start, Clock::now()));
+  }
   if (cacheable) cache->store(key, record);
   return record;
 }

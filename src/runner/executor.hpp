@@ -57,11 +57,11 @@ struct ExecutionPlan {
   /// concurrently — the sink synchronizes its own output.
   std::function<void(std::uint32_t point, std::uint32_t ordinal,
                      const obs::TraceRing& ring)>
-      trace_sink;
+      trace_sink{};
   /// Optional sweep telemetry. The in-process thread executor feeds it each
   /// job's executed-event count (for the events/sec rate in --progress and
-  /// --stats-json); process/fleet executors ignore it — their experiments
-  /// run in other address spaces.
+  /// --stats-json) and its simulate/metrics phase split; process/fleet
+  /// executors ignore it — their experiments run in other address spaces.
   obs::SweepTelemetry* telemetry = nullptr;
 };
 
@@ -122,7 +122,8 @@ std::unique_ptr<Executor> make_process_pool_executor(ProcessPoolOptions options)
 /// worker process funnel through this. `trace` (optional) receives the
 /// experiment's decision trace; recording is observational, so the record —
 /// digest included — is bit-identical with and without it.
-/// `telemetry` (optional) receives the parallel engine's live efficiency
+/// `telemetry` (optional) receives the job's simulate/metrics phase split
+/// (cache hits report none) and the parallel engine's live efficiency
 /// figures when the config runs sharded; like tracing it never touches the
 /// record.
 RunRecord run_job(const Scenario& scenario, const SweepPoint& point,

@@ -109,7 +109,9 @@ TEST_P(FeeWindowSweep, BoundsAreOrderedAndInUnitInterval) {
   auto w = fee_window(alpha);
   EXPECT_GE(w.lower, 0.0);
   EXPECT_LE(w.upper, 0.5);
-  if (w.feasible) EXPECT_LT(w.lower, w.upper);
+  if (w.feasible) {
+    EXPECT_LT(w.lower, w.upper);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Alphas, FeeWindowSweep,

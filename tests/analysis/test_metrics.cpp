@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/experiment.hpp"
+#include "support/reference_consensus_delay.hpp"
 
 namespace bng::metrics {
 namespace {
@@ -106,6 +107,11 @@ TEST_F(MetricsTest, ConsensusDelayMonotoneInDelta) {
   double d50 = consensus_delay(*btc_, 0.9, 0.5);
   double d90 = consensus_delay(*btc_, 0.9, 0.9);
   EXPECT_LE(d50, d90 + 1e-9);
+}
+
+TEST_F(MetricsTest, ConsensusDelayMatchesReferenceExactly) {
+  testing::expect_consensus_delay_matches_reference(*ng_);
+  testing::expect_consensus_delay_matches_reference(*btc_);
 }
 
 TEST_F(MetricsTest, TimeToPruneNonNegative) {

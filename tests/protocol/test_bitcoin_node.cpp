@@ -68,8 +68,11 @@ TEST(BitcoinNode, ConsecutiveBlocksTakeDisjointTransactions) {
   for (const auto& tx : txs1)
     if (!tx->is_coinbase()) first_ids.insert(tx->id());
   EXPECT_FALSE(first_ids.empty());
-  for (const auto& tx : txs2)
-    if (!tx->is_coinbase()) EXPECT_EQ(first_ids.count(tx->id()), 0u);
+  for (const auto& tx : txs2) {
+    if (!tx->is_coinbase()) {
+      EXPECT_EQ(first_ids.count(tx->id()), 0u);
+    }
+  }
 }
 
 TEST(BitcoinNode, ForkResolvedByHeavierChain) {

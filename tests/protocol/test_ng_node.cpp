@@ -168,8 +168,9 @@ TEST(NgNode, RespectsMicroblockSizeLimit) {
   auto path = tree.path_from_genesis(tree.best_tip());
   for (auto idx : path) {
     const auto& block = *tree.entry(idx).block;
-    if (block.type() == chain::BlockType::kMicro)
+    if (block.type() == chain::BlockType::kMicro) {
       EXPECT_LE(block.wire_size(), params.max_microblock_size);
+    }
   }
 }
 

@@ -11,6 +11,7 @@
 
 #include <mutex>
 
+#include "obs/telemetry.hpp"
 #include "runner/emit.hpp"
 #include "runner/executor.hpp"
 #include "runner/scenario.hpp"
@@ -149,6 +150,29 @@ TEST(ProcessPool, AttackScenarioMatchesThreadsIncludingAttackerReports) {
   ASSERT_FALSE(threads.points.empty());
   ASSERT_TRUE(threads.points[0].seeds[0].attacker.has_value());
   EXPECT_EQ(artifacts(threads), artifacts(procs));
+}
+
+TEST(SweepTelemetry, PhaseSplitReportedInProcessAndKeptOutOfRecords) {
+  // --stats-json attaches a telemetry sink; the records must not notice it.
+  const Scenario s = registered_mini();
+  const std::string plain = artifacts(run_sweep(s, thread_options(2, 2)));
+
+  obs::SweepTelemetry threads;
+  SweepOptions with_stats = thread_options(2, 2);
+  with_stats.telemetry = &threads;
+  EXPECT_EQ(plain, artifacts(run_sweep(s, with_stats)));
+  const std::string json = threads.to_json(s.name, /*wall_s=*/1.0);
+  EXPECT_NE(json.find("\"phases\": {\"jobs\": 4, \"simulate_ms\": "), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"metrics_ms\": "), std::string::npos) << json;
+
+  // Worker processes run their experiments in other address spaces and
+  // report no phase split, as with events_executed.
+  obs::SweepTelemetry procs;
+  SweepOptions proc_stats = proc_options(2, 2);
+  proc_stats.telemetry = &procs;
+  EXPECT_EQ(plain, artifacts(run_sweep(s, proc_stats)));
+  EXPECT_EQ(procs.to_json(s.name, 1.0).find("\"phases\""), std::string::npos);
 }
 
 }  // namespace
