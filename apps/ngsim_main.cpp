@@ -55,10 +55,6 @@ Options:
   --jobs N              worker threads; 0 = all cores         (default 0)
   --procs N             worker *processes* instead of threads (default 0 = off)
                         output is bit-identical to any --jobs run
-  --shards N            shard each run across N event-loop threads
-                        (parallel-in-time; digests stay bit-identical for any
-                        N; in-process runs only — --procs/--hosts workers
-                        re-expand from the scenario text and ignore it)
   --nodes N             emulated node count                   (default 1000)
   --blocks N            counted blocks per run                (default 60)
   --out DIR             write <scenario>.json / .csv here     (default .)
@@ -226,7 +222,6 @@ int main(int argc, char** argv) {
   runner::RunKnobs knobs{runner::env_u32("REPRO_NODES", 1000),
                          runner::env_u32("REPRO_BLOCKS", 60)};
   runner::SweepOptions options;
-  std::uint32_t cli_shards = 0;  // 0 = leave the scenario's own setting
   options.seeds = runner::env_u32("REPRO_SEEDS", 1);
   options.jobs = runner::env_u32("REPRO_JOBS", 0);
   options.procs = runner::env_u32("REPRO_PROCS", 0);
@@ -298,11 +293,6 @@ int main(int argc, char** argv) {
     }
     if (std::strcmp(arg, "--procs") == 0) {
       if (!parse_u32_arg(arg, next, options.procs, 0)) return 1;
-      ++i;
-      continue;
-    }
-    if (std::strcmp(arg, "--shards") == 0) {
-      if (!parse_u32_arg(arg, next, cli_shards, 1)) return 1;
       ++i;
       continue;
     }
@@ -494,10 +484,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "ngsim: %s\n", e.what());
     return 1;
   }
-
-  // Applied to the base before expansion so every sweep point inherits it.
-  // Purely a wall-clock knob: records are bit-identical for any value.
-  if (cli_shards > 0) scenario->base.shards = cli_shards;
 
   // A mismatched --resume must fail with the identity reason, and it must do
   // so before the output-path probing below: the journal belonging to a

@@ -355,90 +355,6 @@ void BM_MempoolAssemble(benchmark::State& state) {
 }
 BENCHMARK(BM_MempoolAssemble);
 
-void BM_CrossShardLaneMerge(benchmark::State& state) {
-  // The parallel engine's cross-shard delivery path: sends between shards
-  // buffer into (src, dst) lanes, and flush_lanes() merges them onto the
-  // destination queues in deterministic (arrival, src shard, seq) order.
-  // This prices one barrier's worth of lane traffic: buffered send +
-  // merge-sort + destination scheduling, per message.
-  const auto n_nodes = static_cast<std::uint32_t>(state.range(0));
-  Rng rng(42);
-  net::EventQueue q0;
-  net::EventQueue q1;
-  net::Topology topo = net::Topology::random(n_nodes, 5, rng);
-  net::Network net(q0, topo, net::LatencyModel::constant(0.05),
-                   net::LinkParams{100'000.0, 40}, rng);
-  std::vector<std::uint32_t> shard_of(n_nodes);
-  for (NodeId i = 0; i < n_nodes; ++i) shard_of[i] = i < n_nodes / 2 ? 0 : 1;
-  net.configure_shards({&q0, &q1}, shard_of);
-  std::vector<bench::BenchSink> sinks(n_nodes);
-  for (NodeId i = 0; i < n_nodes; ++i) net.attach(i, &sinks[i]);
-  const auto msg = std::make_shared<bench::BenchMessage>();
-  for (auto _ : state) {
-    for (NodeId a = 0; a < n_nodes; ++a)
-      for (NodeId b : net.peers(a))
-        if (net.shard_of(a) != net.shard_of(b)) net.send(a, b, msg);
-    net.flush_lanes();
-    q0.run_all();
-    q1.run_all();
-  }
-  obs::Registry reg;
-  reg.counter("lane_messages", obs::Unit::kCount,
-              "messages that crossed a shard boundary through a lane")
-      .inc(net.lane_messages());
-  reg.gauge("lane_backlog_after_flush", obs::Unit::kCount,
-            "lanes must be empty after flush (0)")
-      .set(static_cast<double>(net.lane_backlog()));
-  bench::export_registry(state, reg);
-  state.SetItemsProcessed(static_cast<std::int64_t>(net.lane_messages()));
-}
-BENCHMARK(BM_CrossShardLaneMerge)->Arg(200);
-
-void BM_ShardBarrierOverhead(benchmark::State& state) {
-  // End-to-end cost of the bulk-synchronous machinery: a small sharded
-  // experiment where windows are plentiful and events are cheap, so the
-  // per-window barrier (park workers, merge lanes, replay observers,
-  // re-release) dominates. Items = windows, so time-per-item IS the
-  // barrier round-trip; the registry carries the efficiency split.
-  const auto shards = static_cast<std::uint32_t>(state.range(0));
-  double stall_ms = 0;
-  double busy_ms = 0;
-  std::uint64_t windows = 0;
-  for (auto _ : state) {
-    sim::ExperimentConfig cfg;
-    cfg.params = chain::Params::bitcoin();
-    cfg.params.block_interval = 20;
-    cfg.params.max_block_size = 4000;
-    cfg.num_nodes = 16;
-    cfg.min_degree = 3;
-    cfg.target_blocks = 10;
-    cfg.drain_time = 10;
-    cfg.shards = shards;
-    sim::Experiment exp(cfg);
-    exp.run();
-    const sim::ParallelStats* s = exp.parallel_stats();
-    if (s == nullptr) {
-      state.SkipWithError("parallel engine did not engage");
-      return;
-    }
-    windows += s->windows;
-    stall_ms += s->stall_ms;
-    busy_ms += s->busy_ms;
-  }
-  obs::Registry reg;
-  reg.counter("windows", obs::Unit::kCount, "safe windows (= barriers) executed")
-      .inc(windows);
-  reg.gauge("barrier_stall_ms_per_window", obs::Unit::kNone,
-            "mean per-window wall time shards spent parked (ms)")
-      .set(windows > 0 ? stall_ms / static_cast<double>(windows) : 0);
-  reg.gauge("parallel_efficiency", obs::Unit::kNone,
-            "busy / (busy + stall) across shard threads")
-      .set(busy_ms + stall_ms > 0 ? busy_ms / (busy_ms + stall_ms) : 1.0);
-  bench::export_registry(state, reg);
-  state.SetItemsProcessed(static_cast<std::int64_t>(windows));
-}
-BENCHMARK(BM_ShardBarrierOverhead)->Arg(2)->Arg(4);
-
 void BM_TraceRingRecord(benchmark::State& state) {
   // The trace ring's two costs: the enabled record path (arg 1 — one bounds
   // write into the ring) and the disabled gate (arg 0 — the `wants()` load +

@@ -37,6 +37,11 @@ speed-normalized baseline record (values divided by the machine-speed
 factor, so they are in reference-container units), which gates it from
 the next run onward. --no-baseline-new reverts to report-only.
 
+A benchmark in the baseline but absent from the run is RETIRED (deleted
+or renamed): it is reported as "[retired] NAME" so it does not drop out of
+the gate unnoticed. Report-only: it changes no exit code and leaves the
+store alone.
+
 Usage:
   check_trend.py --run micro_core.json --store micro_core.jsonl \
                  [--rel 0.20] [--abs-ns 25] [--inject NAME=FACTOR]... \
@@ -122,6 +127,7 @@ def main() -> int:
     base = baseline["benchmarks"]
     shared = sorted(set(base) & set(run))
     new = sorted(set(run) - set(base))
+    retired = sorted(set(base) - set(run))
     if len(shared) < 3:
         print(f"check_trend: only {len(shared)} shared benchmarks — "
               "baseline too stale to normalize against", file=sys.stderr)
@@ -131,6 +137,8 @@ def main() -> int:
     speed = statistics.median(ratios.values())
     print(f"baseline commit {baseline['commit'][:12]} ({baseline['date']}), "
           f"{len(shared)} shared benchmarks, machine-speed factor {speed:.3f}")
+    for n in retired:
+        print(f"[retired] {n}: baselined but absent from this run (not gated)")
 
     failures = []
     for n in shared:

@@ -15,9 +15,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
-#include <mutex>
-#include <shared_mutex>
 #include <stdexcept>
 #include <unordered_map>
 #include <vector>
@@ -35,17 +32,6 @@ class BlockInterner {
  public:
   /// Id for `h`, assigning the next dense id at first sight.
   BlockId intern(const Hash256& h) {
-    if (concurrent_) {
-      {
-        std::shared_lock lock(mu_);
-        auto it = ids_.find(h);
-        if (it != ids_.end()) return it->second;
-      }
-      std::unique_lock lock(mu_);
-      auto [it, inserted] = ids_.try_emplace(h, static_cast<BlockId>(hashes_.size()));
-      if (inserted) hashes_.push_back(h);
-      return it->second;
-    }
     auto [it, inserted] = ids_.try_emplace(h, static_cast<BlockId>(hashes_.size()));
     if (inserted) hashes_.push_back(h);
     return it->second;
@@ -53,49 +39,21 @@ class BlockInterner {
 
   /// Id for `h` if already interned; kNoBlockId otherwise.
   [[nodiscard]] BlockId lookup(const Hash256& h) const {
-    if (concurrent_) {
-      std::shared_lock lock(mu_);
-      auto it = ids_.find(h);
-      return it == ids_.end() ? kNoBlockId : it->second;
-    }
     auto it = ids_.find(h);
     return it == ids_.end() ? kNoBlockId : it->second;
   }
 
   [[nodiscard]] const Hash256& hash_of(BlockId id) const {
-    if (concurrent_) {
-      std::shared_lock lock(mu_);
-      if (id >= hashes_.size()) throw std::out_of_range("BlockInterner: bad id");
-      return hashes_[id];
-    }
     if (id >= hashes_.size()) throw std::out_of_range("BlockInterner: bad id");
     return hashes_[id];
   }
 
   /// Number of ids assigned so far; ids are dense in [0, size()).
-  [[nodiscard]] std::size_t size() const {
-    if (concurrent_) {
-      std::shared_lock lock(mu_);
-      return hashes_.size();
-    }
-    return hashes_.size();
-  }
-
-  /// Switch to internally synchronized operation (shared_mutex). The serial
-  /// engine never calls this, so the single-threaded fast path stays
-  /// lock-free; the parallel engine enables it before shard threads start.
-  /// Note: interned id VALUES depend on first-sight order and may differ
-  /// across shard counts — nothing that reaches records or digests consumes
-  /// the numeric value, only the hash it maps back to.
-  void enable_concurrent() { concurrent_ = true; }
+  [[nodiscard]] std::size_t size() const { return hashes_.size(); }
 
  private:
   std::unordered_map<Hash256, BlockId, Hash256Hasher> ids_;
-  /// deque, not vector: hash_of() hands out references that must survive
-  /// concurrent intern() growth once enable_concurrent() has been called.
-  std::deque<Hash256> hashes_;
-  mutable std::shared_mutex mu_;
-  bool concurrent_ = false;
+  std::vector<Hash256> hashes_;
 };
 
 /// Flat membership set over interned ids: an epoch-stamped array, so

@@ -4,29 +4,19 @@
 // densely indexable by (node, id). Instead of every node owning its own
 // epoch-stamped FlatIdSet — num_nodes separate allocations, each pulling its
 // own cache lines — one experiment-wide arena holds all of them as planes of
-// big flat stamp arrays laid out [plane][node][id]. A 10k–50k-node deployment
-// touches a few big flat arrays instead of 2×N small ones, the per-node CPU
-// cursor rides in a dense plane, and growth (a new block id past capacity)
-// is one amortized relayout per slice, not per node.
-//
-// Sharding: the arena is split into SLICES over contiguous node-id ranges
-// (one per parallel-engine shard; exactly one covering everything in the
-// serial engine). Each slice owns its own stamp/epoch arrays and grows
-// independently, so shard threads never contend on — or relayout under —
-// each other's state, and because stamp pages are allocated lazily on first
-// insert they are first-touched by the thread that runs the shard (NUMA
-// locality for free; prefault_slice() lets the engine force the touch at
-// thread start and report it).
+// a single stamp array laid out [plane][node][id]. A 10k–50k-node deployment
+// touches two big flat arrays instead of 2×N small ones, the per-node CPU
+// cursor rides in a third dense plane, and growth (a new block id past
+// capacity) is one amortized relayout for the whole fleet.
 //
 // Semantics are FlatIdSet's exactly: epoch-stamped membership, O(1)
 // insert/contains/erase, clear() by epoch bump with stamp 0 reserved as
-// "never a member". The relayout is pure data layout — no observable
-// behavior (and no digest) changes.
+// "never a member". The swap is pure data layout — no observable behavior
+// (and no digest) changes.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <stdexcept>
 #include <vector>
 
 #include "common/intern.hpp"
@@ -42,166 +32,85 @@ class NodeStateArena {
   };
   static constexpr std::uint32_t kPlanes = 2;
 
-  /// One shard's worth of stamp planes over a contiguous node range.
-  /// Stable address for the lifetime of the arena partition (views cache a
-  /// pointer); only the stamp vector inside reallocates on growth.
-  class Slice {
-   public:
-    [[nodiscard]] std::uint32_t row(Plane p, NodeId node) const {
-      return static_cast<std::uint32_t>(p) * nodes_ + (node - begin_);
-    }
-
-    [[nodiscard]] bool contains(std::uint32_t row, BlockId id) const {
-      return id < cap_ &&
-             stamps_[static_cast<std::size_t>(row) * cap_ + id] == epochs_[row];
-    }
-
-    void insert(std::uint32_t row, BlockId id) {
-      if (id >= cap_) grow(id);
-      stamps_[static_cast<std::size_t>(row) * cap_ + id] = epochs_[row];
-    }
-
-    void erase(std::uint32_t row, BlockId id) {
-      if (id < cap_) {
-        auto& s = stamps_[static_cast<std::size_t>(row) * cap_ + id];
-        if (s == epochs_[row]) s = 0;
-      }
-    }
-
-    /// Drop all of one row's members without touching the array (epoch bump).
-    void clear(std::uint32_t row) {
-      if (++epochs_[row] == 0) {
-        std::fill(stamps_.begin() + static_cast<std::ptrdiff_t>(row) * cap_,
-                  stamps_.begin() + (static_cast<std::ptrdiff_t>(row) + 1) * cap_,
-                  0u);
-        epochs_[row] = 1;
-      }
-    }
-
-    [[nodiscard]] std::uint32_t node_begin() const { return begin_; }
-    [[nodiscard]] std::uint32_t num_nodes() const { return nodes_; }
-    [[nodiscard]] std::uint32_t capacity() const { return cap_; }
-
-   private:
-    friend class NodeStateArena;
-
-    void init(std::uint32_t begin, std::uint32_t nodes) {
-      begin_ = begin;
-      nodes_ = nodes;
-      cap_ = 0;
-      stamps_.clear();
-      epochs_.assign(static_cast<std::size_t>(kPlanes) * nodes, 1);
-    }
-
-    void grow(BlockId id) {
-      std::uint32_t cap = std::max(cap_ * 2, 64u);
-      cap = std::max(cap, id + 1);
-      std::vector<std::uint32_t> next(
-          static_cast<std::size_t>(kPlanes) * nodes_ * cap, 0u);
-      const std::size_t rows = static_cast<std::size_t>(kPlanes) * nodes_;
-      for (std::size_t r = 0; r < rows; ++r) {
-        std::copy(stamps_.begin() + static_cast<std::ptrdiff_t>(r * cap_),
-                  stamps_.begin() + static_cast<std::ptrdiff_t>(r * cap_ + cap_),
-                  next.begin() + static_cast<std::ptrdiff_t>(r * cap));
-      }
-      stamps_ = std::move(next);
-      cap_ = cap;
-    }
-
-    std::uint32_t begin_ = 0;  ///< first node id this slice owns
-    std::uint32_t nodes_ = 0;
-    std::uint32_t cap_ = 0;
-    std::vector<std::uint32_t> stamps_;  ///< [plane][local node][id], stride cap_
-    std::vector<std::uint32_t> epochs_;  ///< per (plane, local node) row
-  };
-
   explicit NodeStateArena(std::uint32_t num_nodes)
-      : nodes_(num_nodes), slices_(1), cpu_busy_(num_nodes, 0) {
-    slices_[0].init(0, num_nodes);
-    shard_of_.assign(num_nodes, 0);
-  }
+      : nodes_(num_nodes),
+        epochs_(static_cast<std::size_t>(kPlanes) * num_nodes, 1),
+        cpu_busy_(num_nodes, 0) {}
 
   [[nodiscard]] std::uint32_t num_nodes() const { return nodes_; }
+  [[nodiscard]] std::uint32_t capacity() const { return cap_; }
 
-  /// Repartition into one slice per shard. `shard_of[node]` must be
-  /// non-decreasing (shards own contiguous node-id ranges). Discards all
-  /// state; must run before any ArenaIdSet view is constructed (views cache
-  /// their slice pointer).
-  void set_shards(const std::vector<std::uint32_t>& shard_of) {
-    if (shard_of.size() != nodes_)
-      throw std::invalid_argument("NodeStateArena::set_shards: size mismatch");
-    std::uint32_t num_shards = 1;
-    for (std::size_t i = 1; i < shard_of.size(); ++i) {
-      if (shard_of[i] < shard_of[i - 1])
-        throw std::invalid_argument(
-            "NodeStateArena::set_shards: shard ids must be non-decreasing");
-    }
-    if (!shard_of.empty()) num_shards = shard_of.back() + 1;
-    shard_of_ = shard_of;
-    slices_.assign(num_shards, Slice{});
-    std::uint32_t begin = 0;
-    for (std::uint32_t s = 0; s < num_shards; ++s) {
-      std::uint32_t end = begin;
-      while (end < nodes_ && shard_of_[end] == s) ++end;
-      slices_[s].init(begin, end - begin);
-      begin = end;
+  /// Row handle for (plane, node) — precompute once per view.
+  [[nodiscard]] std::uint32_t row(Plane p, NodeId node) const {
+    return static_cast<std::uint32_t>(p) * nodes_ + node;
+  }
+
+  [[nodiscard]] bool contains(std::uint32_t row, BlockId id) const {
+    return id < cap_ &&
+           stamps_[static_cast<std::size_t>(row) * cap_ + id] == epochs_[row];
+  }
+
+  void insert(std::uint32_t row, BlockId id) {
+    if (id >= cap_) grow(id);
+    stamps_[static_cast<std::size_t>(row) * cap_ + id] = epochs_[row];
+  }
+
+  void erase(std::uint32_t row, BlockId id) {
+    if (id < cap_) {
+      auto& s = stamps_[static_cast<std::size_t>(row) * cap_ + id];
+      if (s == epochs_[row]) s = 0;
     }
   }
 
-  [[nodiscard]] std::uint32_t num_slices() const {
-    return static_cast<std::uint32_t>(slices_.size());
+  /// Drop all of one row's members without touching the array (epoch bump).
+  void clear(std::uint32_t row) {
+    if (++epochs_[row] == 0) {
+      std::fill(stamps_.begin() + static_cast<std::ptrdiff_t>(row) * cap_,
+                stamps_.begin() + (static_cast<std::ptrdiff_t>(row) + 1) * cap_, 0u);
+      epochs_[row] = 1;
+    }
   }
 
-  [[nodiscard]] Slice& slice_of(NodeId node) { return slices_[shard_of_[node]]; }
-  [[nodiscard]] Slice& slice(std::uint32_t shard) { return slices_[shard]; }
-
-  /// Force shard `shard`'s stamp pages into existence on the calling thread
-  /// (the parallel engine calls this from the shard's own thread at startup,
-  /// so a first-touch NUMA policy places them locally). Returns the number
-  /// of bytes touched.
-  /// Pre: no slice row has been inserted into or cleared yet (the engine
-  /// calls this from each shard thread before the first event executes).
-  std::size_t prefault_slice(std::uint32_t shard, BlockId expected_ids = 64) {
-    Slice& s = slices_[shard];
-    if (s.nodes_ == 0) return 0;
-    // Reallocate the epoch rows on this thread (all rows are still at epoch
-    // 1), then grow the stamp planes — the zero-initializing allocations ARE
-    // the first touch, so a first-touch NUMA policy places both locally.
-    std::vector<std::uint32_t> fresh(static_cast<std::size_t>(kPlanes) * s.nodes_,
-                                     1u);
-    s.epochs_.swap(fresh);
-    if (s.cap_ < expected_ids) s.grow(expected_ids);
-    return (s.stamps_.size() + s.epochs_.size()) * sizeof(std::uint32_t);
-  }
-
-  /// Per-node CPU cursor (protocol verification pipeline). Global plane:
-  /// written only by the shard owning `node` (contiguous ranges, so false
-  /// sharing is confined to the two boundary cache lines per shard pair).
+  /// Per-node CPU cursor (protocol verification pipeline).
   [[nodiscard]] Seconds& cpu_busy(NodeId node) { return cpu_busy_[node]; }
 
  private:
+  void grow(BlockId id) {
+    std::uint32_t cap = std::max(cap_ * 2, 64u);
+    cap = std::max(cap, id + 1);
+    std::vector<std::uint32_t> next(
+        static_cast<std::size_t>(kPlanes) * nodes_ * cap, 0u);
+    const std::size_t rows = static_cast<std::size_t>(kPlanes) * nodes_;
+    for (std::size_t r = 0; r < rows; ++r) {
+      std::copy(stamps_.begin() + static_cast<std::ptrdiff_t>(r * cap_),
+                stamps_.begin() + static_cast<std::ptrdiff_t>(r * cap_ + cap_),
+                next.begin() + static_cast<std::ptrdiff_t>(r * cap));
+    }
+    stamps_ = std::move(next);
+    cap_ = cap;
+  }
+
   std::uint32_t nodes_;
-  std::vector<Slice> slices_;            ///< never resized after set_shards
-  std::vector<std::uint32_t> shard_of_;  ///< node -> slice index
-  std::vector<Seconds> cpu_busy_;        ///< per node
+  std::uint32_t cap_ = 0;
+  std::vector<std::uint32_t> stamps_;  ///< [plane][node][id], stride cap_
+  std::vector<std::uint32_t> epochs_;  ///< per (plane, node) row
+  std::vector<Seconds> cpu_busy_;      ///< per node
 };
 
 /// FlatIdSet-shaped view over one arena row, so call sites keep reading
-/// `known_.contains(id)` — the relayout is invisible above this line. The
-/// view binds directly to its node's slice, so shard threads touch only
-/// their own slice's arrays.
+/// `known_.contains(id)` — the relayout is invisible above this line.
 class ArenaIdSet {
  public:
   ArenaIdSet(NodeStateArena& arena, NodeStateArena::Plane plane, NodeId node)
-      : slice_(&arena.slice_of(node)), row_(slice_->row(plane, node)) {}
+      : arena_(&arena), row_(arena.row(plane, node)) {}
 
-  [[nodiscard]] bool contains(BlockId id) const { return slice_->contains(row_, id); }
-  void insert(BlockId id) { slice_->insert(row_, id); }
-  void erase(BlockId id) { slice_->erase(row_, id); }
-  void clear() { slice_->clear(row_); }
+  [[nodiscard]] bool contains(BlockId id) const { return arena_->contains(row_, id); }
+  void insert(BlockId id) { arena_->insert(row_, id); }
+  void erase(BlockId id) { arena_->erase(row_, id); }
+  void clear() { arena_->clear(row_); }
 
  private:
-  NodeStateArena::Slice* slice_;
+  NodeStateArena* arena_;
   std::uint32_t row_;
 };
 

@@ -272,27 +272,6 @@ void EventQueue::run_all() {
   }
 }
 
-Seconds EventQueue::next_time_bound() const {
-  Seconds bound = kInf;
-  if (run_index_ < run_.size()) bound = std::min(bound, run_[run_index_].at);
-  if (!near_.empty()) bound = std::min(bound, near_.front().at);
-  if (ring_count_ > 0) {
-    // First non-empty ring bucket; its entries' minimum `at` is exact (the
-    // routing map is monotone, so no earlier entry can sit in a later
-    // bucket). Stale tombstones may lower the bound — still a lower bound.
-    for (std::int64_t b = cur_bucket_ + 1; b <= cur_bucket_ + kBuckets; ++b) {
-      const std::vector<Entry>& bucket = buckets_[ring_slot(b)];
-      if (bucket.empty()) continue;
-      Seconds m = bucket.front().at;
-      for (const Entry& e : bucket) m = std::min(m, e.at);
-      bound = std::min(bound, m);
-      break;
-    }
-  }
-  if (!overflow_.empty()) bound = std::min(bound, overflow_.front().at);
-  return std::max(bound, now_);
-}
-
 // --- Small 4-ary min-heap for arrivals behind the consuming bucket ----------
 //
 // Holds only events scheduled (after their bucket was frozen) for times at

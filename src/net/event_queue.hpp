@@ -100,13 +100,6 @@ class EventQueue {
 
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
 
-  /// A safe lower bound on the time of the earliest pending event: no event
-  /// in this queue will execute strictly before the returned time. +inf when
-  /// empty. Cancelled-but-unpopped entries may pull the bound below the true
-  /// next event time — a smaller bound only shrinks a conservative window,
-  /// never breaks it. Used by the parallel engine to size safe windows.
-  [[nodiscard]] Seconds next_time_bound() const;
-
  private:
   /// Execution key is (at, seq); seq is unique, so the order is total and a
   /// run replays identically regardless of the internal structure.

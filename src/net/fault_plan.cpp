@@ -17,19 +17,19 @@ void check_node(const Network& net, NodeId node, const char* what) {
 
 }  // namespace
 
-std::vector<TimedMutation> collect_faults(Network& net, const FaultPlan& plan) {
-  std::vector<TimedMutation> out;
-  if (plan.empty()) return out;
-  Network* n = &net;
+void schedule_faults(Network& net, const FaultPlan& plan) {
+  if (plan.empty()) return;
+  EventQueue& queue = net.queue();
 
   for (const FaultPlan::Partition& p : plan.partitions) {
     for (NodeId v : p.group) check_node(net, v, "partition");
-    // The group is shared by the cut and heal transitions (and kept alive by
+    // The group is shared by the cut and heal events (and kept alive by
     // them); set_partition resolves edges at fire time.
     auto group = std::make_shared<std::vector<NodeId>>(p.group);
-    out.push_back({p.at, false, [n, group] { n->set_partition(*group, true); }});
+    Network* n = &net;
+    queue.schedule_at(p.at, [n, group] { n->set_partition(*group, true); });
     if (p.heal_at > p.at)
-      out.push_back({p.heal_at, false, [n, group] { n->set_partition(*group, false); }});
+      queue.schedule_at(p.heal_at, [n, group] { n->set_partition(*group, false); });
   }
 
   for (const FaultPlan::LinkDelay& d : plan.link_delays) {
@@ -40,27 +40,19 @@ std::vector<TimedMutation> collect_faults(Network& net, const FaultPlan& plan) {
     // time by add_edge_latency, which validates before mutating).
     if (net.edge_latency(d.a, d.b) + d.extra < 0)
       throw std::invalid_argument("FaultPlan: link delay would make latency negative");
-    out.push_back({d.at, true, [n, d] { n->add_edge_latency(d.a, d.b, d.extra); }});
+    Network* n = &net;
+    queue.schedule_at(d.at, [n, d] { n->add_edge_latency(d.a, d.b, d.extra); });
     if (d.until > d.at)
-      out.push_back({d.until, true, [n, d] { n->add_edge_latency(d.a, d.b, -d.extra); }});
+      queue.schedule_at(d.until, [n, d] { n->add_edge_latency(d.a, d.b, -d.extra); });
   }
 
   for (const FaultPlan::Eclipse& e : plan.eclipses) {
     check_node(net, e.node, "eclipse");
-    out.push_back({e.at, false, [n, node = e.node] { n->set_eclipsed(node, true); }});
+    Network* n = &net;
+    queue.schedule_at(e.at, [n, node = e.node] { n->set_eclipsed(node, true); });
     if (e.heal_at > e.at)
-      out.push_back({e.heal_at, false, [n, node = e.node] { n->set_eclipsed(node, false); }});
+      queue.schedule_at(e.heal_at, [n, node = e.node] { n->set_eclipsed(node, false); });
   }
-  return out;
-}
-
-void schedule_faults(Network& net, const FaultPlan& plan) {
-  if (plan.empty()) return;
-  EventQueue& queue = net.queue();
-  // Scheduling in collection order reproduces the historical seq assignment
-  // exactly (per-partition cut/heal, per-delay apply/revert, per-eclipse).
-  for (TimedMutation& m : collect_faults(net, plan))
-    queue.schedule_at(m.at, [apply = std::move(m.apply)] { apply(); });
 }
 
 }  // namespace bng::net

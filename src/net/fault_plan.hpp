@@ -22,7 +22,6 @@
 // partition and an eclipse covering the same edge heal independently.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "common/types.hpp"
@@ -60,25 +59,6 @@ struct FaultPlan {
     return partitions.empty() && link_delays.empty() && eclipses.empty();
   }
 };
-
-/// One fault transition as data: what to do and when. The parallel engine
-/// applies these at window barriers (global state mutations must not race
-/// shard execution); the serial engine schedules them as plain events.
-struct TimedMutation {
-  Seconds at = 0;
-  /// True for transitions that change an edge latency — the parallel engine
-  /// must re-derive its conservative lookahead after applying one.
-  bool affects_latency = false;
-  std::function<void()> apply;
-};
-
-/// Validate `plan` (same checks as schedule_faults) and return its
-/// transitions in the exact order schedule_faults would schedule them:
-/// per-partition cut then heal, per-delay apply then revert, per-eclipse
-/// set then heal. NOT sorted by time — callers needing time order must
-/// stable_sort on `at`, which preserves the schedule order among equal
-/// times (what the serial engine's (at, seq) order would do).
-std::vector<TimedMutation> collect_faults(Network& net, const FaultPlan& plan);
 
 /// Schedule every fault transition of `plan` on the network's event queue.
 /// Validates eagerly (throws std::invalid_argument) so a bad plan fails at

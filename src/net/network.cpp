@@ -1,8 +1,6 @@
 #include "net/network.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <stdexcept>
 
 namespace bng::net {
@@ -57,93 +55,6 @@ Network::Network(EventQueue& queue, const Topology& topology, const LatencyModel
       }
     }
   }
-
-  // Single-shard identity mapping until configure_shards() says otherwise.
-  queues_ = {&queue_};
-  shard_of_.assign(n, 0);
-  counters_.assign(1, ShardCounters{});
-}
-
-void Network::configure_shards(std::vector<EventQueue*> queues,
-                               std::vector<std::uint32_t> shard_of) {
-  if (queues.empty() || queues[0] != &queue_)
-    throw std::invalid_argument(
-        "Network::configure_shards: queues[0] must be the construction queue");
-  if (shard_of.size() != topology_.num_nodes())
-    throw std::invalid_argument("Network::configure_shards: shard_of size mismatch");
-  for (std::size_t i = 1; i < shard_of.size(); ++i) {
-    if (shard_of[i] < shard_of[i - 1])
-      throw std::invalid_argument(
-          "Network::configure_shards: shard ids must be non-decreasing");
-  }
-  if (!shard_of.empty() && shard_of.back() + 1 != queues.size())
-    throw std::invalid_argument(
-        "Network::configure_shards: queue count does not match shard count");
-  if (messages_sent() != 0)
-    throw std::logic_error("Network::configure_shards: traffic already sent");
-  queues_ = std::move(queues);
-  shard_of_ = std::move(shard_of);
-  num_shards_ = static_cast<std::uint32_t>(queues_.size());
-  lanes_.assign(static_cast<std::size_t>(num_shards_) * num_shards_, {});
-  lane_seq_.assign(lanes_.size(), 0);
-  counters_.assign(num_shards_, ShardCounters{});
-  node_state_->set_shards(shard_of_);
-  lookahead_dirty_ = true;
-}
-
-Seconds Network::conservative_lookahead() {
-  if (!lookahead_dirty_) return lookahead_;
-  lookahead_dirty_ = false;
-  Seconds min_lat = std::numeric_limits<Seconds>::infinity();
-  if (num_shards_ > 1) {
-    for (std::uint32_t e = 0; e < latency_.size(); ++e) {
-      if (shard_of_[edge_from_[e]] != shard_of_[row_sorted_[e]])
-        min_lat = std::min(min_lat, latency_[e]);
-    }
-  }
-  // Even a zero-latency edge cannot deliver instantly: the per-message
-  // overhead bytes alone occupy the link for a strictly positive transfer
-  // time, so the lookahead stays > 0 and windows always make progress.
-  const Seconds min_transfer = static_cast<double>(params_.per_message_overhead_bytes) *
-                               8.0 / params_.bandwidth_bps;
-  lookahead_ = std::isinf(min_lat) ? min_lat : min_lat + min_transfer;
-  return lookahead_;
-}
-
-void Network::flush_lanes() {
-  if (num_shards_ <= 1) return;
-  lane_scratch_.clear();
-  for (std::vector<LaneMsg>& lane : lanes_) {
-    for (LaneMsg& m : lane) lane_scratch_.push_back(std::move(m));
-    lane.clear();
-  }
-  if (lane_scratch_.empty()) return;
-  // (arrival, src shard, lane seq) reproduces the serial engine's execution
-  // order: distinct-source arrival ties are measure-zero (latencies are
-  // drawn from continuous distributions), and same-edge ties — which the
-  // healing-delay FIFO clamp CAN produce — sit in one lane, where lane_seq
-  // is exactly the serial send (hence schedule) order. The edge tiebreak
-  // only makes the sort total; it never decides a real workload.
-  std::sort(lane_scratch_.begin(), lane_scratch_.end(),
-            [this](const LaneMsg& a, const LaneMsg& b) {
-              if (a.arrival != b.arrival) return a.arrival < b.arrival;
-              const std::uint32_t sa = shard_of_[edge_from_[a.edge]];
-              const std::uint32_t sb = shard_of_[edge_from_[b.edge]];
-              if (sa != sb) return sa < sb;
-              if (a.lane_seq != b.lane_seq) return a.lane_seq < b.lane_seq;
-              return a.edge < b.edge;
-            });
-  for (LaneMsg& m : lane_scratch_) {
-    EventQueue& q = *queues_[shard_of_[row_sorted_[m.edge]]];
-    q.schedule_at(m.arrival, DeliverLane{this, m.edge, std::move(m.msg)});
-  }
-  lane_scratch_.clear();
-}
-
-std::size_t Network::lane_backlog() const {
-  std::size_t total = 0;
-  for (const std::vector<LaneMsg>& lane : lanes_) total += lane.size();
-  return total;
 }
 
 std::uint32_t Network::find_edge(NodeId from, NodeId to) const {
@@ -181,49 +92,30 @@ void Network::send(NodeId from, NodeId to, MessagePtr msg) {
   if (e == kNoEdge) throw std::invalid_argument("Network::send: nodes are not neighbours");
   if (offline_[from] || offline_[to] || blocked_[e] != 0) return;
 
-  const std::uint32_t shard = shard_of_[from];
-  ShardCounters& c = counters_[shard];
-  EventQueue& q = *queues_[shard];
-
   const std::size_t wire_bytes = msg->wire_size() + params_.per_message_overhead_bytes;
-  c.bytes_sent += wire_bytes;
-  ++c.messages_sent;
+  bytes_sent_ += wire_bytes;
+  ++messages_sent_;
 
   // Store-and-forward over a serialized directed link.
   const Seconds transfer = static_cast<double>(wire_bytes) * 8.0 / params_.bandwidth_bps;
-  const Seconds start = std::max(q.now(), busy_until_[e]);
+  const Seconds start = std::max(queue_.now(), busy_until_[e]);
   const Seconds done_sending = start + transfer;
   busy_until_[e] = done_sending;
   Seconds arrival = done_sending + latency_[e];
-
-  ++c.in_flight;
-  if (shard_of_[to] != shard) {
-    // Cross-shard: identical arrival arithmetic (busy horizon above, FIFO
-    // clamp below — a no-op for an idle link, exactly as on the direct
-    // path), but the message rides a (src,dst) lane to the next barrier
-    // instead of an event. Link state for this directed edge is owned by
-    // the sending shard, so no lock is needed.
-    arrival = std::max(arrival, last_arrival_[e]);
-    last_arrival_[e] = arrival;
-    ++c.lane_messages;
-    const std::size_t lane =
-        static_cast<std::size_t>(shard) * num_shards_ + shard_of_[to];
-    lanes_[lane].push_back(LaneMsg{arrival, lane_seq_[lane]++, e, std::move(msg)});
-    return;
-  }
 
   // Event train: only the idle->busy transition touches the event queue; a
   // busy link just grows its FIFO (delivery re-arms on pop).
   LinkFifo& f = fifo_[e];
   const bool idle = direct_[e] == 0 && f.empty();
+  ++in_flight_;
   if (idle) {
     // Idle-link fast path: no FIFO round-trip — the delivery event carries
     // the message. Scheduled at the same time with the same seq the
     // FIFO-head event would have had, so runs replay identically.
-    ++c.active_links;
+    ++active_links_;
     direct_[e] = 1;
     last_arrival_[e] = arrival;
-    q.schedule_at(arrival, DeliverDirect{this, e, std::move(msg)});
+    queue_.schedule_at(arrival, DeliverDirect{this, e, std::move(msg)});
     return;
   }
   // A link delivers in order. With constant latency arrivals are naturally
@@ -245,49 +137,36 @@ void Network::dispatch(std::uint32_t e, const MessagePtr& msg) {
 }
 
 void Network::deliver_direct(std::uint32_t e, const MessagePtr& msg) {
-  // Intra-shard edge: src and dst share a shard, so either endpoint names
-  // the owning queue/counters.
-  const std::uint32_t shard = shard_of_[row_sorted_[e]];
-  ShardCounters& c = counters_[shard];
-  EventQueue& q = *queues_[shard];
   LinkFifo& f = fifo_[e];
-  --c.in_flight;
+  --in_flight_;
   direct_[e] = 0;
-  ++c.direct_deliveries;
+  ++direct_deliveries_;
   std::uint64_t rearm = 0;
   if (f.empty()) {
-    --c.active_links;
+    --active_links_;
   } else {
     // Messages queued up behind the direct flight: re-arm before delivering
     // (see drain_train for the ordering discipline).
-    rearm = q.schedule_at(f.q[f.head].arrival, DeliverHead{this, e});
+    rearm = queue_.schedule_at(f.q[f.head].arrival, DeliverHead{this, e});
   }
   dispatch(e, msg);
-  if (rearm != 0 && q.consume_if_next(rearm)) {
-    ++c.burst_drained;
+  if (rearm != 0 && queue_.consume_if_next(rearm)) {
+    ++burst_drained_;
     drain_train(e);
   }
 }
 
-void Network::deliver_lane(std::uint32_t e, const MessagePtr& msg) {
-  --counters_[shard_of_[row_sorted_[e]]].in_flight;
-  dispatch(e, msg);
-}
-
 void Network::drain_train(std::uint32_t e) {
-  const std::uint32_t shard = shard_of_[row_sorted_[e]];
-  ShardCounters& c = counters_[shard];
-  EventQueue& q = *queues_[shard];
   for (;;) {
     LinkFifo& f = fifo_[e];
     MessagePtr msg = std::move(f.q[f.head].msg);
     ++f.head;
-    --c.in_flight;
+    --in_flight_;
     std::uint64_t rearm = 0;
     if (f.empty()) {
       f.q.clear();
       f.head = 0;
-      --c.active_links;
+      --active_links_;
     } else {
       // Compact the delivered prefix once it dominates the vector, so a link
       // that never fully drains holds O(in-flight) slots, not O(total ever
@@ -299,7 +178,7 @@ void Network::drain_train(std::uint32_t e) {
       // Re-arm before delivering: keeps this link's next delivery ahead (in
       // schedule order) of any events the handler schedules now, matching
       // the per-message scheduling the train replaced.
-      rearm = q.schedule_at(f.q[f.head].arrival, DeliverHead{this, e});
+      rearm = queue_.schedule_at(f.q[f.head].arrival, DeliverHead{this, e});
     }
     dispatch(e, msg);
     // Burst drain: if the event we just armed is the queue's next event,
@@ -307,8 +186,8 @@ void Network::drain_train(std::uint32_t e) {
     // draining inline. consume_if_next advances time and the executed count
     // exactly as a pop would, and no callback runs between the two points,
     // so every later seq assignment (hence the digest) is unchanged.
-    if (rearm == 0 || !q.consume_if_next(rearm)) return;
-    ++c.burst_drained;
+    if (rearm == 0 || !queue_.consume_if_next(rearm)) return;
+    ++burst_drained_;
   }
 }
 
@@ -368,9 +247,6 @@ void Network::add_edge_latency(NodeId a, NodeId b, Seconds delta) {
     throw std::invalid_argument("Network: edge latency would go negative");
   latency_[e1] += delta;
   latency_[e2] += delta;
-  // A shrunk cross-shard latency shrinks the safe window: force the
-  // parallel engine to re-derive its lookahead before the next window.
-  lookahead_dirty_ = true;
 }
 
 }  // namespace bng::net

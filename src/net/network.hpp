@@ -36,20 +36,6 @@
 // object every protocol node of a deployment shares, so it is the natural
 // home for the Hash256 -> BlockId assignment that block trees, gossip sets
 // and wire messages key their hot state by (see common/intern.hpp).
-//
-// Sharding (sim/parallel_engine.hpp): configure_shards() partitions nodes
-// across per-shard event queues. Intra-shard traffic keeps every fast path
-// above untouched on the owning shard's queue; a cross-shard send is
-// computed analytically on the sender's thread (same busy_until_/latency/
-// FIFO-clamp arithmetic, so arrival times are bit-identical to the serial
-// engine's) and buffered in a per-(src,dst)-shard LANE. At each window
-// barrier the coordinator merges all lanes in (arrival, src shard,
-// lane seq) order onto the destination queues — a deterministic order that
-// reproduces the serial engine's (time, seq) execution order, which is what
-// keeps digests identical for any shard count. The minimum cross-shard
-// latency (plus the per-message overhead transfer time) bounds how far a
-// shard can safely run ahead; it is cached and recomputed whenever a fault
-// mutates an edge latency.
 #pragma once
 
 #include <cstdint>
@@ -123,40 +109,6 @@ class Network {
   [[nodiscard]] EventQueue& queue() { return queue_; }
   [[nodiscard]] const Topology& topology() const { return topology_; }
 
-  // --- Sharding (parallel engine) -------------------------------------------
-
-  /// Partition the deployment: node `n` runs on `queues[shard_of[n]]`.
-  /// `shard_of` must be non-decreasing (shards own contiguous node-id
-  /// ranges) and `queues[0]` must be the construction-time queue. Must be
-  /// called before any node is attached or any message sent — protocol nodes
-  /// cache their shard queue at construction. Repartitions the node-state
-  /// arena to match.
-  void configure_shards(std::vector<EventQueue*> queues,
-                        std::vector<std::uint32_t> shard_of);
-
-  [[nodiscard]] std::uint32_t num_shards() const { return num_shards_; }
-  [[nodiscard]] std::uint32_t shard_of(NodeId node) const { return shard_of_[node]; }
-
-  /// The event queue that drives `node` (the construction queue unless
-  /// configure_shards said otherwise).
-  [[nodiscard]] EventQueue& queue_for(NodeId node) { return *queues_[shard_of_[node]]; }
-
-  /// Safe lookahead for conservative windows: min over cross-shard directed
-  /// edges of (latency + per-message-overhead transfer time). Any message
-  /// sent at time t crossing shards arrives strictly later than
-  /// t + lookahead (its payload transfer adds more). +inf with no
-  /// cross-shard edges (or one shard). Cached; fault-layer latency
-  /// mutations invalidate the cache.
-  [[nodiscard]] Seconds conservative_lookahead();
-
-  /// Coordinator-only, all shard threads parked: drain every (src,dst)
-  /// shard lane, scheduling each buffered cross-shard message on its
-  /// destination shard's queue in (arrival, src shard, lane seq) order.
-  void flush_lanes();
-
-  /// Cross-shard messages currently buffered in lanes (not yet flushed).
-  [[nodiscard]] std::size_t lane_backlog() const;
-
   /// The experiment-wide block-identity interner shared by every node of
   /// this deployment (trees, gossip sets, wire messages).
   [[nodiscard]] const std::shared_ptr<BlockInterner>& interner() const { return interner_; }
@@ -170,39 +122,20 @@ class Network {
   /// One-way latency of the (a, b) edge; throws if absent.
   [[nodiscard]] Seconds edge_latency(NodeId a, NodeId b) const;
 
-  // Traffic counters are kept per shard (cache-line padded, each written
-  // only by its owning shard thread) and summed on read. Sums are exact:
-  // every increment lands in exactly one shard's struct. Read them only
-  // while shard threads are parked (barrier / end of run).
-
   /// Total bytes ever put on the wire (payload + overhead).
-  [[nodiscard]] std::uint64_t bytes_sent() const { return sum_u64(&ShardCounters::bytes_sent); }
-  [[nodiscard]] std::uint64_t messages_sent() const {
-    return sum_u64(&ShardCounters::messages_sent);
-  }
+  [[nodiscard]] std::uint64_t bytes_sent() const { return bytes_sent_; }
+  [[nodiscard]] std::uint64_t messages_sent() const { return messages_sent_; }
 
   /// Messages currently queued on links (sent, not yet delivered).
-  [[nodiscard]] std::uint64_t messages_in_flight() const {
-    return static_cast<std::uint64_t>(sum_i64(&ShardCounters::in_flight));
-  }
+  [[nodiscard]] std::uint64_t messages_in_flight() const { return in_flight_; }
   /// Directed links with a delivery in flight == scheduled delivery events.
-  [[nodiscard]] std::uint32_t active_links() const {
-    return static_cast<std::uint32_t>(sum_i64(&ShardCounters::active_links));
-  }
+  [[nodiscard]] std::uint32_t active_links() const { return active_links_; }
   /// Deliveries that rode the idle-link fast path (message carried in the
   /// event, no FIFO round-trip).
-  [[nodiscard]] std::uint64_t direct_deliveries() const {
-    return sum_u64(&ShardCounters::direct_deliveries);
-  }
+  [[nodiscard]] std::uint64_t direct_deliveries() const { return direct_deliveries_; }
   /// Messages delivered by a burst continuation (train drained in the same
   /// callback instead of a fresh scheduler pop).
-  [[nodiscard]] std::uint64_t burst_drained() const {
-    return sum_u64(&ShardCounters::burst_drained);
-  }
-  /// Messages that crossed a shard boundary through a lane buffer.
-  [[nodiscard]] std::uint64_t lane_messages() const {
-    return sum_u64(&ShardCounters::lane_messages);
-  }
+  [[nodiscard]] std::uint64_t burst_drained() const { return burst_drained_; }
 
   /// Partition control (for churn / attack experiments): while a node is
   /// offline its inbound and outbound messages are dropped.
@@ -266,51 +199,10 @@ class Network {
     void operator()() const { net->deliver_direct(edge, msg); }
   };
 
-  /// A barrier-flushed cross-shard delivery: dispatch + in-flight bookkeeping
-  /// on the destination shard, no link-state touch (the sender already did
-  /// the busy/FIFO-clamp arithmetic).
-  struct DeliverLane {
-    Network* net;
-    std::uint32_t edge;
-    MessagePtr msg;
-    void operator()() const { net->deliver_lane(edge, msg); }
-  };
-
-  /// One buffered cross-shard message awaiting the barrier merge.
-  struct LaneMsg {
-    Seconds arrival;
-    std::uint64_t lane_seq;  ///< send order within this (src,dst) lane
-    std::uint32_t edge;
-    MessagePtr msg;
-  };
-
-  /// Per-shard traffic counters, padded so shard threads never share a line.
-  struct alignas(64) ShardCounters {
-    std::uint64_t bytes_sent = 0;
-    std::uint64_t messages_sent = 0;
-    std::int64_t in_flight = 0;      ///< +1 at send (src), -1 at delivery (dst)
-    std::int64_t active_links = 0;
-    std::uint64_t direct_deliveries = 0;
-    std::uint64_t burst_drained = 0;
-    std::uint64_t lane_messages = 0;
-  };
-
-  [[nodiscard]] std::uint64_t sum_u64(std::uint64_t ShardCounters::* f) const {
-    std::uint64_t total = 0;
-    for (const ShardCounters& c : counters_) total += c.*f;
-    return total;
-  }
-  [[nodiscard]] std::int64_t sum_i64(std::int64_t ShardCounters::* f) const {
-    std::int64_t total = 0;
-    for (const ShardCounters& c : counters_) total += c.*f;
-    return total;
-  }
-
   /// Deliver the FIFO head, then keep draining while this edge's re-armed
   /// delivery event is the queue's next event.
   void drain_train(std::uint32_t edge);
   void deliver_direct(std::uint32_t edge, const MessagePtr& msg);
-  void deliver_lane(std::uint32_t edge, const MessagePtr& msg);
   /// Hand one arrived message to the receiving node (offline drop here).
   void dispatch(std::uint32_t edge, const MessagePtr& msg);
 
@@ -339,17 +231,12 @@ class Network {
   std::vector<std::uint8_t> direct_;       // 1 while a DeliverDirect is in flight
   std::vector<Seconds> last_arrival_;      // arrival of the edge's latest send
 
-  // --- Shard routing (single-shard identity mapping by default) -------------
-  std::vector<EventQueue*> queues_;          // per shard; [0] == &queue_
-  std::vector<std::uint32_t> shard_of_;      // per node
-  std::uint32_t num_shards_ = 1;
-  std::vector<std::vector<LaneMsg>> lanes_;  // [src * K + dst], src != dst
-  std::vector<std::uint64_t> lane_seq_;      // per lane send counter
-  std::vector<LaneMsg> lane_scratch_;        // flush_lanes merge buffer
-  Seconds lookahead_ = 0;                    // cached conservative_lookahead
-  bool lookahead_dirty_ = true;
-
-  std::vector<ShardCounters> counters_;      // per shard, summed on read
+  std::uint64_t bytes_sent_ = 0;
+  std::uint64_t messages_sent_ = 0;
+  std::uint64_t in_flight_ = 0;
+  std::uint32_t active_links_ = 0;
+  std::uint64_t direct_deliveries_ = 0;
+  std::uint64_t burst_drained_ = 0;
 };
 
 }  // namespace bng::net

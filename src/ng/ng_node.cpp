@@ -76,7 +76,7 @@ chain::BlockPtr NgNode::build_key_block(std::uint32_t tip, double work) {
 void NgNode::schedule_microblock_tick() {
   if (tick_scheduled_) return;
   tick_scheduled_ = true;
-  queue_.schedule_in(cfg_.params.microblock_interval, [this] { microblock_tick(); });
+  net_.queue().schedule_in(cfg_.params.microblock_interval, [this] { microblock_tick(); });
 }
 
 void NgNode::microblock_tick() {

@@ -46,8 +46,7 @@ class Counter {
 };
 
 /// Last-write-wins scalar. May legitimately hold NaN/inf (e.g. a percentile
-/// over an empty sample); the record codec's binary form preserves the exact
-/// bits and its JSON form maps non-finite to null and back to NaN.
+/// over an empty sample); the record codec preserves the exact bits.
 class Gauge {
  public:
   void set(double v) { value_ = v; }

@@ -81,28 +81,6 @@ void SweepTelemetry::adaptive_stats(std::size_t dense_points, std::size_t dense_
   adaptive_jobs_dispatched_ = jobs_dispatched;
 }
 
-void SweepTelemetry::add_parallel_delta(double busy_ms, double stall_ms) {
-  std::lock_guard lock(mu_);
-  has_parallel_ = true;
-  par_busy_ms_ += busy_ms;
-  par_stall_ms_ += stall_ms;
-}
-
-void SweepTelemetry::add_parallel_run(const ParallelFrame& frame) {
-  std::lock_guard lock(mu_);
-  has_parallel_ = true;
-  if (frame.shards > par_shards_max_) par_shards_max_ = frame.shards;
-  ++par_runs_;
-  par_windows_ += frame.windows;
-  par_lane_messages_ += frame.lane_messages;
-  par_arena_bytes_ += frame.arena_local_bytes;
-  if (par_runs_ == 1 || frame.window_min_s < par_window_min_s_)
-    par_window_min_s_ = frame.window_min_s;
-  par_window_sum_s_ += frame.window_avg_s * static_cast<double>(frame.windows);
-  par_shard_seconds_ += frame.wall_ms / 1000.0 * frame.shards;
-  par_events_ += frame.events;
-}
-
 void SweepTelemetry::init_workers(const std::vector<std::string>& endpoints) {
   std::lock_guard lock(mu_);
   workers_.clear();
@@ -134,12 +112,6 @@ std::string SweepTelemetry::progress_line() const {
   n = std::snprintf(buf, sizeof buf, " rss_peak_mb=%.1f",
                     static_cast<double>(peak_rss_bytes()) / (1024.0 * 1024.0));
   out.append(buf, static_cast<std::size_t>(n));
-  if (has_parallel_) {
-    const double total = par_busy_ms_ + par_stall_ms_;
-    n = std::snprintf(buf, sizeof buf, " shards=%u par_eff=%.0f%%",
-                      par_shards_max_, total > 0 ? 100.0 * par_busy_ms_ / total : 100.0);
-    out.append(buf, static_cast<std::size_t>(n));
-  }
   if (!workers_.empty()) {
     std::size_t alive = 0;
     std::uint64_t reconnects = 0;
@@ -207,29 +179,6 @@ std::string SweepTelemetry::to_json(const std::string& scenario, double wall_s) 
                   "\"evaluated_points\": %zu, \"jobs_dispatched\": %zu}",
                   adaptive_dense_points_, adaptive_dense_jobs_,
                   adaptive_evaluated_points_, adaptive_jobs_dispatched_);
-    j += buf;
-  }
-  if (has_parallel_) {
-    const double total = par_busy_ms_ + par_stall_ms_;
-    std::snprintf(
-        buf, sizeof buf,
-        ",\n  \"parallel\": {\"shards\": %u, \"runs\": %llu, \"windows\": %llu, "
-        "\"busy_ms\": %.1f, \"barrier_stall_ms\": %.1f, \"efficiency\": %.3f, "
-        "\"lane_messages\": %llu, \"arena_local_bytes\": %llu",
-        par_shards_max_, static_cast<unsigned long long>(par_runs_),
-        static_cast<unsigned long long>(par_windows_), par_busy_ms_, par_stall_ms_,
-        total > 0 ? par_busy_ms_ / total : 1.0,
-        static_cast<unsigned long long>(par_lane_messages_),
-        static_cast<unsigned long long>(par_arena_bytes_));
-    j += buf;
-    std::snprintf(
-        buf, sizeof buf,
-        ", \"window_min_s\": %.6g, \"window_avg_s\": %.6g, "
-        "\"per_shard_events_per_sec\": %.3g}",
-        par_window_min_s_,
-        par_windows_ > 0 ? par_window_sum_s_ / static_cast<double>(par_windows_) : 0.0,
-        par_shard_seconds_ > 0 ? static_cast<double>(par_events_) / par_shard_seconds_
-                               : 0.0);
     j += buf;
   }
   j += ",\n  \"workers\": [";

@@ -33,20 +33,6 @@ struct WorkerStatsFrame {
   std::uint32_t cache_stores = 0;
 };
 
-/// End-of-run summary a parallel-in-time engine (sim/parallel_engine.hpp)
-/// reports for one sharded experiment. Busy/stall time flows in separately
-/// through add_parallel_delta so --progress shows efficiency live.
-struct ParallelFrame {
-  std::uint32_t shards = 0;
-  std::uint64_t windows = 0;        ///< safe windows (== barriers) executed
-  std::uint64_t lane_messages = 0;  ///< cross-shard deliveries merged
-  std::uint64_t arena_local_bytes = 0;  ///< bytes first-touched on shard threads
-  double window_min_s = 0;
-  double window_avg_s = 0;
-  double wall_ms = 0;           ///< engine wall time
-  std::uint64_t events = 0;     ///< events executed across the run's shards
-};
-
 /// Dispatcher-side view of one remote worker.
 struct WorkerTelemetry {
   std::string endpoint;
@@ -102,14 +88,6 @@ class SweepTelemetry {
   void adaptive_stats(std::size_t dense_points, std::size_t dense_jobs,
                       std::size_t evaluated_points, std::size_t jobs_dispatched);
 
-  // --- Parallel-in-time engine (sharded single runs) ------------------------
-  /// Incremental shard busy/stall wall time, ms. Engines flush every few
-  /// dozen barriers while running, so progress_line's par_eff figure is
-  /// live; the deltas sum to the final totals (no double counting).
-  void add_parallel_delta(double busy_ms, double stall_ms);
-  /// One finished sharded run's summary.
-  void add_parallel_run(const ParallelFrame& frame);
-
   // --- Fleet worker table (TcpFleetExecutor) --------------------------------
   /// Size the worker table; called once before dispatch.
   void init_workers(const std::vector<std::string>& endpoints);
@@ -158,19 +136,6 @@ class SweepTelemetry {
   std::size_t adaptive_jobs_dispatched_ = 0;
   std::vector<WorkerTelemetry> workers_;
 
-  // Parallel-engine aggregates (across every sharded run of the sweep).
-  bool has_parallel_ = false;
-  double par_busy_ms_ = 0;
-  double par_stall_ms_ = 0;
-  std::uint32_t par_shards_max_ = 0;
-  std::uint64_t par_runs_ = 0;
-  std::uint64_t par_windows_ = 0;
-  std::uint64_t par_lane_messages_ = 0;
-  std::uint64_t par_arena_bytes_ = 0;
-  double par_window_min_s_ = 0;
-  double par_window_sum_s_ = 0;   ///< Σ avg*windows — weighted mean source
-  double par_shard_seconds_ = 0;  ///< Σ wall_s * shards — per-shard rate base
-  std::uint64_t par_events_ = 0;
 };
 
 }  // namespace bng::obs

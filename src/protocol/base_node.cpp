@@ -20,7 +20,6 @@ BaseNode::BaseNode(NodeId id, net::Network& net, chain::BlockPtr genesis, NodeCo
                    Rng rng, IBlockObserver* observer)
     : id_(id),
       net_(net),
-      queue_(net.queue_for(id)),
       cfg_(std::move(cfg)),
       rng_(rng),
       tree_(std::move(genesis), cfg_.params.tie_break, fork_choice_for(cfg_.params), &rng_,
@@ -90,7 +89,7 @@ void BaseNode::process_after(Seconds cost, net::EventQueue::Callback fn) {
   Seconds& busy = net_.node_state()->cpu_busy(id_);
   const Seconds start = std::max(now(), busy);
   busy = start + cost;
-  queue_.schedule_at(busy, std::move(fn));
+  net_.queue().schedule_at(busy, std::move(fn));
 }
 
 void BaseNode::announce(BlockId id, NodeId except) {

@@ -113,7 +113,7 @@ class BaseNode : public net::INode {
   /// Queue `fn` on this node's CPU after `cost` seconds of processing.
   void process_after(Seconds cost, net::EventQueue::Callback fn);
 
-  [[nodiscard]] Seconds now() const { return queue_.now(); }
+  [[nodiscard]] Seconds now() const { return net_.queue().now(); }
 
   /// Assemble up to `max_bytes` of payload transactions on top of `tip`.
   [[nodiscard]] std::vector<chain::TxPtr> assemble_payload(std::uint32_t tip,
@@ -139,10 +139,6 @@ class BaseNode : public net::INode {
 
   NodeId id_;
   net::Network& net_;
-  /// The event queue this node runs on — the network's shard queue for this
-  /// node id (the deployment-wide queue when unsharded). Cached at
-  /// construction, so shards must be configured before nodes are built.
-  net::EventQueue& queue_;
   NodeConfig cfg_;
   Rng rng_;
   chain::BlockTree tree_;

@@ -56,10 +56,6 @@ RunRecord run_job(const Scenario& scenario, const SweepPoint& point,
   cfg.seed = job_seed(scenario.seed_base, point_index, ordinal);
   cfg.shared_workload = std::move(pool);
   cfg.trace = trace;
-  cfg.parallel_telemetry = telemetry;
-  // RunHook scenarios drive the run themselves (step the queue, mutate
-  // scheduler state mid-flight); those assumptions are serial-only.
-  if (scenario.run) cfg.shards = 1;
 
   using Clock = std::chrono::steady_clock;
   const auto ms_since = [](Clock::time_point from, Clock::time_point to) {
@@ -78,7 +74,7 @@ RunRecord run_job(const Scenario& scenario, const SweepPoint& point,
   NamedValues values = standard_metric_values(exp);
   values.insert(values.end(), hook_values.begin(), hook_values.end());
   if (scenario.extra) scenario.extra(exp, values);
-  if (events_executed != nullptr) *events_executed = exp.events_executed();
+  if (events_executed != nullptr) *events_executed = exp.queue().events_executed();
   RunRecord record = extract_record(exp, std::move(values), point_index, ordinal);
   if (telemetry != nullptr) {
     telemetry->add_phase_ms(ms_since(simulate_start, metrics_start),

@@ -123,9 +123,7 @@ std::unique_ptr<Executor> make_process_pool_executor(ProcessPoolOptions options)
 /// experiment's decision trace; recording is observational, so the record —
 /// digest included — is bit-identical with and without it.
 /// `telemetry` (optional) receives the job's simulate/metrics phase split
-/// (cache hits report none) and the parallel engine's live efficiency
-/// figures when the config runs sharded; like tracing it never touches the
-/// record.
+/// (cache hits report none); like tracing it never touches the record.
 RunRecord run_job(const Scenario& scenario, const SweepPoint& point,
                   std::uint32_t point_index, std::uint32_t ordinal,
                   std::shared_ptr<const sim::PrebuiltWorkload> pool,

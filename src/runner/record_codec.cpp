@@ -1,11 +1,6 @@
 #include "runner/record_codec.hpp"
 
-#include <cctype>
-#include <cerrno>
-#include <cinttypes>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <type_traits>
 
@@ -94,127 +89,6 @@ using wire::put_u32;
 using wire::put_u64;
 
 constexpr char kMagic[4] = {'B', 'N', 'G', 'R'};
-
-// --- JSON helpers ------------------------------------------------------------
-
-/// %.17g: enough digits that finite doubles survive the text round trip
-/// exactly. Non-finite become null (JSON has neither inf nor nan).
-void json_number_to(std::string& out, double v) {
-  if (!std::isfinite(v)) {
-    out += "null";
-    return;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
-}
-
-/// Minimal recursive-descent parser for the strict subset encode_record_json
-/// emits: one object of string keys mapping to numbers, strings, null, or a
-/// flat object of numbers.
-struct JsonReader {
-  std::string_view s;
-  std::size_t pos = 0;
-
-  [[noreturn]] void fail(const char* what) const {
-    throw CodecError(std::string("record JSON: ") + what + " at offset " +
-                     std::to_string(pos));
-  }
-  void ws() {
-    while (pos < s.size() && (s[pos] == ' ' || s[pos] == '\t' || s[pos] == '\n' ||
-                              s[pos] == '\r'))
-      ++pos;
-  }
-  char peek() {
-    ws();
-    if (pos >= s.size()) fail("unexpected end");
-    return s[pos];
-  }
-  void expect(char c) {
-    if (peek() != c) fail("unexpected character");
-    ++pos;
-  }
-  bool consume(char c) {
-    ws();
-    if (pos < s.size() && s[pos] == c) {
-      ++pos;
-      return true;
-    }
-    return false;
-  }
-  std::string string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos >= s.size()) fail("unterminated string");
-      char c = s[pos++];
-      if (c == '"') return out;
-      if (c == '\\') {
-        if (pos >= s.size()) fail("bad escape");
-        char e = s[pos++];
-        switch (e) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          case 'u': {
-            if (pos + 4 > s.size()) fail("bad \\u escape");
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              char h = s[pos++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-              else fail("bad \\u escape");
-            }
-            if (code > 0x7f) fail("non-ASCII \\u escape unsupported");
-            out += static_cast<char>(code);
-            break;
-          }
-          default: fail("unknown escape");
-        }
-      } else {
-        out += c;
-      }
-    }
-  }
-  /// Number or null (null -> NaN, the inverse of json_number_to).
-  double number() {
-    ws();
-    if (s.compare(pos, 4, "null") == 0) {
-      pos += 4;
-      return std::nan("");
-    }
-    const std::size_t start = pos;
-    while (pos < s.size() && (std::isdigit(static_cast<unsigned char>(s[pos])) ||
-                              s[pos] == '-' || s[pos] == '+' || s[pos] == '.' ||
-                              s[pos] == 'e' || s[pos] == 'E'))
-      ++pos;
-    if (pos == start) fail("expected number");
-    std::string text(s.substr(start, pos - start));
-    char* end = nullptr;
-    const double v = std::strtod(text.c_str(), &end);
-    if (end != text.c_str() + text.size()) fail("bad number");
-    return v;
-  }
-  /// Exact u64 parse — doubles cannot represent every 64-bit seed/digest.
-  std::uint64_t u64_field() {
-    ws();
-    const std::size_t start = pos;
-    while (pos < s.size() && std::isdigit(static_cast<unsigned char>(s[pos]))) ++pos;
-    if (pos == start) fail("expected unsigned integer");
-    std::string text(s.substr(start, pos - start));
-    errno = 0;
-    char* end = nullptr;
-    const std::uint64_t v = std::strtoull(text.c_str(), &end, 10);
-    if (errno == ERANGE || end != text.c_str() + text.size())
-      fail("unsigned integer out of range");
-    return v;
-  }
-};
 
 }  // namespace
 
@@ -306,115 +180,6 @@ RunRecord decode_record(std::string_view bytes) {
     r.values.emplace_back(std::move(name), value);
   }
   if (in.pos != bytes.size()) throw CodecError("trailing bytes after record");
-  return r;
-}
-
-std::string encode_record_json(const RunRecord& r) {
-  std::string j = "{\"v\": ";
-  j += std::to_string(kRecordCodecVersion);
-  j += ", \"point\": " + std::to_string(r.point);
-  j += ", \"ordinal\": " + std::to_string(r.ordinal);
-  j += ", \"seed\": " + std::to_string(r.seed);
-  char digest[24];
-  std::snprintf(digest, sizeof digest, "%016" PRIx64, r.digest);
-  j += ", \"digest\": \"";
-  j += digest;
-  j += '"';
-  if (r.attacker) {
-    j += ", \"attacker\": {";
-    bool first = true;
-    metrics::visit_attacker_fields(*r.attacker, [&](const char* name, auto v) {
-      if (!first) j += ", ";
-      first = false;
-      j += '"';
-      j += name;
-      j += "\": ";
-      using T = std::decay_t<decltype(v)>;
-      if constexpr (std::is_same_v<T, double>) json_number_to(j, v);
-      else j += std::to_string(v);
-    });
-    j += '}';
-  }
-  j += ", \"metrics\": {";
-  for (std::size_t i = 0; i < r.values.size(); ++i) {
-    if (i > 0) j += ", ";
-    j += '"';
-    j += json_escape(r.values[i].first);
-    j += "\": ";
-    json_number_to(j, r.values[i].second);
-  }
-  j += "}}";
-  return j;
-}
-
-RunRecord decode_record_json(std::string_view json) {
-  JsonReader in{json};
-  RunRecord r;
-  bool saw_version = false;
-  in.expect('{');
-  if (!in.consume('}')) {
-    do {
-      const std::string key = in.string();
-      in.expect(':');
-      if (key == "v") {
-        const std::uint64_t v = in.u64_field();
-        if (v != kRecordCodecVersion)
-          throw CodecError("RunRecord JSON version " + std::to_string(v) +
-                           " unsupported");
-        saw_version = true;
-      } else if (key == "point") {
-        r.point = static_cast<std::uint32_t>(in.u64_field());
-      } else if (key == "ordinal") {
-        r.ordinal = static_cast<std::uint32_t>(in.u64_field());
-      } else if (key == "seed") {
-        r.seed = in.u64_field();
-      } else if (key == "digest") {
-        // Exactly the 16 hex chars the %016 encoder writes: a longer string
-        // would overflow strtoull into ULLONG_MAX silently.
-        const std::string hex = in.string();
-        if (hex.size() != 16) in.fail("digest must be 16 hex chars");
-        for (char c : hex)
-          if (!std::isxdigit(static_cast<unsigned char>(c))) in.fail("bad digest hex");
-        r.digest = std::strtoull(hex.c_str(), nullptr, 16);
-      } else if (key == "attacker") {
-        metrics::AttackerReport a;
-        in.expect('{');
-        if (!in.consume('}')) {
-          do {
-            const std::string field = in.string();
-            in.expect(':');
-            bool matched = false;
-            metrics::visit_attacker_fields(a, [&](const char* name, auto& v) {
-              if (matched || field != name) return;
-              matched = true;
-              using T = std::decay_t<decltype(v)>;
-              if constexpr (std::is_same_v<T, double>) v = in.number();
-              else v = static_cast<T>(in.u64_field());
-            });
-            if (!matched) in.fail("unknown attacker field");
-          } while (in.consume(','));
-          in.expect('}');
-        }
-        r.attacker = a;
-      } else if (key == "metrics") {
-        in.expect('{');
-        if (!in.consume('}')) {
-          do {
-            std::string name = in.string();
-            in.expect(':');
-            r.values.emplace_back(std::move(name), in.number());
-          } while (in.consume(','));
-          in.expect('}');
-        }
-      } else {
-        in.fail("unknown record field");
-      }
-    } while (in.consume(','));
-    in.expect('}');
-  }
-  in.ws();
-  if (in.pos != json.size()) in.fail("trailing characters");
-  if (!saw_version) throw CodecError("record JSON missing version field");
   return r;
 }
 

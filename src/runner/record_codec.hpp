@@ -13,10 +13,6 @@
 // bounds. The encoding is a pure function of the record (no timestamps, no
 // padding), so two processes serializing the same record produce identical
 // bytes; that is what makes `--procs N` bit-identical to `--jobs N`.
-//
-// The JSON form is the human/tooling view of the same data and round-trips
-// through decode_record_json (non-finite doubles become null and come back
-// as NaN — JSON has no inf/nan).
 #pragma once
 
 #include <cstdint>
@@ -67,15 +63,9 @@ struct Reader {
 /// version, truncation, or trailing bytes.
 [[nodiscard]] RunRecord decode_record(std::string_view bytes);
 
-/// JSON string escaping, shared with the sweep emitter (runner/emit.cpp).
+/// JSON string escaping, shared with the sweep emitter (runner/emit.cpp)
+/// and the adaptive driver (runner/adaptive.cpp).
 [[nodiscard]] std::string json_escape(std::string_view s);
-
-/// One-line JSON object mirroring the binary fields.
-[[nodiscard]] std::string encode_record_json(const RunRecord& record);
-
-/// Parse encode_record_json output (a strict subset of JSON); throws
-/// CodecError on malformed input or a version mismatch.
-[[nodiscard]] RunRecord decode_record_json(std::string_view json);
 
 // --- Length-prefixed framing -------------------------------------------------
 //

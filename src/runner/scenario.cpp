@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -51,13 +52,21 @@ double parse_double(std::string_view key, std::string_view value) {
   }
 }
 
-std::uint64_t parse_u64(std::string_view key, std::string_view value) {
+/// A value above `max` is rejected like any other bad integer, so a field
+/// narrower than 64 bits never silently wraps.
+std::uint64_t parse_u64(std::string_view key, std::string_view value,
+                        std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
   std::uint64_t out = 0;
   auto [ptr, ec] = std::from_chars(value.data(), value.data() + value.size(), out);
-  if (ec != std::errc{} || ptr != value.data() + value.size())
+  if (ec != std::errc{} || ptr != value.data() + value.size() || out > max)
     throw std::invalid_argument("bad integer value '" + std::string(value) + "' for key '" +
                                 std::string(key) + "'");
   return out;
+}
+
+std::uint32_t parse_u32(std::string_view key, std::string_view value) {
+  return static_cast<std::uint32_t>(
+      parse_u64(key, value, std::numeric_limits<std::uint32_t>::max()));
 }
 
 bool parse_bool(std::string_view key, std::string_view value) {
@@ -148,15 +157,16 @@ void apply_config_override(sim::ExperimentConfig& cfg, std::string_view key,
                                   "' (bitcoin | ng | ghost)");
     }
   } else if (key == "nodes") {
-    cfg.num_nodes = static_cast<std::uint32_t>(parse_u64(key, value));
+    cfg.num_nodes = parse_u32(key, value);
   } else if (key == "min_degree") {
-    cfg.min_degree = static_cast<std::uint32_t>(parse_u64(key, value));
+    cfg.min_degree = parse_u32(key, value);
   } else if (key == "blocks") {
-    cfg.target_blocks = static_cast<std::uint32_t>(parse_u64(key, value));
+    cfg.target_blocks = parse_u32(key, value);
   } else if (key == "tx_size") {
     cfg.tx_size = static_cast<std::size_t>(parse_u64(key, value));
   } else if (key == "tx_fee") {
-    cfg.tx_fee = static_cast<Amount>(parse_u64(key, value));
+    cfg.tx_fee = static_cast<Amount>(
+        parse_u64(key, value, std::numeric_limits<Amount>::max()));
   } else if (key == "pool_size") {
     cfg.pool_size = static_cast<std::size_t>(parse_u64(key, value));
   } else if (key == "drain_time") {
@@ -203,19 +213,13 @@ void apply_config_override(sim::ExperimentConfig& cfg, std::string_view key,
           "' (none | selfish | stubborn | equivocate | withhold-micro)");
     }
   } else if (key == "adversary_node") {
-    cfg.adversary.node = static_cast<NodeId>(parse_u64(key, value));
+    cfg.adversary.node = parse_u32(key, value);
   } else if (key == "adversary_share") {
     cfg.adversary.power_share = parse_double(key, value);
   } else if (key == "adversary_gamma") {
     cfg.adversary.gamma = parse_double(key, value);
   } else if (key == "equivocate_every") {
-    cfg.adversary.equivocate_every = static_cast<std::uint32_t>(parse_u64(key, value));
-  } else if (key == "shards") {
-    // Wall-clock knob only: records and digests are bit-identical for every
-    // value (sim/parallel_engine.hpp), so sweeping it is harmless but
-    // pointless — it belongs in the base config or on the CLI.
-    cfg.shards = static_cast<std::uint32_t>(parse_u64(key, value));
-    if (cfg.shards == 0) throw std::invalid_argument("shards must be >= 1");
+    cfg.adversary.equivocate_every = parse_u32(key, value);
   } else {
     std::string known;
     for (const std::string& k : config_override_keys()) {
@@ -238,8 +242,7 @@ std::vector<std::string> config_override_keys() {
           "max_microblock_size",     "leader_fee_fraction",
           "tie_break",       "adversary",
           "adversary_node",  "adversary_share",
-          "adversary_gamma", "equivocate_every",
-          "shards"};
+          "adversary_gamma", "equivocate_every"};
 }
 
 Scenario load_scenario_file(const std::string& path, const RunKnobs& knobs) {
@@ -296,7 +299,7 @@ Scenario load_scenario_string(const std::string& text, const std::string& origin
         } else if (sub == "threshold") {
           s.refine->threshold = parse_double(key, value);
         } else if (sub == "coarse") {
-          s.refine->coarse = static_cast<std::uint32_t>(parse_u64(key, value));
+          s.refine->coarse = parse_u32(key, value);
           if (s.refine->coarse < 2)
             throw std::invalid_argument("refine.coarse must be >= 2");
         } else if (sub == "tolerance") {

@@ -202,10 +202,9 @@ std::uint64_t config_digest(const ExperimentConfig& cfg) {
     fnv.u64(c.node);
     fnv.u64(c.online ? 1 : 0);
   }
-  // Deliberately excluded: seed (part of the cache key), shards /
-  // parallel_telemetry / trace / shared_workload (bit-identical no-ops on
-  // the record), node_factory (gates cacheability instead, see
-  // config_cacheable).
+  // Deliberately excluded: seed (part of the cache key), trace /
+  // shared_workload (bit-identical no-ops on the record), node_factory
+  // (gates cacheability instead, see config_cacheable).
   return fnv.h;
 }
 
@@ -241,46 +240,6 @@ void Experiment::build_nodes() {
       cfg_.intra_latency ? *cfg_.intra_latency : net::LatencyModel::intra_cluster();
   network_ = std::make_unique<net::Network>(queue_, topology, latency, cfg_.link,
                                             latency_rng, clustered ? &intra : nullptr);
-
-  // Sharding must be configured before any node is constructed: BaseNode
-  // caches its shard queue reference at construction. A TraceRing forces
-  // serial (decision traces assume one thread); K is clamped so a shard is
-  // never empty and never splits a cluster.
-  shards_ = cfg_.trace == nullptr ? std::min(cfg_.shards, cfg_.num_nodes) : 1;
-  if (clustered) shards_ = std::min(shards_, topology.num_clusters());
-  if (shards_ == 0) shards_ = 1;
-  if (shards_ >= 2) {
-    std::vector<net::EventQueue*> queues{&queue_};
-    shard_queues_.clear();
-    for (std::uint32_t s = 1; s < shards_; ++s) {
-      shard_queues_.push_back(std::make_unique<net::EventQueue>());
-      queues.push_back(shard_queues_.back().get());
-    }
-    shard_of_.resize(cfg_.num_nodes);
-    for (NodeId i = 0; i < cfg_.num_nodes; ++i) {
-      // Clusters occupy contiguous id ranges, so both mappings are
-      // non-decreasing and every shard is a contiguous node range.
-      const std::uint64_t bucket =
-          clustered ? static_cast<std::uint64_t>(topology.cluster_of(i)) * shards_ /
-                          topology.num_clusters()
-                    : static_cast<std::uint64_t>(i) * shards_ / cfg_.num_nodes;
-      shard_of_[i] = static_cast<std::uint32_t>(bucket);
-    }
-    network_->configure_shards(queues, shard_of_);
-    // Node trees intern concurrently from shard threads once the engine runs.
-    network_->interner()->enable_concurrent();
-    shard_observers_.clear();
-    for (std::uint32_t s = 0; s < shards_; ++s)
-      shard_observers_.push_back(std::make_unique<ShardObserver>());
-    // Shard threads read the shared pool concurrently; pre-warm the lazy
-    // per-tx caches unless build_shared_workload already did.
-    if (!cfg_.shared_workload) {
-      for (const auto& tx : workload_.txs) {
-        (void)tx->id();
-        (void)tx->wire_size();
-      }
-    }
-  }
 
   // Share the deployment-wide interner so global-tree and node-tree ids agree.
   trace_ = std::make_unique<TraceRecorder>(genesis_, network_->interner());
@@ -329,28 +288,23 @@ void Experiment::build_nodes() {
     // first-seen by selfish_config, so only honest nodes see it).
     if (adv.active()) ncfg.params.tie_switch_prob = adv.gamma;
     Rng node_rng = master_rng_.fork(1000 + i);
-    // Shard threads must not append to the global recorder concurrently:
-    // parallel nodes report into their shard's buffer, replayed at barriers.
-    protocol::IBlockObserver* observer =
-        shards_ >= 2 ? static_cast<protocol::IBlockObserver*>(shard_observers_[shard_of_[i]].get())
-                     : static_cast<protocol::IBlockObserver*>(trace_.get());
     std::unique_ptr<protocol::BaseNode> node;
     if (cfg_.node_factory)
-      node = cfg_.node_factory(i, *network_, genesis_, ncfg, node_rng, observer);
+      node = cfg_.node_factory(i, *network_, genesis_, ncfg, node_rng, trace_.get());
     if (node == nullptr && adv.active() && i == adv.node)
-      node = make_adversary(i, ncfg, node_rng, observer);
+      node = make_adversary(i, ncfg, node_rng);
     if (node == nullptr) switch (cfg_.params.protocol) {
       case chain::Protocol::kBitcoin:
         node = std::make_unique<bitcoin::BitcoinNode>(i, *network_, genesis_, ncfg, node_rng,
-                                                      observer);
+                                                      trace_.get());
         break;
       case chain::Protocol::kBitcoinNG:
         node = std::make_unique<ng::NgNode>(i, *network_, genesis_, ncfg, node_rng,
-                                            observer);
+                                            trace_.get());
         break;
       case chain::Protocol::kGhost:
         node = std::make_unique<ghost::GhostNode>(i, *network_, genesis_, ncfg, node_rng,
-                                                  observer);
+                                                  trace_.get());
         break;
     }
     network_->attach(i, node.get());
@@ -372,8 +326,7 @@ void Experiment::build_nodes() {
 }
 
 std::unique_ptr<protocol::BaseNode> Experiment::make_adversary(
-    NodeId id, const protocol::NodeConfig& ncfg, Rng& node_rng,
-    protocol::IBlockObserver* observer) {
+    NodeId id, const protocol::NodeConfig& ncfg, Rng& node_rng) {
   using Kind = AdversarySpec::Kind;
   switch (cfg_.adversary.kind) {
     case Kind::kSelfish:
@@ -384,23 +337,23 @@ std::unique_ptr<protocol::BaseNode> Experiment::make_adversary(
       switch (cfg_.params.protocol) {
         case chain::Protocol::kBitcoin:
           return std::make_unique<bitcoin::SelfishMiner>(id, *network_, genesis_, ncfg,
-                                                         node_rng, observer, mode);
+                                                         node_rng, trace_.get(), mode);
         case chain::Protocol::kBitcoinNG:
           return std::make_unique<ng::SelfishNgMiner>(id, *network_, genesis_, ncfg,
-                                                      node_rng, observer, mode);
+                                                      node_rng, trace_.get(), mode);
         case chain::Protocol::kGhost:
           return std::make_unique<ghost::SelfishGhostMiner>(id, *network_, genesis_, ncfg,
-                                                            node_rng, observer, mode);
+                                                            node_rng, trace_.get(), mode);
       }
       break;
     }
     case Kind::kEquivocate:
       return std::make_unique<ng::MaliciousLeader>(
-          id, *network_, genesis_, ncfg, node_rng, observer,
+          id, *network_, genesis_, ncfg, node_rng, trace_.get(),
           ng::MaliciousLeader::Mode::kEquivocate, cfg_.adversary.equivocate_every);
     case Kind::kWithholdMicro:
       return std::make_unique<ng::MaliciousLeader>(
-          id, *network_, genesis_, ncfg, node_rng, observer,
+          id, *network_, genesis_, ncfg, node_rng, trace_.get(),
           ng::MaliciousLeader::Mode::kWithholdMicroblocks);
     case Kind::kNone:
       break;
@@ -413,26 +366,6 @@ void Experiment::build() {
   built_ = true;
   build_workload();
   build_nodes();
-  if (shards_ >= 2) {
-    // Parallel mode: global-state transitions become data, applied at window
-    // barriers. Collection order matches the serial scheduling order (churn
-    // first, then faults), so a stable sort by time reproduces the serial
-    // (at, seq) execution order among equal times.
-    for (const auto& event : cfg_.churn) {
-      if (event.node >= cfg_.num_nodes)
-        throw std::invalid_argument("Experiment: churn event for unknown node");
-      mutations_.push_back(net::TimedMutation{
-          event.at, false,
-          [this, event] { network_->set_offline(event.node, !event.online); }});
-    }
-    std::vector<net::TimedMutation> faults = net::collect_faults(*network_, cfg_.faults);
-    for (auto& m : faults) mutations_.push_back(std::move(m));
-    std::stable_sort(mutations_.begin(), mutations_.end(),
-                     [](const net::TimedMutation& a, const net::TimedMutation& b) {
-                       return a.at < b.at;
-                     });
-    return;
-  }
   for (const auto& event : cfg_.churn) {
     if (event.node >= cfg_.num_nodes)
       throw std::invalid_argument("Experiment: churn event for unknown node");
@@ -448,20 +381,8 @@ std::uint64_t Experiment::counted_blocks() const {
                                                              : trace_->pow_blocks();
 }
 
-std::uint64_t Experiment::events_executed() const {
-  std::uint64_t total = queue_.events_executed();
-  for (const auto& q : shard_queues_) total += q->events_executed();
-  return total;
-}
-
 void Experiment::run() {
   build();
-  if (shards_ >= 2) {
-    ParallelEngine engine(*this);
-    engine.run();
-    parallel_stats_ = std::make_unique<ParallelStats>(engine.stats());
-    return;
-  }
   scheduler_->start();
 
   // Run until the counted-block target is reached, in bounded steps so the

@@ -17,11 +17,9 @@
 #include "net/network.hpp"
 #include "protocol/base_node.hpp"
 #include "sim/mining_scheduler.hpp"
-#include "sim/parallel_engine.hpp"
 #include "sim/trace.hpp"
 
 namespace bng::obs {
-class SweepTelemetry;
 class TraceRing;
 }
 
@@ -155,20 +153,6 @@ struct ExperimentConfig {
   /// Scheduled connectivity changes, applied during run().
   std::vector<ChurnEvent> churn;
 
-  // --- Parallel-in-time execution (sim/parallel_engine.hpp) -----------------
-  /// Shard count for conservative-window multi-core execution of this single
-  /// run. 1 (the default) keeps the serial engine byte-for-byte. >= 2
-  /// partitions nodes by topology cluster (contiguous id ranges on flat
-  /// graphs) into per-thread event queues; digests and RunRecords are
-  /// bit-identical for every value, so this is purely a wall-clock knob.
-  /// Clamped to num_nodes, and to `clusters` on clustered topologies (a
-  /// shard boundary never splits a cluster). Forced to 1 when a TraceRing is
-  /// attached (decision traces assume one thread of execution).
-  std::uint32_t shards = 1;
-  /// Live sink for the parallel engine's efficiency figures (--progress /
-  /// --stats-json). Non-owning, never serialized; null costs nothing.
-  obs::SweepTelemetry* parallel_telemetry = nullptr;
-
   // --- Observability (escape hatch, like node_factory: non-owning, never
   // serialized) --------------------------------------------------------------
   /// When set, every node and adversary strategy records its block
@@ -202,10 +186,10 @@ struct ExperimentConfig {
 
 /// FNV-1a digest over every field that changes what a run computes: params,
 /// deployment, workload, stop condition, node model, mining population,
-/// adversary, faults, churn. Excludes seed and the pure wall-clock /
-/// observation knobs (shards, telemetry, trace, shared_workload), which are
-/// bit-identical no-ops on the record. Together with the scenario-source
-/// hash and the seed this is the record-cache key.
+/// adversary, faults, churn. Excludes seed and the pure observation knobs
+/// (trace, shared_workload), which are bit-identical no-ops on the record.
+/// Together with the scenario-source hash and the seed this is the
+/// record-cache key.
 [[nodiscard]] std::uint64_t config_digest(const ExperimentConfig& cfg);
 
 /// False when the config carries state config_digest() cannot see — today
@@ -246,28 +230,12 @@ class Experiment {
   /// (Bitcoin/GHOST: PoW blocks; NG: microblocks).
   [[nodiscard]] std::uint64_t counted_blocks() const;
 
-  /// Shard count the run will actually use (cfg clamped at build time);
-  /// 1 until build() on parallel configs.
-  [[nodiscard]] std::uint32_t effective_shards() const { return shards_; }
-
-  /// Events executed across every shard queue (== queue().events_executed()
-  /// when serial).
-  [[nodiscard]] std::uint64_t events_executed() const;
-
-  /// Engine measurements from the last parallel run; null after serial runs.
-  [[nodiscard]] const ParallelStats* parallel_stats() const {
-    return parallel_stats_ ? parallel_stats_.get() : nullptr;
-  }
-
  private:
-  friend class ParallelEngine;
-
   void build_workload();
   void build_nodes();
   std::unique_ptr<protocol::BaseNode> make_adversary(NodeId id,
                                                      const protocol::NodeConfig& ncfg,
-                                                     Rng& node_rng,
-                                                     protocol::IBlockObserver* observer);
+                                                     Rng& node_rng);
 
   ExperimentConfig cfg_;
   net::EventQueue queue_;
@@ -281,16 +249,6 @@ class Experiment {
   std::vector<double> powers_;
   bool built_ = false;
   Seconds end_time_ = 0;
-
-  // --- Parallel mode (shards_ >= 2; see sim/parallel_engine.hpp) ------------
-  std::uint32_t shards_ = 1;  ///< effective shard count, set in build_nodes()
-  std::vector<std::unique_ptr<net::EventQueue>> shard_queues_;  ///< shards 1..K-1
-  std::vector<std::uint32_t> shard_of_;                         ///< node -> shard
-  std::vector<std::unique_ptr<ShardObserver>> shard_observers_;
-  /// Global-state transitions (churn + faults) in serial scheduling order;
-  /// the engine stable_sorts by time and applies them at window barriers.
-  std::vector<net::TimedMutation> mutations_;
-  std::unique_ptr<ParallelStats> parallel_stats_;
 };
 
 }  // namespace bng::sim

@@ -60,48 +60,6 @@ std::uint32_t MiningScheduler::pick_miner() {
   return static_cast<std::uint32_t>(powers_.size() - 1);  // rounding tail
 }
 
-WinSequence::WinSequence(std::vector<double> powers, Seconds mean_interval, Rng rng,
-                         std::optional<chain::RetargetRule> retarget, Seconds start_time)
-    : powers_(std::move(powers)), mean_interval_(mean_interval), rng_(rng) {
-  if (powers_.empty()) throw std::invalid_argument("WinSequence: no miners");
-  if (mean_interval_ <= 0) throw std::invalid_argument("WinSequence: bad interval");
-  total_power_ = std::accumulate(powers_.begin(), powers_.end(), 0.0);
-  if (total_power_ <= 0) throw std::invalid_argument("WinSequence: zero total power");
-  initial_total_power_ = total_power_;
-  if (retarget) difficulty_.emplace(total_power_ * mean_interval_, *retarget);
-  // MiningScheduler::start() draws the first wait when it runs.
-  next_at_ = start_time + rng_.exponential(current_mean_interval());
-}
-
-Seconds WinSequence::current_mean_interval() const {
-  if (!difficulty_) return mean_interval_;
-  return difficulty_->difficulty() / total_power_;
-}
-
-WinSequence::Win WinSequence::next() {
-  Win win;
-  win.at = next_at_;
-  // Fire-time sequence of the scheduler's win callback: pick (one uniform),
-  // count, retarget on the win timestamp, compute work — then the *next*
-  // wait is drawn at the post-retarget interval (schedule_next runs last).
-  double u = rng_.uniform() * total_power_;
-  double acc = 0;
-  win.miner = static_cast<std::uint32_t>(powers_.size() - 1);  // rounding tail
-  for (std::uint32_t i = 0; i < powers_.size(); ++i) {
-    acc += powers_[i];
-    if (u < acc) {
-      win.miner = i;
-      break;
-    }
-  }
-  ++wins_;
-  if (difficulty_) difficulty_->on_block(win.at);
-  win.work = difficulty_ ? difficulty_->difficulty() / (initial_total_power_ * mean_interval_)
-                         : 1.0;
-  next_at_ = win.at + rng_.exponential(current_mean_interval());
-  return win;
-}
-
 void MiningScheduler::schedule_next() {
   if (stopped_) return;
   const Seconds wait = rng_.exponential(current_mean_interval());

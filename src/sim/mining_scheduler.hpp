@@ -69,49 +69,4 @@ class MiningScheduler {
   double initial_total_power_ = 0;
 };
 
-/// The win stream of a MiningScheduler as a pull iterator, decoupled from any
-/// event queue. Replays the scheduler's RNG draw order bit-for-bit:
-/// exponential wait at scheduling time, one uniform per pick at fire time,
-/// difficulty retarget on the win timestamp, then the next wait at the
-/// post-retarget interval. The parallel engine pulls wins ahead of each safe
-/// window and injects them onto the owning shard's queue; because the draw
-/// order is identical, digests match the serial scheduler exactly.
-///
-/// Not supported: set_power mid-run (power-churn scenarios use RunHooks,
-/// which force serial execution).
-class WinSequence {
- public:
-  struct Win {
-    Seconds at = 0;
-    std::uint32_t miner = 0;
-    double work = 1.0;
-  };
-
-  /// Same argument contract as MiningScheduler; `rng` must be the same fork
-  /// the scheduler would receive, `start_time` the time start() would run.
-  WinSequence(std::vector<double> powers, Seconds mean_interval, Rng rng,
-              std::optional<chain::RetargetRule> retarget, Seconds start_time);
-
-  /// Time of the next win without consuming it.
-  [[nodiscard]] Seconds peek_at() const { return next_at_; }
-
-  /// Consume the next win: advances the RNG and difficulty state exactly as
-  /// the scheduler's win callback + schedule_next() pair would.
-  Win next();
-
-  [[nodiscard]] std::uint64_t wins() const { return wins_; }
-
- private:
-  [[nodiscard]] Seconds current_mean_interval() const;
-
-  std::vector<double> powers_;
-  double total_power_ = 0;
-  Seconds mean_interval_;
-  Rng rng_;
-  std::uint64_t wins_ = 0;
-  std::optional<chain::DifficultyTracker> difficulty_;
-  double initial_total_power_ = 0;
-  Seconds next_at_ = 0;
-};
-
 }  // namespace bng::sim

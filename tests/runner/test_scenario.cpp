@@ -141,6 +141,23 @@ TEST(Overrides, RejectsUnknownKeyAndBadValue) {
   EXPECT_THROW(apply_config_override(cfg, "block_interval", "1.5x"),
                std::invalid_argument);
   EXPECT_THROW(apply_config_override(cfg, "protocol", "dogecoin"), std::invalid_argument);
+  // Retired with the sharded engine: now an unknown key like any other.
+  EXPECT_THROW(apply_config_override(cfg, "shards", "2"), std::invalid_argument);
+  // 32-bit fields reject values past UINT32_MAX instead of wrapping them
+  // (4294967326 would run 30 nodes, 4294967298 would run 2 blocks).
+  for (const char* key :
+       {"nodes", "min_degree", "blocks", "adversary_node", "equivocate_every"}) {
+    EXPECT_THROW(apply_config_override(cfg, key, "4294967296"), std::invalid_argument)
+        << key;
+  }
+  EXPECT_THROW(apply_config_override(cfg, "nodes", "4294967326"), std::invalid_argument);
+  EXPECT_THROW(apply_config_override(cfg, "blocks", "4294967298"), std::invalid_argument);
+  // tx_fee is a signed 64-bit amount: past INT64_MAX it would turn negative.
+  EXPECT_THROW(apply_config_override(cfg, "tx_fee", "9223372036854775808"),
+               std::invalid_argument);
+  // The largest value that fits is still accepted.
+  apply_config_override(cfg, "blocks", "4294967295");
+  EXPECT_EQ(cfg.target_blocks, 4294967295u);
 }
 
 class ScenarioFileTest : public ::testing::Test {
@@ -211,6 +228,25 @@ TEST_F(ScenarioFileTest, RejectsUnknownKeyWithLineNumber) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find(":1:"), std::string::npos) << e.what();
     EXPECT_NE(std::string(e.what()).find("bogus"), std::string::npos) << e.what();
+  }
+}
+
+TEST_F(ScenarioFileTest, RejectsIntegerThatDoesNotFitWithKeyAndLine) {
+  const struct {
+    const char* line;
+    const char* key;
+  } cases[] = {{"base.nodes = 4294967296\n", "'nodes'"},
+               {"refine.coarse = 4294967298\n", "'refine.coarse'"}};
+  for (const auto& c : cases) {
+    const auto path = write_file(std::string("name = wide\n") + c.line);
+    try {
+      load_scenario_file(path, kSmall);
+      ADD_FAILURE() << "expected std::runtime_error for " << c.line;
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(":2: bad integer value"), std::string::npos) << what;
+      EXPECT_NE(what.find(c.key), std::string::npos) << what;
+    }
   }
 }
 

@@ -158,5 +158,17 @@ TEST(Experiment, GhostProtocolRuns) {
   EXPECT_GE(exp.trace().pow_blocks(), 20u);
 }
 
+TEST(Experiment, ZeroTargetBlocksStopsImmediately) {
+  // The stop condition holds before the first step: the scheduler stops
+  // without a single win and the run is only the drain.
+  auto cfg = small_btc(3);
+  cfg.target_blocks = 0;
+  cfg.drain_time = 5;
+  Experiment exp(cfg);
+  exp.run();
+  EXPECT_EQ(exp.counted_blocks(), 0u);
+  EXPECT_EQ(exp.end_time(), cfg.drain_time);
+}
+
 }  // namespace
 }  // namespace bng::sim
