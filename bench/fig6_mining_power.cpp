@@ -4,7 +4,8 @@
 // 25/50/75th percentile of weekly power share per rank, fitting the medians
 // with exp(-0.27 * rank) at R^2 = 0.99. The raw BlockTrail data is not
 // distributable; we regenerate the figure from the published fit plus
-// lognormal weekly noise (DESIGN.md §3) and verify the fit recovers.
+// lognormal weekly noise (sim/miner_distribution.hpp) and verify the fit
+// recovers.
 //
 // The analytic part needs no simulation; the registered "fig6" scenario
 // (src/runner/) then sweeps the fitted exponent to show the skew's security

@@ -52,6 +52,39 @@ void BM_MerkleRoot(benchmark::State& state) {
 }
 BENCHMARK(BM_MerkleRoot)->Arg(100)->Arg(2000);
 
+crypto::U256 random_scalar(Rng& rng) {
+  return crypto::sc_reduce(crypto::U256(rng.next(), rng.next(), rng.next(), rng.next()));
+}
+
+void BM_ScalarMul(benchmark::State& state) {
+  // Scalar (mod n) multiply, the inner operation of ECDSA signing.
+  Rng rng(1);
+  crypto::U256 a = random_scalar(rng);
+  const crypto::U256 b = random_scalar(rng);
+  for (auto _ : state) {
+    a = crypto::sc_mul(a, b);
+    benchmark::DoNotOptimize(a);
+  }
+}
+BENCHMARK(BM_ScalarMul);
+
+void BM_ScalarInverse(benchmark::State& state) {
+  Rng rng(1);
+  const crypto::U256 a = random_scalar(rng);
+  for (auto _ : state) benchmark::DoNotOptimize(crypto::sc_inv(a));
+}
+BENCHMARK(BM_ScalarInverse);
+
+void BM_PublicKey(benchmark::State& state) {
+  // Leader-key derivation, done once per NG node at deployment build. The
+  // first call builds the fixed-base table; it is kept out of the timing.
+  Rng rng(1);
+  const auto sk = crypto::PrivateKey::generate(rng);
+  benchmark::DoNotOptimize(sk.public_key());
+  for (auto _ : state) benchmark::DoNotOptimize(sk.public_key());
+}
+BENCHMARK(BM_PublicKey);
+
 void BM_EcdsaSign(benchmark::State& state) {
   Rng rng(1);
   auto sk = crypto::PrivateKey::generate(rng);

@@ -81,7 +81,7 @@ PrivateKey PrivateKey::from_seed(std::uint64_t seed) {
 }
 
 PublicKey PrivateKey::public_key() const {
-  return PublicKey{scalar_mul(secret, generator()).to_affine()};
+  return PublicKey{base_mul(secret).to_affine()};
 }
 
 std::array<std::uint8_t, 64> Signature::serialize() const {
@@ -106,7 +106,7 @@ Signature sign(const PrivateKey& key, const Hash256& msg_hash) {
   for (std::uint32_t counter = 0;; ++counter) {
     U256 k = derive_nonce(key.secret, msg_hash, counter);
     if (k.is_zero()) continue;
-    AffinePoint R = scalar_mul(k, generator()).to_affine();
+    AffinePoint R = base_mul(k).to_affine();
     if (R.infinity) continue;
     U256 r = sc_reduce(R.x);
     if (r.is_zero()) continue;

@@ -1,6 +1,8 @@
 #include "crypto/secp256k1.hpp"
 
+#include <array>
 #include <cassert>
+#include <vector>
 
 namespace bng::crypto {
 
@@ -12,6 +14,8 @@ const U256 kP = U256::from_hex(
 // n = group order
 const U256 kN = U256::from_hex(
     "fffffffffffffffffffffffffffffffebaaedce6af48a03bbfd25e8cd0364141");
+// 2^256 mod n = 2^256 - n, a 129-bit value
+const U256 kNC = U256::from_hex("14551231950b75fc4402da1732fc9bebf");
 // 2^256 mod p = 2^32 + 977
 constexpr std::uint64_t kC = 0x1000003d1ull;
 
@@ -22,7 +26,7 @@ const U256 kGy = U256::from_hex(
 
 /// Reduce a 512-bit product modulo p using p's special form:
 /// hi*2^256 + lo == hi*(2^32+977) + lo (mod p).
-U256 reduce512(const U512& t) {
+U256 reduce512_mod_p(const U512& t) {
   // First fold: acc (5 limbs) = lo + hi * kC.
   std::uint64_t acc[5] = {};
   {
@@ -61,6 +65,34 @@ U256 reduce512(const U512& t) {
   return r;
 }
 
+/// Reduce a 512-bit value modulo n using n's special form:
+/// hi*2^256 + lo == hi*c + lo (mod n), c = 2^256 - n < 2^129. The high half
+/// is below 2^256, 2^130, 2^4 and 2 before the first to fourth fold, so at
+/// most four folds leave a value below 2^256 < 2n, and one conditional
+/// subtraction of n finishes.
+U256 reduce512_mod_n(U512 t) {
+  for (;;) {
+    const U256 hi(t.limb[4], t.limb[5], t.limb[6], t.limb[7]);
+    U256 lo(t.limb[0], t.limb[1], t.limb[2], t.limb[3]);
+    if (hi.is_zero()) {
+      if (lo >= kN) {
+        bool borrow;
+        lo = U256::sub(lo, kN, borrow);
+      }
+      return lo;
+    }
+    // hi*c < 2^385, so adding lo cannot carry out of 512 bits.
+    t = U256::mul_wide(hi, kNC);
+    unsigned __int128 carry = 0;
+    for (int i = 0; i < 8; ++i) {
+      carry += t.limb[i];
+      if (i < 4) carry += lo.limb[i];
+      t.limb[i] = static_cast<std::uint64_t>(carry);
+      carry >>= 64;
+    }
+  }
+}
+
 }  // namespace
 
 const U256& field_p() { return kP; }
@@ -86,7 +118,7 @@ U256 fe_sub(const U256& a, const U256& b) {
   return r;
 }
 
-U256 fe_mul(const U256& a, const U256& b) { return reduce512(U256::mul_wide(a, b)); }
+U256 fe_mul(const U256& a, const U256& b) { return reduce512_mod_p(U256::mul_wide(a, b)); }
 
 U256 fe_sqr(const U256& a) { return fe_mul(a, a); }
 
@@ -136,26 +168,21 @@ std::optional<AffinePoint> lift_x(const U256& x, bool odd_y) {
   return p;
 }
 
-U256 sc_reduce(const U256& a) { return U512::from_u256(a).mod(kN); }
+U256 sc_reduce(const U256& a) {
+  // n > 2^255, so a < 2^256 < 2n needs at most one subtraction.
+  if (a < kN) return a;
+  bool borrow;
+  return U256::sub(a, kN, borrow);
+}
 
 U256 sc_add(const U256& a, const U256& b) {
   bool carry;
-  U256 r = U256::add(a, b, carry);
-  if (carry) {
-    // r + 2^256 mod n: since n > 2^255, subtracting n once from (r + 2^256)
-    // may still exceed n; fall back to wide reduction.
-    U512 wide = U512::from_u256(r);
-    wide.limb[4] = 1;
-    return wide.mod(kN);
-  }
-  if (r >= kN) {
-    bool borrow;
-    r = U256::sub(r, kN, borrow);
-  }
-  return r;
+  U512 sum = U512::from_u256(U256::add(a, b, carry));
+  sum.limb[4] = carry ? 1 : 0;
+  return reduce512_mod_n(sum);
 }
 
-U256 sc_mul(const U256& a, const U256& b) { return U256::mul_wide(a, b).mod(kN); }
+U256 sc_mul(const U256& a, const U256& b) { return reduce512_mod_n(U256::mul_wide(a, b)); }
 
 U256 sc_neg(const U256& a) {
   if (a.is_zero()) return a;
@@ -266,6 +293,42 @@ JacobianPoint scalar_mul(const U256& k, const AffinePoint& p) {
   for (int i = bits - 1; i >= 0; --i) {
     acc = point_double(acc);
     if (scalar.bit(i)) acc = point_add(acc, base);
+  }
+  return acc;
+}
+
+namespace {
+
+/// row[i][j - 1] = j * 16^i * G for i in [0, 64) and j in [1, 15]: every
+/// non-zero 4-bit digit of a 256-bit scalar at every position (92 KB).
+using BaseTable = std::vector<std::array<JacobianPoint, 15>>;
+
+const BaseTable& base_table() {
+  // Built on first use, so runs that never sign never pay for it. The
+  // initialisation of a function-local static is thread-safe: concurrent
+  // first callers wait for the one build.
+  static const BaseTable table = [] {
+    BaseTable rows(64);
+    JacobianPoint base = JacobianPoint::from_affine(generator());  // 16^i * G
+    for (auto& row : rows) {
+      row[0] = base;
+      for (std::size_t j = 1; j < row.size(); ++j) row[j] = point_add(row[j - 1], base);
+      base = point_add(row.back(), base);
+    }
+    return rows;
+  }();
+  return table;
+}
+
+}  // namespace
+
+JacobianPoint base_mul(const U256& k) {
+  const U256 scalar = sc_reduce(k);
+  const BaseTable& rows = base_table();
+  JacobianPoint acc = JacobianPoint::infinity();
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const unsigned digit = (scalar.limb[i / 16] >> (4 * (i % 16))) & 0xf;
+    if (digit != 0) acc = point_add(acc, rows[i][digit - 1]);
   }
   return acc;
 }

@@ -3,9 +3,11 @@
 // Curve: y^2 = x^3 + 7 over F_p, p = 2^256 - 2^32 - 977.
 // Group order n = FFFFFFFF FFFFFFFF FFFFFFFF FFFFFFFE BAAEDCE6 AF48A03B BFFD25E8 8CD03641 41.
 //
-// Field arithmetic uses the special form of p for fast reduction; scalar
-// (mod n) arithmetic uses generic binary reduction since it is off the hot
-// path. Not constant-time (simulator-grade; see DESIGN.md §6).
+// Field (mod p) and scalar (mod n) arithmetic both reduce by the special
+// form of their modulus: 2^256 is congruent to a small constant, 2^32 + 977
+// mod p and 2^256 - n (129 bits) mod n. Scalar arithmetic is on the hot path
+// because every Bitcoin-NG microblock is signed. Not constant-time: this is a
+// protocol simulator, not a wallet.
 #pragma once
 
 #include <optional>
@@ -73,8 +75,14 @@ JacobianPoint point_double(const JacobianPoint& p);
 JacobianPoint point_add(const JacobianPoint& p, const JacobianPoint& q);
 JacobianPoint point_add_affine(const JacobianPoint& p, const AffinePoint& q);
 
-/// k * P (double-and-add). k is interpreted mod n.
+/// k * P (double-and-add). k is interpreted mod n. The generic path for any
+/// point, and the test oracle for base_mul.
 JacobianPoint scalar_mul(const U256& k, const AffinePoint& p);
+
+/// k * G from a table of precomputed multiples of G, built once per process
+/// on first use: one point_add per non-zero 4-bit digit of k, no doublings.
+/// k is interpreted mod n. Same point as scalar_mul(k, generator()).
+JacobianPoint base_mul(const U256& k);
 
 /// u1*G + u2*P computed with interleaved doubling (Shamir's trick).
 JacobianPoint double_scalar_mul(const U256& u1, const U256& u2, const AffinePoint& p);

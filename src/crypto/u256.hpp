@@ -2,7 +2,7 @@
 //
 // Backs the secp256k1 field/scalar implementation and proof-of-work target
 // comparisons. Not constant-time: this library is a protocol simulator, not
-// a wallet; see DESIGN.md §6.
+// a wallet.
 #pragma once
 
 #include <array>
@@ -65,6 +65,9 @@ struct U512 {
   [[nodiscard]] int bit_length() const;
 
   /// Remainder of this mod m (binary long division). m must be non-zero.
+  /// One shift-and-subtract step per bit, so slow; no production path calls
+  /// it. Tests keep it as the oracle for the special-form reductions mod p
+  /// and n in secp256k1.cpp.
   [[nodiscard]] U256 mod(const U256& m) const;
 
   static U512 from_u256(const U256& v) {

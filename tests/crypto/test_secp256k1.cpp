@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.hpp"
 
 namespace bng::crypto {
@@ -10,6 +12,30 @@ namespace {
 U256 random_scalar(bng::Rng& rng) {
   return sc_reduce(U256(rng.next(), rng.next(), rng.next(), rng.next()));
 }
+
+U256 random_u256(bng::Rng& rng) { return U256(rng.next(), rng.next(), rng.next(), rng.next()); }
+
+/// 2^256 - n, the constant the special-form reduction mod n folds by.
+const U256 kNComplement = U256::from_hex("14551231950b75fc4402da1732fc9bebf");
+
+/// Boundary inputs for the reduction mod n: both sides of n and of 2^255,
+/// the fold constant itself, and the largest 256-bit value. Unreduced inputs
+/// are real: sc_reduce gets raw hashes and the x-coordinate of R.
+std::vector<U256> scalar_edges() {
+  bool flag;
+  const U256 max(UINT64_MAX, UINT64_MAX, UINT64_MAX, UINT64_MAX);
+  return {U256(0),
+          U256(1),
+          U256::sub(order_n(), U256(1), flag),
+          order_n(),
+          U256::add(order_n(), U256(1), flag),
+          U256(1).shl(255),
+          kNComplement,
+          max};
+}
+
+/// The oracle: binary long division of the exact value.
+U256 mod_n(const U512& wide) { return wide.mod(order_n()); }
 
 TEST(Secp256k1Field, Constants) {
   EXPECT_EQ(field_p().to_hex(),
@@ -79,12 +105,63 @@ TEST(Secp256k1Field, FermatLittleTheorem) {
   EXPECT_EQ(fe_pow(U256(12345), pm1), U256(1));
 }
 
+TEST(Secp256k1Scalar, ComplementOfOrderIsTheFoldConstant) {
+  bool carry;
+  EXPECT_EQ(U256::add(order_n(), kNComplement, carry), U256(0));
+  EXPECT_TRUE(carry);
+  EXPECT_EQ(kNComplement.bit_length(), 129);
+}
+
+TEST(Secp256k1Scalar, MulAgainstGenericMod) {
+  bng::Rng rng(23);
+  for (int i = 0; i < 4000; ++i) {
+    const U256 a = random_u256(rng), b = random_u256(rng);
+    ASSERT_EQ(sc_mul(a, b), mod_n(U256::mul_wide(a, b))) << a.to_hex() << " * " << b.to_hex();
+  }
+  for (const U256& a : scalar_edges())
+    for (const U256& b : scalar_edges())
+      EXPECT_EQ(sc_mul(a, b), mod_n(U256::mul_wide(a, b))) << a.to_hex() << " * " << b.to_hex();
+}
+
+TEST(Secp256k1Scalar, AddAgainstGenericModIncludingCarryOut) {
+  const auto exact_sum = [](const U256& a, const U256& b) {
+    bool carry;
+    U512 sum = U512::from_u256(U256::add(a, b, carry));
+    sum.limb[4] = carry ? 1 : 0;
+    return sum;
+  };
+  int carries = 0;
+  for (const U256& a : scalar_edges()) {
+    for (const U256& b : scalar_edges()) {
+      const U512 sum = exact_sum(a, b);
+      carries += sum.limb[4] != 0 ? 1 : 0;
+      EXPECT_EQ(sc_add(a, b), mod_n(sum)) << a.to_hex() << " + " << b.to_hex();
+    }
+  }
+  EXPECT_GT(carries, 0);
+  bng::Rng rng(29);
+  for (int i = 0; i < 200; ++i) {
+    const U256 a = random_u256(rng), b = random_u256(rng);
+    ASSERT_EQ(sc_add(a, b), mod_n(exact_sum(a, b)));
+  }
+}
+
+TEST(Secp256k1Scalar, ReduceAgainstGenericMod) {
+  for (const U256& a : scalar_edges()) EXPECT_EQ(sc_reduce(a), mod_n(U512::from_u256(a)));
+  bng::Rng rng(31);
+  for (int i = 0; i < 200; ++i) {
+    const U256 a = random_u256(rng);
+    ASSERT_EQ(sc_reduce(a), mod_n(U512::from_u256(a)));
+  }
+}
+
 TEST(Secp256k1Scalar, InverseIdentity) {
   bng::Rng rng(11);
-  for (int i = 0; i < 5; ++i) {
-    U256 a = random_scalar(rng);
-    if (a.is_zero()) continue;
-    EXPECT_EQ(sc_mul(a, sc_inv(a)), U256(1));
+  std::vector<U256> values = scalar_edges();
+  for (int i = 0; i < 5; ++i) values.push_back(random_scalar(rng));
+  for (const U256& a : values) {
+    if (sc_reduce(a).is_zero()) continue;  // 0 and n have no inverse
+    EXPECT_EQ(sc_mul(a, sc_inv(a)), U256(1)) << a.to_hex();
   }
 }
 
@@ -188,6 +265,29 @@ TEST(Secp256k1Curve, InvalidPointDetected) {
 
 TEST(Secp256k1Curve, ZeroScalarGivesInfinity) {
   EXPECT_TRUE(scalar_mul(U256(0), generator()).is_infinity());
+}
+
+TEST(Secp256k1Curve, BaseMulMatchesScalarMul) {
+  bool flag;
+  const U256 n = order_n();
+  std::vector<U256> ks = {U256(0),
+                          U256(1),
+                          U256(15),
+                          U256(16),
+                          U256(17),
+                          U256(1).shl(252),
+                          U256::sub(n, U256(1), flag),
+                          n,
+                          U256::add(n, U256(1), flag),
+                          U256(UINT64_MAX, UINT64_MAX, UINT64_MAX, UINT64_MAX)};
+  bng::Rng rng(37);
+  for (int i = 0; i < 32; ++i) ks.push_back(random_u256(rng));
+  for (const U256& k : ks) {
+    const JacobianPoint got = base_mul(k);
+    const JacobianPoint want = scalar_mul(k, generator());
+    EXPECT_EQ(got.is_infinity(), want.is_infinity()) << k.to_hex();
+    EXPECT_EQ(got.to_affine(), want.to_affine()) << k.to_hex();
+  }
 }
 
 }  // namespace
