@@ -11,18 +11,19 @@
 //   ngsim --scenario fig7 --seeds 4 --jobs 4 --out results/
 //   ngsim --scenario-file my_sweep.scn --seeds 8
 //   ngsim --serve 9700                      # worker half of a TCP fleet
-//   ngsim --scenario fig7 --hosts a:9700,b:9700 --journal fig7.journal
-//   ngsim --resume fig7.journal --hosts a:9700,b:9700
-#include <algorithm>
+//   ngsim --scenario fig7 --hosts a:9700,b:9700 --cache fig7.cache
+//
+// A sweep killed mid-run resumes by rerunning the same command: every
+// record it finished is in the --cache directory, so only the rest run.
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <system_error>
 
 #include "obs/telemetry.hpp"
@@ -31,7 +32,6 @@
 #include "runner/cache.hpp"
 #include "runner/emit.hpp"
 #include "runner/executor.hpp"
-#include "runner/journal.hpp"
 #include "runner/scenario.hpp"
 #include "runner/sweep.hpp"
 #include "runner/tcp_fleet.hpp"
@@ -44,8 +44,7 @@ constexpr const char* kUsage = R"(ngsim — parallel multi-seed sweep runner
 
 Usage: ngsim --scenario NAME [options]
        ngsim --scenario-file PATH [options]
-       ngsim --serve PORT [--cache DIR]
-       ngsim --resume JOURNAL [options]
+       ngsim --serve PORT
        ngsim --list
 
 Options:
@@ -60,9 +59,10 @@ Options:
   --out DIR             write <scenario>.json / .csv here     (default .)
   --cache DIR           content-addressed record cache (see bench/README.md
                         "Adaptive sweeps & caching"): finished jobs are
-                        answered from DIR instead of re-simulated; shared by
-                        --jobs/--procs/--hosts runs and safe across processes.
-                        Journal --resume records take precedence.
+                        answered from DIR instead of re-simulated, under any
+                        of --jobs/--procs/--hosts. Every record is fsync'd
+                        into DIR as it arrives, so to resume a killed or
+                        interrupted sweep, rerun the same command.
   --dense               for refine-marked scenarios: evaluate every grid point
                         instead of bisecting (the oracle an adaptive run's
                         frontier artifacts are byte-compared against)
@@ -73,8 +73,8 @@ Options:
 Observability (see bench/README.md "Observability"):
   --progress            render a [progress] line on stderr every ~500 ms
   --stats-json PATH     write an end-of-sweep telemetry report (records,
-                        per-job simulate/metrics phase split, journal fsync
-                        lag, per-worker fleet stats) to PATH
+                        per-job simulate/metrics phase split, cache counters
+                        and fsync cost, per-worker fleet stats) to PATH
   --trace CATS          record a decision trace to <out>/<scenario>_trace.jsonl;
                         CATS = comma list of blocks, adversary, events (or all).
                         In-process runs only (not --procs/--hosts); artifacts
@@ -84,10 +84,6 @@ Distributed mode (see bench/README.md):
   --serve PORT          run as a TCP fleet worker on PORT (0 = kernel pick)
   --hosts H:P,H:P,...   dispatch jobs to these --serve workers (overrides
                         --jobs/--procs; output stays bit-identical)
-  --journal PATH        append completed records to a crash-safe journal
-  --resume PATH         continue the sweep journaled at PATH: scenario, scale
-                        and seeds are rebuilt from the journal, finished
-                        slots are kept, only the holes run
   --heartbeat-ms N          worker heartbeat interval        (default 1000)
   --heartbeat-timeout-ms N  silence before a worker is dead  (default 10000)
   --job-deadline-ms N       per-job hung-worker deadline     (default 0 = off)
@@ -150,38 +146,43 @@ std::string self_exe_path(const char* argv0) {
 }
 
 /// Async-signal-safe: raise the cooperative flag; the dispatch loops notice,
-/// quiesce, flush the journal, and unwind with SweepInterrupted.
+/// quiesce, sync the record cache, and unwind with SweepInterrupted.
 void on_interrupt(int) {
   bng::runner::sweep_interrupt_flag().store(true, std::memory_order_relaxed);
 }
 
-/// Exit code for an interrupted-but-resumable sweep (EX_TEMPFAIL: rerun
-/// with --resume and it completes).
+/// Exit code for an interrupted-but-resumable sweep (EX_TEMPFAIL: rerun the
+/// same command and it completes).
 constexpr int kExitInterrupted = 75;
 
-/// `--cache DIR` for the worker entry points: opens the directory and
-/// returns the cache, or nullptr when the args carry none. Sets `ok` false
-/// (with a message) on a malformed tail or an unopenable directory.
-std::unique_ptr<runner::RunCache> worker_cache_from_args(int argc, char** argv,
-                                                         int first, bool& ok) {
-  std::unique_ptr<runner::RunCache> cache;
-  ok = true;
-  for (int i = first; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--cache") == 0 && i + 1 < argc) {
-      try {
-        cache = std::make_unique<runner::RunCache>(argv[++i]);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "ngsim: %s\n", e.what());
-        ok = false;
-        return nullptr;
-      }
+/// argv as one shell command line, single-quoting arguments that need it.
+std::string command_line(int argc, char** argv) {
+  std::string out;
+  for (int i = 0; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (i > 0) out += ' ';
+    if (!arg.empty() &&
+        arg.find_first_not_of("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                              "0123456789-_./=:,+@%") == std::string_view::npos) {
+      out += arg;
       continue;
     }
-    std::fprintf(stderr, "ngsim: unknown worker option '%s'\n", argv[i]);
-    ok = false;
-    return nullptr;
+    out += '\'';
+    for (const char c : arg) out += c == '\'' ? std::string("'\\''") : std::string(1, c);
+    out += '\'';
   }
-  return cache;
+  return out;
+}
+
+/// One warning at sweep end when records could not be saved: a rerun
+/// against the cache would simulate those jobs again.
+void warn_write_failures(const runner::RunCache& cache) {
+  const std::uint64_t failed = cache.counters().write_failures;
+  if (failed > 0)
+    std::fprintf(stderr,
+                 "ngsim: warning: %llu cache writes or fsyncs in %s failed; a rerun "
+                 "will simulate those jobs again\n",
+                 static_cast<unsigned long long>(failed), cache.dir().c_str());
 }
 
 }  // namespace
@@ -190,31 +191,31 @@ int main(int argc, char** argv) {
   // Hidden worker mode: speak the record protocol on stdin/stdout and never
   // touch the CLI surface (a stray printf would corrupt the framing).
   if (argc > 1 && std::strcmp(argv[1], "--worker") == 0) {
-    bool ok = false;
-    const auto cache = worker_cache_from_args(argc, argv, 2, ok);
-    if (!ok) return 1;
-    bng::runner::ActiveCacheScope cache_scope(cache.get());
+    if (argc > 2) {
+      std::fprintf(stderr, "ngsim: unknown worker option '%s'\n", argv[2]);
+      return 1;
+    }
     return bng::runner::worker_main(0, 1);
   }
 
   // TCP fleet worker mode: bind, announce the port, serve dispatchers until
-  // killed. Survives dispatcher crashes by design (--resume reconnects).
+  // killed. Survives dispatcher crashes by design (the rerun reconnects).
   if (argc > 1 && std::strcmp(argv[1], "--serve") == 0) {
     std::uint32_t port = 0;
     if (argc < 3 || !parse_u32_arg("--serve", argv[2], port, 0) || port > 65535) {
       std::fprintf(stderr, "ngsim: --serve requires a port (0-65535)\n");
       return 1;
     }
-    bool ok = false;
-    const auto cache = worker_cache_from_args(argc, argv, 3, ok);
-    if (!ok) return 1;
-    bng::runner::ActiveCacheScope cache_scope(cache.get());
+    if (argc > 3) {
+      std::fprintf(stderr, "ngsim: unknown worker option '%s'\n", argv[3]);
+      return 1;
+    }
     return bng::runner::serve_main(static_cast<std::uint16_t>(port));
   }
 
   std::string scenario_name;
   std::string scenario_file;
-  std::string resume_path;
+  std::string cache_dir;
   std::string stats_json_path;
   std::string out_dir = ".";
   bool print_table = true;
@@ -273,7 +274,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "ngsim: --cache requires a directory\n");
         return 1;
       }
-      options.cache_dir = next;
+      cache_dir = next;
       ++i;
       continue;
     }
@@ -322,24 +323,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "ngsim: --hosts got no endpoints\n");
         return 1;
       }
-      ++i;
-      continue;
-    }
-    if (std::strcmp(arg, "--journal") == 0) {
-      if (next == nullptr) {
-        std::fprintf(stderr, "ngsim: --journal requires a path\n");
-        return 1;
-      }
-      options.journal_path = next;
-      ++i;
-      continue;
-    }
-    if (std::strcmp(arg, "--resume") == 0) {
-      if (next == nullptr) {
-        std::fprintf(stderr, "ngsim: --resume requires a journal path\n");
-        return 1;
-      }
-      resume_path = next;
       ++i;
       continue;
     }
@@ -406,55 +389,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // --resume rebuilds the whole sweep identity (scenario, scale, seeds) from
-  // the journal header; explicit flags may only confirm it, never change it
-  // — run_sweep separately re-verifies the full identity before appending.
-  std::string resume_inline_text;
-  std::optional<runner::JournalHeader> resume_header;
-  if (!resume_path.empty()) {
-    if (!options.journal_path.empty() && options.journal_path != resume_path) {
-      std::fprintf(stderr, "ngsim: --journal conflicts with --resume\n");
-      return 1;
-    }
-    try {
-      resume_header = runner::read_journal_header(resume_path);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "ngsim: %s\n", e.what());
-      return 1;
-    }
-    const runner::JournalHeader& header = *resume_header;
-    const bool builtin = header.source_kind ==
-                         static_cast<std::uint8_t>(runner::ScenarioSource::Kind::kBuiltin);
-    if (builtin) {
-      if (!scenario_name.empty() && scenario_name != header.ref) {
-        std::fprintf(stderr,
-                     "ngsim: --resume journal is for scenario '%s', not '%s'\n",
-                     header.ref.c_str(), scenario_name.c_str());
-        return 1;
-      }
-      if (!scenario_file.empty()) {
-        std::fprintf(stderr,
-                     "ngsim: --resume journal records a registered scenario; drop "
-                     "--scenario-file\n");
-        return 1;
-      }
-      scenario_name = header.ref;
-    } else {
-      if (!scenario_name.empty() || !scenario_file.empty()) {
-        std::fprintf(stderr,
-                     "ngsim: --resume journal carries its own scenario text; drop "
-                     "--scenario/--scenario-file\n");
-        return 1;
-      }
-      resume_inline_text = header.ref;
-    }
-    knobs = header.knobs;
-    options.seeds = header.seeds;
-    options.journal_path = resume_path;
-    options.resume = true;
-  }
-
-  if (scenario_name.empty() && scenario_file.empty() && resume_inline_text.empty()) {
+  if (scenario_name.empty() && scenario_file.empty()) {
     std::fprintf(stderr, "ngsim: one of --scenario / --scenario-file is required\n\n%s",
                  kUsage);
     return 1;
@@ -462,10 +397,7 @@ int main(int argc, char** argv) {
 
   std::optional<runner::Scenario> scenario;
   try {
-    if (!resume_inline_text.empty()) {
-      scenario = runner::load_scenario_string(resume_inline_text,
-                                              "<journal " + resume_path + ">", knobs);
-    } else if (!scenario_file.empty()) {
+    if (!scenario_file.empty()) {
       scenario = runner::load_scenario_file(scenario_file, knobs);
       if (!scenario_name.empty() && scenario->name != scenario_name) {
         std::fprintf(stderr, "ngsim: scenario file defines '%s', not '%s'\n",
@@ -483,24 +415,6 @@ int main(int argc, char** argv) {
   } catch (const std::exception& e) {
     std::fprintf(stderr, "ngsim: %s\n", e.what());
     return 1;
-  }
-
-  // A mismatched --resume must fail with the identity reason, and it must do
-  // so before the output-path probing below: the journal belonging to a
-  // different sweep is the user's actual mistake, not whatever --out happens
-  // to be. run_sweep/run_adaptive re-verify the full identity before
-  // appending, so this early check can only reject, never admit.
-  if (resume_header) {
-    const std::size_t n_points = runner::expand(*scenario).size();
-    const runner::JournalHeader expected = runner::make_journal_header(
-        *scenario, std::max(options.seeds, 1u), n_points);
-    if (const std::string why = runner::journal_mismatch(*resume_header, expected);
-        !why.empty()) {
-      std::fprintf(stderr,
-                   "ngsim: --resume: journal %s does not belong to this sweep: %s\n",
-                   resume_path.c_str(), why.c_str());
-      return 1;
-    }
   }
 
   // Validate the output targets BEFORE dispatching any job: an unwritable
@@ -531,16 +445,7 @@ int main(int argc, char** argv) {
     if (!existed) std::filesystem::remove(path, ec);
   }
 
-  if (options.procs > 0) {
-    options.worker_argv = {self_exe_path(argv[0]), "--worker"};
-    if (!options.cache_dir.empty()) {
-      // Worker processes open the same directory themselves; entries are
-      // shared through the filesystem (write-to-temp + rename keeps
-      // concurrent writers safe).
-      options.worker_argv.push_back("--cache");
-      options.worker_argv.push_back(options.cache_dir);
-    }
-  }
+  if (options.procs > 0) options.worker_argv = {self_exe_path(argv[0]), "--worker"};
 
   const auto trace_path = dir / (scenario->name + "_trace.jsonl");
   if (options.trace_mask != 0) options.trace_path = trace_path.string();
@@ -550,11 +455,19 @@ int main(int argc, char** argv) {
   bng::obs::SweepTelemetry telemetry;
   if (!stats_json_path.empty() || options.progress) options.telemetry = &telemetry;
 
-  // A journaled sweep turns SIGINT/SIGTERM into a graceful stop: the
-  // executor quiesces, the journal flushes, and the exit code + hint say how
-  // to pick the sweep back up. Unjournaled sweeps keep the default
-  // die-immediately behavior — there is nothing to save.
-  if (!options.journal_path.empty()) {
+  // A cached sweep turns SIGINT/SIGTERM into a graceful stop: the executor
+  // quiesces, the cache syncs, and the exit code + hint say how to pick the
+  // sweep back up. Uncached sweeps keep the default die-immediately
+  // behavior — there is nothing to save.
+  std::optional<runner::RunCache> cache;
+  if (!cache_dir.empty()) {
+    try {
+      cache.emplace(cache_dir);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "ngsim: %s\n", e.what());
+      return 1;
+    }
+    options.cache = &*cache;
     std::signal(SIGINT, on_interrupt);
     std::signal(SIGTERM, on_interrupt);
   }
@@ -588,6 +501,10 @@ int main(int argc, char** argv) {
     } else {
       result = runner::run_sweep(*scenario, options);
     }
+    if (cache) {
+      warn_write_failures(*cache);
+      telemetry.cache_stats(cache->counters());
+    }
     if (print_table) {
       // Report the scenario's effective base scale, not the requested knobs:
       // scenarios may clamp or fix their size (smoke, the attack ablations).
@@ -615,16 +532,15 @@ int main(int argc, char** argv) {
       std::printf("wrote %s\n", stats_json_path.c_str());
     }
   } catch (const runner::SweepInterrupted&) {
-    if (!options.journal_path.empty()) {
-      std::fprintf(stderr,
-                   "ngsim: sweep interrupted; completed records are safe in %s\n"
-                   "ngsim: resume with: ngsim --resume %s\n",
-                   options.journal_path.c_str(), options.journal_path.c_str());
-    } else {
-      std::fprintf(stderr, "ngsim: sweep interrupted\n");
-    }
+    // Only a cached sweep installs the handler, so the cache is set here.
+    warn_write_failures(*cache);
+    std::fprintf(stderr,
+                 "ngsim: sweep interrupted; completed records are safe in %s\n"
+                 "ngsim: resume by rerunning: %s\n",
+                 cache->dir().c_str(), command_line(argc, argv).c_str());
     return kExitInterrupted;
   } catch (const std::exception& e) {
+    if (cache) warn_write_failures(*cache);
     std::fprintf(stderr, "ngsim: sweep failed: %s\n", e.what());
     return 1;
   }

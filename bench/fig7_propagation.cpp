@@ -40,7 +40,7 @@ int main() {
   std::printf("\nlinear fit of median vs size: R^2=%.3f (paper: qualitatively linear, "
               "cf. Decker-Wattenhofer)\n",
               fit.r2);
-  std::printf("slope=%.2f us/KB intercept=%.2f s\n", fit.slope * 1e9 / 1000.0,
-              fit.intercept);
+  // The fit is in s per byte: x1000 bytes/KB and x1000 ms/s.
+  std::printf("slope=%.2f ms/KB intercept=%.2f s\n", fit.slope * 1e6, fit.intercept);
   return 0;
 }

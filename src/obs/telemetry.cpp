@@ -8,16 +8,21 @@
 
 namespace bng::obs {
 
-void SweepTelemetry::start(std::size_t total_jobs, std::size_t prefilled) {
+void SweepTelemetry::start(std::size_t total_jobs) {
   std::lock_guard lock(mu_);
   total_jobs_ = total_jobs;
-  prefilled_ = prefilled;
+  prefilled_ = 0;
   delivered_ = 0;
   events_total_ = 0;
   phase_jobs_ = 0;
   simulate_ms_ = 0;
   metrics_ms_ = 0;
   started_ = std::chrono::steady_clock::now();
+}
+
+void SweepTelemetry::add_prefilled(std::size_t n) {
+  std::lock_guard lock(mu_);
+  prefilled_ += n;
 }
 
 void SweepTelemetry::on_record_delivered() {
@@ -51,23 +56,10 @@ std::uint64_t SweepTelemetry::peak_rss_bytes() {
 #endif
 }
 
-void SweepTelemetry::journal_stats(std::uint64_t fsyncs, double total_ms,
-                                   double max_ms) {
-  std::lock_guard lock(mu_);
-  has_journal_ = true;
-  journal_fsyncs_ = fsyncs;
-  journal_fsync_total_ms_ = total_ms;
-  journal_fsync_max_ms_ = max_ms;
-}
-
-void SweepTelemetry::cache_stats(std::uint64_t hits, std::uint64_t misses,
-                                 std::uint64_t stale, std::uint64_t stores) {
+void SweepTelemetry::cache_stats(const CacheCounters& counters) {
   std::lock_guard lock(mu_);
   has_cache_ = true;
-  cache_hits_ = hits;
-  cache_misses_ = misses;
-  cache_stale_ = stale;
-  cache_stores_ = stores;
+  cache_ = counters;
 }
 
 void SweepTelemetry::adaptive_stats(std::size_t dense_points, std::size_t dense_jobs,
@@ -155,22 +147,18 @@ std::string SweepTelemetry::to_json(const std::string& scenario, double wall_s) 
                   static_cast<unsigned long long>(phase_jobs_), simulate_ms_, metrics_ms_);
     j += buf;
   }
-  if (has_journal_) {
-    std::snprintf(buf, sizeof buf,
-                  ",\n  \"journal\": {\"fsyncs\": %llu, \"fsync_total_ms\": %.3f, "
-                  "\"fsync_max_ms\": %.3f}",
-                  static_cast<unsigned long long>(journal_fsyncs_),
-                  journal_fsync_total_ms_, journal_fsync_max_ms_);
-    j += buf;
-  }
   if (has_cache_) {
     std::snprintf(buf, sizeof buf,
                   ",\n  \"cache\": {\"hits\": %llu, \"misses\": %llu, "
-                  "\"stale\": %llu, \"stores\": %llu}",
-                  static_cast<unsigned long long>(cache_hits_),
-                  static_cast<unsigned long long>(cache_misses_),
-                  static_cast<unsigned long long>(cache_stale_),
-                  static_cast<unsigned long long>(cache_stores_));
+                  "\"stale\": %llu, \"stores\": %llu, \"write_failures\": %llu, "
+                  "\"fsyncs\": %llu, \"fsync_total_ms\": %.3f, \"fsync_max_ms\": %.3f}",
+                  static_cast<unsigned long long>(cache_.hits),
+                  static_cast<unsigned long long>(cache_.misses),
+                  static_cast<unsigned long long>(cache_.stale),
+                  static_cast<unsigned long long>(cache_.stores),
+                  static_cast<unsigned long long>(cache_.write_failures),
+                  static_cast<unsigned long long>(cache_.fsyncs), cache_.fsync_total_ms,
+                  cache_.fsync_max_ms);
     j += buf;
   }
   if (has_adaptive_) {
@@ -189,17 +177,13 @@ std::string SweepTelemetry::to_json(const std::string& scenario, double wall_s) 
         "%s\n    {\"endpoint\": \"%s\", \"alive\": %s, \"abandoned\": %s, "
         "\"records\": %llu, \"inflight\": %u, \"reconnects\": %u, "
         "\"speculation_wins\": %u, \"heartbeats\": %llu, \"max_silence_ms\": %llu, "
-        "\"reported\": {\"jobs_done\": %u, \"pool_rebuilds\": %u, \"busy_ms\": %llu, "
-        "\"cache_hits\": %u, \"cache_misses\": %u, \"cache_stale\": %u, "
-        "\"cache_stores\": %u}}",
+        "\"reported\": {\"jobs_done\": %u, \"pool_rebuilds\": %u, \"busy_ms\": %llu}}",
         i == 0 ? "" : ",", w.endpoint.c_str(), w.alive ? "true" : "false",
         w.abandoned ? "true" : "false", static_cast<unsigned long long>(w.records),
         w.inflight, w.reconnects, w.speculation_wins,
         static_cast<unsigned long long>(w.heartbeats),
         static_cast<unsigned long long>(w.max_silence_ms), w.reported.jobs_done,
-        w.reported.pool_rebuilds, static_cast<unsigned long long>(w.reported.busy_ms),
-        w.reported.cache_hits, w.reported.cache_misses, w.reported.cache_stale,
-        w.reported.cache_stores);
+        w.reported.pool_rebuilds, static_cast<unsigned long long>(w.reported.busy_ms));
     j += buf;
   }
   j += workers_.empty() ? "]\n}\n" : "\n  ]\n}\n";

@@ -1,5 +1,5 @@
 // Runtime sweep/fleet telemetry: what the dispatcher knows about a sweep
-// while it runs, aggregated from the record sink, the journal writer, and
+// while it runs, aggregated from the record sink, the record cache, and
 // (for the TCP fleet) per-worker liveness and the compact stats frame each
 // worker piggybacks on its 'B' heartbeats.
 //
@@ -24,13 +24,20 @@ struct WorkerStatsFrame {
   std::uint32_t jobs_done = 0;      ///< records computed this session
   std::uint32_t pool_rebuilds = 0;  ///< shared-workload pools built
   std::uint64_t busy_ms = 0;        ///< wall time spent inside run_job
-  // Record-cache counters (runner/cache.hpp); all zero when the worker runs
-  // without --cache. Appended after busy_ms on the wire — a frame that ends
-  // at busy_ms (pre-cache workers) still parses, with these left at zero.
-  std::uint32_t cache_hits = 0;
-  std::uint32_t cache_misses = 0;
-  std::uint32_t cache_stale = 0;
-  std::uint32_t cache_stores = 0;
+};
+
+/// The dispatcher's record-cache counters (runner/cache.hpp RunCache).
+struct CacheCounters {
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  std::uint64_t stale = 0;   ///< present but wrong hash/version/corrupt
+  std::uint64_t stores = 0;
+  /// Entry writes and fsyncs that failed: records the cache does not hold
+  /// (or does not hold durably), so a rerun would simulate them again.
+  std::uint64_t write_failures = 0;
+  std::uint64_t fsyncs = 0;  ///< entry files and directories
+  double fsync_total_ms = 0;
+  double fsync_max_ms = 0;
 };
 
 /// Dispatcher-side view of one remote worker.
@@ -53,7 +60,9 @@ struct WorkerTelemetry {
 class SweepTelemetry {
  public:
   // --- Sweep-level progress (all executors) --------------------------------
-  void start(std::size_t total_jobs, std::size_t prefilled);
+  void start(std::size_t total_jobs);
+  /// Jobs answered from the record cache before dispatch.
+  void add_prefilled(std::size_t n);
   void on_record_delivered();
   /// Simulation events a finished job executed (EventQueue::events_executed).
   /// Reported by the in-process thread executor; process/fleet workers run
@@ -71,15 +80,10 @@ class SweepTelemetry {
   /// runner's final report) can use it too.
   static std::uint64_t peak_rss_bytes();
 
-  // --- Journal fsync lag ----------------------------------------------------
-  void journal_stats(std::uint64_t fsyncs, double total_ms, double max_ms);
-
   // --- Record cache (runner/cache.hpp) --------------------------------------
-  /// Final cache counters for the sweep: the dispatcher's own cache plus the
-  /// sum of every fleet worker's self-reported counters. Adds a "cache"
-  /// section to the stats JSON.
-  void cache_stats(std::uint64_t hits, std::uint64_t misses, std::uint64_t stale,
-                   std::uint64_t stores);
+  /// Final counters of the dispatcher's cache. Adds a "cache" section to the
+  /// stats JSON.
+  void cache_stats(const CacheCounters& counters);
 
   // --- Adaptive frontier driver (runner/adaptive.hpp) -----------------------
   /// Dispatch accounting for an adaptive sweep: how many points/jobs the
@@ -120,15 +124,8 @@ class SweepTelemetry {
   double simulate_ms_ = 0;
   double metrics_ms_ = 0;
   std::chrono::steady_clock::time_point started_{};
-  std::uint64_t journal_fsyncs_ = 0;
-  double journal_fsync_total_ms_ = 0;
-  double journal_fsync_max_ms_ = 0;
-  bool has_journal_ = false;
   bool has_cache_ = false;
-  std::uint64_t cache_hits_ = 0;
-  std::uint64_t cache_misses_ = 0;
-  std::uint64_t cache_stale_ = 0;
-  std::uint64_t cache_stores_ = 0;
+  CacheCounters cache_;
   bool has_adaptive_ = false;
   std::size_t adaptive_dense_points_ = 0;
   std::size_t adaptive_dense_jobs_ = 0;

@@ -6,13 +6,11 @@
 #include <cmath>
 #include <cstdio>
 #include <map>
-#include <mutex>
 #include <stdexcept>
 
 #include "obs/telemetry.hpp"
 #include "runner/cache.hpp"
 #include "runner/executor.hpp"
-#include "runner/journal.hpp"
 #include "runner/record_codec.hpp"  // json_escape
 
 namespace bng::runner {
@@ -103,55 +101,19 @@ AdaptiveResult run_adaptive(const Scenario& scenario, const AdaptiveOptions& opt
   std::vector<RunRecord> slots(n_jobs);
   std::vector<std::uint8_t> have(n_jobs, 0);
 
-  // Journal / resume against the *dense* grid identity: an adaptive run and
-  // a dense run of the same scenario share one journal shape, so either can
-  // resume the other's.
-  std::unique_ptr<JournalWriter> journal;
-  std::size_t prefilled = 0;
-  if (!options.sweep.journal_path.empty()) {
-    const JournalHeader expected = make_journal_header(scenario, seeds, points.size());
-    if (options.sweep.resume) {
-      JournalContents contents = read_journal(options.sweep.journal_path);
-      if (const std::string why = journal_mismatch(contents.header, expected); !why.empty())
-        throw std::runtime_error("--resume: journal " + options.sweep.journal_path +
-                                 " does not belong to this sweep: " + why);
-      for (RunRecord& rec : contents.records) {
-        if (rec.point >= points.size() || rec.ordinal >= seeds)
-          throw std::runtime_error("--resume: journal record identity out of range");
-        const std::size_t job = static_cast<std::size_t>(rec.point) * seeds + rec.ordinal;
-        if (have[job]) continue;
-        have[job] = 1;
-        ++prefilled;
-        slots[job] = std::move(rec);
-      }
-      journal = std::make_unique<JournalWriter>(options.sweep.journal_path,
-                                                contents.valid_bytes);
-    } else {
-      journal = std::make_unique<JournalWriter>(options.sweep.journal_path, expected);
-    }
-  }
-
   std::atomic<std::size_t> delivered{0};
-  std::mutex journal_mu;
+  RunCache* const cache = options.sweep.cache;
+  const CacheSyncGuard sync_on_exit(cache);
   auto sink = [&](RunRecord rec) {
     if (rec.point >= points.size() || rec.ordinal >= seeds)
       throw std::runtime_error("run_adaptive: record identity out of range");
-    const std::size_t job = static_cast<std::size_t>(rec.point) * seeds + rec.ordinal;
-    if (journal) {
-      std::lock_guard lock(journal_mu);
-      journal->append(rec);
-    }
-    slots[job] = std::move(rec);
+    if (cache != nullptr) cache->store(scenario, points[rec.point], rec);
+    slots[static_cast<std::size_t>(rec.point) * seeds + rec.ordinal] = std::move(rec);
     delivered.fetch_add(1, std::memory_order_relaxed);
     if (tel != nullptr) tel->on_record_delivered();
   };
 
-  if (tel != nullptr) tel->start(n_jobs, prefilled);
-
-  std::unique_ptr<RunCache> cache;
-  if (!options.sweep.cache_dir.empty())
-    cache = std::make_unique<RunCache>(options.sweep.cache_dir);
-  ActiveCacheScope cache_scope(cache.get());
+  if (tel != nullptr) tel->start(n_jobs);
 
   const auto point_evaluated = [&](std::uint32_t p) {
     for (std::uint32_t o = 0; o < seeds; ++o)
@@ -164,28 +126,36 @@ AdaptiveResult run_adaptive(const Scenario& scenario, const AdaptiveOptions& opt
   result.dense_jobs = n_jobs;
 
   std::uint32_t width = 1;
+  std::size_t executed = 0;  // jobs handed to an executor
   std::vector<std::uint8_t> done;
   const auto run_wave = [&](const std::vector<std::uint32_t>& wave) {
+    // Only this wave's jobs are looked up, so a cold run's cache misses
+    // equal jobs_dispatched.
     done.assign(n_jobs, 1);
     std::size_t want = 0;
+    std::size_t hits = 0;
     for (const std::uint32_t p : wave)
       for (std::uint32_t o = 0; o < seeds; ++o) {
         const std::size_t job = static_cast<std::size_t>(p) * seeds + o;
-        if (have[job]) continue;  // journal prefill or an earlier wave
+        if (have[job]) continue;  // evaluated by an earlier wave
+        if (cache != nullptr)
+          if (std::optional<RunRecord> hit = cache->lookup(scenario, points[p], p, o)) {
+            slots[job] = *std::move(hit);
+            have[job] = 1;
+            ++hits;
+            continue;
+          }
         done[job] = 0;
         ++want;
       }
+    result.jobs_dispatched += hits + want;
+    if (tel != nullptr) tel->add_prefilled(hits);
     if (want == 0) return;
     ExecutionPlan plan{scenario, points, seeds, options.sweep.share_workload, &done};
     plan.telemetry = tel;
     std::unique_ptr<Executor> executor = make_sweep_executor(options.sweep, tel);
-    try {
-      width = std::max(width, executor->run(plan, sink));
-    } catch (...) {
-      if (journal) journal->flush();
-      throw;
-    }
-    result.jobs_dispatched += want;
+    width = std::max(width, executor->run(plan, sink));
+    executed += want;
     for (const std::uint32_t p : wave)
       for (std::uint32_t o = 0; o < seeds; ++o)
         have[static_cast<std::size_t>(p) * seeds + o] = 1;
@@ -268,26 +238,10 @@ AdaptiveResult run_adaptive(const Scenario& scenario, const AdaptiveOptions& opt
     }
   }
 
-  if (journal) journal->flush();
-  if (journal && tel != nullptr) {
-    const JournalWriter::Stats js = journal->stats();
-    tel->journal_stats(js.fsyncs, js.fsync_total_ms, js.fsync_max_ms);
-  }
-  if (cache && tel != nullptr) {
-    RunCache::Counters c = cache->counters();
-    for (const obs::WorkerTelemetry& w : tel->workers()) {
-      c.hits += w.reported.cache_hits;
-      c.misses += w.reported.cache_misses;
-      c.stale += w.reported.cache_stale;
-      c.stores += w.reported.cache_stores;
-    }
-    tel->cache_stats(c.hits, c.misses, c.stale, c.stores);
-  }
-
-  if (delivered.load(std::memory_order_relaxed) != result.jobs_dispatched)
+  if (delivered.load(std::memory_order_relaxed) != executed)
     throw std::runtime_error("run_adaptive: executor lost records (" +
                              std::to_string(delivered.load()) + " of " +
-                             std::to_string(result.jobs_dispatched) + " delivered)");
+                             std::to_string(executed) + " delivered)");
 
   // Frontier scan: per group, every evaluated-adjacent pair where the
   // predicate flips becomes a bracket row. Groups with no flip get one

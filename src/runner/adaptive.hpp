@@ -13,9 +13,10 @@
 // ExecutionPlan over the full grid with everything except the wave marked
 // done — so job_seed() and therefore every record is bit-identical to the
 // same point of a dense sweep, and the frontier artifacts are pure functions
-// of the records. Journaling/resume work as in run_sweep (the journal header
-// describes the dense grid; prefilled records count as evaluated points),
-// and the record cache (runner/cache.hpp) makes re-refinement near-free.
+// of the records. With a record cache (runner/cache.hpp), each wave's jobs
+// are looked up before dispatch and each delivered record is stored, as in
+// run_sweep — which makes re-refinement, a dense oracle after an adaptive
+// run, and rerunning a killed sweep near-free.
 //
 // The inferred frontier equals the dense grid's when the predicate crosses
 // once per group (monotone surfaces — true for SM1 profitability); a
@@ -59,15 +60,15 @@ struct AdaptiveResult {
   std::vector<std::uint32_t> evaluated;
   std::size_t dense_points = 0;
   std::size_t dense_jobs = 0;
-  /// Jobs actually handed to an executor (cache hits included; journal
-  /// prefills excluded).
+  /// Jobs the waves asked for: those handed to an executor plus those the
+  /// record cache answered before dispatch.
   std::size_t jobs_dispatched = 0;
   std::vector<FrontierRow> frontier;
 };
 
 /// Run the scenario adaptively (requires scenario.refine). Throws on a
 /// missing/unknown refine axis, a metric the records do not carry, or any
-/// executor failure; SweepInterrupted propagates with the journal flushed.
+/// executor failure; SweepInterrupted propagates with the cache synced.
 AdaptiveResult run_adaptive(const Scenario& scenario, const AdaptiveOptions& options);
 
 /// Crossover-surface artifacts. Pure functions of the evaluated records —

@@ -1,14 +1,17 @@
 #include "runner/cache.hpp"
 
+#include <fcntl.h>
 #include <unistd.h>
 
-#include <atomic>
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "runner/digest.hpp"
+#include "runner/io_util.hpp"
 #include "runner/record_codec.hpp"
 
 namespace bng::runner {
@@ -17,12 +20,38 @@ namespace {
 
 constexpr char kCacheMagic[4] = {'B', 'N', 'G', 'C'};
 
-std::atomic<RunCache*> g_cache{nullptr};
-
 std::string hex16(std::uint64_t v) {
   char buf[17];
   std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
   return buf;
+}
+
+/// fsync(fd), returning its wall time in ms; `ok` reports success.
+double timed_fsync(int fd, bool& ok) {
+  const auto t0 = std::chrono::steady_clock::now();
+  ok = ::fsync(fd) == 0;
+  return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+void count_fsync(obs::CacheCounters& c, double ms) {
+  ++c.fsyncs;
+  c.fsync_total_ms += ms;
+  c.fsync_max_ms = std::max(c.fsync_max_ms, ms);
+}
+
+/// Write `bytes` to `tmp` and fsync it before the caller renames it into
+/// place; `fsync_ms` gets the fsync's time when one was made. False on any
+/// failure, with `tmp` removed.
+bool write_synced(const std::string& tmp, const std::string& bytes,
+                  std::optional<double>& fsync_ms) {
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) return false;
+  bool ok = io::write_all(fd, bytes);
+  if (ok) fsync_ms = timed_fsync(fd, ok);
+  if (::close(fd) != 0) ok = false;
+  if (!ok) ::unlink(tmp.c_str());
+  return ok;
 }
 
 }  // namespace
@@ -39,6 +68,17 @@ std::uint64_t scenario_source_hash(const Scenario& s) {
   return d.h;
 }
 
+std::optional<CacheKey> job_cache_key(const Scenario& scenario, const SweepPoint& point,
+                                      std::uint32_t point_index, std::uint32_t ordinal) {
+  if (!scenario.source.has_value() || !sim::config_cacheable(point.config))
+    return std::nullopt;
+  CacheKey key;
+  key.scenario_hash = scenario_source_hash(scenario);
+  key.config_digest = sim::config_digest(point.config);
+  key.seed = job_seed(scenario.seed_base, point_index, ordinal);
+  return key;
+}
+
 RunCache::RunCache(std::string dir) : dir_(std::move(dir)) {
   std::error_code ec;
   std::filesystem::create_directories(dir_, ec);
@@ -50,7 +90,19 @@ std::string RunCache::entry_path(const CacheKey& key) const {
   return dir_ + "/" + digest_hex.substr(0, 2) + "/" + digest_hex + "-" + hex16(key.seed) + ".bngc";
 }
 
-std::optional<RunRecord> RunCache::lookup(const CacheKey& key) {
+std::optional<RunRecord> RunCache::lookup(const Scenario& scenario, const SweepPoint& point,
+                                          std::uint32_t point_index, std::uint32_t ordinal) {
+  const std::optional<CacheKey> key = job_cache_key(scenario, point, point_index, ordinal);
+  if (!key) return std::nullopt;
+  std::optional<RunRecord> rec = read_entry(*key);
+  if (rec) {
+    rec->point = point_index;
+    rec->ordinal = ordinal;
+  }
+  return rec;
+}
+
+std::optional<RunRecord> RunCache::read_entry(const CacheKey& key) {
   const std::string path = entry_path(key);
   std::string bytes;
   {
@@ -91,52 +143,78 @@ std::optional<RunRecord> RunCache::lookup(const CacheKey& key) {
   }
 }
 
-void RunCache::store(const CacheKey& key, const RunRecord& record) {
+void RunCache::store(const Scenario& scenario, const SweepPoint& point,
+                     const RunRecord& record) {
+  const std::optional<CacheKey> key =
+      job_cache_key(scenario, point, record.point, record.ordinal);
+  if (!key) return;
+
   std::string payload;
   payload.append(kCacheMagic, 4);
   wire::put_u16(payload, kCacheVersion);
-  wire::put_u64(payload, key.scenario_hash);
-  wire::put_u64(payload, key.config_digest);
-  wire::put_u64(payload, key.seed);
+  wire::put_u64(payload, key->scenario_hash);
+  wire::put_u64(payload, key->config_digest);
+  wire::put_u64(payload, key->seed);
   const std::string bytes = encode_record(record);
   wire::put_u32(payload, static_cast<std::uint32_t>(bytes.size()));
   payload += bytes;
 
-  const std::string path = entry_path(key);
+  const std::string path = entry_path(*key);
+  const std::string shard = std::filesystem::path(path).parent_path().string();
   std::error_code ec;
-  std::filesystem::create_directories(std::filesystem::path(path).parent_path(), ec);
-  if (ec) return;
-  // Write-to-temp + rename: concurrent readers (other worker processes
-  // sharing the directory) either see the old entry or the complete new one.
-  // The temp name includes this process's pid so concurrent writers of the
-  // same key do not clobber each other's partial files.
+  const bool new_shard = std::filesystem::create_directory(shard, ec);
+  // Write-to-temp + fsync + rename: concurrent readers (other processes
+  // sharing the directory) see either the old entry or the complete new
+  // one, and a crash after the rename never leaves an empty entry. The temp
+  // name includes this process's pid so concurrent writers of the same key
+  // do not clobber each other's partial files.
   const std::string tmp = path + ".tmp." + std::to_string(::getpid());
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return;
-    out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-    if (!out) {
-      out.close();
+  std::optional<double> fsync_ms;
+  bool ok = !ec && write_synced(tmp, payload, fsync_ms);
+  if (ok) {
+    std::filesystem::rename(tmp, path, ec);
+    if (ec) {
       std::filesystem::remove(tmp, ec);
-      return;
+      ok = false;
     }
   }
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
+
+  std::lock_guard lock(mu_);
+  if (fsync_ms) count_fsync(counters_, *fsync_ms);
+  // A rename is durable once its directory is, and a new shard directory is
+  // itself an entry of the root.
+  if (new_shard) unsynced_dirs_.insert(dir_);
+  if (!ok) {
+    ++counters_.write_failures;
     return;
   }
-  std::lock_guard lock(mu_);
   ++counters_.stores;
+  unsynced_dirs_.insert(shard);
+  if (++unsynced_stores_ >= kSyncBatch) sync_locked();
+}
+
+void RunCache::sync() {
+  std::lock_guard lock(mu_);
+  sync_locked();
+}
+
+void RunCache::sync_locked() {
+  for (const std::string& dir : unsynced_dirs_) {
+    const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+    bool ok = false;
+    if (fd >= 0) {
+      count_fsync(counters_, timed_fsync(fd, ok));
+      ::close(fd);
+    }
+    if (!ok) ++counters_.write_failures;
+  }
+  unsynced_dirs_.clear();
+  unsynced_stores_ = 0;
 }
 
 RunCache::Counters RunCache::counters() const {
   std::lock_guard lock(mu_);
   return counters_;
 }
-
-void set_run_cache(RunCache* cache) { g_cache.store(cache, std::memory_order_release); }
-
-RunCache* active_run_cache() { return g_cache.load(std::memory_order_acquire); }
 
 }  // namespace bng::runner

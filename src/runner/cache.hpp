@@ -1,13 +1,14 @@
-// Content-addressed RunRecord cache.
+// Content-addressed RunRecord cache: the one place a finished record is kept.
 //
 // A record is a pure function of (scenario, point config, seed), so once a
 // job has run anywhere it never needs to run again: entries are addressed by
 // the resolved point-config digest plus the seed, verified against a hash of
 // the scenario *source* (builtin name / inline text + knobs), and carry the
-// record in the byte-stable record_codec form. The cache is consulted in
-// run_job()'s single funnel (runner/executor.cpp), so it behaves identically
-// under --jobs, --procs, and --hosts; a worker process opens the same
-// directory and shares entries with the dispatcher through the filesystem.
+// record in the byte-stable record_codec form. The dispatcher owns the
+// cache: run_sweep and run_adaptive look each job up before handing it to
+// any executor and store each delivered record before it lands in its slot,
+// so caching behaves identically under --jobs, --procs and --hosts, and a
+// fully cached sweep sends no job anywhere.
 //
 // Invalidation is by key, never by time: editing the scenario source (or
 // bumping the knobs it was instantiated with) changes the scenario hash and
@@ -15,16 +16,22 @@
 // run changes the config digest and misses instead. Stale entries are
 // counted and overwritten in place on the next store.
 //
-// Precedence when a sweep also journals: --resume prefills from the journal
-// *before* any job is dispatched, so journal records always win over cache
-// entries; the cache only answers for jobs the journal does not cover.
+// Durability: the cache is also how a killed sweep resumes — rerun the same
+// command with the same directory and only the missing jobs run. Each
+// entry's temp file is fsync'd before its rename, so a renamed entry is
+// never empty, and the directories that stores touched are fsync'd every
+// kSyncBatch stores and by sync(), which run_sweep and run_adaptive reach
+// through a CacheSyncGuard at sweep end and on every unwind. Lookups never
+// fsync.
 #pragma once
 
 #include <cstdint>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 
+#include "obs/telemetry.hpp"
 #include "runner/record.hpp"
 #include "runner/scenario.hpp"
 
@@ -47,70 +54,78 @@ struct CacheKey {
 /// resolved config is unchanged, so old entries are rejected as stale.
 [[nodiscard]] std::uint64_t scenario_source_hash(const Scenario& s);
 
+/// The key of job (point_index, ordinal), or nullopt when the job cannot be
+/// cached: a scenario without a serializable source, or a config with a
+/// node_factory, has nothing to key on and always runs fresh.
+[[nodiscard]] std::optional<CacheKey> job_cache_key(const Scenario& scenario,
+                                                    const SweepPoint& point,
+                                                    std::uint32_t point_index,
+                                                    std::uint32_t ordinal);
+
 /// Directory-backed record store. One entry per (config digest, seed) under
 /// `dir/<hh>/<config_digest>-<seed>.bngc` (hh = first byte of the config
 /// digest in hex, to keep directories small). Thread-safe; stores are
-/// write-to-temp + rename, so concurrent processes sharing a directory never
-/// observe torn entries.
+/// write-to-temp + fsync + rename, so concurrent processes sharing a
+/// directory never observe torn entries.
 class RunCache {
  public:
+  /// Stores between two fsyncs of the directories they touched.
+  static constexpr std::uint32_t kSyncBatch = 8;
+
   /// Creates `dir` (and parents) if missing. Throws std::runtime_error when
   /// the directory cannot be created.
   explicit RunCache(std::string dir);
 
-  /// The cached record, or nullopt on miss/stale. The returned record's
-  /// (point, ordinal) identity is NOT rewritten — the caller stamps the
-  /// identity of the job it is answering for.
-  [[nodiscard]] std::optional<RunRecord> lookup(const CacheKey& key);
+  /// The cached record of job (point_index, ordinal), stamped with that
+  /// identity — an entry is keyed by (config, seed), so it can answer for a
+  /// different grid position than the one that stored it (a refined subset
+  /// vs the dense grid). nullopt on a miss, a stale or corrupt entry, or an
+  /// uncacheable job.
+  [[nodiscard]] std::optional<RunRecord> lookup(const Scenario& scenario,
+                                                const SweepPoint& point,
+                                                std::uint32_t point_index,
+                                                std::uint32_t ordinal);
 
-  /// Insert or overwrite. Failures to write are swallowed (a cache must
-  /// never fail a sweep) but do not count as stores.
-  void store(const CacheKey& key, const RunRecord& record);
+  /// Insert or overwrite the entry of the job that produced `record` (its
+  /// own (point, ordinal) identity), `point` being that job's sweep point.
+  /// A failure never fails the sweep; it is counted in write_failures.
+  void store(const Scenario& scenario, const SweepPoint& point, const RunRecord& record);
 
-  struct Counters {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t stale = 0;   ///< present but wrong hash/version/corrupt
-    std::uint64_t stores = 0;
-  };
+  /// Fsync every directory a store touched since the last sync.
+  void sync();
+
+  using Counters = obs::CacheCounters;
   [[nodiscard]] Counters counters() const;
 
   [[nodiscard]] const std::string& dir() const { return dir_; }
 
  private:
   [[nodiscard]] std::string entry_path(const CacheKey& key) const;
+  [[nodiscard]] std::optional<RunRecord> read_entry(const CacheKey& key);
+  void sync_locked();
 
   std::string dir_;
   mutable std::mutex mu_;
   Counters counters_;
+  std::set<std::string> unsynced_dirs_;
+  std::uint32_t unsynced_stores_ = 0;
 };
 
-/// Process-wide active cache, consulted by run_job(). Null (the default)
-/// disables caching entirely. Set by run_sweep()/run_adaptive() for the
-/// duration of a sweep and by the --worker/--serve entry points for the
-/// process lifetime; not owned.
-void set_run_cache(RunCache* cache);
-[[nodiscard]] RunCache* active_run_cache();
-
-/// RAII: install a RunCache as the process-wide active cache for the
-/// duration of a sweep, restoring the previous cache — normally none — on
-/// every exit path. A null cache changes nothing, so a worker process's
-/// long-lived cache survives the sweeps it runs.
-class ActiveCacheScope {
+/// Syncs a cache when it leaves scope. run_sweep and run_adaptive each hold
+/// one for the whole sweep, so the last batch of stores reaches the disk on
+/// every exit path: sweep end, an interrupt, a failed job. A null cache does
+/// nothing.
+class CacheSyncGuard {
  public:
-  explicit ActiveCacheScope(RunCache* cache)
-      : prev_(active_run_cache()), swapped_(cache != nullptr) {
-    if (swapped_) set_run_cache(cache);
+  explicit CacheSyncGuard(RunCache* cache) : cache_(cache) {}
+  ~CacheSyncGuard() {
+    if (cache_ != nullptr) cache_->sync();
   }
-  ~ActiveCacheScope() {
-    if (swapped_) set_run_cache(prev_);
-  }
-  ActiveCacheScope(const ActiveCacheScope&) = delete;
-  ActiveCacheScope& operator=(const ActiveCacheScope&) = delete;
+  CacheSyncGuard(const CacheSyncGuard&) = delete;
+  CacheSyncGuard& operator=(const CacheSyncGuard&) = delete;
 
  private:
-  RunCache* prev_;
-  bool swapped_;
+  RunCache* cache_;
 };
 
 }  // namespace bng::runner

@@ -10,7 +10,6 @@
 
 #include "obs/telemetry.hpp"
 #include "obs/trace_ring.hpp"
-#include "runner/cache.hpp"
 #include "sim/experiment.hpp"
 
 namespace bng::runner {
@@ -29,29 +28,6 @@ RunRecord run_job(const Scenario& scenario, const SweepPoint& point,
                   std::shared_ptr<const sim::PrebuiltWorkload> pool,
                   obs::TraceRing* trace, std::uint64_t* events_executed,
                   obs::SweepTelemetry* telemetry) {
-  // Cache consult lives here, in the single funnel every executor (threads,
-  // worker processes, TCP fleet) goes through, so --jobs/--procs/--hosts all
-  // cache identically. A scenario without a serializable source or a config
-  // with a node_factory cannot be keyed and always runs fresh.
-  RunCache* const cache = active_run_cache();
-  const bool cacheable =
-      cache != nullptr && scenario.source.has_value() && sim::config_cacheable(point.config);
-  CacheKey key;
-  if (cacheable) {
-    key.scenario_hash = scenario_source_hash(scenario);
-    key.config_digest = sim::config_digest(point.config);
-    key.seed = job_seed(scenario.seed_base, point_index, ordinal);
-    if (std::optional<RunRecord> hit = cache->lookup(key)) {
-      // The entry is keyed by (config, seed), so the same record can answer
-      // for a different grid position (e.g. a refined subset vs the dense
-      // grid); stamp the identity of the job being answered.
-      hit->point = point_index;
-      hit->ordinal = ordinal;
-      if (events_executed != nullptr) *events_executed = 0;
-      return *std::move(hit);
-    }
-  }
-
   sim::ExperimentConfig cfg = point.config;
   cfg.seed = job_seed(scenario.seed_base, point_index, ordinal);
   cfg.shared_workload = std::move(pool);
@@ -80,7 +56,6 @@ RunRecord run_job(const Scenario& scenario, const SweepPoint& point,
     telemetry->add_phase_ms(ms_since(simulate_start, metrics_start),
                             ms_since(metrics_start, Clock::now()));
   }
-  if (cacheable) cache->store(key, record);
   return record;
 }
 
@@ -105,7 +80,7 @@ class ThreadPoolExecutor final : public Executor {
   std::uint32_t run(const ExecutionPlan& plan, const RecordSink& sink) override {
     const std::size_t n_jobs =
         plan.points.size() * static_cast<std::size_t>(plan.seeds);
-    // Resume support: only jobs without a recovered record run.
+    // Only jobs whose records the caller does not already hold run.
     std::vector<std::size_t> pending;
     pending.reserve(n_jobs);
     for (std::size_t job = 0; job < n_jobs; ++job)

@@ -42,9 +42,10 @@ struct ExecutionPlan {
   const std::vector<SweepPoint>& points;
   std::uint32_t seeds = 1;
   bool share_workload = true;
-  /// Jobs already completed in an earlier (crashed, resumed) run, indexed by
-  /// point * seeds + ordinal — recovered from a journal. Null or empty:
-  /// nothing done. Executors skip these without running or delivering them.
+  /// Jobs whose records the caller already holds — answered from the record
+  /// cache, or evaluated by an earlier adaptive wave — indexed by
+  /// point * seeds + ordinal. Null or empty: nothing done. Executors skip
+  /// these without running or delivering them.
   const std::vector<std::uint8_t>* done = nullptr;
   /// Decision-trace categories (obs/trace_ring.hpp bit mask). 0 (default):
   /// tracing fully disabled — no ring is allocated and run_job receives
@@ -65,7 +66,7 @@ struct ExecutionPlan {
   obs::SweepTelemetry* telemetry = nullptr;
 };
 
-/// Whether the plan says this job already has its record (resume).
+/// Whether the plan says this job already has its record.
 inline bool plan_job_done(const ExecutionPlan& plan, std::size_t job) {
   return plan.done != nullptr && job < plan.done->size() && (*plan.done)[job] != 0;
 }
@@ -73,8 +74,8 @@ inline bool plan_job_done(const ExecutionPlan& plan, std::size_t job) {
 /// Cooperative cancellation for a sweep in flight. A signal handler (ngsim's
 /// SIGINT/SIGTERM) or a test sets the flag; every executor polls it between
 /// dispatches and aborts by throwing SweepInterrupted after quiescing its
-/// workers — so RAII up the stack (the resume journal above all) flushes
-/// cleanly instead of the process dying with completed records in memory.
+/// workers — so run_sweep/run_adaptive sync the record cache on the way out
+/// instead of the process dying with unsynced entries.
 std::atomic<bool>& sweep_interrupt_flag();
 
 struct SweepInterrupted : std::runtime_error {
@@ -122,8 +123,8 @@ std::unique_ptr<Executor> make_process_pool_executor(ProcessPoolOptions options)
 /// worker process funnel through this. `trace` (optional) receives the
 /// experiment's decision trace; recording is observational, so the record —
 /// digest included — is bit-identical with and without it.
-/// `telemetry` (optional) receives the job's simulate/metrics phase split
-/// (cache hits report none); like tracing it never touches the record.
+/// `telemetry` (optional) receives the job's simulate/metrics phase split;
+/// like tracing it never touches the record.
 RunRecord run_job(const Scenario& scenario, const SweepPoint& point,
                   std::uint32_t point_index, std::uint32_t ordinal,
                   std::shared_ptr<const sim::PrebuiltWorkload> pool,

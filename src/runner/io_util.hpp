@@ -1,7 +1,7 @@
 // EINTR-safe low-level I/O, shared by everything in the runner that touches
 // a file descriptor: the process pool's socketpairs (process_pool.cpp), the
-// TCP fleet's sockets (tcp_fleet.cpp), and the crash-safe journal
-// (journal.cpp). Every loop here retries EINTR and resumes short writes, so
+// TCP fleet's sockets (tcp_fleet.cpp), and the record cache's entry files
+// (cache.cpp). Every loop here retries EINTR and resumes short writes, so
 // callers never see a partial transfer — the ad-hoc per-site loops these
 // helpers replaced each handled a different subset of those cases.
 #pragma once

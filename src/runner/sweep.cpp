@@ -13,7 +13,6 @@
 #include "obs/trace_ring.hpp"
 #include "runner/cache.hpp"
 #include "runner/executor.hpp"
-#include "runner/journal.hpp"
 #include "runner/tcp_fleet.hpp"
 
 namespace bng::runner {
@@ -117,60 +116,44 @@ SweepResult run_sweep(const Scenario& scenario, const SweepOptions& options) {
     result.points[p].seeds.resize(seeds);
   }
 
-  // Journal / resume: prefill slots from the on-disk records and hand the
-  // executors a done-mask so only the holes run. Records are pure functions
-  // of (scenario, point, ordinal), so prefilled and freshly-computed slots
-  // are indistinguishable in the final artifacts.
-  std::unique_ptr<JournalWriter> journal;
+  // Cache prefill: jobs the cache answers are marked done, so executors
+  // never see them, and a fully cached sweep builds no executor at all.
+  // Records are pure functions of (scenario, point, ordinal), so prefilled
+  // and freshly computed slots are indistinguishable in the artifacts.
+  RunCache* const cache = options.cache;
+  const CacheSyncGuard sync_on_exit(cache);
   std::vector<std::uint8_t> done;
   std::size_t prefilled = 0;
-  if (!options.journal_path.empty()) {
-    const JournalHeader expected = make_journal_header(scenario, seeds, points.size());
-    if (options.resume) {
-      JournalContents contents = read_journal(options.journal_path);
-      if (const std::string why = journal_mismatch(contents.header, expected);
-          !why.empty())
-        throw std::runtime_error("--resume: journal " + options.journal_path +
-                                 " does not belong to this sweep: " + why);
-      done.assign(n_jobs, 0);
-      for (RunRecord& rec : contents.records) {
-        if (rec.point >= points.size() || rec.ordinal >= seeds)
-          throw std::runtime_error("--resume: journal record identity out of range");
-        const std::size_t job =
-            static_cast<std::size_t>(rec.point) * seeds + rec.ordinal;
-        if (done[job]) continue;  // a crashed run can journal a slot twice
-        done[job] = 1;
-        ++prefilled;
-        result.points[rec.point].seeds[rec.ordinal] = std::move(rec);
-      }
-      // Truncate the torn tail (if any) and append after the last whole frame.
-      journal = std::make_unique<JournalWriter>(options.journal_path,
-                                                contents.valid_bytes);
-    } else {
-      journal = std::make_unique<JournalWriter>(options.journal_path, expected);
-    }
+  if (cache != nullptr) {
+    done.assign(n_jobs, 0);
+    for (std::uint32_t p = 0; p < points.size(); ++p)
+      for (std::uint32_t o = 0; o < seeds; ++o)
+        if (std::optional<RunRecord> hit = cache->lookup(scenario, points[p], p, o)) {
+          result.points[p].seeds[o] = *std::move(hit);
+          done[static_cast<std::size_t>(p) * seeds + o] = 1;
+          ++prefilled;
+        }
   }
 
   // Records stream in carrying their own identity and land in their slot:
   // the merge order is a function of (point, ordinal) alone, never of
   // executor scheduling — that is what makes --procs N and --hosts a,b
-  // bit-identical to --jobs 1. The journal sees each record exactly once,
-  // before the in-memory slot, so a crash never loses an acknowledged slot.
+  // bit-identical to --jobs 1. The cache stores each record before its
+  // slot is assigned, so a crash never loses an acknowledged slot.
   std::atomic<std::size_t> delivered{0};
-  std::mutex journal_mu;
   auto sink = [&](RunRecord rec) {
     if (rec.point >= result.points.size() || rec.ordinal >= seeds)
       throw std::runtime_error("run_sweep: record identity out of range");
-    if (journal) {
-      std::lock_guard lock(journal_mu);
-      journal->append(rec);
-    }
+    if (cache != nullptr) cache->store(scenario, points[rec.point], rec);
     result.points[rec.point].seeds[rec.ordinal] = std::move(rec);
     delivered.fetch_add(1, std::memory_order_relaxed);
     if (tel != nullptr) tel->on_record_delivered();
   };
 
-  if (tel != nullptr) tel->start(n_jobs, prefilled);
+  if (tel != nullptr) {
+    tel->start(n_jobs);
+    tel->add_prefilled(prefilled);
+  }
 
   // Decision-trace output: one JSONL stream shared by all worker threads.
   std::ofstream trace_out;
@@ -192,49 +175,16 @@ SweepResult run_sweep(const Scenario& scenario, const SweepOptions& options) {
       trace_out << lines;
     };
   }
-  // Record cache: journal-prefilled jobs were never dispatched, so resume
-  // records took precedence before the cache could answer; the cache fills
-  // the remaining holes. Installed process-wide for the sweep so run_job
-  // consults it no matter which executor dispatches.
-  std::unique_ptr<RunCache> cache;
-  if (!options.cache_dir.empty()) cache = std::make_unique<RunCache>(options.cache_dir);
-  ActiveCacheScope cache_scope(cache.get());
 
   const std::size_t holes = n_jobs - prefilled;
   if (holes > 0) {
     std::unique_ptr<Executor> executor = make_sweep_executor(options, tel);
-    try {
-      std::unique_ptr<ProgressReporter> reporter;
-      if (options.progress && tel != nullptr)
-        reporter = std::make_unique<ProgressReporter>(*tel);
-      result.jobs = executor->run(plan, sink);
-    } catch (...) {
-      // Everything acknowledged so far survives the failure — SIGINT and
-      // worker-loss errors alike leave a journal --resume can continue.
-      if (journal) journal->flush();
-      throw;
-    }
+    std::unique_ptr<ProgressReporter> reporter;
+    if (options.progress && tel != nullptr)
+      reporter = std::make_unique<ProgressReporter>(*tel);
+    result.jobs = executor->run(plan, sink);
   } else {
-    result.jobs = 1;  // fully resumed: nothing dispatched
-  }
-  if (journal) journal->flush();
-  if (journal && tel != nullptr) {
-    const JournalWriter::Stats js = journal->stats();
-    tel->journal_stats(js.fsyncs, js.fsync_total_ms, js.fsync_max_ms);
-  }
-  if (cache && tel != nullptr) {
-    // The dispatcher's own counters plus every fleet worker's self-reported
-    // ones (piggybacked on heartbeats). Process-pool workers cache in their
-    // own address spaces and report nothing here; their effect still shows
-    // as wall-clock and on the shared directory.
-    RunCache::Counters c = cache->counters();
-    for (const obs::WorkerTelemetry& w : tel->workers()) {
-      c.hits += w.reported.cache_hits;
-      c.misses += w.reported.cache_misses;
-      c.stale += w.reported.cache_stale;
-      c.stores += w.reported.cache_stores;
-    }
-    tel->cache_stats(c.hits, c.misses, c.stale, c.stores);
+    result.jobs = 1;  // fully cached: nothing dispatched
   }
 
   if (delivered.load(std::memory_order_relaxed) != holes)

@@ -9,7 +9,9 @@
 // pool is generated once per sweep point from seed-independent parameters —
 // so results are bit-identical regardless of the executor, its width, or
 // the order records arrive in. Each record carries an FNV-1a determinism
-// digest as the witness.
+// digest as the witness. With a record cache (runner/cache.hpp), every job
+// is looked up before the executor is built and every delivered record is
+// stored before it lands in its slot.
 #pragma once
 
 #include <cstdint>
@@ -27,6 +29,8 @@ class SweepTelemetry;
 }
 
 namespace bng::runner {
+
+class RunCache;
 
 struct SweepOptions {
   std::uint32_t seeds = 1;
@@ -50,24 +54,17 @@ struct SweepOptions {
   /// "--worker"}). Empty: fork without exec (same binary, no exec).
   std::vector<std::string> worker_argv;
 
-  /// Non-empty: consult/populate a content-addressed record cache in this
-  /// directory (runner/cache.hpp). Keyed by (scenario-source hash, resolved
-  /// point-config digest, seed); hits skip the simulation entirely and are
-  /// byte-identical to a fresh run. Journal records prefilled by `resume`
-  /// take precedence — the cache only answers for the holes.
-  std::string cache_dir;
-
-  /// Non-empty: append every completed record to this crash-safe journal
-  /// (runner/journal.hpp). With `resume`, the path must hold the journal of
-  /// an identical earlier sweep: its records prefill their slots and only
-  /// the holes are re-dispatched — final output byte-identical to an
-  /// uninterrupted run.
-  std::string journal_path;
-  bool resume = false;
+  /// Content-addressed record store (runner/cache.hpp), keyed by
+  /// (scenario-source hash, resolved point-config digest, seed). Every job
+  /// is looked up before dispatch — hits skip the simulation entirely and
+  /// are byte-identical to a fresh run — and every delivered record is
+  /// stored, so rerunning a killed sweep against the same cache runs only
+  /// the missing jobs. Non-owning; null disables caching.
+  RunCache* cache = nullptr;
 
   /// Runtime telemetry (obs/telemetry.hpp). When set, run_sweep feeds it job
-  /// counts, journal fsync stats, and (with `hosts`) per-worker fleet state.
-  /// Non-owning; null disables all accounting.
+  /// counts and (with `hosts`) per-worker fleet state. Non-owning; null
+  /// disables all accounting.
   obs::SweepTelemetry* telemetry = nullptr;
   /// Render a one-line progress report to stderr every ~500 ms (plus one
   /// final line). Purely cosmetic: sweep artifacts are byte-identical with
@@ -111,7 +108,7 @@ struct SweepResult {
 
 /// Run every (point, seed) job of the scenario. Rethrows the first job
 /// failure after the executor has quiesced. Throws SweepInterrupted (with
-/// the journal flushed) if the sweep interrupt flag is raised mid-run.
+/// the cache synced) if the sweep interrupt flag is raised mid-run.
 SweepResult run_sweep(const Scenario& scenario, const SweepOptions& options);
 
 // Forward declaration (runner/executor.hpp).

@@ -679,7 +679,7 @@ int serve_loop(int listen_fd) {
     }
     set_nodelay(fd);
     // One dispatcher at a time, each connection a fresh session: a crashed
-    // dispatcher's --resume successor reconnects and starts clean.
+    // dispatcher's rerun reconnects and starts clean.
     serve_session(fd);
     ::close(fd);
   }

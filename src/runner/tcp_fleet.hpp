@@ -86,8 +86,8 @@ int make_listen_socket(std::uint16_t port, std::uint16_t& bound_port);
 
 /// Worker accept loop: serve one dispatcher connection at a time, each a
 /// fresh protocol session, until the process is killed. Surviving a
-/// dispatcher crash is the point — the next dispatcher (e.g. `--resume`)
-/// reconnects and gets a clean session.
+/// dispatcher crash is the point — the next dispatcher (the rerun of a
+/// killed sweep) reconnects and gets a clean session.
 int serve_loop(int listen_fd);
 
 /// `ngsim --serve <port>`: bind, announce the port on stdout, serve_loop.

@@ -6,7 +6,6 @@
 #include <chrono>
 #include <stdexcept>
 
-#include "runner/cache.hpp"
 #include "runner/executor.hpp"
 #include "sim/experiment.hpp"
 
@@ -57,10 +56,6 @@ std::string heartbeat_payload(const obs::WorkerStatsFrame& stats) {
   put_u32(p, stats.jobs_done);
   put_u32(p, stats.pool_rebuilds);
   wire::put_u64(p, stats.busy_ms);
-  put_u32(p, stats.cache_hits);
-  put_u32(p, stats.cache_misses);
-  put_u32(p, stats.cache_stale);
-  put_u32(p, stats.cache_stores);
   return p;
 }
 
@@ -70,14 +65,6 @@ std::optional<obs::WorkerStatsFrame> parse_heartbeat_stats(wire::Reader& in) {
   f.jobs_done = in.u32();
   f.pool_rebuilds = in.u32();
   f.busy_ms = in.u64();
-  // Cache counters arrived with the record cache; a frame ending at busy_ms
-  // (a pre-cache worker) is still valid and leaves them zero.
-  if (in.pos < in.data.size()) {
-    f.cache_hits = in.u32();
-    f.cache_misses = in.u32();
-    f.cache_stale = in.u32();
-    f.cache_stores = in.u32();
-  }
   return f;
 }
 
@@ -86,13 +73,6 @@ obs::WorkerStatsFrame WorkerState::stats_frame() const {
   f.jobs_done = jobs_done.load(std::memory_order_relaxed);
   f.pool_rebuilds = pool_rebuilds.load(std::memory_order_relaxed);
   f.busy_ms = busy_ms.load(std::memory_order_relaxed);
-  if (const RunCache* cache = active_run_cache()) {
-    const RunCache::Counters c = cache->counters();
-    f.cache_hits = static_cast<std::uint32_t>(c.hits);
-    f.cache_misses = static_cast<std::uint32_t>(c.misses);
-    f.cache_stale = static_cast<std::uint32_t>(c.stale);
-    f.cache_stores = static_cast<std::uint32_t>(c.stores);
-  }
   return f;
 }
 

@@ -16,14 +16,9 @@
 //   worker -> dispatcher  'E' utf-8 error message (fatal; dispatcher rethrows)
 //   worker -> dispatcher  'B' heartbeat. Optionally followed by a compact
 //                             stats frame: u32 jobs_done, u32 pool_rebuilds,
-//                             u64 busy_ms, then (when the worker caches) u32
-//                             cache_hits, u32 cache_misses, u32 cache_stale,
-//                             u32 cache_stores. A bare kind byte is still a
-//                             valid beacon (old workers), dispatchers ignore
-//                             payload they don't expect (old dispatchers),
-//                             and a stats frame ending at busy_ms leaves the
-//                             cache counters zero — the piggyback is
-//                             compatible in both directions at every length.
+//                             u64 busy_ms. A bare kind byte is still a valid
+//                             beacon (old workers), and dispatchers ignore
+//                             payload they don't expect (old dispatchers).
 //
 // The worker rebuilds the scenario from its shippable source (the registry
 // for builtins, the key=value grammar for inline text), re-expands the sweep
@@ -98,8 +93,7 @@ struct WorkerState {
   std::atomic<std::uint32_t> pool_rebuilds{0};
   std::atomic<std::uint64_t> busy_ms{0};
 
-  /// Snapshot for a heartbeat; merges in the active record cache's counters
-  /// (runner/cache.hpp) when one is set.
+  /// Snapshot for a heartbeat.
   [[nodiscard]] obs::WorkerStatsFrame stats_frame() const;
   // One pool is cached at a time, keyed by the workload digest rather than
   // the point index: points whose deltas don't touch the workload inputs

@@ -3,10 +3,12 @@
 // at every evaluated point — while dispatching a fraction of its jobs.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <stdexcept>
 #include <string>
 
 #include "runner/adaptive.hpp"
+#include "runner/cache.hpp"
 #include "runner/scenario.hpp"
 #include "runner/sweep.hpp"
 
@@ -78,6 +80,44 @@ TEST(Adaptive, MatchesDenseOracleWithFewerJobs) {
           << "dense index " << refined.evaluated[k] << " ordinal " << i;
     }
   }
+}
+
+TEST(Adaptive, EachWaveIsLookedUpInTheCacheBeforeDispatch) {
+  // A cold run misses exactly the jobs it dispatches; a warm rerun hits all
+  // of them (still counted as dispatched) and reproduces the frontier byte
+  // for byte; the dense oracle over the same cache simulates only the
+  // points the bisection skipped.
+  const Scenario s = adaptive_mini();
+  const auto dir = std::filesystem::temp_directory_path() / "bng_cache_adaptive";
+  std::filesystem::remove_all(dir);
+  RunCache cache(dir.string());
+  AdaptiveOptions opt = adaptive_options(2, 2);
+  opt.sweep.cache = &cache;
+
+  const AdaptiveResult cold = run_adaptive(s, opt);
+  RunCache::Counters c = cache.counters();
+  EXPECT_EQ(c.hits, 0u);
+  EXPECT_EQ(c.misses, cold.jobs_dispatched);
+  EXPECT_EQ(c.stores, cold.jobs_dispatched);
+  // run_adaptive synced on its way out: nothing is left for another sync.
+  ASSERT_NE(c.stores % RunCache::kSyncBatch, 0u);
+  cache.sync();
+  EXPECT_EQ(cache.counters().fsyncs, c.fsyncs);
+
+  const AdaptiveResult warm = run_adaptive(s, opt);
+  EXPECT_EQ(warm.jobs_dispatched, cold.jobs_dispatched);
+  EXPECT_EQ(frontier_json(s, warm), frontier_json(s, cold));
+  EXPECT_EQ(frontier_csv(warm), frontier_csv(cold));
+  c = cache.counters();
+  EXPECT_EQ(c.hits, cold.jobs_dispatched);
+  EXPECT_EQ(c.misses, cold.jobs_dispatched);
+
+  opt.dense = true;
+  const AdaptiveResult dense = run_adaptive(s, opt);
+  EXPECT_EQ(frontier_json(s, dense), frontier_json(s, cold));
+  const RunCache::Counters after = cache.counters();
+  EXPECT_EQ(after.hits - c.hits, cold.jobs_dispatched);
+  EXPECT_EQ(after.misses - c.misses, dense.jobs_dispatched - cold.jobs_dispatched);
 }
 
 TEST(Adaptive, EveryGroupGetsItsOwnFrontierRow) {

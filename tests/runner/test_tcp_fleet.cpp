@@ -2,7 +2,7 @@
 // sockets, with every fault the robustness layer claims to survive injected
 // for real — SIGKILL mid-job, a stopped (silent) worker, a severed
 // connection, a hung-but-heartbeating worker, a dispatcher death resumed
-// from the journal. The acceptance bar for each is the same: the final
+// from the record cache. The acceptance bar for each is the same: the final
 // artifacts are byte-identical to a serial in-process run.
 //
 // Workers are fork()ed children of the test binary running serve_loop
@@ -21,9 +21,9 @@
 #include <string>
 
 #include "obs/telemetry.hpp"
+#include "runner/cache.hpp"
 #include "runner/emit.hpp"
 #include "runner/executor.hpp"
-#include "runner/journal.hpp"
 #include "runner/scenario.hpp"
 #include "runner/sweep.hpp"
 #include "runner/tcp_fleet.hpp"
@@ -64,6 +64,15 @@ Scenario registered_fleet_mini() {
 
 std::string artifacts(const SweepResult& r) {
   return to_json(r) + "\n--\n" + aggregate_csv(r) + "\n--\n" + seeds_csv(r);
+}
+
+/// Fresh per-test cache directory; wiped up front so a previous failed run
+/// cannot leak entries in.
+std::string fresh_cache_dir(const char* name) {
+  const auto path =
+      std::filesystem::temp_directory_path() / (std::string("bng_fleet_cache_") + name);
+  std::filesystem::remove_all(path);
+  return path.string();
 }
 
 /// A forked child running serve_loop on a kernel-assigned port. The parent
@@ -301,35 +310,52 @@ TEST(TcpFleet, TelemetryAccountsForEveryRecordAndWorker) {
       << json;
 }
 
-TEST(TcpFleet, DispatcherDeathIsResumedFromTheJournalBitIdentically) {
+TEST(TcpFleet, DispatcherDeathIsResumedFromTheCacheBitIdentically) {
   // The dispatcher "dies" (deterministic stand-in: the interrupt hook fires
-  // after 3 records, unwinding exactly like SIGTERM) mid-sweep with a
-  // journal attached. The workers outlive it in their accept loops; a new
-  // dispatcher resumes from the journal, re-dispatches only the holes, and
-  // the artifacts come out byte-identical.
+  // after 3 records, unwinding exactly like SIGTERM) mid-sweep with a cache
+  // attached. The workers outlive it in their accept loops; rerunning the
+  // sweep against the same cache dispatches only the missing jobs, and the
+  // artifacts come out byte-identical.
   const Scenario s = registered_fleet_mini();
   const std::string serial = artifacts(run_sweep(s, serial_options(4)));
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "bng_fleet_resume.journal").string();
-  std::remove(path.c_str());
+  const std::string dir = fresh_cache_dir("resume");
 
   ServeWorker a, b;
+  RunCache cache(dir);
   SweepOptions opt = fleet_options(4, {a.endpoint(), b.endpoint()}, test_tuning());
-  opt.journal_path = path;
+  opt.cache = &cache;
   opt.test_interrupt_after_records = 3;
   sweep_interrupt_flag().store(false, std::memory_order_relaxed);
   EXPECT_THROW(run_sweep(s, opt), SweepInterrupted);
   sweep_interrupt_flag().store(false, std::memory_order_relaxed);
 
-  const JournalContents partial = read_journal(path);
-  EXPECT_GE(partial.records.size(), 3u);  // everything acknowledged got flushed
-  EXPECT_LT(partial.records.size(), 8u);
+  const RunCache::Counters partial = cache.counters();
+  EXPECT_GE(partial.stores, 3u);  // everything acknowledged got stored
+  EXPECT_LT(partial.stores, 8u);
 
+  RunCache rerun(dir);
   SweepOptions resume = fleet_options(4, {a.endpoint(), b.endpoint()}, test_tuning());
-  resume.journal_path = path;
-  resume.resume = true;
+  resume.cache = &rerun;
   EXPECT_EQ(serial, artifacts(run_sweep(s, resume)));
-  std::remove(path.c_str());
+  EXPECT_EQ(rerun.counters().hits, partial.stores);
+}
+
+TEST(TcpFleet, FullyCachedSweepNeedsNoReachableHost) {
+  // Lookups run at the dispatcher before any job is sent: when the cache
+  // holds every record, the sweep completes without connecting to a single
+  // endpoint — here, endpoints nothing listens on.
+  const Scenario s = registered_fleet_mini();
+  RunCache cache(fresh_cache_dir("warm"));
+  SweepOptions cold = serial_options(2);
+  cold.cache = &cache;
+  const std::string serial = artifacts(run_sweep(s, cold));
+
+  FleetTuning tuning = test_tuning();
+  tuning.connect_timeout_ms = 500;
+  SweepOptions warm = fleet_options(2, {"127.0.0.1:1", "127.0.0.1:2"}, tuning);
+  warm.cache = &cache;
+  EXPECT_EQ(serial, artifacts(run_sweep(s, warm)));
+  EXPECT_EQ(cache.counters().hits, 4u);  // 2 points x 2 seeds
 }
 
 TEST(TcpFleet, ProgrammaticScenarioIsRejectedUpFront) {
