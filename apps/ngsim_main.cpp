@@ -15,6 +15,8 @@
 //
 // A sweep killed mid-run resumes by rerunning the same command: every
 // record it finished is in the --cache directory, so only the rest run.
+#include <unistd.h>
+
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -32,9 +34,9 @@
 #include "runner/cache.hpp"
 #include "runner/emit.hpp"
 #include "runner/executor.hpp"
+#include "runner/fleet.hpp"
 #include "runner/scenario.hpp"
 #include "runner/sweep.hpp"
-#include "runner/tcp_fleet.hpp"
 
 namespace {
 
@@ -52,8 +54,9 @@ Options:
   --scenario-file PATH  load a key=value scenario file instead
   --seeds N             seeds per sweep point                 (default 1)
   --jobs N              worker threads; 0 = all cores         (default 0)
-  --procs N             worker *processes* instead of threads (default 0 = off)
-                        output is bit-identical to any --jobs run
+  --procs N             local worker *processes* instead of threads
+                        (default 0 = off); output is bit-identical to any
+                        --jobs run
   --nodes N             emulated node count                   (default 1000)
   --blocks N            counted blocks per run                (default 60)
   --out DIR             write <scenario>.json / .csv here     (default .)
@@ -84,8 +87,11 @@ Distributed mode (see bench/README.md):
   --serve PORT          run as a TCP fleet worker on PORT (0 = kernel pick)
   --hosts H:P,H:P,...   dispatch jobs to these --serve workers (overrides
                         --jobs/--procs; output stays bit-identical)
-  --heartbeat-ms N          worker heartbeat interval        (default 1000)
-  --heartbeat-timeout-ms N  silence before a worker is dead  (default 10000)
+
+Worker liveness, for --procs and --hosts alike:
+  --heartbeat-ms N          worker heartbeat interval, >= 1  (default 1000)
+  --heartbeat-timeout-ms N  silence before a worker is dead,
+                            > --heartbeat-ms                 (default 10000)
   --job-deadline-ms N       per-job hung-worker deadline     (default 0 = off)
   --straggler-after-ms N    speculative re-dispatch age      (default 0 = off)
   --connect-timeout-ms N    per-host TCP connect timeout     (default 5000)
@@ -188,14 +194,14 @@ void warn_write_failures(const runner::RunCache& cache) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Hidden worker mode: speak the record protocol on stdin/stdout and never
-  // touch the CLI surface (a stray printf would corrupt the framing).
+  // Hidden worker mode (`--procs` children): speak the worker protocol on
+  // the socketpair end the dispatcher passed as stdin.
   if (argc > 1 && std::strcmp(argv[1], "--worker") == 0) {
     if (argc > 2) {
       std::fprintf(stderr, "ngsim: unknown worker option '%s'\n", argv[2]);
       return 1;
     }
-    return bng::runner::worker_main(0, 1);
+    return bng::runner::worker_session(STDIN_FILENO);
   }
 
   // TCP fleet worker mode: bind, announce the port, serve dispatchers until
@@ -380,6 +386,13 @@ int main(int argc, char** argv) {
       continue;
     }
     std::fprintf(stderr, "ngsim: unknown option '%s'\n\n%s", arg, kUsage);
+    return 1;
+  }
+
+  try {
+    runner::check_liveness_tuning(options.fleet);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "ngsim: %s\n", e.what());
     return 1;
   }
 

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "runner/record_codec.hpp"  // json_escape
+
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
 #endif
@@ -125,13 +127,12 @@ std::string SweepTelemetry::progress_line() const {
 std::string SweepTelemetry::to_json(const std::string& scenario, double wall_s) const {
   std::lock_guard lock(mu_);
   char buf[768];
-  std::string j = "{\n";
+  std::string j = "{\n  \"scenario\": \"" + runner::json_escape(scenario) + "\",\n";
   std::snprintf(buf, sizeof buf,
-                "  \"scenario\": \"%s\",\n  \"records_total\": %zu,\n"
+                "  \"records_total\": %zu,\n"
                 "  \"records_prefilled\": %zu,\n  \"records_done\": %zu,\n"
                 "  \"wall_s\": %.3f",
-                scenario.c_str(), total_jobs_, prefilled_, prefilled_ + delivered_,
-                wall_s);
+                total_jobs_, prefilled_, prefilled_ + delivered_, wall_s);
   j += buf;
   std::snprintf(buf, sizeof buf,
                 ",\n  \"events_executed\": %llu,\n  \"events_per_sec\": %.1f,\n"
@@ -172,13 +173,15 @@ std::string SweepTelemetry::to_json(const std::string& scenario, double wall_s) 
   j += ",\n  \"workers\": [";
   for (std::size_t i = 0; i < workers_.size(); ++i) {
     const WorkerTelemetry& w = workers_[i];
+    j += i == 0 ? "\n    {\"endpoint\": \"" : ",\n    {\"endpoint\": \"";
+    j += runner::json_escape(w.endpoint);
     std::snprintf(
         buf, sizeof buf,
-        "%s\n    {\"endpoint\": \"%s\", \"alive\": %s, \"abandoned\": %s, "
+        "\", \"alive\": %s, \"abandoned\": %s, "
         "\"records\": %llu, \"inflight\": %u, \"reconnects\": %u, "
         "\"speculation_wins\": %u, \"heartbeats\": %llu, \"max_silence_ms\": %llu, "
         "\"reported\": {\"jobs_done\": %u, \"pool_rebuilds\": %u, \"busy_ms\": %llu}}",
-        i == 0 ? "" : ",", w.endpoint.c_str(), w.alive ? "true" : "false",
+        w.alive ? "true" : "false",
         w.abandoned ? "true" : "false", static_cast<unsigned long long>(w.records),
         w.inflight, w.reconnects, w.speculation_wins,
         static_cast<unsigned long long>(w.heartbeats),

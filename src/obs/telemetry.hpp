@@ -1,7 +1,7 @@
 // Runtime sweep/fleet telemetry: what the dispatcher knows about a sweep
 // while it runs, aggregated from the record sink, the record cache, and
-// (for the TCP fleet) per-worker liveness and the compact stats frame each
-// worker piggybacks on its 'B' heartbeats.
+// (for fleet workers, `--procs` or `--hosts`) per-worker liveness and the
+// compact stats frame each worker piggybacks on its 'B' heartbeats.
 //
 // One SweepTelemetry instance is shared by the sweep engine, the executor,
 // and the `--progress` render thread, so every accessor takes the internal
@@ -40,9 +40,9 @@ struct CacheCounters {
   double fsync_max_ms = 0;
 };
 
-/// Dispatcher-side view of one remote worker.
+/// Dispatcher-side view of one fleet worker slot.
 struct WorkerTelemetry {
-  std::string endpoint;
+  std::string endpoint;  ///< "host:port", or "procN" for a local slot
   bool alive = false;
   bool abandoned = false;          ///< reconnect budget exhausted
   std::uint64_t records = 0;       ///< records this dispatcher accepted from it
@@ -65,8 +65,8 @@ class SweepTelemetry {
   void add_prefilled(std::size_t n);
   void on_record_delivered();
   /// Simulation events a finished job executed (EventQueue::events_executed).
-  /// Reported by the in-process thread executor; process/fleet workers run
-  /// their experiments in other address spaces and report 0.
+  /// Reported by the in-process thread executor; fleet workers run their
+  /// experiments in other address spaces and report 0.
   void add_events(std::uint64_t n);
   /// One finished job's wall time split into its simulation phase (build and
   /// run the experiment) and its metric-extraction phase (metrics, hooks,
@@ -92,7 +92,7 @@ class SweepTelemetry {
   void adaptive_stats(std::size_t dense_points, std::size_t dense_jobs,
                       std::size_t evaluated_points, std::size_t jobs_dispatched);
 
-  // --- Fleet worker table (TcpFleetExecutor) --------------------------------
+  // --- Fleet worker table (runner/fleet.hpp) --------------------------------
   /// Size the worker table; called once before dispatch.
   void init_workers(const std::vector<std::string>& endpoints);
   /// Overwrite one worker's row (the fleet executor owns the truth and

@@ -2,18 +2,18 @@
 //
 // run_sweep expands a scenario into (point × seed) jobs and hands them to an
 // Executor; the executor runs every job and streams back one RunRecord per
-// job. Two implementations ship today:
+// job. Two implementations ship:
 //
-//  * ThreadPoolExecutor — the original in-process worker threads;
-//  * ProcessPoolExecutor — fork/exec'd `ngsim --worker` children speaking
-//    the length-prefixed record protocol of runner/record_codec.hpp over a
-//    socketpair, with crash detection and job re-dispatch.
+//  * ThreadPoolExecutor — in-process worker threads (`--jobs`);
+//  * FleetExecutor (runner/fleet.hpp) — out-of-process workers speaking the
+//    worker protocol, over socketpairs to local children (`--procs`) or TCP
+//    to remote `ngsim --serve` workers (`--hosts`), with heartbeat liveness,
+//    job deadlines and bounded re-dispatch.
 //
 // Both are pure functions of (scenario, points): records are delivered in
 // arbitrary order but carry their own (point, ordinal) identity, and the
 // caller merges them into deterministic slots — so any executor at any
-// width yields bit-identical sweep output. A multi-machine dispatcher is
-// "ProcessPoolExecutor over a socket" and slots in the same way.
+// width yields bit-identical sweep output.
 #pragma once
 
 #include <atomic>
@@ -21,7 +21,6 @@
 #include <functional>
 #include <memory>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "runner/record.hpp"
@@ -35,8 +34,8 @@ class TraceRing;
 namespace bng::runner {
 
 /// What an executor needs to run a sweep. `points` must be expand(scenario)
-/// — process-pool workers re-expand from scenario.source and the two grids
-/// must agree.
+/// — fleet workers re-expand from scenario.source and the two grids must
+/// agree.
 struct ExecutionPlan {
   const Scenario& scenario;
   const std::vector<SweepPoint>& points;
@@ -50,8 +49,8 @@ struct ExecutionPlan {
   /// Decision-trace categories (obs/trace_ring.hpp bit mask). 0 (default):
   /// tracing fully disabled — no ring is allocated and run_job receives
   /// null. Non-zero is only supported by the in-process thread executor;
-  /// process-pool and fleet executors reject it (the rings would live in
-  /// other processes).
+  /// the fleet executor rejects it (the rings would live in other
+  /// processes).
   std::uint32_t trace_mask = 0;
   /// Called once per traced job, after its record is delivered, with the
   /// job's ring (drained after the call returns). May run on worker threads
@@ -61,8 +60,8 @@ struct ExecutionPlan {
       trace_sink{};
   /// Optional sweep telemetry. The in-process thread executor feeds it each
   /// job's executed-event count (for the events/sec rate in --progress and
-  /// --stats-json) and its simulate/metrics phase split; process/fleet
-  /// executors ignore it — their experiments run in other address spaces.
+  /// --stats-json) and its simulate/metrics phase split; the fleet executor
+  /// ignores it — its experiments run in other address spaces.
   obs::SweepTelemetry* telemetry = nullptr;
 };
 
@@ -95,7 +94,7 @@ class Executor {
   virtual ~Executor() = default;
 
   /// Run every (point × seed) job, delivering each record through `sink`.
-  /// Returns the parallel width actually used (threads or processes).
+  /// Returns the parallel width actually used (threads or worker slots).
   /// Throws (after quiescing its workers) if any job fails.
   virtual std::uint32_t run(const ExecutionPlan& plan, const RecordSink& sink) = 0;
 };
@@ -103,24 +102,9 @@ class Executor {
 /// In-process pool of `jobs` worker threads (0 = hardware concurrency).
 std::unique_ptr<Executor> make_thread_executor(std::uint32_t jobs);
 
-struct ProcessPoolOptions {
-  /// Worker process count (>= 1; clamped to the job count).
-  std::uint32_t procs = 1;
-  /// argv prefix to exec for each worker, e.g. {"/path/to/ngsim",
-  /// "--worker"}. Empty: fork without exec and run worker_main in the child
-  /// directly (used by tests; inherits the parent's scenario registry).
-  std::vector<std::string> worker_argv;
-  /// Test hook: deliver a kill order to the first worker's handshake — it
-  /// SIGKILLs itself when handed its (n+1)-th job, exercising crash
-  /// detection and re-dispatch. Negative: disabled.
-  int kill_worker0_after_jobs = -1;
-};
-
-std::unique_ptr<Executor> make_process_pool_executor(ProcessPoolOptions options);
-
 /// Run one job. The shared pool may be null (the experiment then builds its
-/// own workload). Pure function of its arguments — every executor and the
-/// worker process funnel through this. `trace` (optional) receives the
+/// own workload). Pure function of its arguments — every executor and every
+/// worker session funnel through this. `trace` (optional) receives the
 /// experiment's decision trace; recording is observational, so the record —
 /// digest included — is bit-identical with and without it.
 /// `telemetry` (optional) receives the job's simulate/metrics phase split;
@@ -131,14 +115,5 @@ RunRecord run_job(const Scenario& scenario, const SweepPoint& point,
                   obs::TraceRing* trace = nullptr,
                   std::uint64_t* events_executed = nullptr,
                   obs::SweepTelemetry* telemetry = nullptr);
-
-/// Entry point of the `ngsim --worker` mode: speak the worker protocol over
-/// the given fds (stdin/stdout when exec'd) until EOF. Returns the process
-/// exit code. Never throws; fatal errors are reported as 'E' frames.
-int worker_main(int in_fd, int out_fd);
-
-// A third executor — the TCP fleet dispatcher behind `ngsim --hosts` — lives
-// in runner/tcp_fleet.hpp; it implements this same interface over remote
-// `ngsim --serve` workers with heartbeat liveness and per-job deadlines.
 
 }  // namespace bng::runner

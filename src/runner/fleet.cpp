@@ -1,13 +1,16 @@
-#include "runner/tcp_fleet.hpp"
+#include "runner/fleet.hpp"
 
 #include <fcntl.h>
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <signal.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
@@ -52,7 +55,7 @@ struct Endpoint {
 Endpoint parse_endpoint(const std::string& spec) {
   const std::size_t colon = spec.rfind(':');
   if (colon == std::string::npos || colon == 0 || colon + 1 == spec.size())
-    throw std::invalid_argument("tcp fleet: bad host spec '" + spec +
+    throw std::invalid_argument("fleet: bad host spec '" + spec +
                                 "' (expected host:port)");
   return Endpoint{spec.substr(0, colon), spec.substr(colon + 1)};
 }
@@ -121,9 +124,11 @@ int connect_with_timeout(const Endpoint& ep, std::uint32_t timeout_ms,
 
 enum class JobState : std::uint8_t { kPending, kInflight, kDone };
 
-struct RemoteWorker {
-  Endpoint endpoint;
-  std::string spec;  ///< original "host:port" for messages
+/// One worker slot: a TCP endpoint, or a local child the dispatcher forks.
+struct Worker {
+  std::string spec;  ///< "host:port", or "procN" for a local slot
+  std::optional<Endpoint> endpoint;  ///< set for TCP slots only
+  pid_t pid = -1;                    ///< a local slot's child, until reaped
   int fd = -1;
   bool alive = false;
   bool abandoned = false;  ///< reconnect budget exhausted
@@ -147,23 +152,24 @@ struct RemoteWorker {
   obs::WorkerStatsFrame reported;  ///< latest piggybacked stats frame
 };
 
-class TcpFleetExecutor final : public Executor {
+class FleetExecutor final : public Executor {
  public:
-  explicit TcpFleetExecutor(TcpFleetOptions options) : opt_(std::move(options)) {
-    if (opt_.hosts.empty())
-      throw std::invalid_argument("tcp fleet: at least one --hosts endpoint required");
+  explicit FleetExecutor(FleetOptions options) : opt_(std::move(options)) {
+    if (opt_.hosts.empty() && opt_.procs == 0)
+      throw std::invalid_argument("fleet: needs --hosts endpoints or --procs > 0");
+    check_liveness_tuning(opt_.tuning);
   }
 
-  ~TcpFleetExecutor() override { close_all(); }
+  ~FleetExecutor() override { close_all(); }
 
   std::uint32_t run(const ExecutionPlan& plan, const RecordSink& sink) override {
     if (!plan.scenario.source)
       throw std::invalid_argument(
-          "tcp fleet execution needs a shippable scenario (a registered name or a "
+          "fleet execution needs a shippable scenario (a registered name or a "
           "scenario file); this scenario was built programmatically");
     if (plan.trace_mask != 0)
       throw std::invalid_argument(
-          "tcp fleet: decision tracing requires the in-process executor");
+          "fleet: decision tracing requires the in-process executor");
     seed_base_ = plan.scenario.seed_base;
     seeds_ = plan.seeds;
     n_points_ = plan.points.size();
@@ -180,32 +186,38 @@ class TcpFleetExecutor final : public Executor {
       }
     }
     const std::size_t n_pending = queue_.size();
-    if (n_pending == 0) return static_cast<std::uint32_t>(opt_.hosts.size());
+    if (n_pending == 0) return 0;
 
+    std::vector<std::string> specs = opt_.hosts;
+    if (specs.empty())
+      for (std::size_t i = 0; i < std::min<std::size_t>(opt_.procs, n_pending); ++i)
+        specs.push_back("proc" + std::to_string(i));
+    if (opt_.telemetry != nullptr) opt_.telemetry->init_workers(specs);
     workers_.clear();
-    workers_.reserve(opt_.hosts.size());
-    for (const std::string& spec : opt_.hosts) {
-      RemoteWorker w;
-      w.endpoint = parse_endpoint(spec);
-      w.spec = spec;
+    for (std::string& spec : specs) {
+      Worker w;
+      if (!opt_.hosts.empty()) w.endpoint = parse_endpoint(spec);
+      w.spec = std::move(spec);
       workers_.push_back(std::move(w));
     }
 
     try {
       const std::uint64_t start = now_ms();
       bool any_alive = false;
-      for (RemoteWorker& w : workers_) {
+      for (Worker& w : workers_) {
         if (try_connect(w, plan, start))
           any_alive = true;
         else
           schedule_reconnect(w, start);
       }
       if (!any_alive) {
-        // Fail fast: zero reachable hosts is a configuration error (a typo'd
+        // Fail fast: zero reachable slots is a configuration error (a typo'd
         // endpoint, workers not started), not a transient fault worth a full
-        // reconnect budget. Name every host and what its connect said.
-        std::string msg = "tcp fleet: no --hosts endpoint is reachable:";
-        for (const RemoteWorker& w : workers_)
+        // reconnect budget. Name every slot and what its connect said.
+        std::string msg = opt_.hosts.empty()
+                              ? "fleet: no --procs worker could be started:"
+                              : "fleet: no --hosts endpoint is reachable:";
+        for (const Worker& w : workers_)
           msg += "\n  " + w.spec + " (" + w.last_error + ")";
         throw std::runtime_error(msg);
       }
@@ -228,7 +240,9 @@ class TcpFleetExecutor final : public Executor {
     }
 
     publish_telemetry();  // final snapshot shows end-of-sweep liveness
-    close_all();          // orderly EOF: workers return to their accept loop
+    // Orderly EOF: remote workers return to their accept loop and idle local
+    // children exit. A child still computing is a losing speculative copy.
+    for (Worker& w : workers_) release(w, /*graceful=*/!w.inflight);
     return static_cast<std::uint32_t>(workers_.size());
   }
 
@@ -236,27 +250,79 @@ class TcpFleetExecutor final : public Executor {
   WorkerHooks hooks_for(std::size_t worker_index) const {
     WorkerHooks hooks;
     if (worker_index == 0) {
-      if (opt_.test_kill_host0_after_jobs >= 0)
-        hooks.kill_after = static_cast<std::uint32_t>(opt_.test_kill_host0_after_jobs);
-      if (opt_.test_hang_host0_after_jobs >= 0)
-        hooks.hang_after = static_cast<std::uint32_t>(opt_.test_hang_host0_after_jobs);
+      if (opt_.test_kill_worker0_after_jobs >= 0)
+        hooks.kill_after = static_cast<std::uint32_t>(opt_.test_kill_worker0_after_jobs);
+      if (opt_.test_hang_worker0_after_jobs >= 0)
+        hooks.hang_after = static_cast<std::uint32_t>(opt_.test_hang_worker0_after_jobs);
     }
     return hooks;
   }
 
-  /// Connect + handshake. True on success; failure reason in w.last_error.
-  bool try_connect(RemoteWorker& w, const ExecutionPlan& plan, std::uint64_t now) {
-    const int fd =
-        connect_with_timeout(w.endpoint, opt_.tuning.connect_timeout_ms, w.last_error);
-    if (fd < 0) return false;
+  /// Local slot: a socketpair, and a forked child speaking the protocol on
+  /// the other end. Returns the dispatcher's end, or -1 with w.last_error.
+  int spawn(Worker& w) {
+    int sv[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv) != 0) {
+      w.last_error = std::string("socketpair: ") + std::strerror(errno);
+      return -1;
+    }
+    std::vector<char*> argv;  // built before fork: the child only closes and dups
+    for (const std::string& a : opt_.worker_argv)
+      argv.push_back(const_cast<char*>(a.c_str()));
+    argv.push_back(nullptr);
+    const pid_t pid = ::fork();
+    if (pid < 0) {
+      w.last_error = std::string("fork: ") + std::strerror(errno);
+      ::close(sv[0]);
+      ::close(sv[1]);
+      return -1;
+    }
+    if (pid == 0) {
+      // Child: drop every dispatcher-side fd. SOCK_CLOEXEC does not help a
+      // fork-only child, and a worker only sees EOF once the dispatcher's
+      // end of its pair has no other owner.
+      ::close(sv[0]);
+      for (const Worker& other : workers_)
+        if (other.fd >= 0) ::close(other.fd);
+      if (opt_.worker_argv.empty()) ::_exit(worker_session(sv[1]));
+      ::dup2(sv[1], STDIN_FILENO);  // clears CLOEXEC on the worker's stdin
+      ::execvp(argv[0], argv.data());
+      ::_exit(127);
+    }
+    ::close(sv[1]);
+    w.pid = pid;
+    return sv[0];
+  }
+
+  /// Let go of a slot's worker. A local child is reaped: SIGKILLed first
+  /// unless `graceful`, where the EOF alone makes an idle child exit.
+  void release(Worker& w, bool graceful) {
+    if (w.fd >= 0) ::close(w.fd);
+    w.fd = -1;
+    w.alive = false;
+    if (w.pid <= 0) return;
+    if (!graceful) ::kill(w.pid, SIGKILL);
+    while (::waitpid(w.pid, nullptr, 0) < 0 && errno == EINTR) {
+    }
+    w.pid = -1;
+  }
+
+  /// Connect (or spawn) + handshake. True on success; failure reason in
+  /// w.last_error.
+  bool try_connect(Worker& w, const ExecutionPlan& plan, std::uint64_t now) {
+    w.fd = w.endpoint ? connect_with_timeout(*w.endpoint, opt_.tuning.connect_timeout_ms,
+                                             w.last_error)
+                      : spawn(w);
+    if (w.fd < 0) return false;
     const std::size_t index = static_cast<std::size_t>(&w - workers_.data());
-    if (!send_frame(fd, handshake_payload(*plan.scenario.source, plan.share_workload,
-                                          hooks_for(index), opt_.tuning.heartbeat_ms))) {
+    const std::string handshake =
+        handshake_payload(*plan.scenario.source, plan.share_workload, hooks_for(index),
+                          opt_.tuning.heartbeat_ms);
+    if (!send_frame(w.fd, handshake)) {
       w.last_error = "handshake send failed";
-      ::close(fd);
+      release(w, /*graceful=*/false);
       return false;
     }
-    w.fd = fd;
     w.alive = true;
     w.buf.clear();
     w.inflight.reset();
@@ -267,7 +333,7 @@ class TcpFleetExecutor final : public Executor {
   }
 
   void check_liveness(std::uint64_t now) {
-    for (RemoteWorker& w : workers_) {
+    for (Worker& w : workers_) {
       if (!w.alive) continue;
       if (now - w.last_heard_ms > opt_.tuning.heartbeat_timeout_ms) {
         // Dead (or stopped): nothing has arrived inside the window the
@@ -285,7 +351,7 @@ class TcpFleetExecutor final : public Executor {
   }
 
   void try_reconnects(const ExecutionPlan& plan, std::uint64_t now) {
-    for (RemoteWorker& w : workers_) {
+    for (Worker& w : workers_) {
       if (w.alive || w.abandoned || w.next_reconnect_ms == 0 ||
           now < w.next_reconnect_ms)
         continue;
@@ -295,7 +361,7 @@ class TcpFleetExecutor final : public Executor {
     }
   }
 
-  void schedule_reconnect(RemoteWorker& w, std::uint64_t now) {
+  void schedule_reconnect(Worker& w, std::uint64_t now) {
     if (w.abandoned) return;
     if (w.reconnects >= opt_.tuning.max_reconnects) {
       w.abandoned = true;
@@ -310,7 +376,7 @@ class TcpFleetExecutor final : public Executor {
   }
 
   void dispatch(std::uint64_t now) {
-    for (RemoteWorker& w : workers_) {
+    for (Worker& w : workers_) {
       if (queue_.empty()) break;
       if (!w.alive || w.inflight) continue;
       const std::size_t job = queue_.front();
@@ -328,11 +394,11 @@ class TcpFleetExecutor final : public Executor {
   /// single-copy job onto each idle worker. The records dedupe by slot, so a
   /// lost race costs nothing and a won race hides a slow host.
   void speculate(std::uint64_t now) {
-    for (RemoteWorker& idle : workers_) {
+    for (Worker& idle : workers_) {
       if (!idle.alive || idle.inflight) continue;
       std::size_t best_job = SIZE_MAX;
       std::uint64_t best_elapsed = 0;
-      for (const RemoteWorker& busy : workers_) {
+      for (const Worker& busy : workers_) {
         if (!busy.alive || !busy.inflight) continue;
         const std::uint64_t elapsed = now - busy.job_started_ms;
         if (elapsed < opt_.tuning.straggler_after_ms || elapsed < best_elapsed)
@@ -348,12 +414,12 @@ class TcpFleetExecutor final : public Executor {
 
   std::size_t copies_inflight(std::size_t job) const {
     std::size_t n = 0;
-    for (const RemoteWorker& w : workers_)
+    for (const Worker& w : workers_)
       if (w.alive && w.inflight && *w.inflight == job) ++n;
     return n;
   }
 
-  bool assign(RemoteWorker& w, std::size_t job, std::uint64_t now,
+  bool assign(Worker& w, std::size_t job, std::uint64_t now,
               bool speculative = false) {
     const auto point = static_cast<std::uint32_t>(job / seeds_);
     const auto ordinal = static_cast<std::uint32_t>(job % seeds_);
@@ -367,10 +433,10 @@ class TcpFleetExecutor final : public Executor {
     return true;
   }
 
-  void disconnect(RemoteWorker& w, std::uint64_t now) {
-    if (w.fd >= 0) ::close(w.fd);
-    w.fd = -1;
-    w.alive = false;
+  /// Deadline, silence, sever, EOF or a failed send: drop the worker (a
+  /// local child is killed), requeue its job and schedule the reconnect.
+  void disconnect(Worker& w, std::uint64_t now) {
+    release(w, /*graceful=*/false);
     w.buf.clear();
     if (w.inflight) {
       const std::size_t job = *w.inflight;
@@ -386,7 +452,7 @@ class TcpFleetExecutor final : public Executor {
   void publish_telemetry() const {
     if (opt_.telemetry == nullptr) return;
     for (std::size_t i = 0; i < workers_.size(); ++i) {
-      const RemoteWorker& w = workers_[i];
+      const Worker& w = workers_[i];
       obs::WorkerTelemetry t;
       t.endpoint = w.spec;
       t.alive = w.alive;
@@ -409,7 +475,7 @@ class TcpFleetExecutor final : public Executor {
     const auto ordinal = static_cast<std::uint32_t>(job % seeds_);
     if (++job_attempts_[job] >= opt_.tuning.max_job_attempts)
       throw std::runtime_error(
-          "tcp fleet: job (point " + std::to_string(point) + ", seed ordinal " +
+          "fleet: job (point " + std::to_string(point) + ", seed ordinal " +
           std::to_string(ordinal) + ", seed " +
           std::to_string(job_seed(seed_base_, point, ordinal)) + ") lost its worker " +
           std::to_string(job_attempts_[job]) + " times; giving up on the sweep");
@@ -424,12 +490,12 @@ class TcpFleetExecutor final : public Executor {
   /// never hang the merge loop awaiting one that cannot arrive.
   void ensure_progress(std::size_t completed, std::size_t n_pending) const {
     if (completed >= n_pending) return;
-    for (const RemoteWorker& w : workers_) {
+    for (const Worker& w : workers_) {
       if (w.alive) return;
       if (!w.abandoned && w.next_reconnect_ms != 0) return;
     }
     throw std::runtime_error(
-        "tcp fleet: no live workers remain and every reconnect budget is "
+        "fleet: no live workers remain and every reconnect budget is "
         "exhausted (" +
         std::to_string(n_pending - completed) + " of " + std::to_string(n_pending) +
         " jobs incomplete)");
@@ -449,12 +515,12 @@ class TcpFleetExecutor final : public Executor {
     const int rc = ::poll(fds.data(), fds.size(), 50);
     if (rc < 0) {
       if (errno == EINTR) return;
-      throw std::runtime_error(std::string("tcp fleet: poll: ") + std::strerror(errno));
+      throw std::runtime_error(std::string("fleet: poll: ") + std::strerror(errno));
     }
     const std::uint64_t now = now_ms();
     for (std::size_t k = 0; k < fds.size(); ++k) {
       if (fds[k].revents == 0) continue;
-      RemoteWorker& w = workers_[index[k]];
+      Worker& w = workers_[index[k]];
       if (!w.alive) continue;  // disconnected earlier in this pass
       switch (io::recv_some(w.fd, w.buf)) {
         case io::ReadResult::kData:
@@ -472,12 +538,12 @@ class TcpFleetExecutor final : public Executor {
     }
   }
 
-  void drain_frames(RemoteWorker& w, const ExecutionPlan& plan, const RecordSink& sink,
+  void drain_frames(Worker& w, const ExecutionPlan& plan, const RecordSink& sink,
                     std::size_t& completed, std::uint64_t now) {
     std::string payload;
     while (w.alive && take_frame(w.buf, payload)) {
       if (payload.empty())
-        throw std::runtime_error("tcp fleet: empty frame from " + w.spec);
+        throw std::runtime_error("fleet: empty frame from " + w.spec);
       switch (static_cast<FrameKind>(payload[0])) {
         case FrameKind::kHeartbeat: {
           // The bytes themselves already refreshed last_heard_ms; a stats
@@ -495,20 +561,20 @@ class TcpFleetExecutor final : public Executor {
           throw std::runtime_error("sweep job failed in worker " + w.spec + ": " +
                                    payload.substr(1));
         default:
-          throw std::runtime_error("tcp fleet: unexpected frame from " + w.spec);
+          throw std::runtime_error("fleet: unexpected frame from " + w.spec);
       }
     }
   }
 
-  void handle_record(RemoteWorker& w, std::string_view bytes, const ExecutionPlan& plan,
+  void handle_record(Worker& w, std::string_view bytes, const ExecutionPlan& plan,
                      const RecordSink& sink, std::size_t& completed, std::uint64_t now) {
     RunRecord rec = decode_record(bytes);
     if (rec.point >= plan.points.size() || rec.ordinal >= plan.seeds)
-      throw std::runtime_error("tcp fleet: record identity out of range from " +
+      throw std::runtime_error("fleet: record identity out of range from " +
                                w.spec);
     const std::size_t job = static_cast<std::size_t>(rec.point) * seeds_ + rec.ordinal;
     if (!w.inflight || *w.inflight != job)
-      throw std::runtime_error("tcp fleet: record for a job " + w.spec +
+      throw std::runtime_error("fleet: record for a job " + w.spec +
                                " was not assigned");
     const bool was_speculative = w.speculative;
     w.inflight.reset();
@@ -534,23 +600,20 @@ class TcpFleetExecutor final : public Executor {
     // else: a speculative duplicate lost the race — drop it silently.
 
     const std::size_t index = static_cast<std::size_t>(&w - workers_.data());
-    if (index == 0 && opt_.test_sever_host0_after_records >= 0 && !severed_ &&
-        w.records_seen >= static_cast<std::uint32_t>(opt_.test_sever_host0_after_records)) {
+    if (index == 0 && opt_.test_sever_worker0_after_records >= 0 && !severed_ &&
+        w.records_seen >=
+            static_cast<std::uint32_t>(opt_.test_sever_worker0_after_records)) {
       severed_ = true;  // test hook: cut the link; reconnect must heal it
       disconnect(w, now);
     }
   }
 
   void close_all() {
-    for (RemoteWorker& w : workers_) {
-      if (w.fd >= 0) ::close(w.fd);
-      w.fd = -1;
-      w.alive = false;
-    }
+    for (Worker& w : workers_) release(w, /*graceful=*/false);
   }
 
-  TcpFleetOptions opt_;
-  std::vector<RemoteWorker> workers_;
+  FleetOptions opt_;
+  std::vector<Worker> workers_;
   std::deque<std::size_t> queue_;
   std::vector<JobState> job_state_;
   std::vector<std::uint32_t> job_attempts_;
@@ -561,9 +624,25 @@ class TcpFleetExecutor final : public Executor {
   bool severed_ = false;
 };
 
-// --- Worker (serve) side -----------------------------------------------------
+}  // namespace
 
-void serve_session(int fd) {
+void check_liveness_tuning(const FleetTuning& tuning) {
+  const std::string values = " (--heartbeat-ms " + std::to_string(tuning.heartbeat_ms) +
+                             ", --heartbeat-timeout-ms " +
+                             std::to_string(tuning.heartbeat_timeout_ms) + ")";
+  if (tuning.heartbeat_ms == 0)
+    throw std::invalid_argument(
+        "fleet: workers told not to heartbeat are declared dead after the timeout" +
+        values);
+  if (tuning.heartbeat_timeout_ms <= tuning.heartbeat_ms)
+    throw std::invalid_argument(
+        "fleet: the heartbeat timeout must be greater than the heartbeat interval" +
+        values);
+}
+
+// --- Worker side -------------------------------------------------------------
+
+int worker_session(int fd) {
   WorkerState st;
   std::mutex send_mu;
   const SendPayload send = [fd, &send_mu](std::string_view payload) {
@@ -584,6 +663,7 @@ void serve_session(int fd) {
     if (heartbeat.joinable()) heartbeat.join();
   };
 
+  int exit_code = 0;
   try {
     std::string buf;
     std::string payload;
@@ -600,7 +680,7 @@ void serve_session(int fd) {
               // not its heartbeat timeout, is what judges slow jobs.
               const std::uint32_t interval = st.heartbeat_ms;
               // &st is safe: st outlives the thread (stop_heartbeat joins
-              // before serve_session returns), and the stats fields it reads
+              // before worker_session returns), and the stats fields it reads
               // are atomics.
               heartbeat = std::thread([&st, &send, &hb_mu, &hb_cv, &hb_stop, interval] {
                 std::unique_lock lock(hb_mu);
@@ -619,7 +699,7 @@ void serve_session(int fd) {
           case FrameKind::kJob:
             if (!worker_job(st, in, send)) {
               stop_heartbeat();
-              return;  // dispatcher went away mid-send
+              return 1;  // dispatcher went away mid-send
             }
             break;
           default:
@@ -630,13 +710,14 @@ void serve_session(int fd) {
     }
   } catch (const std::exception& e) {
     send(error_payload(e.what()));
+    exit_code = 1;
   } catch (...) {
     send(error_payload("unknown worker error"));
+    exit_code = 1;
   }
   stop_heartbeat();
+  return exit_code;
 }
-
-}  // namespace
 
 int make_listen_socket(std::uint16_t port, std::uint16_t& bound_port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
@@ -680,7 +761,7 @@ int serve_loop(int listen_fd) {
     set_nodelay(fd);
     // One dispatcher at a time, each connection a fresh session: a crashed
     // dispatcher's rerun reconnects and starts clean.
-    serve_session(fd);
+    worker_session(fd);
     ::close(fd);
   }
 }
@@ -699,8 +780,8 @@ int serve_main(std::uint16_t port) {
   return serve_loop(listen_fd);
 }
 
-std::unique_ptr<Executor> make_tcp_fleet_executor(TcpFleetOptions options) {
-  return std::make_unique<TcpFleetExecutor>(std::move(options));
+std::unique_ptr<Executor> make_fleet_executor(FleetOptions options) {
+  return std::make_unique<FleetExecutor>(std::move(options));
 }
 
 }  // namespace bng::runner

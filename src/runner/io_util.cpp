@@ -23,22 +23,6 @@ bool loop_all(std::string_view bytes, Op&& op) {
   return true;
 }
 
-template <typename Op>
-ReadResult read_loop(std::string& buf, std::size_t chunk, Op&& op) {
-  std::string tmp;
-  tmp.resize(chunk);
-  for (;;) {
-    const ssize_t n = op(tmp.data(), tmp.size());
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return ReadResult::kError;
-    }
-    if (n == 0) return ReadResult::kEof;
-    buf.append(tmp.data(), static_cast<std::size_t>(n));
-    return ReadResult::kData;
-  }
-}
-
 }  // namespace
 
 bool write_all(int fd, std::string_view bytes) {
@@ -51,12 +35,18 @@ bool send_all(int fd, std::string_view bytes) {
   });
 }
 
-ReadResult read_some(int fd, std::string& buf, std::size_t chunk) {
-  return read_loop(buf, chunk, [fd](char* p, std::size_t n) { return ::read(fd, p, n); });
-}
-
 ReadResult recv_some(int fd, std::string& buf, std::size_t chunk) {
-  return read_loop(buf, chunk, [fd](char* p, std::size_t n) { return ::recv(fd, p, n, 0); });
+  std::string tmp(chunk, '\0');
+  for (;;) {
+    const ssize_t n = ::recv(fd, tmp.data(), tmp.size(), 0);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return ReadResult::kError;
+    }
+    if (n == 0) return ReadResult::kEof;
+    buf.append(tmp.data(), static_cast<std::size_t>(n));
+    return ReadResult::kData;
+  }
 }
 
 }  // namespace bng::runner::io

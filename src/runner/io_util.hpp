@@ -1,6 +1,6 @@
 // EINTR-safe low-level I/O, shared by everything in the runner that touches
-// a file descriptor: the process pool's socketpairs (process_pool.cpp), the
-// TCP fleet's sockets (tcp_fleet.cpp), and the record cache's entry files
+// a file descriptor: the fleet's sockets — socketpairs to local workers and
+// TCP to remote ones (fleet.cpp) — and the record cache's entry files
 // (cache.cpp). Every loop here retries EINTR and resumes short writes, so
 // callers never see a partial transfer — the ad-hoc per-site loops these
 // helpers replaced each handled a different subset of those cases.
@@ -26,11 +26,8 @@ bool write_all(int fd, std::string_view bytes);
 /// short sends. Returns false on any hard error.
 bool send_all(int fd, std::string_view bytes);
 
-/// One read() of up to `chunk` bytes appended to `buf` (blocking fd;
+/// One recv() of up to `chunk` bytes appended to `buf` (blocking socket;
 /// callers gate with poll() if they must not block). Retries EINTR.
-ReadResult read_some(int fd, std::string& buf, std::size_t chunk = 16384);
-
-/// recv() flavor of read_some for sockets.
 ReadResult recv_some(int fd, std::string& buf, std::size_t chunk = 16384);
 
 }  // namespace bng::runner::io

@@ -1,6 +1,6 @@
-// Versioned, byte-stable serialization for RunRecord — the wire format of
-// the process-pool worker protocol and the interchange form for any future
-// multi-machine dispatcher.
+// Versioned, byte-stable serialization for RunRecord — the record format of
+// the worker protocol (runner/worker_protocol.hpp) that fleet workers, local
+// and remote, speak to their dispatcher.
 //
 // Binary layout (all integers little-endian, doubles as IEEE-754 bits):
 //
@@ -32,7 +32,7 @@ struct CodecError : std::runtime_error {
 };
 
 /// Little-endian wire primitives — the single home of the byte layout,
-/// shared by the record codec and the worker protocol (process_pool.cpp).
+/// shared by the record codec and the worker protocol (worker_protocol.cpp).
 namespace wire {
 
 void put_u16(std::string& out, std::uint16_t v);
@@ -79,7 +79,7 @@ enum class FrameKind : char {
   kJob = 'J',        ///< dispatcher -> worker: one (point, ordinal) assignment
   kRecord = 'R',     ///< worker -> dispatcher: encode_record bytes
   kError = 'E',      ///< worker -> dispatcher: fatal job/setup error message
-  kHeartbeat = 'B',  ///< worker -> dispatcher: periodic liveness beacon (TCP fleet)
+  kHeartbeat = 'B',  ///< worker -> dispatcher: periodic liveness beacon
 };
 
 /// Frame the payload (prepend the u32 length).

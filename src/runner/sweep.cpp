@@ -13,7 +13,6 @@
 #include "obs/trace_ring.hpp"
 #include "runner/cache.hpp"
 #include "runner/executor.hpp"
-#include "runner/tcp_fleet.hpp"
 
 namespace bng::runner {
 
@@ -61,26 +60,19 @@ class ProgressReporter {
 
 std::unique_ptr<Executor> make_sweep_executor(const SweepOptions& options,
                                               obs::SweepTelemetry* telemetry) {
-  if (!options.hosts.empty()) {
-    if (telemetry != nullptr) telemetry->init_workers(options.hosts);
-    TcpFleetOptions fopt;
-    fopt.hosts = options.hosts;
-    fopt.tuning = options.fleet;
-    fopt.telemetry = telemetry;
-    fopt.test_kill_host0_after_jobs = options.test_kill_worker0_after_jobs;
-    fopt.test_hang_host0_after_jobs = options.test_hang_host0_after_jobs;
-    fopt.test_sever_host0_after_records = options.test_sever_host0_after_records;
-    fopt.test_interrupt_after_records = options.test_interrupt_after_records;
-    return make_tcp_fleet_executor(std::move(fopt));
-  }
-  if (options.procs > 0) {
-    ProcessPoolOptions popt;
-    popt.procs = options.procs;
-    popt.worker_argv = options.worker_argv;
-    popt.kill_worker0_after_jobs = options.test_kill_worker0_after_jobs;
-    return make_process_pool_executor(std::move(popt));
-  }
-  return make_thread_executor(options.jobs);
+  if (options.hosts.empty() && options.procs == 0)
+    return make_thread_executor(options.jobs);
+  FleetOptions fopt;
+  fopt.hosts = options.hosts;
+  fopt.procs = options.procs;
+  fopt.worker_argv = options.worker_argv;
+  fopt.tuning = options.fleet;
+  fopt.telemetry = telemetry;
+  fopt.test_kill_worker0_after_jobs = options.test_kill_worker0_after_jobs;
+  fopt.test_hang_worker0_after_jobs = options.test_hang_worker0_after_jobs;
+  fopt.test_sever_worker0_after_records = options.test_sever_worker0_after_records;
+  fopt.test_interrupt_after_records = options.test_interrupt_after_records;
+  return make_fleet_executor(std::move(fopt));
 }
 
 SweepResult run_sweep(const Scenario& scenario, const SweepOptions& options) {

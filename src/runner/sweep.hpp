@@ -1,7 +1,7 @@
 // Sweep engine: expands a scenario into (point × seed) jobs, hands them to
-// a pluggable Executor (runner/executor.hpp — in-process threads or the
-// ngsim --worker process pool), and folds the streamed RunRecords into
-// per-point aggregates.
+// a pluggable Executor (runner/executor.hpp — in-process threads, or the
+// fleet of local or remote worker processes), and folds the streamed
+// RunRecords into per-point aggregates.
 //
 // Determinism: each job's RNG seed is a pure function of its identity
 // (scenario seed_base, point index, seed ordinal), every record carries that
@@ -22,7 +22,7 @@
 #include "runner/aggregate.hpp"
 #include "runner/record.hpp"
 #include "runner/scenario.hpp"
-#include "runner/tcp_fleet.hpp"
+#include "runner/fleet.hpp"
 
 namespace bng::obs {
 class SweepTelemetry;
@@ -37,20 +37,21 @@ struct SweepOptions {
   /// Worker threads when procs == 0; 0 = hardware concurrency. Results are
   /// identical for any value.
   std::uint32_t jobs = 1;
-  /// Worker *processes*; 0 = run in-process on `jobs` threads. Requires a
-  /// shippable scenario (registered name or scenario file). Results are
-  /// bit-identical to any in-process run.
+  /// Local worker *processes*, run as fleet slots (runner/fleet.hpp); 0 =
+  /// run in-process on `jobs` threads. Requires a shippable scenario
+  /// (registered name or scenario file). Results are bit-identical to any
+  /// in-process run.
   std::uint32_t procs = 0;
-  /// Remote `ngsim --serve` workers as "host:port" endpoints. Non-empty
-  /// selects the TCP fleet executor (runner/tcp_fleet.hpp) and overrides
-  /// jobs/procs. Same bit-identical guarantee as every other executor.
+  /// Remote `ngsim --serve` workers as "host:port" endpoints: the fleet's
+  /// TCP slots. Non-empty overrides jobs/procs. Same bit-identical guarantee
+  /// as every other executor.
   std::vector<std::string> hosts;
-  /// Liveness / re-dispatch knobs for the TCP fleet.
+  /// Liveness / re-dispatch knobs for the fleet (`procs` and `hosts`).
   FleetTuning fleet;
   /// One immutable pre-generated tx pool per sweep point, shared by all of
   /// its seeds (instead of a per-seed copy).
   bool share_workload = true;
-  /// argv prefix exec'd for each worker process (e.g. {"/proc/self/exe",
+  /// argv exec'd for each local worker process (e.g. {"/proc/self/exe",
   /// "--worker"}). Empty: fork without exec (same binary, no exec).
   std::vector<std::string> worker_argv;
 
@@ -63,8 +64,8 @@ struct SweepOptions {
   RunCache* cache = nullptr;
 
   /// Runtime telemetry (obs/telemetry.hpp). When set, run_sweep feeds it job
-  /// counts and (with `hosts`) per-worker fleet state. Non-owning; null
-  /// disables all accounting.
+  /// counts and (with `procs` or `hosts`) per-worker fleet state.
+  /// Non-owning; null disables all accounting.
   obs::SweepTelemetry* telemetry = nullptr;
   /// Render a one-line progress report to stderr every ~500 ms (plus one
   /// final line). Purely cosmetic: sweep artifacts are byte-identical with
@@ -80,12 +81,10 @@ struct SweepOptions {
   /// line carries its (point, ordinal) identity.
   std::string trace_path;
 
-  /// Test hook (see ProcessPoolOptions::kill_worker0_after_jobs); with
-  /// `hosts` it becomes the fleet's kill-host0 hook.
+  /// Fleet test hooks (see FleetOptions); ignored by the thread executor.
   int test_kill_worker0_after_jobs = -1;
-  /// Fleet test hooks (see TcpFleetOptions).
-  int test_hang_host0_after_jobs = -1;
-  int test_sever_host0_after_records = -1;
+  int test_hang_worker0_after_jobs = -1;
+  int test_sever_worker0_after_records = -1;
   int test_interrupt_after_records = -1;
 };
 
@@ -114,10 +113,10 @@ SweepResult run_sweep(const Scenario& scenario, const SweepOptions& options);
 // Forward declaration (runner/executor.hpp).
 class Executor;
 
-/// Build the executor `options` selects — TCP fleet for `hosts`, process
-/// pool for `procs`, else the in-process thread pool. Shared by run_sweep
-/// and the adaptive driver (runner/adaptive.hpp) so both dispatch through
-/// identical substrates. Wires fleet telemetry/test hooks when applicable.
+/// Build the executor `options` selects — the fleet for `hosts` or `procs`,
+/// else the in-process thread pool. Shared by run_sweep and run_adaptive
+/// (runner/adaptive.hpp) so both dispatch through identical substrates.
+/// Wires fleet telemetry/test hooks when applicable.
 std::unique_ptr<Executor> make_sweep_executor(const SweepOptions& options,
                                               obs::SweepTelemetry* telemetry);
 

@@ -1,8 +1,8 @@
-// The worker wire protocol, shared by both dispatch substrates: the
-// fork/exec'd process pool (process_pool.cpp, socketpairs) and the TCP fleet
-// (tcp_fleet.cpp, `ngsim --serve` workers). One protocol, two transports —
-// that is what makes an N-machine sweep bit-identical to `--procs N` and to
-// `--jobs 1`.
+// The worker wire protocol between the fleet dispatcher (fleet.cpp) and its
+// workers: local `ngsim --worker` children over socketpairs (`--procs`) and
+// remote `ngsim --serve` workers over TCP (`--hosts`). One protocol, one
+// session function, two transports — that is what makes an N-machine sweep
+// bit-identical to `--procs N` and to `--jobs 1`.
 //
 // Frames (runner/record_codec.hpp length-prefixed framing):
 //
@@ -73,8 +73,8 @@ struct WorkerHooks {
     wire::Reader& in);
 
 /// How a worker sends one framed payload back to its dispatcher. Returns
-/// false when the dispatcher is gone (the worker should wind down). The TCP
-/// worker's implementation takes a mutex so job records and heartbeat-thread
+/// false when the dispatcher is gone (the worker should wind down). The
+/// session's implementation takes a mutex so job records and heartbeat-thread
 /// beacons never interleave mid-frame.
 using SendPayload = std::function<bool(std::string_view payload)>;
 
@@ -86,9 +86,8 @@ struct WorkerState {
   bool share_workload = true;
   WorkerHooks hooks;
   std::uint32_t heartbeat_ms = 0;
-  // Self-reported stats, piggybacked on heartbeats. Atomics because the TCP
-  // worker's heartbeat thread snapshots them while the session thread runs
-  // jobs; the process-pool worker is single-threaded and pays nothing.
+  // Self-reported stats, piggybacked on heartbeats. Atomics because the
+  // heartbeat thread snapshots them while the session thread runs jobs.
   std::atomic<std::uint32_t> jobs_done{0};
   std::atomic<std::uint32_t> pool_rebuilds{0};
   std::atomic<std::uint64_t> busy_ms{0};

@@ -1,12 +1,12 @@
-// The pluggable execution substrate: the process pool must be
-// indistinguishable — byte for byte — from the in-process thread pool, for
-// any width, including across worker crashes.
+// The pluggable execution substrate: local worker processes (`--procs`, the
+// fleet's local slots) must be indistinguishable — byte for byte — from the
+// in-process thread pool, for any width, including across worker crashes.
 //
-// These tests run the fork-only worker mode (ProcessPoolOptions.worker_argv
+// These tests run the fork-only worker mode (SweepOptions.worker_argv
 // empty): children inherit the test binary's scenario registry and run
-// worker_main directly, exercising the full handshake / job / record framing
-// over real sockets and real processes. The exec'd `ngsim --worker` path is
-// the same protocol and is covered by CI's --procs vs --jobs diff.
+// worker_session directly, exercising the full handshake / job / record
+// framing over real sockets and real processes. The exec'd `ngsim --worker`
+// path is the same protocol and is covered by CI's --procs vs --jobs diff.
 #include <gtest/gtest.h>
 
 #include <mutex>
