@@ -346,7 +346,7 @@ void BM_BlockTreeInsertChain(benchmark::State& state) {
     Rng rng(1);
     chain::BlockTree tree(chain::make_genesis(1, kCoin), chain::TieBreak::kRandom,
                           chain::BlockTree::ForkChoice::kHeaviestChain, &rng);
-    Hash256 prev = tree.entry(0).block->id();
+    Hash256 prev = tree.facts(tree.genesis()).block->id();
     for (int i = 0; i < state.range(0); ++i) {
       auto block = bench_block(chain::BlockType::kPow, prev, static_cast<std::uint64_t>(i));
       prev = block->id();
@@ -364,7 +364,7 @@ void BM_BlockTreeForkChoiceGhost(benchmark::State& state) {
     chain::BlockTree tree(chain::make_genesis(1, kCoin), chain::TieBreak::kRandom,
                           chain::BlockTree::ForkChoice::kHeaviestSubtree, &rng);
     // Bushy tree: every block forks off a random existing block.
-    std::vector<Hash256> ids{tree.entry(0).block->id()};
+    std::vector<Hash256> ids{tree.facts(tree.genesis()).block->id()};
     for (int i = 0; i < state.range(0); ++i) {
       const Hash256& parent = ids[rng.next_below(ids.size())];
       auto block = bench_block(chain::BlockType::kPow, parent, static_cast<std::uint64_t>(i));

@@ -58,9 +58,9 @@ int main() {
   // --- Act 2: node 0 equivocates ------------------------------------------
   const auto& tree0 = nodes[0]->tree();
   Hash256 key_block_id;
-  for (auto idx : tree0.path_from_genesis(tree0.best_tip()))
-    if (tree0.entry(idx).block->type() == chain::BlockType::kKey)
-      key_block_id = tree0.entry(idx).block->id();
+  for (const BlockId id : tree0.path_from_genesis(tree0.best_tip()))
+    if (tree0.facts(id).block->type() == chain::BlockType::kKey)
+      key_block_id = tree0.facts(id).block->id();
   std::printf("[t=%5.1f] node 0 signs a SECOND microblock on its key block "
               "(split brain / double-spend setup)\n",
               queue.now());
@@ -81,9 +81,9 @@ int main() {
   chain::Ledger ledger(params);
   if (!ledger.apply_block(*genesis).ok) return 1;
   const auto& t = nodes[2]->tree();  // a bystander's view
-  for (auto idx : t.path_from_genesis(t.best_tip())) {
-    if (idx == chain::BlockTree::kGenesisIndex) continue;
-    auto r = ledger.apply_block(*t.entry(idx).block);
+  for (const BlockId id : t.path_from_genesis(t.best_tip())) {
+    if (id == t.genesis()) continue;
+    auto r = ledger.apply_block(*t.facts(id).block);
     if (!r.ok) {
       std::printf("replay error: %s\n", r.error.c_str());
       return 1;

@@ -47,7 +47,7 @@ void run(bng::chain::Protocol protocol) {
         exp.scheduler().set_power(i, powers[i] * 0.1);
       std::printf("%8s  ============ 90%% OF MINING POWER LEAVES ============\n", "");
     }
-    const auto txs = exp.global_tree().best_entry().chain_tx_count;
+    const auto txs = exp.global_tree().best().chain_tx_count;
     std::printf("%8.0f %12.1f %12llu %14llu %12.1f\n", exp.queue().now(),
                 exp.scheduler().current_difficulty(),
                 static_cast<unsigned long long>(exp.trace().pow_blocks()),

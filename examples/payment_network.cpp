@@ -43,16 +43,16 @@ int main() {
   }
   const auto& g = exp.global_tree();
   std::unordered_map<Hash256, Seconds, Hash256Hasher> committed_at;
-  for (std::uint32_t idx : g.path_from_genesis(g.best_tip())) {
-    if (idx == chain::BlockTree::kGenesisIndex) continue;
-    const auto& e = g.entry(idx);
-    auto r = ledger.apply_block(*e.block);
+  for (const BlockId id : g.path_from_genesis(g.best_tip())) {
+    if (id == g.genesis()) continue;
+    const chain::Block& block = *g.facts(id).block;
+    auto r = ledger.apply_block(block);
     if (!r.ok) {
       std::printf("ledger replay failed: %s\n", r.error.c_str());
       return 1;
     }
-    for (const auto& tx : e.block->txs())
-      if (!tx->is_coinbase()) committed_at.emplace(tx->id(), e.received);
+    for (const auto& tx : block.txs())
+      if (!tx->is_coinbase()) committed_at.emplace(tx->id(), g.received(id));
   }
   std::printf("replayed %llu transactions through the UTXO state machine\n",
               static_cast<unsigned long long>(ledger.transactions_applied()));
@@ -63,13 +63,13 @@ int main() {
   std::vector<double> confirmation;
   const auto& observer = *exp.nodes()[cfg.num_nodes - 1];
   const auto& tree = observer.tree();
-  for (std::uint32_t idx : tree.path_from_genesis(tree.best_tip())) {
-    const auto& e = tree.entry(idx);
-    if (e.block->type() != chain::BlockType::kMicro) continue;
-    for (const auto& tx : e.block->txs()) {
+  for (const BlockId id : tree.path_from_genesis(tree.best_tip())) {
+    const chain::Block& block = *tree.facts(id).block;
+    if (block.type() != chain::BlockType::kMicro) continue;
+    for (const auto& tx : block.txs()) {
       auto it = committed_at.find(tx->id());
       if (it != committed_at.end())
-        confirmation.push_back(e.received - it->second);  // receipt - generation
+        confirmation.push_back(tree.received(id) - it->second);  // receipt - generation
     }
   }
   auto s = summarize(confirmation);

@@ -16,16 +16,15 @@ BitcoinNode::BitcoinNode(NodeId id, net::Network& net, chain::BlockPtr genesis,
       reward_address_(chain::address_from_tag(0x626974ull << 32 | id)) {}
 
 void BitcoinNode::on_mining_win(double work) {
-  const std::uint32_t tip = tree_.best_tip();
-  chain::BlockPtr block = build_block(tip, work);
+  chain::BlockPtr block = build_block(tree_.best_tip(), work);
   ++blocks_mined_;
   const BlockId block_id = tree_.intern(block->id());
   if (observer_ != nullptr) observer_->on_block_generated(block, id_, now());
   accept_block(block, block_id, id_, work);
 }
 
-chain::BlockPtr BitcoinNode::build_block(std::uint32_t tip, double work) {
-  const auto& tip_entry = tree_.entry(tip);
+chain::BlockPtr BitcoinNode::build_block(BlockId tip, double work) {
+  const chain::BlockFacts& tip_facts = tree_.facts(tip);
   std::vector<chain::TxPtr> txs =
       assemble_payload(tip, cfg_.params.max_block_size, kBlockOverhead);
 
@@ -33,14 +32,14 @@ chain::BlockPtr BitcoinNode::build_block(std::uint32_t tip, double work) {
   Amount fees = 0;
   for (const auto& tx : txs) fees += tx->fee;
   auto coinbase = std::make_shared<chain::Transaction>();
-  coinbase->coinbase_height = tip_entry.pow_height + 1;
+  coinbase->coinbase_height = tip_facts.pow_height + 1;
   coinbase->outputs.push_back(
       chain::TxOutput{cfg_.params.block_subsidy + fees, reward_address_});
   txs.insert(txs.begin(), std::move(coinbase));
 
   chain::BlockHeader header;
   header.type = chain::BlockType::kPow;
-  header.prev = tip_entry.block->id();
+  header.prev = tip_facts.block->id();
   header.timestamp = now();
   header.merkle_root = chain::compute_merkle_root(txs);
   header.nonce = rng_.next();  // regtest mode: difficulty check is skipped
@@ -51,7 +50,7 @@ void BitcoinNode::handle_block(const chain::BlockPtr& block, BlockId id, NodeId 
   if (tree_.contains_id(id)) return;
   if (auto r = chain::check_pow_block(*block); !r.ok) return;  // invalid: drop
   if (auto r = chain::check_size(*block, cfg_.params); !r.ok) return;
-  if (ensure_parent(block, id, from) == chain::BlockTree::kNoIndex) return;
+  if (ensure_parent(block, id, from) == kNoBlockId) return;
   accept_block(block, id, from, block->work());
 }
 

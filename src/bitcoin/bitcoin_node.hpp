@@ -27,7 +27,7 @@ class BitcoinNode : public protocol::BaseNode {
   void handle_block(const chain::BlockPtr& block, BlockId id, NodeId from) override;
 
  private:
-  [[nodiscard]] chain::BlockPtr build_block(std::uint32_t tip, double work);
+  [[nodiscard]] chain::BlockPtr build_block(BlockId tip, double work);
 
   Hash256 reward_address_;
   std::uint64_t blocks_mined_ = 0;

@@ -1,99 +1,65 @@
 #include "chain/block_tree.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 
 namespace bng::chain {
 
 BlockTree::BlockTree(BlockPtr genesis, TieBreak tie_break, ForkChoice fork_choice, Rng* rng,
-                     std::shared_ptr<BlockInterner> interner)
+                     std::shared_ptr<BlockStore> store)
     : tie_break_(tie_break),
       fork_choice_(fork_choice),
       rng_(rng),
-      interner_(interner != nullptr ? std::move(interner)
-                                    : std::make_shared<BlockInterner>()) {
+      store_(store != nullptr ? std::move(store) : std::make_shared<BlockStore>()) {
   if (tie_break_ == TieBreak::kRandom && rng_ == nullptr)
     throw std::invalid_argument("BlockTree: random tie-break needs an Rng");
-  Entry e;
-  e.block = std::move(genesis);
-  e.id = interner_->intern(e.block->id());
-  e.parent = -1;
-  e.jump = 0;  // genesis jumps to itself
-  e.received = 0;
-  if (e.id >= index_by_id_.size()) index_by_id_.resize(e.id + 1, kNoIndex);
-  index_by_id_[e.id] = 0;
-  entries_.push_back(std::move(e));
-  tip_history_.push_back({0.0, 0});
+  const BlockId id = store_->admit_genesis(genesis);
+  add_slot(id, 0);
+  best_tip_ = id;
+  tip_history_.push_back({0.0, id});
 }
 
-std::optional<std::uint32_t> BlockTree::find(const Hash256& id) const {
-  const std::uint32_t idx = index_of_id(interner_->lookup(id));
-  if (idx == kNoIndex) return std::nullopt;
-  return idx;
+std::optional<BlockId> BlockTree::find(const Hash256& h) const {
+  const BlockId id = store_->lookup(h);
+  if (!contains_id(id)) return std::nullopt;
+  return id;
 }
 
-std::uint32_t BlockTree::insert(const BlockPtr& block, BlockId id, Seconds received_at,
-                                double work) {
+void BlockTree::insert(const BlockPtr& block, BlockId id, Seconds received_at, double work) {
   if (contains_id(id)) throw std::invalid_argument("BlockTree: duplicate block");
-  const std::uint32_t parent = index_of_id(interner_->lookup(block->header().prev));
-  if (parent == kNoIndex) throw std::invalid_argument("BlockTree: unknown parent");
-
-  Entry e;
-  e.block = block;
-  e.id = id;
-  e.parent = static_cast<std::int32_t>(parent);
-  e.height = entries_[parent].height + 1;
-  e.pow_height = entries_[parent].pow_height + (block->is_pow() ? 1 : 0);
-  e.chain_work = entries_[parent].chain_work + work;
-  e.subtree_work = work;
-  e.received = received_at;
-  e.chain_tx_count = entries_[parent].chain_tx_count;
-  e.chain_fee_sum = entries_[parent].chain_fee_sum;
-  for (const auto& tx : block->txs()) {
-    if (tx->is_coinbase() || tx->is_poison()) continue;
-    ++e.chain_tx_count;
-    e.chain_fee_sum += tx->fee;
-  }
-  e.epoch_key_block = block->type() == BlockType::kKey
-                          ? static_cast<std::uint32_t>(entries_.size())
-                          : entries_[parent].epoch_key_block;
-
-  // Skew-binary skip pointer: when the parent's two previous jump gaps are
-  // equal, fold them into one double-length jump; otherwise start a fresh
-  // unit jump. Gap lengths depend only on depth, so all entries at one
-  // height jump to one common height.
-  {
-    const std::uint32_t j = entries_[parent].jump;
-    const std::uint32_t jj = entries_[j].jump;
-    const std::uint32_t gap1 = entries_[parent].height - entries_[j].height;
-    const std::uint32_t gap2 = entries_[j].height - entries_[jj].height;
-    e.jump = (gap1 == gap2) ? jj : parent;
-  }
-
-  const auto idx = static_cast<std::uint32_t>(entries_.size());
-  entries_.push_back(std::move(e));
-  entries_[parent].children.push_back(idx);
-  if (id >= index_by_id_.size()) {
-    index_by_id_.resize(std::max<std::size_t>(index_by_id_.size() * 2,
-                                              static_cast<std::size_t>(id) + 1),
-                        kNoIndex);
-  }
-  index_by_id_[id] = idx;
-
-  // Propagate subtree work up for GHOST.
-  if (work > 0) {
-    for (std::int32_t a = static_cast<std::int32_t>(parent); a != -1;
-         a = entries_[static_cast<std::uint32_t>(a)].parent)
-      entries_[static_cast<std::uint32_t>(a)].subtree_work += work;
-  }
-
+  // A block another tree already admitted names its parent in the store:
+  // only the first admission of a block looks its parent hash up.
+  const BlockId parent = store_->known(id) ? store_->facts(id).parent
+                                           : store_->lookup(block->header().prev);
+  if (!contains_id(parent)) throw std::invalid_argument("BlockTree: unknown parent");
+  store_->admit(block, id, parent, work);
+  add_slot(id, received_at);
   if (fork_choice_ == ForkChoice::kHeaviestChain) {
-    maybe_switch_tip(idx, received_at);
+    maybe_switch_tip(id, received_at);
   } else {
+    add_ghost_work(slot_[id], parent, work);
     recompute_ghost_tip(received_at);
   }
-  return idx;
+}
+
+void BlockTree::add_slot(BlockId id, Seconds received_at) {
+  if (id >= slot_.size()) {
+    slot_.resize(std::max<std::size_t>(slot_.size() * 2, static_cast<std::size_t>(id) + 1),
+                 kNoSlot);
+  }
+  slot_[id] = static_cast<std::uint32_t>(accepted_.size());
+  accepted_.push_back(id);
+  received_.push_back(received_at);
+  if (fork_choice_ == ForkChoice::kHeaviestSubtree) ghost_.emplace_back();
+}
+
+void BlockTree::add_ghost_work(std::uint32_t slot, BlockId parent, double work) {
+  ghost_[slot_[parent]].children.push_back(slot);
+  ghost_[slot].subtree_work = work;
+  if (work > 0) {
+    for (BlockId a = parent; a != kNoBlockId; a = store_->facts(a).parent)
+      ghost_[slot_[a]].subtree_work += work;
+  }
 }
 
 bool BlockTree::tie_break_switch() {
@@ -106,17 +72,17 @@ bool BlockTree::tie_break_switch() {
   return rng_->uniform() < tie_switch_prob_;
 }
 
-void BlockTree::maybe_switch_tip(std::uint32_t candidate, Seconds at) {
-  const Entry& cand = entries_[candidate];
-  const Entry& best = entries_[best_tip_];
+void BlockTree::maybe_switch_tip(BlockId candidate, Seconds at) {
+  const BlockFacts& cand = store_->facts(candidate);
+  const BlockFacts& best = store_->facts(best_tip_);
   // A descendant of the current tip always extends it.
-  if (cand.parent >= 0 && static_cast<std::uint32_t>(cand.parent) == best_tip_) {
+  if (cand.parent == best_tip_) {
     set_tip(candidate, at);
     return;
   }
   if (cand.chain_work > best.chain_work) {
     set_tip(candidate, at);
-  } else if (cand.chain_work == best.chain_work && !is_ancestor(candidate, best_tip_)) {
+  } else if (cand.chain_work == best.chain_work && !store_->is_ancestor(candidate, best_tip_)) {
     // Equal-weight fork: paper §3 prescribes random tie-breaking — but only
     // weight-bearing candidates draw the coin. A zero-weight block (an NG
     // microblock, §4.2 "microblocks do not affect the weight of the chain")
@@ -128,91 +94,28 @@ void BlockTree::maybe_switch_tip(std::uint32_t candidate, Seconds at) {
 }
 
 void BlockTree::recompute_ghost_tip(Seconds at) {
-  // Descend from genesis following the heaviest subtree; then extend through
-  // weightless blocks (microblocks) to the deepest descendant.
-  std::uint32_t cur = kGenesisIndex;
+  // Descend from genesis (slot 0) following the heaviest subtree; then
+  // extend through weightless blocks (microblocks) to the deepest descendant.
+  std::uint32_t cur = 0;
   for (;;) {
-    const Entry& e = entries_[cur];
-    std::uint32_t best_child = UINT32_MAX;
+    std::uint32_t best_child = kNoSlot;
     double best_work = -1;
-    for (std::uint32_t c : e.children) {
-      double w = entries_[c].subtree_work;
-      if (w > best_work || (w == best_work && best_child != UINT32_MAX && tie_break_switch())) {
+    for (std::uint32_t c : ghost_[cur].children) {
+      const double w = ghost_[c].subtree_work;
+      if (w > best_work || (w == best_work && best_child != kNoSlot && tie_break_switch())) {
         best_work = w;
         best_child = c;
       }
     }
-    if (best_child == UINT32_MAX || best_work <= 0) break;
+    if (best_child == kNoSlot || best_work <= 0) break;
     cur = best_child;
   }
-  if (cur != best_tip_) set_tip(cur, at);
+  if (accepted_[cur] != best_tip_) set_tip(accepted_[cur], at);
 }
 
-void BlockTree::set_tip(std::uint32_t tip, Seconds at) {
+void BlockTree::set_tip(BlockId tip, Seconds at) {
   best_tip_ = tip;
   tip_history_.push_back({at, tip});
-}
-
-std::uint32_t BlockTree::ancestor_at_height(std::uint32_t idx, std::uint32_t height) const {
-  std::uint32_t cur = idx;
-  while (entries_[cur].height > height) {
-    const std::uint32_t j = entries_[cur].jump;
-    cur = entries_[j].height >= height ? j
-                                       : static_cast<std::uint32_t>(entries_[cur].parent);
-  }
-  return cur;
-}
-
-bool BlockTree::is_ancestor(std::uint32_t anc, std::uint32_t desc) const {
-  const std::uint32_t target_height = entries_[anc].height;
-  if (entries_[desc].height < target_height) return false;
-  return ancestor_at_height(desc, target_height) == anc;
-}
-
-std::vector<std::uint32_t> BlockTree::path_from_genesis(std::uint32_t tip) const {
-  std::vector<std::uint32_t> path;
-  path.reserve(entries_[tip].height + 1);
-  for (std::int32_t cur = static_cast<std::int32_t>(tip); cur != -1;
-       cur = entries_[static_cast<std::uint32_t>(cur)].parent)
-    path.push_back(static_cast<std::uint32_t>(cur));
-  std::reverse(path.begin(), path.end());
-  return path;
-}
-
-std::uint32_t BlockTree::common_ancestor(std::uint32_t a, std::uint32_t b) const {
-  // Equalize heights, then descend both by jump while the jumps disagree
-  // (the ancestor is at or below the jump height) and by parent otherwise.
-  // Jump heights are a pure function of depth, so a and b stay level.
-  if (entries_[a].height > entries_[b].height)
-    a = ancestor_at_height(a, entries_[b].height);
-  else if (entries_[b].height > entries_[a].height)
-    b = ancestor_at_height(b, entries_[a].height);
-  while (a != b) {
-    const std::uint32_t ja = entries_[a].jump;
-    const std::uint32_t jb = entries_[b].jump;
-    if (ja != jb && entries_[ja].height == entries_[jb].height) {
-      a = ja;
-      b = jb;
-    } else {
-      a = static_cast<std::uint32_t>(entries_[a].parent);
-      b = static_cast<std::uint32_t>(entries_[b].parent);
-    }
-  }
-  return a;
-}
-
-std::uint32_t BlockTree::ancestor_at_or_before(std::uint32_t tip, Seconds time) const {
-  // Timestamps are non-decreasing along a chain (a block is built after its
-  // parent existed), so if the jump target still violates `time`, everything
-  // between it and `cur` does too and the whole stride can be skipped.
-  std::uint32_t cur = tip;
-  while (entries_[cur].parent != -1 && entries_[cur].block->header().timestamp > time) {
-    const std::uint32_t j = entries_[cur].jump;
-    cur = (j != cur && entries_[j].block->header().timestamp > time)
-              ? j
-              : static_cast<std::uint32_t>(entries_[cur].parent);
-  }
-  return cur;
 }
 
 }  // namespace bng::chain

@@ -1,21 +1,19 @@
-// Block tree and fork choice.
+// Block tree and fork choice: one node's view over the deployment's blocks.
 //
-// Every node maintains its own view of the block tree. Fork choice follows
-// the paper: "the winning chain is the heaviest one ... with random
-// tie-breaking" (§3), where in Bitcoin-NG "microblocks do not affect the
-// weight of the chain" (§4.2). A heaviest-subtree (GHOST) mode supports the
-// §9 comparison.
+// Fork choice follows the paper: "the winning chain is the heaviest one ...
+// with random tie-breaking" (§3), where in Bitcoin-NG "microblocks do not
+// affect the weight of the chain" (§4.2). A heaviest-subtree (GHOST) mode
+// supports the §9 comparison.
 //
-// Identity is interned: the tree holds no Hash256 map of its own. A shared
-// per-experiment BlockInterner assigns each block hash a dense u32 BlockId
-// once at first sight, and the tree maps BlockId -> entry index through a
-// flat vector — so membership tests and index lookups on the receive path
-// are single array reads, and all trees of one deployment agree on ids.
-// Ancestry queries (`is_ancestor`, `common_ancestor`,
-// `ancestor_at_or_before`) run in O(log height) over skip-ancestor "jump"
-// pointers computed at insert (the skew-binary level-ancestor scheme: the
-// jump length is a pure function of depth, so two nodes at equal depth jump
-// to equal depths — which is what makes the common-ancestor descent sound).
+// Everything about a block that depends only on the block and its ancestry
+// (height, chain work, tx and fee sums, epoch, jump pointer) lives once per
+// deployment in the shared BlockStore (chain/block_store.hpp), keyed by the
+// interned BlockId; so do the ancestry queries. A tree keeps only what
+// differs between nodes: which blocks this node accepted and in what order,
+// their arrival times, its best tip and tip history, and — under GHOST only —
+// child lists in arrival order and subtree work, because tie-break draws
+// follow that order. Blocks are named by BlockId throughout; membership and
+// arrival lookups are single array reads.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +22,7 @@
 #include <vector>
 
 #include "chain/block.hpp"
+#include "chain/block_store.hpp"
 #include "chain/params.hpp"
 #include "common/intern.hpp"
 #include "common/rng.hpp"
@@ -38,118 +37,108 @@ class BlockTree {
     kHeaviestSubtree,  ///< GHOST rule.
   };
 
-  struct Entry {
-    BlockPtr block;
-    BlockId id = kNoBlockId;        ///< interned block identity
-    std::int32_t parent = -1;       ///< index of parent; -1 for genesis
-    std::uint32_t jump = 0;         ///< skip-ancestor index (genesis: self)
-    std::uint32_t height = 0;       ///< distance from genesis (all blocks)
-    std::uint32_t pow_height = 0;   ///< number of PoW blocks up to here
-    double chain_work = 0;          ///< accumulated PoW work along the chain
-    double subtree_work = 0;        ///< own + descendants' work (GHOST)
-    Seconds received = 0;           ///< local arrival/creation time
-    std::vector<std::uint32_t> children;
-    // Cumulative chain statistics (genesis excluded):
-    std::uint64_t chain_tx_count = 0;  ///< payload txs (excl. coinbase/poison)
-    Amount chain_fee_sum = 0;          ///< payload tx fees along the chain
-    /// Index of the nearest key-block ancestor (or self); genesis index when
-    /// no key block exists yet. Defines the current NG epoch.
-    std::uint32_t epoch_key_block = 0;
-  };
-
   /// A record of every best-tip change, consumed by the metrics suite.
   struct TipChange {
     Seconds at;
-    std::uint32_t tip;
+    BlockId tip;
   };
 
-  /// No entry at this index / id.
-  static constexpr std::uint32_t kNoIndex = UINT32_MAX;
-
-  /// `interner` is the experiment-wide id assigner shared by every tree of a
-  /// deployment (see net::Network::interner()); a standalone tree (unit
+  /// `store` is the deployment-wide block store shared by every tree of a
+  /// deployment (see net::Network::block_store()); a standalone tree (unit
   /// tests, benches) may pass nullptr and owns a private one.
   BlockTree(BlockPtr genesis, TieBreak tie_break, ForkChoice fork_choice, Rng* rng,
-            std::shared_ptr<BlockInterner> interner = nullptr);
+            std::shared_ptr<BlockStore> store = nullptr);
 
   /// Gamma knob for kRandom tie-breaking (see Params::tie_switch_prob). The
   /// 0.5 default keeps the original unbiased draw path bit-for-bit.
   void set_tie_switch_prob(double p) { tie_switch_prob_ = p; }
 
-  /// Insert a block whose parent is already in the tree. `work` is the PoW
-  /// weight contributed (0 for microblocks). Returns the new entry's index.
-  /// Throws if the parent is unknown or the block is a duplicate.
-  /// The two-argument overload takes the pre-interned id and performs no
-  /// hash-map lookup at all; the convenience overload interns internally
-  /// (one lookup — the previous code paid three: contains + find + emplace).
-  std::uint32_t insert(const BlockPtr& block, BlockId id, Seconds received_at, double work);
-  std::uint32_t insert(const BlockPtr& block, Seconds received_at, double work) {
-    return insert(block, interner_->intern(block->id()), received_at, work);
+  /// Accept a block whose parent is already in the tree, arriving at
+  /// `received_at`. `work` is the PoW weight contributed (0 for
+  /// microblocks). Throws if the parent is unknown, the block is a
+  /// duplicate, or the store holds different facts for it.
+  /// The id overload takes the pre-interned id and performs no hash-map
+  /// lookup when another tree already admitted the block; the convenience
+  /// overload interns internally and returns the id.
+  void insert(const BlockPtr& block, BlockId id, Seconds received_at, double work);
+  BlockId insert(const BlockPtr& block, Seconds received_at, double work) {
+    const BlockId id = store_->intern(block->id());
+    insert(block, id, received_at, work);
+    return id;
   }
 
-  /// Intern a hash through the tree's shared interner (assigns at first
-  /// sight; cheap pass-through for already-seen hashes).
-  BlockId intern(const Hash256& h) { return interner_->intern(h); }
-  [[nodiscard]] const BlockInterner& interner() const { return *interner_; }
-  [[nodiscard]] const std::shared_ptr<BlockInterner>& interner_ptr() const {
-    return interner_;
+  /// Intern a hash through the shared store (assigns at first sight).
+  BlockId intern(const Hash256& h) { return store_->intern(h); }
+  [[nodiscard]] const BlockStore& store() const { return *store_; }
+
+  // --- Membership and this node's arrival record ----------------------------
+  [[nodiscard]] bool contains_id(BlockId id) const {
+    return id < slot_.size() && slot_[id] != kNoSlot;
   }
+  [[nodiscard]] bool contains(const Hash256& h) const { return contains_id(store_->lookup(h)); }
+  /// The block's id if this tree holds it.
+  [[nodiscard]] std::optional<BlockId> find(const Hash256& h) const;
+  /// When this node accepted the block (genesis: 0). Requires contains_id.
+  [[nodiscard]] Seconds received(BlockId id) const { return received_[slot_[id]]; }
+  /// Accepted blocks in acceptance order, genesis first (a parent always
+  /// precedes its children).
+  [[nodiscard]] const std::vector<BlockId>& accepted() const { return accepted_; }
+  [[nodiscard]] std::size_t size() const { return accepted_.size(); }
 
-  // --- Id-indexed fast path (no hashing) ------------------------------------
-  [[nodiscard]] bool contains_id(BlockId id) const { return index_of_id(id) != kNoIndex; }
-  [[nodiscard]] std::uint32_t index_of_id(BlockId id) const {
-    return id < index_by_id_.size() ? index_by_id_[id] : kNoIndex;
-  }
-
-  // --- Hash-keyed convenience (single interner lookup) ----------------------
-  [[nodiscard]] bool contains(const Hash256& id) const {
-    return index_of_id(interner_->lookup(id)) != kNoIndex;
-  }
-  [[nodiscard]] std::optional<std::uint32_t> find(const Hash256& id) const;
-
-  [[nodiscard]] const Entry& entry(std::uint32_t idx) const { return entries_[idx]; }
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
-
-  [[nodiscard]] std::uint32_t best_tip() const { return best_tip_; }
-  [[nodiscard]] const Entry& best_entry() const { return entries_[best_tip_]; }
-  static constexpr std::uint32_t kGenesisIndex = 0;
-
-  /// Is `anc` an ancestor of (or equal to) `desc`? O(log height).
-  [[nodiscard]] bool is_ancestor(std::uint32_t anc, std::uint32_t desc) const;
-
-  /// Ancestor of `idx` at exactly `height` (requires height <= idx's height).
-  /// O(log height) via jump pointers.
-  [[nodiscard]] std::uint32_t ancestor_at_height(std::uint32_t idx,
-                                                 std::uint32_t height) const;
-
-  /// Indices from genesis to `tip`, inclusive.
-  [[nodiscard]] std::vector<std::uint32_t> path_from_genesis(std::uint32_t tip) const;
-
-  [[nodiscard]] std::uint32_t common_ancestor(std::uint32_t a, std::uint32_t b) const;
-
-  /// Last block on the path to `tip` whose block timestamp is <= `time`
-  /// (used by the consensus-delay metric). Accelerated by jump pointers;
-  /// chain timestamps are non-decreasing root-to-tip (a child is built after
-  /// its parent exists), which makes the skip sound.
-  [[nodiscard]] std::uint32_t ancestor_at_or_before(std::uint32_t tip, Seconds time) const;
+  // --- Chain facts (shared store) -------------------------------------------
+  /// Facts of a block this tree holds; see BlockStore::facts for lifetime.
+  [[nodiscard]] const BlockFacts& facts(BlockId id) const { return store_->facts(id); }
+  [[nodiscard]] BlockId genesis() const { return store_->genesis(); }
+  [[nodiscard]] BlockId best_tip() const { return best_tip_; }
+  [[nodiscard]] const BlockFacts& best() const { return store_->facts(best_tip_); }
 
   /// History of best-tip switches, in order (first entry is genesis at 0).
   [[nodiscard]] const std::vector<TipChange>& tip_history() const { return tip_history_; }
 
+  /// Own + descendants' work in this node's view. GHOST trees only.
+  [[nodiscard]] double subtree_work(BlockId id) const { return ghost_[slot_[id]].subtree_work; }
+
+  // --- Ancestry (answered by the shared store) ------------------------------
+  [[nodiscard]] bool is_ancestor(BlockId anc, BlockId desc) const {
+    return store_->is_ancestor(anc, desc);
+  }
+  [[nodiscard]] BlockId common_ancestor(BlockId a, BlockId b) const {
+    return store_->common_ancestor(a, b);
+  }
+  [[nodiscard]] BlockId ancestor_at_or_before(BlockId tip, Seconds time) const {
+    return store_->ancestor_at_or_before(tip, time);
+  }
+  [[nodiscard]] std::vector<BlockId> path_from_genesis(BlockId tip) const {
+    return store_->path_from_genesis(tip);
+  }
+
  private:
-  void maybe_switch_tip(std::uint32_t candidate, Seconds at);
+  static constexpr std::uint32_t kNoSlot = UINT32_MAX;
+
+  /// Per-block GHOST state: it depends on which descendants this node has
+  /// seen, and in what order, so it cannot live in the shared store.
+  struct GhostState {
+    double subtree_work = 0;
+    std::vector<std::uint32_t> children;  ///< slots, in arrival order
+  };
+
+  void add_slot(BlockId id, Seconds received_at);
+  void add_ghost_work(std::uint32_t slot, BlockId parent, double work);
+  void maybe_switch_tip(BlockId candidate, Seconds at);
   void recompute_ghost_tip(Seconds at);
-  void set_tip(std::uint32_t tip, Seconds at);
+  void set_tip(BlockId tip, Seconds at);
   [[nodiscard]] bool tie_break_switch();
 
   TieBreak tie_break_;
   double tie_switch_prob_ = 0.5;
   ForkChoice fork_choice_;
   Rng* rng_;  ///< used for random tie-breaking only; may be null for kFirstSeen
-  std::shared_ptr<BlockInterner> interner_;
-  std::vector<Entry> entries_;
-  std::vector<std::uint32_t> index_by_id_;  ///< BlockId -> entry index / kNoIndex
-  std::uint32_t best_tip_ = 0;
+  std::shared_ptr<BlockStore> store_;
+  std::vector<std::uint32_t> slot_;  ///< BlockId -> acceptance slot / kNoSlot
+  std::vector<BlockId> accepted_;    ///< slot -> BlockId
+  std::vector<Seconds> received_;    ///< slot -> arrival time
+  std::vector<GhostState> ghost_;    ///< slot -> GHOST state; empty otherwise
+  BlockId best_tip_ = kNoBlockId;
   std::vector<TipChange> tip_history_;
 };
 

@@ -18,8 +18,8 @@ class GhostNode : public bitcoin::BitcoinNode {
             Rng rng, protocol::IBlockObserver* observer);
 
  protected:
-  [[nodiscard]] bool should_relay(std::uint32_t index) const override {
-    (void)index;
+  [[nodiscard]] bool should_relay(BlockId id) const override {
+    (void)id;
     return true;
   }
 };

@@ -18,8 +18,8 @@ using sim::Experiment;
 /// metrics suite is then a single array read.
 std::vector<char> main_chain_flags(const Experiment& exp) {
   const BlockTree& g = exp.global_tree();
-  std::vector<char> on_main(g.interner().size(), 0);
-  for (std::uint32_t idx : g.path_from_genesis(g.best_tip())) on_main[g.entry(idx).id] = 1;
+  std::vector<char> on_main(g.store().interner().size(), 0);
+  for (const BlockId id : g.path_from_genesis(g.best_tip())) on_main[id] = 1;
   return on_main;
 }
 
@@ -58,7 +58,7 @@ PowBlockCounts count_pow_blocks(const Experiment& exp, NodeId node) {
 
 }  // namespace
 
-std::vector<std::uint32_t> final_main_chain(const Experiment& exp) {
+std::vector<BlockId> final_main_chain(const Experiment& exp) {
   const BlockTree& g = exp.global_tree();
   return g.path_from_genesis(g.best_tip());
 }
@@ -102,49 +102,43 @@ double consensus_delay(const Experiment& exp, double epsilon, double delta) {
   // change at or before it; every history opens with genesis at time 0.
   struct Change {
     std::uint32_t node;
-    std::uint32_t index;  ///< the tip's index in that node's tree
     BlockId tip;
   };
   std::vector<std::vector<Change>> changes_before(sample_times.size());
   for (std::size_t n = 0; n < n_nodes; ++n) {
-    const BlockTree& tree = nodes[n]->tree();
     auto s_it = sample_times.begin();
-    for (const BlockTree::TipChange& c : tree.tip_history()) {
+    for (const BlockTree::TipChange& c : nodes[n]->tree().tip_history()) {
       s_it = std::lower_bound(s_it, sample_times.end(), c.at);
       if (s_it == sample_times.end()) break;
       changes_before[static_cast<std::size_t>(s_it - sample_times.begin())].push_back(
-          {static_cast<std::uint32_t>(n), c.tip, tree.entry(c.tip).id});
+          {static_cast<std::uint32_t>(n), c.tip});
     }
   }
 
-  // Per tip BlockId: its holder count and where one holder's tree has it
-  // (any holder's tree walks the same chain). `live` lists each held tip
-  // exactly once.
+  // Per tip BlockId: its holder count. Chains are walked in the shared store,
+  // which answers for every node alike. `live` lists each held tip exactly
+  // once.
   struct Tip {
     std::size_t holders = 0;
-    std::uint32_t node = 0;
-    std::uint32_t index = 0;
     bool listed = false;
   };
-  std::vector<Tip> tips;
+  const std::size_t n_ids = g.store().interner().size();
+  std::vector<Tip> tips(n_ids);
   std::vector<BlockId> live;
   std::vector<BlockId> held(n_nodes, kNoBlockId);
 
   std::vector<double> point_delays;
   point_delays.reserve(sample_times.size());
-  std::vector<std::size_t> votes(g.size(), 0);  // by global index
-  std::vector<std::uint32_t> voted;
+  std::vector<std::size_t> votes(n_ids, 0);
+  std::vector<BlockId> voted;
 
   for (std::size_t s = 0; s < sample_times.size(); ++s) {
     const Seconds t = sample_times[s];
     for (const Change& c : changes_before[s]) {
       if (held[c.node] != kNoBlockId) --tips[held[c.node]].holders;
       held[c.node] = c.tip;
-      if (c.tip >= tips.size()) tips.resize(static_cast<std::size_t>(c.tip) + 1);
       Tip& tip = tips[c.tip];
       ++tip.holders;
-      tip.node = c.node;
-      tip.index = c.index;
       if (!tip.listed) {
         tip.listed = true;
         live.push_back(c.tip);
@@ -165,18 +159,15 @@ double consensus_delay(const Experiment& exp, double epsilon, double delta) {
       const Seconds tau = *--g_it;
       std::size_t best = 0;
       for (const BlockId id : live) {
-        const Tip& tip = tips[id];
-        const BlockTree& tree = nodes[tip.node]->tree();
         // Last chain block with timestamp <= tau; blocks the global tree
         // does not know vote for its root.
-        const std::uint32_t cut =
-            g.index_of_id(tree.entry(tree.ancestor_at_or_before(tip.index, tau)).id);
-        const std::uint32_t key = cut != BlockTree::kNoIndex ? cut : 0;
+        const BlockId cut = g.ancestor_at_or_before(id, tau);
+        const BlockId key = g.contains_id(cut) ? cut : g.genesis();
         if (votes[key] == 0) voted.push_back(key);
-        votes[key] += tip.holders;
+        votes[key] += tips[id].holders;
         best = std::max(best, votes[key]);
       }
-      for (const std::uint32_t key : voted) votes[key] = 0;
+      for (const BlockId key : voted) votes[key] = 0;
       voted.clear();
       if (best >= quorum) {
         delay = t - tau;
@@ -210,44 +201,39 @@ double mining_power_utilization(const Experiment& exp) {
 }
 
 double time_to_prune(const Experiment& exp, double percentile_value) {
-  const auto main_flags = main_chain_flags(exp);
+  const auto on_main = main_chain_flags(exp);
   std::vector<double> samples;
+  // Branch of each off-main block, by BlockId, shared by every node's pass:
+  // a pass visits blocks in acceptance order, parents before children, so
+  // it writes each entry it reads before reading it.
+  std::vector<std::size_t> branch_of(on_main.size(), 0);
 
   for (const auto& node : exp.nodes()) {
     const BlockTree& t = node->tree();
     // Receipt curve of main-chain blocks: (received, chain_work), in receipt
     // order (parents precede children, so work is non-decreasing).
     std::vector<std::pair<Seconds, double>> main_curve;
-    std::vector<bool> on_main(t.size(), false);
-    for (std::uint32_t i = 0; i < t.size(); ++i) {
-      if (main_flags[t.entry(i).id]) {
-        on_main[i] = true;
-        main_curve.emplace_back(t.entry(i).received, t.entry(i).chain_work);
-      }
-    }
-    // Group off-main entries into branches rooted where they leave the chain.
-    std::vector<std::int32_t> branch_of(t.size(), -1);
+    for (const BlockId id : t.accepted())
+      if (on_main[id]) main_curve.emplace_back(t.received(id), t.facts(id).chain_work);
+    // Group off-main blocks into branches rooted where they leave the chain.
     struct Branch {
       Seconds first_received = 0;
       double max_work = 0;
     };
     std::vector<Branch> branches;
-    for (std::uint32_t i = 1; i < t.size(); ++i) {
-      if (on_main[i]) continue;
-      const auto& e = t.entry(i);
-      const auto parent = static_cast<std::uint32_t>(e.parent);
-      std::int32_t b;
-      if (!on_main[parent] && branch_of[parent] >= 0) {
-        b = branch_of[parent];
-        branches[static_cast<std::size_t>(b)].first_received =
-            std::min(branches[static_cast<std::size_t>(b)].first_received, e.received);
-        branches[static_cast<std::size_t>(b)].max_work =
-            std::max(branches[static_cast<std::size_t>(b)].max_work, e.chain_work);
+    for (const BlockId id : t.accepted()) {
+      if (on_main[id]) continue;
+      const chain::BlockFacts& f = t.facts(id);
+      const Seconds received = t.received(id);
+      if (!on_main[f.parent]) {
+        Branch& b = branches[branch_of[f.parent]];
+        b.first_received = std::min(b.first_received, received);
+        b.max_work = std::max(b.max_work, f.chain_work);
+        branch_of[id] = branch_of[f.parent];
       } else {
-        b = static_cast<std::int32_t>(branches.size());
-        branches.push_back(Branch{e.received, e.chain_work});
+        branch_of[id] = branches.size();
+        branches.push_back(Branch{received, f.chain_work});
       }
-      branch_of[i] = b;
     }
     // For each branch: first main-chain receipt whose chain outweighs it.
     for (const Branch& br : branches) {
@@ -270,28 +256,26 @@ double time_to_win(const Experiment& exp, double percentile_value) {
   const BlockTree& g = exp.global_tree();
   const auto main_path = g.path_from_genesis(g.best_tip());
 
-  // All generated blocks with their global indices and times.
+  // All generated blocks in the global tree with their times.
   struct Gen {
     Seconds at;
-    std::uint32_t gidx;
+    BlockId id;
     NodeId miner;
   };
   std::vector<Gen> gens;
-  for (const auto& rec : exp.trace().generated()) {
-    if (const std::uint32_t gi = g.index_of_id(rec.id); gi != BlockTree::kNoIndex)
-      gens.push_back({rec.at, gi, rec.miner});
-  }
+  for (const auto& rec : exp.trace().generated())
+    if (g.contains_id(rec.id)) gens.push_back({rec.at, rec.id, rec.miner});
 
   std::vector<double> samples;
   for (std::size_t p = 1; p < main_path.size(); ++p) {  // skip genesis
-    const std::uint32_t b = main_path[p];
-    const Seconds t_b = g.entry(b).received;
-    const NodeId miner_b = g.entry(b).block->miner();
+    const BlockId b = main_path[p];
+    const Seconds t_b = g.received(b);
+    const NodeId miner_b = g.facts(b).block->miner();
     double ttw = 0;
     for (const Gen& other : gens) {
-      if (other.at <= t_b || other.gidx == b) continue;
+      if (other.at <= t_b || other.id == b) continue;
       if (other.miner == miner_b) continue;  // "a (different) node"
-      if (g.is_ancestor(b, other.gidx)) continue;  // descendants agree
+      if (g.is_ancestor(b, other.id)) continue;  // descendants agree
       ttw = std::max(ttw, other.at - t_b);
     }
     samples.push_back(ttw);
@@ -301,10 +285,9 @@ double time_to_win(const Experiment& exp, double percentile_value) {
 
 double transaction_frequency(const Experiment& exp) {
   const BlockTree& g = exp.global_tree();
-  const auto& tip = g.best_entry();
-  const Seconds duration = tip.received;
+  const Seconds duration = g.received(g.best_tip());
   if (duration <= 0) return 0.0;
-  return static_cast<double>(tip.chain_tx_count) / duration;
+  return static_cast<double>(g.best().chain_tx_count) / duration;
 }
 
 AttackerReport attacker_report(const Experiment& exp, NodeId attacker) {
@@ -340,8 +323,7 @@ std::vector<double> propagation_delays(const Experiment& exp) {
     for (const auto& node : exp.nodes()) {
       if (node->id() == rec.miner) continue;  // the miner holds it instantly
       const BlockTree& t = node->tree();
-      if (const std::uint32_t idx = t.index_of_id(rec.id); idx != BlockTree::kNoIndex)
-        delays.push_back(t.entry(idx).received - rec.at);
+      if (t.contains_id(rec.id)) delays.push_back(t.received(rec.id) - rec.at);
     }
   }
   return delays;
@@ -368,8 +350,8 @@ MetricsReport compute_metrics(const Experiment& exp, double epsilon, double delt
     }
   }
   const auto& g = exp.global_tree();
-  r.main_chain_txs = g.best_entry().chain_tx_count;
-  r.chain_duration_s = g.best_entry().received;
+  r.main_chain_txs = g.best().chain_tx_count;
+  r.chain_duration_s = g.received(g.best_tip());
 
   r.prop_delay_samples = propagation_delays(exp);
   // One sorted copy serves all three ranks; the samples themselves keep

@@ -135,7 +135,7 @@ void visit_attacker_fields(Report&& r, Fn&& fn) {
 /// receipt_time - generation_time. Drives Figure 7.
 std::vector<double> propagation_delays(const sim::Experiment& exp);
 
-/// The eventual main chain: indices into the global tree, genesis first.
-std::vector<std::uint32_t> final_main_chain(const sim::Experiment& exp);
+/// The eventual main chain, genesis first.
+std::vector<BlockId> final_main_chain(const sim::Experiment& exp);
 
 }  // namespace bng::metrics

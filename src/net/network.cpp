@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "chain/block_store.hpp"
+
 namespace bng::net {
 
 Network::Network(EventQueue& queue, const Topology& topology, const LatencyModel& latency,
@@ -10,7 +12,7 @@ Network::Network(EventQueue& queue, const Topology& topology, const LatencyModel
     : queue_(queue),
       topology_(topology),
       params_(params),
-      interner_(std::make_shared<BlockInterner>()),
+      block_store_(std::make_shared<chain::BlockStore>()),
       node_state_(std::make_shared<NodeStateArena>(topology.num_nodes())) {
   const std::uint32_t n = topology_.num_nodes();
   handlers_.resize(n, nullptr);

@@ -32,10 +32,11 @@
 //     draining in the same callback, NDN-DPDK style, instead of bouncing
 //     through the scheduler once per message.
 //
-// The Network also owns the experiment-wide BlockInterner: it is the one
+// The Network also owns the deployment-wide chain::BlockStore: it is the one
 // object every protocol node of a deployment shares, so it is the natural
 // home for the Hash256 -> BlockId assignment that block trees, gossip sets
-// and wire messages key their hot state by (see common/intern.hpp).
+// and wire messages key their hot state by (see common/intern.hpp), and for
+// the per-block chain facts every node tree reads (chain/block_store.hpp).
 #pragma once
 
 #include <cstdint>
@@ -49,6 +50,10 @@
 #include "net/event_queue.hpp"
 #include "net/latency_model.hpp"
 #include "net/topology.hpp"
+
+namespace bng::chain {
+class BlockStore;
+}  // namespace bng::chain
 
 namespace bng::net {
 
@@ -109,9 +114,12 @@ class Network {
   [[nodiscard]] EventQueue& queue() { return queue_; }
   [[nodiscard]] const Topology& topology() const { return topology_; }
 
-  /// The experiment-wide block-identity interner shared by every node of
-  /// this deployment (trees, gossip sets, wire messages).
-  [[nodiscard]] const std::shared_ptr<BlockInterner>& interner() const { return interner_; }
+  /// The deployment-wide block store — block identities and chain facts —
+  /// shared by every node of this deployment (trees, gossip sets, wire
+  /// messages) and by the trace recorder's global tree.
+  [[nodiscard]] const std::shared_ptr<chain::BlockStore>& block_store() const {
+    return block_store_;
+  }
 
   /// The experiment-wide SoA arena of hot per-node protocol state (gossip
   /// dedupe planes, CPU cursors) — one dense layout for the whole fleet.
@@ -213,7 +221,7 @@ class Network {
   EventQueue& queue_;
   Topology topology_;
   LinkParams params_;
-  std::shared_ptr<BlockInterner> interner_;
+  std::shared_ptr<chain::BlockStore> block_store_;
   std::shared_ptr<NodeStateArena> node_state_;
   std::vector<INode*> handlers_;
   std::vector<bool> offline_;

@@ -28,8 +28,7 @@ void MaliciousLeader::microblock_tick() {
   // Capture the parent the regular tick will extend; the tick moves our tip
   // onto the new microblock, so the sibling must fork from the saved parent.
   const bool leading = is_leader();
-  const Hash256 parent =
-      leading ? tree_.entry(tree_.best_tip()).block->id() : Hash256{};
+  const Hash256 parent = leading ? tree_.best().block->id() : Hash256{};
 
   NgNode::microblock_tick();
 
@@ -42,15 +41,14 @@ void MaliciousLeader::microblock_tick() {
   ++equivocations_;
 }
 
-bool MaliciousLeader::should_relay(std::uint32_t index) const {
+bool MaliciousLeader::should_relay(BlockId id) const {
   // Defensive: withhold mode creates no own microblocks, but suppress any
   // that might exist (e.g. from a mode switch mid-run in tests).
   if (mode_ == Mode::kWithholdMicroblocks) {
-    const auto& entry = tree_.entry(index);
-    if (entry.block->type() == chain::BlockType::kMicro && entry.block->miner() == id_)
-      return false;
+    const chain::Block& block = *tree_.facts(id).block;
+    if (block.type() == chain::BlockType::kMicro && block.miner() == id_) return false;
   }
-  return NgNode::should_relay(index);
+  return NgNode::should_relay(id);
 }
 
 }  // namespace bng::ng

@@ -42,7 +42,7 @@ class MaliciousLeader : public NgNode {
 
   /// kWithholdMicroblocks: own microblocks are never announced; everything
   /// else follows base policy.
-  [[nodiscard]] bool should_relay(std::uint32_t index) const override;
+  [[nodiscard]] bool should_relay(BlockId id) const override;
 
  private:
   Mode mode_;

@@ -16,20 +16,24 @@ constexpr std::size_t kMicroBlockOverhead = 250;
 
 NgNode::NgNode(NodeId id, net::Network& net, chain::BlockPtr genesis,
                protocol::NodeConfig cfg, Rng rng, protocol::IBlockObserver* observer)
-    : BaseNode(id, net, std::move(genesis), std::move(cfg), rng, observer),
-      leader_sk_(crypto::PrivateKey::from_seed(0x6e670000ull + id)),
-      leader_pk_(leader_sk_.public_key()),
-      reward_address_(chain::address_of(leader_pk_)) {}
+    : BaseNode(id, net, std::move(genesis), std::move(cfg), rng, observer) {}
+
+const NgNode::LeaderKeys& NgNode::keys() const {
+  if (!keys_) {
+    const auto sk = crypto::PrivateKey::from_seed(0x6e670000ull + id_);
+    const auto pk = sk.public_key();
+    keys_ = LeaderKeys{sk, pk, chain::address_of(pk)};
+  }
+  return *keys_;
+}
 
 bool NgNode::is_leader() const {
   if (my_latest_key_block_ == kNoBlockId) return false;
-  const auto& tip = tree_.best_entry();
-  return tree_.entry(tip.epoch_key_block).id == my_latest_key_block_;
+  return tree_.best().epoch_key_block == my_latest_key_block_;
 }
 
 void NgNode::on_mining_win(double work) {
-  const std::uint32_t tip = tree_.best_tip();
-  chain::BlockPtr block = build_key_block(tip, work);
+  chain::BlockPtr block = build_key_block(tree_.best_tip(), work);
   ++key_blocks_mined_;
   const BlockId block_id = tree_.intern(block->id());
   my_latest_key_block_ = block_id;
@@ -39,15 +43,16 @@ void NgNode::on_mining_win(double work) {
   schedule_microblock_tick();
 }
 
-chain::BlockPtr NgNode::build_key_block(std::uint32_t tip, double work) {
-  const auto& tip_entry = tree_.entry(tip);
-  const auto& prev_epoch = tree_.entry(tip_entry.epoch_key_block);
+chain::BlockPtr NgNode::build_key_block(BlockId tip, double work) {
+  const chain::BlockFacts& tip_facts = tree_.facts(tip);
+  const chain::BlockFacts& prev_epoch = tree_.facts(tip_facts.epoch_key_block);
+  const LeaderKeys& me = keys();
 
   // Remuneration (§4.4): the coinbase mints the subsidy and distributes the
   // previous epoch's fees 40% to its leader, 60% to this key block's miner.
   auto coinbase = std::make_shared<chain::Transaction>();
-  coinbase->coinbase_height = tip_entry.pow_height + 1;
-  const Amount epoch_fees = tip_entry.chain_fee_sum - prev_epoch.chain_fee_sum;
+  coinbase->coinbase_height = tip_facts.pow_height + 1;
+  const Amount epoch_fees = tip_facts.chain_fee_sum - prev_epoch.chain_fee_sum;
   const auto leader_share =
       static_cast<Amount>(cfg_.params.leader_fee_fraction * static_cast<double>(epoch_fees));
   const Amount next_share = epoch_fees - leader_share;
@@ -55,21 +60,21 @@ chain::BlockPtr NgNode::build_key_block(std::uint32_t tip, double work) {
     const Hash256 prev_leader = chain::address_of(*prev_epoch.block->header().leader_key);
     coinbase->outputs.push_back(chain::TxOutput{leader_share, prev_leader});
     coinbase->outputs.push_back(
-        chain::TxOutput{cfg_.params.block_subsidy + next_share, reward_address_});
+        chain::TxOutput{cfg_.params.block_subsidy + next_share, me.address});
   } else {
     // Genesis epoch (or zero fees): everything to this miner.
     coinbase->outputs.push_back(
-        chain::TxOutput{cfg_.params.block_subsidy + epoch_fees, reward_address_});
+        chain::TxOutput{cfg_.params.block_subsidy + epoch_fees, me.address});
   }
 
   std::vector<chain::TxPtr> txs{std::move(coinbase)};
   chain::BlockHeader header;
   header.type = chain::BlockType::kKey;
-  header.prev = tip_entry.block->id();
+  header.prev = tip_facts.block->id();
   header.timestamp = now();
   header.merkle_root = chain::compute_merkle_root(txs);
   header.nonce = rng_.next();  // regtest-style: difficulty check skipped
-  header.leader_key = leader_pk_;
+  header.leader_key = me.pk;
   return std::make_shared<chain::Block>(std::move(header), std::move(txs), id_, work);
 }
 
@@ -82,8 +87,7 @@ void NgNode::schedule_microblock_tick() {
 void NgNode::microblock_tick() {
   tick_scheduled_ = false;
   if (!is_leader()) return;  // leadership lost: stop producing (§4.2)
-  const std::uint32_t tip = tree_.best_tip();
-  chain::BlockPtr block = build_microblock(tip);
+  chain::BlockPtr block = build_microblock(tree_.best_tip());
   ++microblocks_generated_;
   const BlockId block_id = tree_.intern(block->id());
   if (observer_ != nullptr) observer_->on_block_generated(block, id_, now());
@@ -92,8 +96,7 @@ void NgNode::microblock_tick() {
   schedule_microblock_tick();
 }
 
-chain::BlockPtr NgNode::build_microblock(std::uint32_t tip, std::uint64_t salt) {
-  const auto& tip_entry = tree_.entry(tip);
+chain::BlockPtr NgNode::build_microblock(BlockId tip, std::uint64_t salt) {
   std::vector<chain::TxPtr> txs;
 
   // Place any poison transactions we hold evidence for (§4.5): allowed once
@@ -106,15 +109,15 @@ chain::BlockPtr NgNode::build_microblock(std::uint32_t tip, std::uint64_t salt) 
   while (!pending_frauds_.empty()) {
     FraudEvidence evidence = std::move(pending_frauds_.front());
     pending_frauds_.pop_front();
-    const auto accused_idx = tree_.find(evidence.accused_key_block);
-    if (!accused_idx) {
+    const auto accused_id = tree_.find(evidence.accused_key_block);
+    if (!accused_id) {
       retry.push_back(std::move(evidence));  // accused epoch not seen yet
       continue;
     }
-    const auto& accused_key = tree_.entry(*accused_idx).block->header().leader_key;
+    const auto& accused_key = tree_.facts(*accused_id).block->header().leader_key;
     if (!accused_key) continue;  // malformed evidence: not a leader epoch
     const Hash256 accused_leader = chain::address_of(*accused_key);
-    if (accused_leader == reward_address_) continue;  // self
+    if (accused_leader == keys().address) continue;  // self
     if (chain_has_poison_for(accused_leader, tip) ||
         std::find(placed_now.begin(), placed_now.end(), accused_leader) !=
             placed_now.end()) {
@@ -127,17 +130,17 @@ chain::BlockPtr NgNode::build_microblock(std::uint32_t tip, std::uint64_t salt) 
     const chain::BlockHeader* pruned = select_pruned_header(tree_, tip, evidence);
     bool placed = false;
     if (revocable > 0 && pruned != nullptr) {
-      auto probe = make_poison_tx(evidence.accused_key_block, *pruned, reward_address_, 0);
+      auto probe = make_poison_tx(evidence.accused_key_block, *pruned, keys().address, 0);
       if (check_poison(tree_, tip, *probe->poison, cfg_.verify_signatures).ok) {
         const auto bounty = static_cast<Amount>(
             cfg_.params.poison_reward_fraction * static_cast<double>(revocable));
         txs.push_back(
-            make_poison_tx(evidence.accused_key_block, *pruned, reward_address_, bounty));
+            make_poison_tx(evidence.accused_key_block, *pruned, keys().address, bounty));
         placed_now.push_back(accused_leader);
         ++poisons_placed_;
         if (cfg_.trace != nullptr && cfg_.trace->wants(obs::kTraceAdversary))
           cfg_.trace->record(obs::kTraceAdversary, obs::TraceKind::kPoison, id_,
-                             tree_.interner().lookup(evidence.accused_key_block));
+                             tree_.store().lookup(evidence.accused_key_block));
         placed = true;
       }
     }
@@ -153,7 +156,7 @@ chain::BlockPtr NgNode::build_microblock(std::uint32_t tip, std::uint64_t salt) 
 
   chain::BlockHeader header;
   header.type = chain::BlockType::kMicro;
-  header.prev = tip_entry.block->id();
+  header.prev = tree_.facts(tip).block->id();
   header.timestamp = now();
   header.merkle_root = chain::compute_merkle_root(txs);
   header.nonce = salt;
@@ -162,13 +165,13 @@ chain::BlockPtr NgNode::build_microblock(std::uint32_t tip, std::uint64_t salt) 
 }
 
 void NgNode::sign_header(chain::BlockHeader& header) const {
-  header.signature = crypto::sign(leader_sk_, header.signing_hash());
+  header.signature = crypto::sign(keys().sk, header.signing_hash());
 }
 
 chain::BlockPtr NgNode::forge_microblock(const Hash256& parent_id, std::uint64_t salt) {
-  auto parent_idx = tree_.find(parent_id);
-  if (!parent_idx) throw std::invalid_argument("forge_microblock: unknown parent");
-  chain::BlockPtr block = build_microblock(*parent_idx, salt);
+  auto parent = tree_.find(parent_id);
+  if (!parent) throw std::invalid_argument("forge_microblock: unknown parent");
+  chain::BlockPtr block = build_microblock(*parent, salt);
   ++microblocks_generated_;
   const BlockId block_id = tree_.intern(block->id());
   if (observer_ != nullptr) observer_->on_block_generated(block, id_, now());
@@ -183,9 +186,9 @@ chain::BlockPtr NgNode::forge_microblock(const Hash256& parent_id, std::uint64_t
   return block;
 }
 
-void NgNode::note_microblock(const chain::BlockPtr& block, BlockId id,
-                             std::uint32_t parent_idx, NodeId from) {
-  const Hash256 epoch_id = tree_.entry(tree_.entry(parent_idx).epoch_key_block).block->id();
+void NgNode::note_microblock(const chain::BlockPtr& block, BlockId id, BlockId parent,
+                             NodeId from) {
+  const Hash256 epoch_id = tree_.facts(tree_.facts(parent).epoch_key_block).block->id();
   if (auto fraud = detector_.observe(epoch_id, block->header())) {
     if (observer_ != nullptr) observer_->on_fraud_detected(id_, epoch_id, now());
     pending_frauds_.push_back(std::move(*fraud));
@@ -208,22 +211,20 @@ void NgNode::note_microblock(const chain::BlockPtr& block, BlockId id,
 void NgNode::record_poison_sites(const chain::Block& block, BlockId id) {
   for (const auto& tx : block.txs()) {
     if (!tx->poison) continue;
-    const auto idx = tree_.find(tx->poison->accused_key_block);
-    if (!idx) continue;
-    const auto& key = tree_.entry(*idx).block->header().leader_key;
+    const auto accused = tree_.find(tx->poison->accused_key_block);
+    if (!accused) continue;
+    const auto& key = tree_.facts(*accused).block->header().leader_key;
     if (!key) continue;
     auto& sites = poison_sites_[chain::address_of(*key)];
     if (std::find(sites.begin(), sites.end(), id) == sites.end()) sites.push_back(id);
   }
 }
 
-bool NgNode::chain_has_poison_for(const Hash256& leader_addr, std::uint32_t tip) const {
+bool NgNode::chain_has_poison_for(const Hash256& leader_addr, BlockId tip) const {
   const auto it = poison_sites_.find(leader_addr);
   if (it == poison_sites_.end()) return false;
-  for (const BlockId site : it->second) {
-    const std::uint32_t idx = tree_.index_of_id(site);
-    if (idx != chain::BlockTree::kNoIndex && tree_.is_ancestor(idx, tip)) return true;
-  }
+  for (const BlockId site : it->second)
+    if (tree_.contains_id(site) && tree_.is_ancestor(site, tip)) return true;
   return false;
 }
 
@@ -234,21 +235,21 @@ void NgNode::handle_block(const chain::BlockPtr& block, BlockId id, NodeId from)
   switch (block->type()) {
     case chain::BlockType::kKey: {
       if (auto r = chain::check_key_block(*block); !r.ok) return;
-      if (ensure_parent(block, id, from) == chain::BlockTree::kNoIndex) return;
+      if (ensure_parent(block, id, from) == kNoBlockId) return;
       accept_block(block, id, from, block->work());
       break;
     }
     case chain::BlockType::kMicro: {
-      const std::uint32_t parent_idx = ensure_parent(block, id, from);
-      if (parent_idx == chain::BlockTree::kNoIndex) return;
-      const auto& parent = tree_.entry(parent_idx);
-      const auto& epoch = tree_.entry(parent.epoch_key_block);
-      if (!epoch.block->header().leader_key) return;  // no leader yet: invalid
-      auto r = chain::check_microblock(*block, *epoch.block->header().leader_key,
-                                       parent.block->header().timestamp, now(), cfg_.params,
-                                       cfg_.verify_signatures);
+      const BlockId parent = ensure_parent(block, id, from);
+      if (parent == kNoBlockId) return;
+      const chain::BlockFacts& parent_facts = tree_.facts(parent);
+      const chain::Block& epoch = *tree_.facts(parent_facts.epoch_key_block).block;
+      if (!epoch.header().leader_key) return;  // no leader yet: invalid
+      auto r = chain::check_microblock(*block, *epoch.header().leader_key,
+                                       parent_facts.block->header().timestamp, now(),
+                                       cfg_.params, cfg_.verify_signatures);
       if (!r.ok) return;
-      note_microblock(block, id, parent_idx, from);
+      note_microblock(block, id, parent, from);
       accept_block(block, id, from, /*work=*/0.0);
       break;
     }

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <deque>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -26,8 +27,8 @@ class NgNode : public protocol::BaseNode {
   void on_mining_win(double work) override;
 
   /// Identity used to sign this node's epochs.
-  [[nodiscard]] const crypto::PublicKey& leader_pubkey() const { return leader_pk_; }
-  [[nodiscard]] const Hash256& reward_address() const { return reward_address_; }
+  [[nodiscard]] const crypto::PublicKey& leader_pubkey() const { return keys().pk; }
+  [[nodiscard]] const Hash256& reward_address() const { return keys().address; }
 
   /// Is this node currently the leader on its own view?
   [[nodiscard]] bool is_leader() const;
@@ -49,7 +50,7 @@ class NgNode : public protocol::BaseNode {
   // (ng::MaliciousLeader equivocates / withholds from inside the tick).
   void schedule_microblock_tick();
   virtual void microblock_tick();
-  [[nodiscard]] chain::BlockPtr build_microblock(std::uint32_t tip, std::uint64_t salt = 0);
+  [[nodiscard]] chain::BlockPtr build_microblock(BlockId tip, std::uint64_t salt = 0);
   void sign_header(chain::BlockHeader& header) const;
 
   /// Interned id of the newest key block this node mined; kNoBlockId before
@@ -58,16 +59,23 @@ class NgNode : public protocol::BaseNode {
   bool tick_scheduled_ = false;
 
  private:
-  [[nodiscard]] chain::BlockPtr build_key_block(std::uint32_t tip, double work);
-  void note_microblock(const chain::BlockPtr& block, BlockId id, std::uint32_t parent_idx,
-                       NodeId from);
-  void record_poison_sites(const chain::Block& block, BlockId id);
-  [[nodiscard]] bool chain_has_poison_for(const Hash256& leader_addr,
-                                          std::uint32_t tip) const;
+  /// This node's leader identity: signing key, the public key its key
+  /// blocks carry, and the address its rewards are paid to.
+  struct LeaderKeys {
+    crypto::PrivateKey sk;
+    crypto::PublicKey pk;
+    Hash256 address;
+  };
+  /// Derived on first use (deterministically from the node id): deriving
+  /// costs a scalar multiplication, and most nodes of a run never lead.
+  [[nodiscard]] const LeaderKeys& keys() const;
 
-  crypto::PrivateKey leader_sk_;
-  crypto::PublicKey leader_pk_;
-  Hash256 reward_address_;
+  [[nodiscard]] chain::BlockPtr build_key_block(BlockId tip, double work);
+  void note_microblock(const chain::BlockPtr& block, BlockId id, BlockId parent, NodeId from);
+  void record_poison_sites(const chain::Block& block, BlockId id);
+  [[nodiscard]] bool chain_has_poison_for(const Hash256& leader_addr, BlockId tip) const;
+
+  mutable std::optional<LeaderKeys> keys_;
   EquivocationDetector detector_;
   std::deque<FraudEvidence> pending_frauds_;
   /// Where poison transactions against each leader address have been seen:

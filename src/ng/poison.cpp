@@ -21,30 +21,29 @@ std::optional<FraudEvidence> EquivocationDetector::observe(const Hash256& epoch_
 }
 
 const chain::BlockHeader& FraudEvidence::pruned_header(const chain::BlockTree& tree,
-                                                       std::uint32_t tip) const {
+                                                       BlockId tip) const {
   const chain::BlockHeader* losing = select_pruned_header(tree, tip, *this);
   return losing != nullptr ? *losing : header_b;
 }
 
-const chain::BlockHeader* select_pruned_header(const chain::BlockTree& tree,
-                                               std::uint32_t tip,
+const chain::BlockHeader* select_pruned_header(const chain::BlockTree& tree, BlockId tip,
                                                const FraudEvidence& evidence) {
   auto on_chain = [&](const chain::BlockHeader& h) {
-    auto idx = tree.find(h.id());
-    return idx && tree.is_ancestor(*idx, tip);
+    auto id = tree.find(h.id());
+    return id && tree.is_ancestor(*id, tip);
   };
   if (!on_chain(evidence.header_b)) return &evidence.header_b;
   if (!on_chain(evidence.header_a)) return &evidence.header_a;
   return nullptr;
 }
 
-Amount compute_revocable(const chain::BlockTree& tree, std::uint32_t tip,
+Amount compute_revocable(const chain::BlockTree& tree, BlockId tip,
                          const Hash256& accused_key_block) {
-  auto accused_idx = tree.find(accused_key_block);
-  if (!accused_idx || !tree.is_ancestor(*accused_idx, tip)) return 0;
-  const auto& accused_entry = tree.entry(*accused_idx);
-  if (!accused_entry.block->header().leader_key) return 0;
-  const Hash256 leader_addr = chain::address_of(*accused_entry.block->header().leader_key);
+  auto accused_id = tree.find(accused_key_block);
+  if (!accused_id || !tree.is_ancestor(*accused_id, tip)) return 0;
+  const chain::Block& accused = *tree.facts(*accused_id).block;
+  if (!accused.header().leader_key) return 0;
+  const Hash256 leader_addr = chain::address_of(*accused.header().leader_key);
 
   Amount revocable = 0;
   auto add_coinbase_outputs = [&](const chain::Block& block) {
@@ -52,15 +51,15 @@ Amount compute_revocable(const chain::BlockTree& tree, std::uint32_t tip,
     for (const auto& out : block.txs()[0]->outputs)
       if (out.owner == leader_addr) revocable += out.value;
   };
-  add_coinbase_outputs(*accused_entry.block);
+  add_coinbase_outputs(accused);
   // Find the next key block on the path to tip (it pays the 40% fee share).
-  std::uint32_t cur = tip;
-  std::uint32_t next_key = UINT32_MAX;
-  while (cur != *accused_idx) {
-    if (tree.entry(cur).block->type() == chain::BlockType::kKey) next_key = cur;
-    cur = static_cast<std::uint32_t>(tree.entry(cur).parent);
+  BlockId cur = tip;
+  BlockId next_key = kNoBlockId;
+  while (cur != *accused_id) {
+    if (tree.facts(cur).block->type() == chain::BlockType::kKey) next_key = cur;
+    cur = tree.facts(cur).parent;
   }
-  if (next_key != UINT32_MAX) add_coinbase_outputs(*tree.entry(next_key).block);
+  if (next_key != kNoBlockId) add_coinbase_outputs(*tree.facts(next_key).block);
   return revocable;
 }
 
@@ -79,16 +78,16 @@ chain::TxPtr make_poison_tx(const Hash256& accused_key_block,
   return tx;
 }
 
-chain::ValidationResult check_poison(const chain::BlockTree& tree, std::uint32_t tip,
+chain::ValidationResult check_poison(const chain::BlockTree& tree, BlockId tip,
                                      const chain::PoisonPayload& payload,
                                      bool verify_signature) {
   using chain::ValidationResult;
   // 1. Accused key block on the chain.
-  auto accused_idx = tree.find(payload.accused_key_block);
-  if (!accused_idx || !tree.is_ancestor(*accused_idx, tip))
+  auto accused_id = tree.find(payload.accused_key_block);
+  if (!accused_id || !tree.is_ancestor(*accused_id, tip))
     return ValidationResult::fail("accused key block not on chain");
-  const auto& accused = tree.entry(*accused_idx);
-  if (accused.block->type() != chain::BlockType::kKey || !accused.block->header().leader_key)
+  const chain::Block& accused = *tree.facts(*accused_id).block;
+  if (accused.type() != chain::BlockType::kKey || !accused.header().leader_key)
     return ValidationResult::fail("accused block is not a key block");
 
   // 2. Parse the pruned header; must be a microblock.
@@ -105,31 +104,28 @@ chain::ValidationResult check_poison(const chain::BlockTree& tree, std::uint32_t
     return ValidationResult::fail("pruned header id mismatch");
   if (!pruned.signature) return ValidationResult::fail("pruned header unsigned");
   if (verify_signature &&
-      !crypto::verify(*accused.block->header().leader_key, pruned.signing_hash(),
+      !crypto::verify(*accused.header().leader_key, pruned.signing_hash(),
                       *pruned.signature))
     return ValidationResult::fail("pruned header not signed by accused leader");
 
   // 3. The pruned header must not be on the chain.
-  if (auto pruned_idx = tree.find(payload.pruned_header_id);
-      pruned_idx && tree.is_ancestor(*pruned_idx, tip))
+  if (auto pruned_id = tree.find(payload.pruned_header_id);
+      pruned_id && tree.is_ancestor(*pruned_id, tip))
     return ValidationResult::fail("claimed pruned header is on the main chain");
 
   // 4. Equivocation: the chain extends the same predecessor with a different
   //    microblock of the accused epoch.
-  auto prev_idx = tree.find(pruned.prev);
-  if (!prev_idx || !tree.is_ancestor(*prev_idx, tip))
+  auto prev_id = tree.find(pruned.prev);
+  if (!prev_id || !tree.is_ancestor(*prev_id, tip))
     return ValidationResult::fail("pruned header's predecessor not on chain");
   // Find the chain's successor of prev on the path to tip.
-  std::uint32_t successor = UINT32_MAX;
-  for (std::uint32_t cur = tip; cur != *prev_idx;
-       cur = static_cast<std::uint32_t>(tree.entry(cur).parent)) {
-    successor = cur;
-  }
-  if (successor == UINT32_MAX)
+  BlockId successor = kNoBlockId;
+  for (BlockId cur = tip; cur != *prev_id; cur = tree.facts(cur).parent) successor = cur;
+  if (successor == kNoBlockId)
     return ValidationResult::fail("predecessor is the tip; no equivocation shown");
-  const auto& succ = tree.entry(successor);
+  const chain::BlockFacts& succ = tree.facts(successor);
   if (succ.block->type() != chain::BlockType::kMicro ||
-      succ.epoch_key_block != *accused_idx)
+      succ.epoch_key_block != *accused_id)
     return ValidationResult::fail("chain successor is not an accused-epoch microblock");
   if (succ.block->id() == payload.pruned_header_id)
     return ValidationResult::fail("headers identical; no fork");

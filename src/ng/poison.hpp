@@ -33,7 +33,7 @@ struct FraudEvidence {
   /// behaviour of unconditionally returning header_b mis-poisoned whenever
   /// the *second* observed sibling was the one that won.
   [[nodiscard]] const chain::BlockHeader& pruned_header(const chain::BlockTree& tree,
-                                                        std::uint32_t tip) const;
+                                                        BlockId tip) const;
 };
 
 /// Watches microblock headers and reports leader equivocation: two distinct
@@ -61,7 +61,7 @@ class EquivocationDetector {
 /// Revenue of the accused leader that is still revocable on the chain ending
 /// at `tip`: coinbase outputs paying the leader's address in its own key
 /// block and in the successor key block (the 40% fee share).
-Amount compute_revocable(const chain::BlockTree& tree, std::uint32_t tip,
+Amount compute_revocable(const chain::BlockTree& tree, BlockId tip,
                          const Hash256& accused_key_block);
 
 /// Build the poison transaction around a specific pruned header. `bounty`
@@ -74,8 +74,7 @@ chain::TxPtr make_poison_tx(const Hash256& accused_key_block,
 /// Pick whichever evidence header is NOT on the chain ending at `tip` (the
 /// pruned one); nullptr if both are on-chain ancestors (cannot happen for a
 /// real fork) or evidence is empty.
-const chain::BlockHeader* select_pruned_header(const chain::BlockTree& tree,
-                                               std::uint32_t tip,
+const chain::BlockHeader* select_pruned_header(const chain::BlockTree& tree, BlockId tip,
                                                const FraudEvidence& evidence);
 
 /// Contextual poison validation against the chain ending at `tip` (§4.5):
@@ -85,7 +84,7 @@ const chain::BlockHeader* select_pruned_header(const chain::BlockTree& tree,
 ///  - the chain extends the pruned header's predecessor with a *different*
 ///    microblock of the same epoch (equivocation, not a benign leader
 ///    switch as in Fig. 2).
-chain::ValidationResult check_poison(const chain::BlockTree& tree, std::uint32_t tip,
+chain::ValidationResult check_poison(const chain::BlockTree& tree, BlockId tip,
                                      const chain::PoisonPayload& payload,
                                      bool verify_signature);
 

@@ -23,7 +23,7 @@ BaseNode::BaseNode(NodeId id, net::Network& net, chain::BlockPtr genesis, NodeCo
       cfg_(std::move(cfg)),
       rng_(rng),
       tree_(std::move(genesis), cfg_.params.tie_break, fork_choice_for(cfg_.params), &rng_,
-            net.interner()),
+            net.block_store()),
       observer_(observer),
       known_(*net.node_state(), NodeStateArena::kKnown, id),
       requested_(*net.node_state(), NodeStateArena::kRequested, id) {
@@ -60,8 +60,7 @@ void BaseNode::handle_getdata(NodeId from, const GetDataMessage& req) {
 }
 
 chain::BlockPtr BaseNode::find_block(BlockId id) const {
-  if (const std::uint32_t idx = tree_.index_of_id(id); idx != chain::BlockTree::kNoIndex)
-    return tree_.entry(idx).block;
+  if (tree_.contains_id(id)) return tree_.facts(id).block;
   for (const Orphan& o : orphans_)
     if (o.id == id) return o.block;
   return nullptr;
@@ -103,39 +102,36 @@ void BaseNode::announce(BlockId id, NodeId except) {
   }
 }
 
-std::uint32_t BaseNode::accept_block(const chain::BlockPtr& block, BlockId id, NodeId from,
-                                     double work) {
-  const std::uint32_t old_tip = tree_.best_tip();
-  const std::uint32_t index = tree_.insert(block, id, now(), work);
+void BaseNode::accept_block(const chain::BlockPtr& block, BlockId id, NodeId from,
+                            double work) {
+  const BlockId old_tip = tree_.best_tip();
+  tree_.insert(block, id, now(), work);
   known_.insert(id);
   if (cfg_.workload_mode == WorkloadMode::kFullMempool) {
-    const std::uint32_t new_tip = tree_.best_tip();
+    const BlockId new_tip = tree_.best_tip();
     if (new_tip != old_tip) update_mempool_for_tip_change(old_tip, new_tip);
   }
-  if (cfg_.trace != nullptr && cfg_.trace->wants(obs::kTraceBlocks)) {
-    const std::int32_t pidx = tree_.entry(index).parent;
+  if (cfg_.trace != nullptr && cfg_.trace->wants(obs::kTraceBlocks))
     cfg_.trace->record(obs::kTraceBlocks, obs::TraceKind::kAccept, id_, id,
-                       pidx >= 0 ? tree_.entry(static_cast<std::uint32_t>(pidx)).id
-                                 : kNoBlockId,
-                       from);
-  }
-  if (should_relay(index)) announce(id, from);
-  after_accept(block, index, old_tip);
+                       tree_.facts(id).parent, from);
+  if (should_relay(id)) announce(id, from);
+  after_accept(block, id, old_tip);
   resolve_orphans(id);
-  return index;
 }
 
-std::uint32_t BaseNode::ensure_parent(const chain::BlockPtr& block, BlockId id,
-                                      NodeId from) {
-  const BlockId parent_id = tree_.intern(block->header().prev);
-  const std::uint32_t parent_idx = tree_.index_of_id(parent_id);
-  if (parent_idx != chain::BlockTree::kNoIndex) return parent_idx;
+BlockId BaseNode::ensure_parent(const chain::BlockPtr& block, BlockId id, NodeId from) {
+  // A block the deployment already knows names its parent in the shared
+  // store; only a block no tree has admitted yet pays the hash lookup.
+  const chain::BlockStore& store = tree_.store();
+  const BlockId parent_id =
+      store.known(id) ? store.facts(id).parent : tree_.intern(block->header().prev);
+  if (tree_.contains_id(parent_id)) return parent_id;
   orphans_.push_back(Orphan{parent_id, id, block, from});
   if (!requested_.contains(parent_id) && !known_.contains(parent_id) && from != id_) {
     requested_.insert(parent_id);
     net_.send(id_, from, make_pooled<GetDataMessage>(parent_id));
   }
-  return chain::BlockTree::kNoIndex;
+  return kNoBlockId;
 }
 
 void BaseNode::resolve_orphans(BlockId parent_id) {
@@ -153,14 +149,14 @@ void BaseNode::resolve_orphans(BlockId parent_id) {
   for (Orphan& o : waiting) handle_block(o.block, o.id, o.from);
 }
 
-std::vector<chain::TxPtr> BaseNode::assemble_payload(std::uint32_t tip, std::size_t max_bytes,
+std::vector<chain::TxPtr> BaseNode::assemble_payload(BlockId tip, std::size_t max_bytes,
                                                      std::size_t reserve_bytes) {
   if (cfg_.workload_mode == WorkloadMode::kSynthetic) {
     const SyntheticWorkload& pool = *cfg_.workload;
     std::vector<chain::TxPtr> out;
     if (pool.tx_wire_size == 0 || reserve_bytes >= max_bytes) return out;
     std::size_t budget = max_bytes - reserve_bytes;
-    std::size_t start = tree_.entry(tip).chain_tx_count;
+    std::size_t start = tree_.facts(tip).chain_tx_count;
     std::size_t count = std::min(budget / pool.tx_wire_size,
                                  pool.txs.size() > start ? pool.txs.size() - start : 0);
     out.reserve(count);
@@ -170,18 +166,16 @@ std::vector<chain::TxPtr> BaseNode::assemble_payload(std::uint32_t tip, std::siz
   return mempool_.assemble(max_bytes, reserve_bytes);
 }
 
-void BaseNode::update_mempool_for_tip_change(std::uint32_t old_tip, std::uint32_t new_tip) {
-  const std::uint32_t fork = tree_.common_ancestor(old_tip, new_tip);
+void BaseNode::update_mempool_for_tip_change(BlockId old_tip, BlockId new_tip) {
+  const BlockId fork = tree_.common_ancestor(old_tip, new_tip);
   // Return transactions from abandoned blocks to the pool...
-  for (std::uint32_t cur = old_tip; cur != fork;
-       cur = static_cast<std::uint32_t>(tree_.entry(cur).parent)) {
-    for (const auto& tx : tree_.entry(cur).block->txs())
+  for (BlockId cur = old_tip; cur != fork; cur = tree_.facts(cur).parent) {
+    for (const auto& tx : tree_.facts(cur).block->txs())
       if (!tx->is_coinbase()) mempool_.mark_excluded(tx->id());
   }
   // ...and mark the newly adopted chain's transactions as included.
-  for (std::uint32_t cur = new_tip; cur != fork;
-       cur = static_cast<std::uint32_t>(tree_.entry(cur).parent)) {
-    for (const auto& tx : tree_.entry(cur).block->txs())
+  for (BlockId cur = new_tip; cur != fork; cur = tree_.facts(cur).parent) {
+    for (const auto& tx : tree_.facts(cur).block->txs())
       if (!tx->is_coinbase()) mempool_.mark_included(tx->id());
   }
 }

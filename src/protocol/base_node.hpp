@@ -98,17 +98,15 @@ class BaseNode : public net::INode {
   virtual void handle_block(const chain::BlockPtr& block, BlockId id, NodeId from) = 0;
 
   /// Insert into the tree, relay, resolve orphans, maintain the mempool.
-  /// Returns the tree index.
-  std::uint32_t accept_block(const chain::BlockPtr& block, BlockId id, NodeId from,
-                             double work);
+  void accept_block(const chain::BlockPtr& block, BlockId id, NodeId from, double work);
 
   /// Announce a block id to all neighbours except `except`.
   void announce(BlockId id, NodeId except);
 
-  /// If the block's parent is in the tree, returns its tree index. Otherwise
-  /// buffers the block as an orphan, requests the parent from `from`, and
-  /// returns chain::BlockTree::kNoIndex.
-  std::uint32_t ensure_parent(const chain::BlockPtr& block, BlockId id, NodeId from);
+  /// If the block's parent is in the tree, returns the parent's id.
+  /// Otherwise buffers the block as an orphan, requests the parent from
+  /// `from`, and returns kNoBlockId.
+  BlockId ensure_parent(const chain::BlockPtr& block, BlockId id, NodeId from);
 
   /// Queue `fn` on this node's CPU after `cost` seconds of processing.
   void process_after(Seconds cost, net::EventQueue::Callback fn);
@@ -116,25 +114,24 @@ class BaseNode : public net::INode {
   [[nodiscard]] Seconds now() const { return net_.queue().now(); }
 
   /// Assemble up to `max_bytes` of payload transactions on top of `tip`.
-  [[nodiscard]] std::vector<chain::TxPtr> assemble_payload(std::uint32_t tip,
+  [[nodiscard]] std::vector<chain::TxPtr> assemble_payload(BlockId tip,
                                                            std::size_t max_bytes,
                                                            std::size_t reserve_bytes);
 
   /// Update mempool inclusion state after the tip moved (full-mempool mode).
-  void update_mempool_for_tip_change(std::uint32_t old_tip, std::uint32_t new_tip);
+  void update_mempool_for_tip_change(BlockId old_tip, BlockId new_tip);
 
   /// Called after a block is accepted and the tip possibly changed.
-  virtual void after_accept(const chain::BlockPtr& block, std::uint32_t index,
-                            std::uint32_t old_tip) {
+  virtual void after_accept(const chain::BlockPtr& block, BlockId id, BlockId old_tip) {
     (void)block;
-    (void)index;
+    (void)id;
     (void)old_tip;
   }
 
   /// Relay policy. bitcoind only announces blocks on its active chain; GHOST
   /// (paper §9) must propagate all blocks so nodes can weigh subtrees.
-  [[nodiscard]] virtual bool should_relay(std::uint32_t index) const {
-    return tree_.is_ancestor(index, tree_.best_tip());
+  [[nodiscard]] virtual bool should_relay(BlockId id) const {
+    return tree_.is_ancestor(id, tree_.best_tip());
   }
 
   NodeId id_;

@@ -49,17 +49,16 @@ class SelfishNode : public Base {
 
  protected:
   /// Reacts to accepted blocks per SM1 (publish / match / race / abandon).
-  void after_accept(const chain::BlockPtr& block, std::uint32_t index,
-                    std::uint32_t old_tip) override {
-    Base::after_accept(block, index, old_tip);
-    strategy_.on_accept(index, block->miner() == this->id_);
+  void after_accept(const chain::BlockPtr& block, BlockId id, BlockId old_tip) override {
+    Base::after_accept(block, id, old_tip);
+    strategy_.on_accept(id, block->miner() == this->id_);
   }
 
   /// Withheld blocks are never announced; published ones follow base policy.
-  [[nodiscard]] bool should_relay(std::uint32_t index) const override {
-    const bool own = this->tree_.entry(index).block->miner() == this->id_;
-    if (strategy_.suppress_relay(index, own)) return false;
-    return Base::should_relay(index);
+  [[nodiscard]] bool should_relay(BlockId id) const override {
+    const bool own = this->tree_.facts(id).block->miner() == this->id_;
+    if (strategy_.suppress_relay(id, own)) return false;
+    return Base::should_relay(id);
   }
 
   WithholdingStrategy strategy_;

@@ -27,7 +27,7 @@ void WithholdingStrategy::begin_own_win() { processing_own_win_ = true; }
 
 void WithholdingStrategy::end_own_win() {
   processing_own_win_ = false;
-  private_blocks_.push_back(tree_.best_entry().id);
+  private_blocks_.push_back(tree_.best_tip());
   trace_decision(trace_ring_, obs::TraceKind::kWithhold, self_, private_blocks_.back());
 
   // State 0' -> win: we were racing head-to-head and just mined on our own
@@ -39,27 +39,25 @@ void WithholdingStrategy::end_own_win() {
   }
 }
 
-bool WithholdingStrategy::extends_private_tip(std::uint32_t index) const {
+bool WithholdingStrategy::extends_private_tip(BlockId id) const {
   if (private_blocks_.empty()) return false;
-  const std::uint32_t last_private = tree_.index_of_id(private_blocks_.back());
-  return last_private != chain::BlockTree::kNoIndex &&
-         tree_.is_ancestor(last_private, index);
+  const BlockId last_private = private_blocks_.back();
+  return tree_.contains_id(last_private) && tree_.is_ancestor(last_private, id);
 }
 
-bool WithholdingStrategy::suppress_relay(std::uint32_t index, bool own) const {
+bool WithholdingStrategy::suppress_relay(BlockId id, bool own) const {
   if (processing_own_win_) return true;  // own block being mined right now
-  if (is_private(tree_.entry(index).id)) return true;
+  if (is_private(id)) return true;
   // An own block extending the private tip is private-to-be: on_accept will
   // register it, but the relay decision happens first (see the header).
-  return own && extends_private_tip(index);
+  return own && extends_private_tip(id);
 }
 
-void WithholdingStrategy::on_accept(std::uint32_t index, bool own) {
+void WithholdingStrategy::on_accept(BlockId id, bool own) {
   if (processing_own_win_) return;  // our own freshly-withheld block
-  const BlockId id = tree_.entry(index).id;
   if (is_private(id)) return;
 
-  if (own && extends_private_tip(index)) {
+  if (own && extends_private_tip(id)) {
     // A zero-weight block we built on our own private chain (an NG
     // microblock during a withheld epoch): it stays private, publishing
     // together with its key block. PoW protocols never reach this branch —
@@ -70,7 +68,7 @@ void WithholdingStrategy::on_accept(std::uint32_t index, bool own) {
   }
 
   // A public block arrived (honest, or one we published ourselves).
-  public_best_work_ = std::max(public_best_work_, tree_.entry(index).chain_work);
+  public_best_work_ = std::max(public_best_work_, tree_.facts(id).chain_work);
   if (racing_ && public_best_work_ > race_work_) racing_ = false;  // race resolved
   if (private_blocks_.empty()) return;
 
@@ -104,12 +102,11 @@ void WithholdingStrategy::on_accept(std::uint32_t index, bool own) {
 void WithholdingStrategy::publish_until(double target_work) {
   while (!private_blocks_.empty()) {
     const BlockId id = private_blocks_.front();
-    const std::uint32_t idx = tree_.index_of_id(id);
-    if (idx == chain::BlockTree::kNoIndex) {
+    if (!tree_.contains_id(id)) {
       private_blocks_.pop_front();
       continue;
     }
-    if (tree_.entry(idx).chain_work > target_work) break;
+    if (tree_.facts(id).chain_work > target_work) break;
     private_blocks_.pop_front();
     ++blocks_published_;
     trace_decision(trace_ring_, obs::TraceKind::kRelease, self_, id);

@@ -65,7 +65,7 @@ class WithholdingStrategy {
 
   /// Feed every accepted block (the host's after_accept hook). `own` is true
   /// when this node generated the block.
-  void on_accept(std::uint32_t index, bool own);
+  void on_accept(BlockId id, bool own);
 
   /// True for blocks the relay policy must suppress: the private chain, the
   /// block currently inside the begin/end_own_win bracket, and — crucially —
@@ -74,7 +74,7 @@ class WithholdingStrategy {
   /// after_accept hook runs, so without the last rule the adversary's own
   /// private-chain microblocks would be announced (and the withheld epoch
   /// revealed through orphan-chasing) one hook too early.
-  [[nodiscard]] bool suppress_relay(std::uint32_t index, bool own) const;
+  [[nodiscard]] bool suppress_relay(BlockId id, bool own) const;
 
   /// Mirror withhold/release/abandon decisions into a decision trace
   /// (obs/trace_ring.hpp). `self` labels the events with the host node's id.
@@ -94,8 +94,8 @@ class WithholdingStrategy {
   void publish_all();
   void abandon_private_chain();
   [[nodiscard]] bool is_private(BlockId id) const;
-  [[nodiscard]] bool extends_private_tip(std::uint32_t index) const;
-  [[nodiscard]] double private_work() const { return tree_.best_entry().chain_work; }
+  [[nodiscard]] bool extends_private_tip(BlockId id) const;
+  [[nodiscard]] double private_work() const { return tree_.best().chain_work; }
 
   const chain::BlockTree& tree_;
   std::function<void(BlockId)> publish_;

@@ -282,7 +282,7 @@ Scenario make_ablation_power_drop(const RunKnobs& knobs) {
     const Seconds phase_len = 1800;
     exp.queue().run_until(phase_len);
     const auto pow_1 = exp.trace().pow_blocks();
-    const auto tx_1 = exp.global_tree().best_entry().chain_tx_count;
+    const auto tx_1 = exp.global_tree().best().chain_tx_count;
 
     // 90% of hash power leaves (paper: miners flee to another chain).
     const auto& powers = exp.powers();
@@ -294,7 +294,7 @@ Scenario make_ablation_power_drop(const RunKnobs& knobs) {
     const auto pow_2 = exp.trace().pow_blocks() - pow_1;
     // A post-drop reorg can land on a best tip carrying fewer cumulative
     // txs than the phase-1 snapshot; clamp instead of wrapping unsigned.
-    const auto tip_txs = exp.global_tree().best_entry().chain_tx_count;
+    const auto tip_txs = exp.global_tree().best().chain_tx_count;
     const auto tx_2 = tip_txs > tx_1 ? tip_txs - tx_1 : 0;
 
     const double mins = phase_len / 60.0;
@@ -603,8 +603,8 @@ Scenario make_ng_poison(const RunKnobs& knobs) {
         *exp.nodes()[exp.config().adversary.node]);
     std::uint64_t main_poisons = 0;
     const auto& g = exp.global_tree();
-    for (std::uint32_t idx : g.path_from_genesis(g.best_tip()))
-      for (const auto& tx : g.entry(idx).block->txs())
+    for (const BlockId id : g.path_from_genesis(g.best_tip()))
+      for (const auto& tx : g.facts(id).block->txs())
         if (tx->poison) ++main_poisons;
     v.emplace_back("equivocations", static_cast<double>(leader.equivocations()));
     v.emplace_back("frauds_detected", static_cast<double>(exp.trace().frauds().size()));

@@ -241,8 +241,9 @@ void Experiment::build_nodes() {
   network_ = std::make_unique<net::Network>(queue_, topology, latency, cfg_.link,
                                             latency_rng, clustered ? &intra : nullptr);
 
-  // Share the deployment-wide interner so global-tree and node-tree ids agree.
-  trace_ = std::make_unique<TraceRecorder>(genesis_, network_->interner());
+  // Share the deployment-wide store so global-tree and node-tree ids and
+  // chain facts agree.
+  trace_ = std::make_unique<TraceRecorder>(genesis_, network_->block_store());
   if (cfg_.trace != nullptr) {
     cfg_.trace->set_clock([this] { return queue_.now(); });
     trace_->set_ring(cfg_.trace);

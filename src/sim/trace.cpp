@@ -8,9 +8,9 @@ namespace {
 constexpr std::uint32_t kNoRecord = UINT32_MAX;
 }  // namespace
 
-TraceRecorder::TraceRecorder(chain::BlockPtr genesis, std::shared_ptr<BlockInterner> interner)
+TraceRecorder::TraceRecorder(chain::BlockPtr genesis, std::shared_ptr<chain::BlockStore> store)
     : tree_(std::move(genesis), chain::TieBreak::kFirstSeen,
-            chain::BlockTree::ForkChoice::kHeaviestChain, nullptr, std::move(interner)) {}
+            chain::BlockTree::ForkChoice::kHeaviestChain, nullptr, std::move(store)) {}
 
 void TraceRecorder::on_block_generated(const chain::BlockPtr& block, NodeId miner,
                                        Seconds at) {
@@ -28,18 +28,18 @@ void TraceRecorder::on_block_generated(const chain::BlockPtr& block, NodeId mine
   if (!tree_.contains_id(id)) tree_.insert(block, id, at, block->work());
   if (ring_ != nullptr && ring_->wants(obs::kTraceBlocks))
     ring_->record(obs::kTraceBlocks, obs::TraceKind::kGenerate, miner, id,
-                  tree_.interner().lookup(block->header().prev));
+                  tree_.store().lookup(block->header().prev));
 }
 
 void TraceRecorder::on_fraud_detected(NodeId detector, const Hash256& accused, Seconds at) {
   frauds_.push_back(FraudEvent{detector, accused, at});
   if (ring_ != nullptr && ring_->wants(obs::kTraceAdversary))
     ring_->record(obs::kTraceAdversary, obs::TraceKind::kFraud, detector,
-                  tree_.interner().lookup(accused));
+                  tree_.store().lookup(accused));
 }
 
 std::optional<std::size_t> TraceRecorder::find(const Hash256& id) const {
-  return find_by_id(tree_.interner().lookup(id));
+  return find_by_id(tree_.store().lookup(id));
 }
 
 std::optional<std::size_t> TraceRecorder::find_by_id(BlockId id) const {

@@ -4,10 +4,11 @@
 // the generation registry and a reference block tree built at generation
 // times, from which the metrics suite derives the eventual main chain.
 //
-// The recorder shares the deployment's BlockInterner (pass the network's),
-// so its generation registry and reference tree agree on BlockId with every
-// node tree — the metrics pass maps node entries to global entries with
-// plain array indexing instead of per-block hash lookups.
+// The recorder shares the deployment's BlockStore (pass the network's), so
+// its generation registry and reference tree agree on BlockId with every
+// node tree, and the reference tree computes each generated block's chain
+// facts once for the whole deployment (it admits a block at generation,
+// before any node has received it).
 #pragma once
 
 #include <memory>
@@ -40,11 +41,11 @@ class TraceRecorder : public protocol::IBlockObserver {
     Seconds at = 0;
   };
 
-  /// Pass the deployment-wide interner (net::Network::interner()) so ids
-  /// agree across the global tree and every node tree; a standalone recorder
-  /// may pass nullptr and owns a private interner.
+  /// Pass the deployment-wide store (net::Network::block_store()) so ids
+  /// and facts agree across the global tree and every node tree; a
+  /// standalone recorder may pass nullptr and owns a private store.
   explicit TraceRecorder(chain::BlockPtr genesis,
-                         std::shared_ptr<BlockInterner> interner = nullptr);
+                         std::shared_ptr<chain::BlockStore> store = nullptr);
 
   void on_block_generated(const chain::BlockPtr& block, NodeId miner, Seconds at) override;
   void on_fraud_detected(NodeId detector, const Hash256& accused, Seconds at) override;

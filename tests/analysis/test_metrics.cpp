@@ -60,9 +60,9 @@ TEST_F(MetricsTest, MainChainIsConnectedPath) {
   auto path = final_main_chain(*ng_);
   ASSERT_GT(path.size(), 1u);
   const auto& g = ng_->global_tree();
-  EXPECT_EQ(path[0], chain::BlockTree::kGenesisIndex);
+  EXPECT_EQ(path[0], g.genesis());
   for (std::size_t i = 1; i < path.size(); ++i)
-    EXPECT_EQ(static_cast<std::uint32_t>(g.entry(path[i]).parent), path[i - 1]);
+    EXPECT_EQ(g.facts(path[i]).parent, path[i - 1]);
 }
 
 TEST_F(MetricsTest, NgUtilizationIsOptimal) {
@@ -134,8 +134,8 @@ TEST_F(MetricsTest, TimeToWinNonNegativeAndBounded) {
 
 TEST_F(MetricsTest, TransactionFrequencyMatchesChainContents) {
   const auto& g = ng_->global_tree();
-  double expected = static_cast<double>(g.best_entry().chain_tx_count) /
-                    g.best_entry().received;
+  double expected = static_cast<double>(g.best().chain_tx_count) /
+                    g.received(g.best_tip());
   EXPECT_DOUBLE_EQ(transaction_frequency(*ng_), expected);
   EXPECT_GT(transaction_frequency(*ng_), 0.0);
 }

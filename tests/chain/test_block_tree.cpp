@@ -32,16 +32,19 @@ class BlockTreeTest : public ::testing::Test {
 
 TEST_F(BlockTreeTest, GenesisIsInitialTip) {
   EXPECT_EQ(tree_.size(), 1u);
-  EXPECT_EQ(tree_.best_tip(), BlockTree::kGenesisIndex);
+  EXPECT_EQ(tree_.best_tip(), tree_.genesis());
   EXPECT_TRUE(tree_.contains(genesis_->id()));
+  EXPECT_EQ(tree_.facts(tree_.genesis()).block, genesis_);
 }
 
 TEST_F(BlockTreeTest, InsertExtendsTip) {
   auto b1 = make_block(BlockType::kPow, genesis_->id(), 1.0, 0);
   auto idx = tree_.insert(b1, 1.0, 1.0);
   EXPECT_EQ(tree_.best_tip(), idx);
-  EXPECT_EQ(tree_.entry(idx).height, 1u);
-  EXPECT_EQ(tree_.entry(idx).chain_work, 1.0);
+  EXPECT_EQ(tree_.facts(idx).height, 1u);
+  EXPECT_EQ(tree_.facts(idx).chain_work, 1.0);
+  EXPECT_EQ(tree_.facts(idx).parent, tree_.genesis());
+  EXPECT_EQ(tree_.received(idx), 1.0);
 }
 
 TEST_F(BlockTreeTest, DuplicateInsertThrows) {
@@ -108,9 +111,9 @@ TEST_F(BlockTreeTest, MicroblocksExtendWithoutWeight) {
   auto m1 = make_block(BlockType::kMicro, k1->id(), 2.0, 0);
   auto m1_idx = tree_.insert(m1, 2.0, 0.0);
   EXPECT_EQ(tree_.best_tip(), m1_idx);  // descendant of tip extends it
-  EXPECT_EQ(tree_.entry(m1_idx).chain_work, 1.0);
-  EXPECT_EQ(tree_.entry(m1_idx).pow_height, 1u);
-  EXPECT_EQ(tree_.entry(m1_idx).height, 2u);
+  EXPECT_EQ(tree_.facts(m1_idx).chain_work, 1.0);
+  EXPECT_EQ(tree_.facts(m1_idx).pow_height, 1u);
+  EXPECT_EQ(tree_.facts(m1_idx).height, 2u);
 }
 
 TEST_F(BlockTreeTest, KeyBlockPrunesMicroblockFork) {
@@ -137,10 +140,11 @@ TEST_F(BlockTreeTest, EpochKeyBlockTracking) {
   auto k2_idx = tree_.insert(k2, 3.0, 1.0);
   auto m2 = make_block(BlockType::kMicro, k2->id(), 4.0, 1);
   auto m2_idx = tree_.insert(m2, 4.0, 0.0);
-  EXPECT_EQ(tree_.entry(m1_idx).epoch_key_block, k1_idx);
-  EXPECT_EQ(tree_.entry(k2_idx).epoch_key_block, k2_idx);
-  EXPECT_EQ(tree_.entry(m2_idx).epoch_key_block, k2_idx);
-  EXPECT_EQ(tree_.entry(k1_idx).epoch_key_block, k1_idx);
+  EXPECT_EQ(tree_.facts(m1_idx).epoch_key_block, k1_idx);
+  EXPECT_EQ(tree_.facts(k2_idx).epoch_key_block, k2_idx);
+  EXPECT_EQ(tree_.facts(m2_idx).epoch_key_block, k2_idx);
+  EXPECT_EQ(tree_.facts(k1_idx).epoch_key_block, k1_idx);
+  EXPECT_EQ(tree_.facts(tree_.genesis()).epoch_key_block, tree_.genesis());
 }
 
 TEST_F(BlockTreeTest, AncestorQueries) {
@@ -151,12 +155,13 @@ TEST_F(BlockTreeTest, AncestorQueries) {
   auto r1 = make_block(BlockType::kPow, genesis_->id(), 1.5, 1);
   auto ir = tree_.insert(r1, 1.5, 1.0);
 
-  EXPECT_TRUE(tree_.is_ancestor(0, i2));
+  const BlockId g = tree_.genesis();
+  EXPECT_TRUE(tree_.is_ancestor(g, i2));
   EXPECT_TRUE(tree_.is_ancestor(i1, i2));
   EXPECT_TRUE(tree_.is_ancestor(i2, i2));
   EXPECT_FALSE(tree_.is_ancestor(ir, i2));
   EXPECT_FALSE(tree_.is_ancestor(i2, i1));
-  EXPECT_EQ(tree_.common_ancestor(i2, ir), 0u);
+  EXPECT_EQ(tree_.common_ancestor(i2, ir), g);
   EXPECT_EQ(tree_.common_ancestor(i2, i1), i1);
 }
 
@@ -167,7 +172,7 @@ TEST_F(BlockTreeTest, PathFromGenesis) {
   auto i2 = tree_.insert(b2, 2.0, 1.0);
   auto path = tree_.path_from_genesis(i2);
   ASSERT_EQ(path.size(), 3u);
-  EXPECT_EQ(path[0], 0u);
+  EXPECT_EQ(path[0], tree_.genesis());
   EXPECT_EQ(path[1], i1);
   EXPECT_EQ(path[2], i2);
 }
@@ -179,7 +184,7 @@ TEST_F(BlockTreeTest, AncestorAtOrBeforeTime) {
   auto i2 = tree_.insert(b2, 20.0, 1.0);
   EXPECT_EQ(tree_.ancestor_at_or_before(i2, 25.0), i2);
   EXPECT_EQ(tree_.ancestor_at_or_before(i2, 15.0), i1);
-  EXPECT_EQ(tree_.ancestor_at_or_before(i2, 5.0), 0u);
+  EXPECT_EQ(tree_.ancestor_at_or_before(i2, 5.0), tree_.genesis());
 }
 
 TEST_F(BlockTreeTest, ChainTxAndFeeAccounting) {
@@ -194,8 +199,8 @@ TEST_F(BlockTreeTest, ChainTxAndFeeAccounting) {
   std::vector<TxPtr> txs{tx1, tx2};
   h.merkle_root = compute_merkle_root(txs);
   auto idx = tree_.insert(std::make_shared<Block>(h, txs, 0), 1.0, 1.0);
-  EXPECT_EQ(tree_.entry(idx).chain_tx_count, 2u);
-  EXPECT_EQ(tree_.entry(idx).chain_fee_sum, 30);
+  EXPECT_EQ(tree_.facts(idx).chain_tx_count, 2u);
+  EXPECT_EQ(tree_.facts(idx).chain_fee_sum, 30);
 }
 
 TEST_F(BlockTreeTest, TipHistoryRecordsSwitches) {
@@ -205,7 +210,7 @@ TEST_F(BlockTreeTest, TipHistoryRecordsSwitches) {
   tree_.insert(b2, 2.0, 1.0);
   const auto& hist = tree_.tip_history();
   ASSERT_EQ(hist.size(), 3u);  // genesis + two extensions
-  EXPECT_EQ(hist[0].tip, 0u);
+  EXPECT_EQ(hist[0].tip, tree_.genesis());
   EXPECT_EQ(hist[1].at, 1.0);
   EXPECT_EQ(hist[2].at, 2.0);
 }
@@ -246,8 +251,91 @@ TEST(BlockTreeGhost, SubtreeWorkAccumulates) {
   auto i1 = tree.insert(b1, 1.0, 1.0);
   auto b2 = make_block(BlockType::kPow, b1->id(), 2.0, 0);
   tree.insert(b2, 2.0, 1.0);
-  EXPECT_EQ(tree.entry(i1).subtree_work, 2.0);
-  EXPECT_EQ(tree.entry(0).subtree_work, 2.0);
+  EXPECT_EQ(tree.subtree_work(i1), 2.0);
+  EXPECT_EQ(tree.subtree_work(tree.genesis()), 2.0);
+}
+
+// --- One store per deployment ----------------------------------------------
+
+TEST(BlockStoreSharing, LaterTreesReuseTheFactsAndKeepTheirOwnArrivals) {
+  auto genesis = make_genesis(1, kCoin);
+  auto store = std::make_shared<BlockStore>();
+  BlockTree first(genesis, TieBreak::kFirstSeen, BlockTree::ForkChoice::kHeaviestChain,
+                  nullptr, store);
+  BlockTree second(genesis, TieBreak::kFirstSeen, BlockTree::ForkChoice::kHeaviestChain,
+                   nullptr, store);
+  EXPECT_EQ(first.genesis(), second.genesis());
+  auto k1 = make_block(BlockType::kKey, genesis->id(), 1.0, 0);
+  const BlockId id = first.insert(k1, 1.0, 1.0);
+  const BlockFacts* computed = &first.facts(id);
+  EXPECT_TRUE(store->known(id));
+  EXPECT_FALSE(second.contains_id(id));
+
+  second.insert(k1, id, 3.0, 1.0);
+  EXPECT_EQ(&second.facts(id), computed);  // one record, not a copy per tree
+  EXPECT_EQ(second.facts(id).height, 1u);
+  EXPECT_EQ(second.facts(id).epoch_key_block, id);
+  EXPECT_EQ(first.received(id), 1.0);
+  EXPECT_EQ(second.received(id), 3.0);
+  EXPECT_EQ(second.tip_history().back().at, 3.0);
+}
+
+TEST(BlockStoreSharing, DisagreeingWorkForAKnownBlockThrows) {
+  auto genesis = make_genesis(1, kCoin);
+  auto store = std::make_shared<BlockStore>();
+  BlockTree first(genesis, TieBreak::kFirstSeen, BlockTree::ForkChoice::kHeaviestChain,
+                  nullptr, store);
+  BlockTree second(genesis, TieBreak::kFirstSeen, BlockTree::ForkChoice::kHeaviestChain,
+                   nullptr, store);
+  auto b1 = make_block(BlockType::kPow, genesis->id(), 1.0, 0);
+  const BlockId id = first.insert(b1, 1.0, 1.0);
+  EXPECT_THROW(second.insert(b1, id, 2.0, 2.5), std::logic_error);
+  // The rejected insert left the second view untouched.
+  EXPECT_FALSE(second.contains_id(id));
+  EXPECT_EQ(second.size(), 1u);
+  EXPECT_EQ(second.best_tip(), second.genesis());
+  EXPECT_EQ(first.facts(id).chain_work, 1.0);
+  // The agreeing weight is accepted.
+  second.insert(b1, id, 2.0, 1.0);
+  EXPECT_EQ(second.best_tip(), id);
+}
+
+TEST(BlockStoreSharing, ABlockUnderAnotherIdThrows) {
+  auto genesis = make_genesis(1, kCoin);
+  auto store = std::make_shared<BlockStore>();
+  BlockTree first(genesis, TieBreak::kFirstSeen, BlockTree::ForkChoice::kHeaviestChain,
+                  nullptr, store);
+  BlockTree second(genesis, TieBreak::kFirstSeen, BlockTree::ForkChoice::kHeaviestChain,
+                   nullptr, store);
+  auto b1 = make_block(BlockType::kPow, genesis->id(), 1.0, 0);
+  auto b2 = make_block(BlockType::kPow, genesis->id(), 1.0, 1, 7);
+  const BlockId id1 = first.insert(b1, 1.0, 1.0);
+  EXPECT_THROW(second.insert(b2, id1, 1.0, 1.0), std::logic_error);
+}
+
+TEST(BlockStoreSharing, OneGenesisPerStore) {
+  auto store = std::make_shared<BlockStore>();
+  BlockTree first(make_genesis(1, kCoin), TieBreak::kFirstSeen,
+                  BlockTree::ForkChoice::kHeaviestChain, nullptr, store);
+  EXPECT_THROW(BlockTree(make_genesis(2, kCoin), TieBreak::kFirstSeen,
+                         BlockTree::ForkChoice::kHeaviestChain, nullptr, store),
+               std::invalid_argument);
+}
+
+TEST(BlockStoreSharing, UnknownParentIsRejectedBeforeAdmission) {
+  auto genesis = make_genesis(1, kCoin);
+  auto store = std::make_shared<BlockStore>();
+  BlockTree first(genesis, TieBreak::kFirstSeen, BlockTree::ForkChoice::kHeaviestChain,
+                  nullptr, store);
+  BlockTree second(genesis, TieBreak::kFirstSeen, BlockTree::ForkChoice::kHeaviestChain,
+                   nullptr, store);
+  auto b1 = make_block(BlockType::kPow, genesis->id(), 1.0, 0);
+  auto b2 = make_block(BlockType::kPow, b1->id(), 2.0, 0);
+  first.insert(b1, 1.0, 1.0);
+  const BlockId id2 = first.insert(b2, 2.0, 1.0);
+  // The store knows b2 and its parent, but this view holds neither.
+  EXPECT_THROW(second.insert(b2, id2, 2.0, 1.0), std::invalid_argument);
+  EXPECT_FALSE(second.contains_id(id2));
 }
 
 }  // namespace

@@ -5,7 +5,9 @@
 // common_ancestor / ancestor_at_or_before O(log height); these tests pin
 // their answers to the O(height) walks they replaced, over tree shapes the
 // unit tests in test_block_tree.cpp are too small to exercise: long chains,
-// bushy forks, and mixtures of both.
+// bushy forks, and mixtures of both. The queries run in the shared
+// BlockStore; a tree forwards them. Random picks index the tree's
+// acceptance order.
 #include "chain/block_tree.hpp"
 
 #include <gtest/gtest.h>
@@ -26,33 +28,32 @@ BlockPtr make_block(const Hash256& prev, Seconds ts, std::uint64_t salt) {
 
 // --- Brute-force references (the pre-jump-pointer implementations) ----------
 
-bool ref_is_ancestor(const BlockTree& t, std::uint32_t anc, std::uint32_t desc) {
-  std::uint32_t cur = desc;
-  const std::uint32_t target_height = t.entry(anc).height;
-  while (t.entry(cur).height > target_height)
-    cur = static_cast<std::uint32_t>(t.entry(cur).parent);
+bool ref_is_ancestor(const BlockTree& t, BlockId anc, BlockId desc) {
+  BlockId cur = desc;
+  const std::uint32_t target_height = t.facts(anc).height;
+  while (t.facts(cur).height > target_height) cur = t.facts(cur).parent;
   return cur == anc;
 }
 
-std::uint32_t ref_common_ancestor(const BlockTree& t, std::uint32_t a, std::uint32_t b) {
-  while (t.entry(a).height > t.entry(b).height)
-    a = static_cast<std::uint32_t>(t.entry(a).parent);
-  while (t.entry(b).height > t.entry(a).height)
-    b = static_cast<std::uint32_t>(t.entry(b).parent);
+BlockId ref_common_ancestor(const BlockTree& t, BlockId a, BlockId b) {
+  while (t.facts(a).height > t.facts(b).height) a = t.facts(a).parent;
+  while (t.facts(b).height > t.facts(a).height) b = t.facts(b).parent;
   while (a != b) {
-    a = static_cast<std::uint32_t>(t.entry(a).parent);
-    b = static_cast<std::uint32_t>(t.entry(b).parent);
+    a = t.facts(a).parent;
+    b = t.facts(b).parent;
   }
   return a;
 }
 
-std::uint32_t ref_ancestor_at_or_before(const BlockTree& t, std::uint32_t tip,
-                                        Seconds time) {
-  std::uint32_t cur = tip;
-  while (t.entry(cur).parent != -1 && t.entry(cur).block->header().timestamp > time)
-    cur = static_cast<std::uint32_t>(t.entry(cur).parent);
+BlockId ref_ancestor_at_or_before(const BlockTree& t, BlockId tip, Seconds time) {
+  BlockId cur = tip;
+  while (t.facts(cur).parent != kNoBlockId && t.facts(cur).block->header().timestamp > time)
+    cur = t.facts(cur).parent;
   return cur;
 }
+
+/// A uniformly random block of the tree.
+BlockId pick(const BlockTree& t, Rng& rng) { return t.accepted()[rng.next_below(t.size())]; }
 
 /// Grow a tree of `n` blocks. Each block forks off a random existing block,
 /// biased towards recent ones (`recent_bias` high => long chains with thin
@@ -71,7 +72,8 @@ BlockTree grow_random_tree(std::uint32_t n, std::uint64_t seed, std::uint32_t re
     } else {
       parent = static_cast<std::uint32_t>(rng.next_below(span));
     }
-    auto block = make_block(tree.entry(parent).block->id(), static_cast<Seconds>(i), i);
+    auto block = make_block(tree.facts(tree.accepted()[parent]).block->id(),
+                            static_cast<Seconds>(i), i);
     tree.insert(block, static_cast<Seconds>(i), 1.0);
   }
   return tree;
@@ -89,10 +91,9 @@ TEST_P(AncestryShapes, MatchesBruteForceOnRandomPairs) {
   const Shape shape = GetParam();
   const BlockTree tree = grow_random_tree(shape.n, shape.seed, shape.recent_bias);
   Rng rng(shape.seed ^ 0x5eedu);
-  const auto size = static_cast<std::uint32_t>(tree.size());
   for (int i = 0; i < 2000; ++i) {
-    const auto a = static_cast<std::uint32_t>(rng.next_below(size));
-    const auto b = static_cast<std::uint32_t>(rng.next_below(size));
+    const BlockId a = pick(tree, rng);
+    const BlockId b = pick(tree, rng);
     ASSERT_EQ(tree.is_ancestor(a, b), ref_is_ancestor(tree, a, b))
         << "a=" << a << " b=" << b;
     ASSERT_EQ(tree.is_ancestor(b, a), ref_is_ancestor(tree, b, a))
@@ -106,15 +107,13 @@ TEST_P(AncestryShapes, AncestorAtHeightMatchesParentWalk) {
   const Shape shape = GetParam();
   const BlockTree tree = grow_random_tree(shape.n, shape.seed, shape.recent_bias);
   Rng rng(shape.seed ^ 0xa17u);
-  const auto size = static_cast<std::uint32_t>(tree.size());
   for (int i = 0; i < 500; ++i) {
-    const auto v = static_cast<std::uint32_t>(rng.next_below(size));
+    const BlockId v = pick(tree, rng);
     const std::uint32_t h =
-        static_cast<std::uint32_t>(rng.next_below(tree.entry(v).height + 1));
-    std::uint32_t expect = v;
-    while (tree.entry(expect).height > h)
-      expect = static_cast<std::uint32_t>(tree.entry(expect).parent);
-    ASSERT_EQ(tree.ancestor_at_height(v, h), expect) << "v=" << v << " h=" << h;
+        static_cast<std::uint32_t>(rng.next_below(tree.facts(v).height + 1));
+    BlockId expect = v;
+    while (tree.facts(expect).height > h) expect = tree.facts(expect).parent;
+    ASSERT_EQ(tree.store().ancestor_at_height(v, h), expect) << "v=" << v << " h=" << h;
   }
 }
 
@@ -122,14 +121,13 @@ TEST_P(AncestryShapes, AncestorAtOrBeforeMatchesBruteForce) {
   const Shape shape = GetParam();
   const BlockTree tree = grow_random_tree(shape.n, shape.seed, shape.recent_bias);
   Rng rng(shape.seed ^ 0x7173u);
-  const auto size = static_cast<std::uint32_t>(tree.size());
   for (int i = 0; i < 500; ++i) {
-    const auto tip = static_cast<std::uint32_t>(rng.next_below(size));
+    const BlockId tip = pick(tree, rng);
     // Probe below, inside, and above the tree's timestamp range, including
     // exact block timestamps (the <= boundary).
     const Seconds probes[] = {-1.0, 0.0,
                               static_cast<Seconds>(rng.next_below(shape.n + 2)),
-                              tree.entry(tip).block->header().timestamp,
+                              tree.facts(tip).block->header().timestamp,
                               static_cast<Seconds>(shape.n) + 5.0};
     for (const Seconds t : probes) {
       ASSERT_EQ(tree.ancestor_at_or_before(tip, t), ref_ancestor_at_or_before(tree, tip, t))
@@ -163,19 +161,21 @@ TEST(AncestryDeepChain, FiftyThousandBlockChain) {
     prev = block->id();
     tree.insert(block, static_cast<Seconds>(i), 1.0);
   }
-  const std::uint32_t tip = tree.best_tip();
-  EXPECT_EQ(tree.entry(tip).height, kDepth);
+  const BlockId tip = tree.best_tip();
+  EXPECT_EQ(tree.facts(tip).height, kDepth);
+  // On a pure chain the block accepted at position i sits at height i.
+  const std::vector<BlockId>& at_height = tree.accepted();
   Rng rng(9);
   for (int i = 0; i < 20'000; ++i) {
     const auto a = static_cast<std::uint32_t>(rng.next_below(tree.size()));
     const auto b = static_cast<std::uint32_t>(rng.next_below(tree.size()));
     // On a pure chain every pair is ancestor-ordered by height.
-    ASSERT_EQ(tree.common_ancestor(a, b), std::min(a, b));
-    ASSERT_EQ(tree.is_ancestor(a, b), a <= b);
-    ASSERT_EQ(tree.ancestor_at_height(tip, a), a);
+    ASSERT_EQ(tree.common_ancestor(at_height[a], at_height[b]), at_height[std::min(a, b)]);
+    ASSERT_EQ(tree.is_ancestor(at_height[a], at_height[b]), a <= b);
+    ASSERT_EQ(tree.store().ancestor_at_height(tip, a), at_height[a]);
   }
-  EXPECT_TRUE(tree.is_ancestor(0, tip));
-  EXPECT_EQ(tree.ancestor_at_or_before(tip, 0.5), 0u);
+  EXPECT_TRUE(tree.is_ancestor(tree.genesis(), tip));
+  EXPECT_EQ(tree.ancestor_at_or_before(tip, 0.5), tree.genesis());
   EXPECT_EQ(tree.ancestor_at_or_before(tip, static_cast<Seconds>(kDepth) + 1), tip);
 }
 

@@ -116,12 +116,12 @@ TEST_P(BlockTreePropertyTest, InvariantsUnderRandomForks) {
     tree.insert(block, i + 1.0, micro ? 0.0 : 1.0);
 
     // Invariants:
-    const auto& best = tree.best_entry();
-    for (std::uint32_t e = 0; e < tree.size(); ++e) {
-      const auto& entry = tree.entry(e);
+    const auto& best = tree.best();
+    for (const BlockId id : tree.accepted()) {
+      const auto& entry = tree.facts(id);
       // chain work is parent's plus own.
-      if (entry.parent >= 0) {
-        const auto& p = tree.entry(static_cast<std::uint32_t>(entry.parent));
+      if (entry.parent != kNoBlockId) {
+        const auto& p = tree.facts(entry.parent);
         EXPECT_EQ(entry.height, p.height + 1);
         EXPECT_GE(entry.chain_work, p.chain_work);
         EXPECT_LE(entry.chain_work, p.chain_work + 1.0);
@@ -131,7 +131,7 @@ TEST_P(BlockTreePropertyTest, InvariantsUnderRandomForks) {
     }
     // The path to the best tip is consistent.
     auto path = tree.path_from_genesis(tree.best_tip());
-    EXPECT_EQ(path.front(), BlockTree::kGenesisIndex);
+    EXPECT_EQ(path.front(), tree.genesis());
     EXPECT_EQ(path.back(), tree.best_tip());
     for (std::size_t p = 1; p < path.size(); ++p)
       EXPECT_TRUE(tree.is_ancestor(path[p - 1], path[p]));

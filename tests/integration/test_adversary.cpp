@@ -160,14 +160,14 @@ TEST(Adversary, EquivocatingLeaderIsPoisonedAndLosesRevenueInLedger) {
   chain::Ledger ledger(cfg.params);
   std::uint64_t poisons = 0;
   std::uint32_t attacker_keys = 0;
-  for (std::uint32_t idx : g.path_from_genesis(g.best_tip())) {
-    const auto& block = *g.entry(idx).block;
-    if (idx != chain::BlockTree::kGenesisIndex &&
+  for (const BlockId id : g.path_from_genesis(g.best_tip())) {
+    const auto& block = *g.facts(id).block;
+    if (id != g.genesis() &&
         block.type() == chain::BlockType::kKey && block.miner() == 0)
       ++attacker_keys;
     for (const auto& tx : block.txs())
       if (tx->poison) ++poisons;
-    if (idx == chain::BlockTree::kGenesisIndex) {
+    if (id == g.genesis()) {
       ASSERT_TRUE(ledger.apply_block(block).ok);
       continue;
     }
@@ -206,8 +206,8 @@ TEST(Adversary, WithholdingLeaderStarvesTheTransactionPlane) {
   for (const auto& node : exp.nodes()) {
     if (node->id() == 0) continue;
     const auto& t = node->tree();
-    for (std::uint32_t i = 0; i < t.size(); ++i) {
-      const auto& b = *t.entry(i).block;
+    for (const BlockId id : t.accepted()) {
+      const auto& b = *t.facts(id).block;
       EXPECT_FALSE(b.type() == chain::BlockType::kMicro && b.miner() == 0)
           << "withheld microblock leaked to node " << node->id();
     }

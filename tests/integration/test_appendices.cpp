@@ -47,7 +47,7 @@ TEST(AppendixA, PartialGhostViewsDisagreeOnMainChain) {
                         chain::BlockTree::ForkChoice::kHeaviestSubtree, &rng);
   for (const auto& b : {b1, b2, b3, b4, b2p, b3p, b3pp, b3ppp})
     full.insert(b, b->header().timestamp, 1.0);
-  auto full_tip = full.best_entry().block->id();
+  auto full_tip = full.best().block->id();
   EXPECT_TRUE(full.is_ancestor(*full.find(b2p->id()), full.best_tip()));
 
   // Three partial views, each missing two of the 2'-children.
@@ -58,7 +58,7 @@ TEST(AppendixA, PartialGhostViewsDisagreeOnMainChain) {
     partial.insert(visible, 1, 1.0);
     // Its heaviest-subtree choice lands on the '2' side: 3 > 2 visible.
     EXPECT_TRUE(partial.is_ancestor(*partial.find(b2->id()), partial.best_tip()));
-    EXPECT_NE(partial.best_entry().block->id(), full_tip);
+    EXPECT_NE(partial.best().block->id(), full_tip);
   }
 }
 
@@ -81,8 +81,8 @@ TEST(AppendixB, CompetingKeyBlockBranchesCarryTheSameTransactions) {
 
   auto payload_ids = [](const chain::BlockTree& t) {
     std::vector<Hash256> ids;
-    for (auto idx : t.path_from_genesis(t.best_tip()))
-      for (const auto& tx : t.entry(idx).block->txs())
+    for (const BlockId id : t.path_from_genesis(t.best_tip()))
+      for (const auto& tx : t.facts(id).block->txs())
         if (!tx->is_coinbase() && !tx->is_poison()) ids.push_back(tx->id());
     return ids;
   };

@@ -2,6 +2,8 @@
 // censorship, and the incentive mechanisms that contain them (§4.5, §5.2).
 #include <gtest/gtest.h>
 
+#include <unordered_set>
+
 #include "../support/harness.hpp"
 #include "chain/utxo.hpp"
 #include "metrics/metrics.hpp"
@@ -33,9 +35,9 @@ TEST(Attacks, SplitBrainResolvedAndPoisoned) {
   net.settle();
   const Hash256 kb = [&] {
     const auto& t = net.node(2).tree();
-    for (auto idx : t.path_from_genesis(t.best_tip()))
-      if (t.entry(idx).block->type() == chain::BlockType::kKey)
-        return t.entry(idx).block->id();
+    for (const BlockId id : t.path_from_genesis(t.best_tip()))
+      if (t.facts(id).block->type() == chain::BlockType::kKey)
+        return t.facts(id).block->id();
     return Hash256{};
   }();
   ASSERT_FALSE(kb.is_zero());
@@ -60,9 +62,9 @@ TEST(Attacks, PoisonedLeaderLosesRevenueOnReplay) {
   net.settle();
   const Hash256 kb = [&] {
     const auto& t = net.node(0).tree();
-    for (auto idx : t.path_from_genesis(t.best_tip()))
-      if (t.entry(idx).block->type() == chain::BlockType::kKey)
-        return t.entry(idx).block->id();
+    for (const BlockId id : t.path_from_genesis(t.best_tip()))
+      if (t.facts(id).block->type() == chain::BlockType::kKey)
+        return t.facts(id).block->id();
     return Hash256{};
   }();
   net.node(0).forge_microblock(kb);
@@ -77,9 +79,9 @@ TEST(Attacks, PoisonedLeaderLosesRevenueOnReplay) {
   chain::Ledger ledger(params);
   ASSERT_TRUE(ledger.apply_block(*net.genesis()).ok);
   const auto& t = net.node(1).tree();
-  for (auto idx : t.path_from_genesis(t.best_tip())) {
-    if (idx == chain::BlockTree::kGenesisIndex) continue;
-    auto r = ledger.apply_block(*t.entry(idx).block);
+  for (const BlockId id : t.path_from_genesis(t.best_tip())) {
+    if (id == t.genesis()) continue;
+    auto r = ledger.apply_block(*t.facts(id).block);
     ASSERT_TRUE(r.ok) << r.error;
   }
   // Cheater's balance: poison revoked its subsidy and any fee share.
@@ -104,15 +106,15 @@ TEST(Attacks, CrashedLeaderStallsOnlyItsEpoch) {
   net.network().set_offline(0, true);
   net.queue().run_until(net.queue().now() + 10.0);
   // Its microblocks no longer reach anyone; node 1's view is frozen.
-  const auto frozen_tip = net.node(1).tree().best_entry().block->id();
+  const auto frozen_tip = net.node(1).tree().best().block->id();
   net.queue().run_until(net.queue().now() + 5.0);
-  EXPECT_EQ(net.node(1).tree().best_entry().block->id(), frozen_tip);
+  EXPECT_EQ(net.node(1).tree().best().block->id(), frozen_tip);
   // The next key block restores liveness without the crashed leader.
   net.node(1).on_mining_win(1.0);
   net.queue().run_until(net.queue().now() + 5.0);
   net.settle();
-  EXPECT_GT(net.node(2).tree().best_entry().chain_tx_count,
-            net.node(1).tree().entry(*net.node(1).tree().find(frozen_tip)).chain_tx_count);
+  EXPECT_GT(net.node(2).tree().best().chain_tx_count,
+            net.node(1).tree().facts(*net.node(1).tree().find(frozen_tip)).chain_tx_count);
 }
 
 TEST(Attacks, PrunedMicroblockTransactionsReappearOnMainChain) {
@@ -127,19 +129,19 @@ TEST(Attacks, PrunedMicroblockTransactionsReappearOnMainChain) {
   net.settle(30);
   // Find a pruned microblock in node 0's tree (off its final main chain).
   const auto& t = net.node(0).tree();
-  std::vector<bool> on_main(t.size(), false);
-  for (auto idx : t.path_from_genesis(t.best_tip())) on_main[idx] = true;
+  const auto main_path = t.path_from_genesis(t.best_tip());
+  const std::unordered_set<BlockId> on_main(main_path.begin(), main_path.end());
   const chain::Block* pruned = nullptr;
-  for (std::uint32_t i = 1; i < t.size(); ++i) {
-    if (!on_main[i] && t.entry(i).block->type() == chain::BlockType::kMicro &&
-        !t.entry(i).block->txs().empty())
-      pruned = t.entry(i).block.get();
+  for (const BlockId id : t.accepted()) {
+    if (on_main.count(id) == 0 && t.facts(id).block->type() == chain::BlockType::kMicro &&
+        !t.facts(id).block->txs().empty())
+      pruned = t.facts(id).block.get();
   }
   if (pruned == nullptr) GTEST_SKIP() << "no pruned microblock this seed";
   // Every payload tx of the pruned block reappears on the main chain.
   std::unordered_set<Hash256, Hash256Hasher> main_txs;
-  for (auto idx : t.path_from_genesis(t.best_tip()))
-    for (const auto& tx : t.entry(idx).block->txs()) main_txs.insert(tx->id());
+  for (const BlockId id : t.path_from_genesis(t.best_tip()))
+    for (const auto& tx : t.facts(id).block->txs()) main_txs.insert(tx->id());
   for (const auto& tx : pruned->txs()) {
     if (tx->is_coinbase()) continue;
     EXPECT_EQ(main_txs.count(tx->id()), 1u);

@@ -59,13 +59,13 @@ TEST_P(ChurnTest, StableNodesStillAgree) {
   exp.run();
   // The stable miners (0..24) must share the same PoW prefix at the end.
   const auto& g = exp.global_tree();
-  const Hash256 best_tip = g.best_entry().block->id();
+  const Hash256 best_tip = g.best().block->id();
   int agree = 0;
   for (NodeId n = 0; n < 25; ++n) {
     const auto& t = exp.nodes()[n]->tree();
-    if (auto idx = t.find(best_tip); idx && t.is_ancestor(*idx, t.best_tip()))
+    if (auto id = t.find(best_tip); id && t.is_ancestor(*id, t.best_tip()))
       ++agree;
-    else if (t.best_entry().block->id() == best_tip)
+    else if (t.best().block->id() == best_tip)
       ++agree;
   }
   EXPECT_GE(agree, 20);

@@ -66,7 +66,7 @@ TEST(EndToEnd, NgChainReplaysThroughLedger) {
   auto path = g.path_from_genesis(g.best_tip());
   std::size_t applied = 0;
   for (std::size_t i = 1; i < path.size(); ++i) {
-    auto result = ledger.apply_block(*g.entry(path[i]).block);
+    auto result = ledger.apply_block(*g.facts(path[i]).block);
     ASSERT_TRUE(result.ok) << "block " << i << ": " << result.error;
     ++applied;
   }
@@ -84,9 +84,9 @@ TEST(EndToEnd, BitcoinChainReplaysThroughLedger) {
   chain::Ledger ledger(cfg.params);
   ASSERT_TRUE(ledger.apply_block(*exp.genesis()).ok);
   const auto& g = exp.global_tree();
-  for (std::uint32_t idx : g.path_from_genesis(g.best_tip())) {
-    if (idx == chain::BlockTree::kGenesisIndex) continue;
-    auto result = ledger.apply_block(*g.entry(idx).block);
+  for (const BlockId id : g.path_from_genesis(g.best_tip())) {
+    if (id == g.genesis()) continue;
+    auto result = ledger.apply_block(*g.facts(id).block);
     ASSERT_TRUE(result.ok) << result.error;
   }
 }
@@ -97,8 +97,8 @@ TEST(EndToEnd, NoTransactionAppearsTwiceOnMainChain) {
   exp.run();
   const auto& g = exp.global_tree();
   std::unordered_set<Hash256, Hash256Hasher> seen;
-  for (std::uint32_t idx : g.path_from_genesis(g.best_tip())) {
-    for (const auto& tx : g.entry(idx).block->txs()) {
+  for (const BlockId id : g.path_from_genesis(g.best_tip())) {
+    for (const auto& tx : g.facts(id).block->txs()) {
       auto [it, inserted] = seen.insert(tx->id());
       EXPECT_TRUE(inserted) << "duplicate tx on main chain";
     }
@@ -114,10 +114,10 @@ TEST(EndToEnd, LeaderEpochsPartitionMicroblocks) {
   Experiment exp(cfg);
   exp.run();
   const auto& g = exp.global_tree();
-  for (std::uint32_t idx : g.path_from_genesis(g.best_tip())) {
-    const auto& e = g.entry(idx);
+  for (const BlockId id : g.path_from_genesis(g.best_tip())) {
+    const auto& e = g.facts(id);
     if (e.block->type() != chain::BlockType::kMicro) continue;
-    const auto& epoch = g.entry(e.epoch_key_block);
+    const auto& epoch = g.facts(e.epoch_key_block);
     ASSERT_TRUE(epoch.block->header().leader_key.has_value());
     ASSERT_TRUE(e.block->header().signature.has_value());
     EXPECT_TRUE(crypto::verify(*epoch.block->header().leader_key,
@@ -148,8 +148,8 @@ TEST(EndToEnd, ChurnNodesCatchUpAfterRejoin) {
   // One more block triggers inv -> orphan-chase -> full sync.
   exp.nodes()[0]->on_mining_win(1.0);
   exp.queue().run_until(exp.queue().now() + 120);
-  EXPECT_EQ(exp.nodes()[5]->tree().best_entry().block->id(),
-            exp.nodes()[0]->tree().best_entry().block->id());
+  EXPECT_EQ(exp.nodes()[5]->tree().best().block->id(),
+            exp.nodes()[0]->tree().best().block->id());
 }
 
 TEST(EndToEnd, BandwidthAccountingScalesWithBlocks) {

@@ -18,7 +18,7 @@ chain::Params btc_params() {
 TEST(BitcoinNode, MiningExtendsOwnChain) {
   MiniNet<BitcoinNode> net(3, btc_params());
   net.node(0).on_mining_win(1.0);
-  EXPECT_EQ(net.node(0).tree().best_entry().height, 1u);
+  EXPECT_EQ(net.node(0).tree().best().height, 1u);
   EXPECT_EQ(net.node(0).blocks_mined(), 1u);
 }
 
@@ -27,7 +27,7 @@ TEST(BitcoinNode, BlockPropagatesToAllPeers) {
   net.node(0).on_mining_win(1.0);
   net.settle();
   for (NodeId i = 0; i < 5; ++i)
-    EXPECT_EQ(net.node(i).tree().best_entry().height, 1u) << "node " << i;
+    EXPECT_EQ(net.node(i).tree().best().height, 1u) << "node " << i;
   EXPECT_TRUE(net.converged());
 }
 
@@ -38,15 +38,15 @@ TEST(BitcoinNode, ChainGrowsAcrossMiners) {
     net.settle();
   }
   EXPECT_TRUE(net.converged());
-  EXPECT_EQ(net.node(0).tree().best_entry().height, 6u);
-  EXPECT_EQ(net.node(0).tree().best_entry().pow_height, 6u);
+  EXPECT_EQ(net.node(0).tree().best().height, 6u);
+  EXPECT_EQ(net.node(0).tree().best().pow_height, 6u);
 }
 
 TEST(BitcoinNode, BlocksCarryWorkloadTransactions) {
   MiniNet<BitcoinNode> net(2, btc_params());
   net.node(0).on_mining_win(1.0);
   net.settle();
-  const auto& tip = net.node(1).tree().best_entry();
+  const auto& tip = net.node(1).tree().best();
   EXPECT_GT(tip.chain_tx_count, 0u);
   // Coinbase first, then payload.
   EXPECT_TRUE(tip.block->txs()[0]->is_coinbase());
@@ -62,8 +62,8 @@ TEST(BitcoinNode, ConsecutiveBlocksTakeDisjointTransactions) {
   const auto& tree = net.node(0).tree();
   auto path = tree.path_from_genesis(tree.best_tip());
   ASSERT_EQ(path.size(), 3u);
-  const auto& txs1 = tree.entry(path[1]).block->txs();
-  const auto& txs2 = tree.entry(path[2]).block->txs();
+  const auto& txs1 = tree.facts(path[1]).block->txs();
+  const auto& txs2 = tree.facts(path[2]).block->txs();
   std::unordered_set<Hash256, Hash256Hasher> first_ids;
   for (const auto& tx : txs1)
     if (!tx->is_coinbase()) first_ids.insert(tx->id());
@@ -85,7 +85,7 @@ TEST(BitcoinNode, ForkResolvedByHeavierChain) {
   net.node(2).on_mining_win(1.0);  // extends whichever branch node 2 adopted
   net.settle(10);
   EXPECT_TRUE(net.converged());
-  EXPECT_EQ(net.node(3).tree().best_entry().chain_work, 2.0);
+  EXPECT_EQ(net.node(3).tree().best().chain_work, 2.0);
 }
 
 TEST(BitcoinNode, ReorgAdoptsHeavierBranch) {
@@ -98,15 +98,15 @@ TEST(BitcoinNode, ReorgAdoptsHeavierBranch) {
   net.settle(30);
   // Node 0 must have abandoned its own block for node 1's heavier chain.
   EXPECT_TRUE(net.converged());
-  EXPECT_EQ(net.node(0).tree().best_entry().chain_work, 2.0);
-  EXPECT_EQ(net.node(0).tree().best_entry().block->miner(), 1u);
+  EXPECT_EQ(net.node(0).tree().best().chain_work, 2.0);
+  EXPECT_EQ(net.node(0).tree().best().block->miner(), 1u);
 }
 
 TEST(BitcoinNode, CoinbasePaysSubsidyPlusFees) {
   MiniNet<BitcoinNode> net(2, btc_params());
   net.node(0).on_mining_win(1.0);
   net.settle();
-  const auto& block = *net.node(1).tree().best_entry().block;
+  const auto& block = *net.node(1).tree().best().block;
   Amount fees = block.total_fees();
   ASSERT_FALSE(block.txs().empty());
   const auto& coinbase = *block.txs()[0];
@@ -165,14 +165,14 @@ TEST(BitcoinNode, OrphanResolvedAfterParentArrives) {
   net.node(0).on_mining_win(1.0);  // node 1 sees the child first
   net.settle(20);
   EXPECT_TRUE(net.converged());
-  EXPECT_EQ(net.node(1).tree().best_entry().height, 2u);
+  EXPECT_EQ(net.node(1).tree().best().height, 2u);
 }
 
 TEST(BitcoinNode, WorkAccumulatesWithDifficulty) {
   MiniNet<BitcoinNode> net(2, btc_params());
   net.node(0).on_mining_win(2.5);  // difficulty-scaled win
   net.settle();
-  EXPECT_DOUBLE_EQ(net.node(1).tree().best_entry().chain_work, 2.5);
+  EXPECT_DOUBLE_EQ(net.node(1).tree().best().chain_work, 2.5);
 }
 
 TEST(BitcoinNode, TraceRecordsGeneration) {

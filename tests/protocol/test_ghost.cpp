@@ -30,7 +30,7 @@ TEST(GhostNode, BasicMiningAndPropagation) {
   net.node(0).on_mining_win(1.0);
   net.settle();
   EXPECT_TRUE(net.converged());
-  EXPECT_EQ(net.node(2).tree().best_entry().height, 1u);
+  EXPECT_EQ(net.node(2).tree().best().height, 1u);
 }
 
 TEST(GhostNode, HeaviestSubtreeWinsOverLongerChain) {
@@ -54,7 +54,7 @@ TEST(GhostNode, HeaviestSubtreeWinsOverLongerChain) {
   for (NodeId i = 2; i < 6 && forked < 2; ++i) {
     const auto& tree = net.node(i).tree();
     // Mine only if the node's tip is on node 1's branch.
-    if (tree.best_entry().block->miner() == 1) {
+    if (tree.best().block->miner() == 1) {
       net.node(i).on_mining_win(1.0);
       ++forked;
     }
@@ -66,7 +66,7 @@ TEST(GhostNode, HeaviestSubtreeWinsOverLongerChain) {
       const auto& tree = net.node(i).tree();
       auto path = tree.path_from_genesis(tree.best_tip());
       ASSERT_GE(path.size(), 2u);
-      EXPECT_EQ(tree.entry(path[1]).block->miner(), 1u) << "node " << i;
+      EXPECT_EQ(tree.facts(path[1]).block->miner(), 1u) << "node " << i;
     }
   }
   (void)b1_id;
@@ -102,7 +102,7 @@ TEST(GhostNode, SubtreeWorkDrivesReorg) {
   net.settle(30);
   EXPECT_TRUE(net.converged());
   // Node 1's subtree has work 2 -> wins under GHOST as under longest-chain.
-  EXPECT_EQ(net.node(0).tree().best_entry().block->miner(), 1u);
+  EXPECT_EQ(net.node(0).tree().best().block->miner(), 1u);
 }
 
 }  // namespace

@@ -23,7 +23,7 @@ TEST(NgNode, KeyBlockWinMakesLeader) {
   net.node(0).on_mining_win(1.0);
   EXPECT_TRUE(net.node(0).is_leader());
   EXPECT_EQ(net.node(0).key_blocks_mined(), 1u);
-  const auto& tip = net.node(0).tree().best_entry();
+  const auto& tip = net.node(0).tree().best();
   EXPECT_EQ(tip.block->type(), chain::BlockType::kKey);
   ASSERT_TRUE(tip.block->header().leader_key.has_value());
   EXPECT_EQ(*tip.block->header().leader_key, net.node(0).leader_pubkey());
@@ -45,7 +45,7 @@ TEST(NgNode, MicroblocksPropagateAndExtendChains) {
   net.queue().run_until(net.queue().now() + 5.5);
   net.settle();
   EXPECT_TRUE(net.consistent());
-  const auto& tip = net.node(2).tree().best_entry();
+  const auto& tip = net.node(2).tree().best();
   EXPECT_EQ(tip.block->type(), chain::BlockType::kMicro);
   EXPECT_GT(tip.chain_tx_count, 0u);
 }
@@ -55,7 +55,7 @@ TEST(NgNode, MicroblocksAreSigned) {
   net.node(0).on_mining_win(1.0);
   net.queue().run_until(net.queue().now() + 1.5);
   const auto& tree = net.node(0).tree();
-  const auto& tip = tree.best_entry();
+  const auto& tip = tree.best();
   ASSERT_EQ(tip.block->type(), chain::BlockType::kMicro);
   ASSERT_TRUE(tip.block->header().signature.has_value());
   EXPECT_TRUE(crypto::verify(net.node(0).leader_pubkey(),
@@ -83,7 +83,7 @@ TEST(NgNode, MicroblocksCarryNoWeight) {
   MiniNet<NgNode> net(2, ng_params(1.0));
   net.node(0).on_mining_win(1.0);
   net.queue().run_until(net.queue().now() + 5.5);
-  const auto& tip = net.node(0).tree().best_entry();
+  const auto& tip = net.node(0).tree().best();
   EXPECT_EQ(tip.block->type(), chain::BlockType::kMicro);
   EXPECT_DOUBLE_EQ(tip.chain_work, 1.0);  // only the key block weighs
   EXPECT_GT(tip.height, 1u);
@@ -101,14 +101,14 @@ TEST(NgNode, LeaderSwitchForkPrunedByKeyBlock) {
   net.node(1).on_mining_win(1.0);
   net.settle(60);
   EXPECT_TRUE(net.consistent());
-  const auto& tip = net.node(0).tree().best_entry();
+  const auto& tip = net.node(0).tree().best();
   EXPECT_DOUBLE_EQ(tip.chain_work, 2.0);
   // Some of node 0's microblocks were pruned: generated more than on chain.
   const auto& tree = net.node(0).tree();
   auto path = tree.path_from_genesis(tree.best_tip());
   std::size_t on_chain_micro = 0;
-  for (auto idx : path)
-    if (tree.entry(idx).block->type() == chain::BlockType::kMicro) ++on_chain_micro;
+  for (const BlockId id : path)
+    if (tree.facts(id).block->type() == chain::BlockType::kMicro) ++on_chain_micro;
   EXPECT_LT(on_chain_micro, net.node(0).microblocks_generated() +
                                 net.node(1).microblocks_generated());
 }
@@ -127,17 +127,15 @@ TEST(NgNode, FeeSplit40To60) {
   // microblock).
   const auto& tree = net.node(1).tree();
   auto path = tree.path_from_genesis(tree.best_tip());
-  const chain::BlockTree::Entry* key2 = nullptr;
-  for (auto idx : path) {
-    const auto& e = tree.entry(idx);
-    if (e.block->type() == chain::BlockType::kKey && e.block->miner() == 1) key2 = &e;
+  BlockId key2 = kNoBlockId;
+  for (const BlockId id : path) {
+    const auto& e = tree.facts(id);
+    if (e.block->type() == chain::BlockType::kKey && e.block->miner() == 1) key2 = id;
   }
-  ASSERT_NE(key2, nullptr);
-  const auto& tip = *key2;
-  const auto& prev_epoch = tree.entry(tree.entry(
-      static_cast<std::uint32_t>(tip.parent)).epoch_key_block);
-  const Amount epoch_fees = tree.entry(static_cast<std::uint32_t>(tip.parent)).chain_fee_sum -
-                            prev_epoch.chain_fee_sum;
+  ASSERT_NE(key2, kNoBlockId);
+  const auto& tip = tree.facts(key2);
+  const auto& prev_epoch = tree.facts(tree.facts(tip.parent).epoch_key_block);
+  const Amount epoch_fees = tree.facts(tip.parent).chain_fee_sum - prev_epoch.chain_fee_sum;
   ASSERT_GT(epoch_fees, 0);
   const auto& coinbase = *tip.block->txs()[0];
   ASSERT_EQ(coinbase.outputs.size(), 2u);
@@ -152,7 +150,7 @@ TEST(NgNode, FeeSplit40To60) {
 TEST(NgNode, FirstKeyBlockPaysAllToMiner) {
   MiniNet<NgNode> net(2, ng_params());
   net.node(0).on_mining_win(1.0);
-  const auto& tip = net.node(0).tree().best_entry();
+  const auto& tip = net.node(0).tree().best();
   const auto& coinbase = *tip.block->txs()[0];
   ASSERT_EQ(coinbase.outputs.size(), 1u);
   EXPECT_EQ(coinbase.outputs[0].value, ng_params().block_subsidy);
@@ -166,8 +164,8 @@ TEST(NgNode, RespectsMicroblockSizeLimit) {
   net.queue().run_until(net.queue().now() + 3.5);
   const auto& tree = net.node(0).tree();
   auto path = tree.path_from_genesis(tree.best_tip());
-  for (auto idx : path) {
-    const auto& block = *tree.entry(idx).block;
+  for (const BlockId id : path) {
+    const auto& block = *tree.facts(id).block;
     if (block.type() == chain::BlockType::kMicro) {
       EXPECT_LE(block.wire_size(), params.max_microblock_size);
     }
@@ -182,7 +180,7 @@ TEST(NgNode, InvalidSignatureMicroblockRejected) {
   auto bad_signer = crypto::PrivateKey::from_seed(0xbad);
   chain::BlockHeader h;
   h.type = chain::BlockType::kMicro;
-  h.prev = net.node(1).tree().best_entry().block->id();
+  h.prev = net.node(1).tree().best().block->id();
   h.timestamp = net.queue().now();
   std::vector<chain::TxPtr> txs{net.workload().txs[0]};
   h.merkle_root = chain::compute_merkle_root(txs);
@@ -199,7 +197,7 @@ TEST(NgNode, FutureTimestampMicroblockRejected) {
   net.settle();
   chain::BlockHeader h;
   h.type = chain::BlockType::kMicro;
-  h.prev = net.node(1).tree().best_entry().block->id();
+  h.prev = net.node(1).tree().best().block->id();
   h.timestamp = net.queue().now() + 1000.0;  // far future
   std::vector<chain::TxPtr> txs{net.workload().txs[0]};
   h.merkle_root = chain::compute_merkle_root(txs);
@@ -226,9 +224,9 @@ TEST(NgNode, MinIntervalRateLimitEnforced) {
   const auto& tree = net.node(1).tree();
   auto path = tree.path_from_genesis(tree.best_tip());
   for (std::size_t i = 1; i < path.size(); ++i) {
-    const auto& e = tree.entry(path[i]);
+    const auto& e = tree.facts(path[i]);
     if (e.block->type() != chain::BlockType::kMicro) continue;
-    const auto& parent = tree.entry(path[i - 1]);
+    const auto& parent = tree.facts(path[i - 1]);
     EXPECT_GE(e.block->header().timestamp - parent.block->header().timestamp, 5.0);
   }
 }
@@ -247,8 +245,8 @@ TEST(NgNode, EpochFeeTrackingAcrossMultipleEpochs) {
   const auto& tree = net.node(0).tree();
   auto path = tree.path_from_genesis(tree.best_tip());
   int split_coinbases = 0;
-  for (auto idx : path) {
-    const auto& block = *tree.entry(idx).block;
+  for (const BlockId id : path) {
+    const auto& block = *tree.facts(id).block;
     if (block.type() == chain::BlockType::kKey &&
         block.txs()[0]->outputs.size() == 2)
       ++split_coinbases;

@@ -104,13 +104,13 @@ TEST(FraudEvidenceTest, PrunedHeaderPicksTheBranchThatLost) {
   chain::BlockTree tree(chain::make_genesis(1, kCoin), chain::TieBreak::kFirstSeen,
                         chain::BlockTree::ForkChoice::kHeaviestChain, nullptr);
   auto sk = leader_key(0);
-  const Hash256 genesis_id = tree.entry(0).block->id();
+  const Hash256 genesis_id = tree.facts(tree.genesis()).block->id();
   auto header_a = signed_micro_header(sk, genesis_id, 1.0, 1);
   auto header_b = signed_micro_header(sk, genesis_id, 1.0, 2);
   auto block_a = std::make_shared<chain::Block>(header_a, std::vector<chain::TxPtr>{}, 0);
   auto block_b = std::make_shared<chain::Block>(header_b, std::vector<chain::TxPtr>{}, 0);
   tree.insert(block_a, 1.0, 0.0);
-  const std::uint32_t b_idx = tree.insert(block_b, 1.0, 0.0);
+  const BlockId b_id = tree.insert(block_b, 1.0, 0.0);
 
   // A weight-bearing block on B's branch decides the race for B.
   chain::BlockHeader next;
@@ -118,9 +118,9 @@ TEST(FraudEvidenceTest, PrunedHeaderPicksTheBranchThatLost) {
   next.prev = header_b.id();
   next.timestamp = 2.0;
   next.leader_key = sk.public_key();
-  const std::uint32_t tip = tree.insert(
+  const BlockId tip = tree.insert(
       std::make_shared<chain::Block>(next, std::vector<chain::TxPtr>{}, 0, 1.0), 2.0, 1.0);
-  ASSERT_TRUE(tree.is_ancestor(b_idx, tip));
+  ASSERT_TRUE(tree.is_ancestor(b_id, tip));
 
   FraudEvidence evidence;
   evidence.header_a = header_a;
@@ -131,7 +131,7 @@ TEST(FraudEvidenceTest, PrunedHeaderPicksTheBranchThatLost) {
   chain::BlockHeader next_a = next;
   next_a.prev = header_a.id();
   next_a.nonce = 7;
-  const std::uint32_t tip_a = tree.insert(
+  const BlockId tip_a = tree.insert(
       std::make_shared<chain::Block>(next_a, std::vector<chain::TxPtr>{}, 0, 1.0), 3.0,
       1.0);
   EXPECT_EQ(evidence.pruned_header(tree, tip_a).id(), header_b.id());
@@ -152,9 +152,9 @@ class PoisonScenario : public ::testing::Test {
     const auto& tree = net_.node(0).tree();
     auto path = tree.path_from_genesis(tree.best_tip());
     Hash256 key_block_id;
-    for (auto idx : path)
-      if (tree.entry(idx).block->type() == chain::BlockType::kKey)
-        key_block_id = tree.entry(idx).block->id();
+    for (const BlockId id : path)
+      if (tree.facts(id).block->type() == chain::BlockType::kKey)
+        key_block_id = tree.facts(id).block->id();
     accused_key_block_ = key_block_id;
     net_.node(0).forge_microblock(key_block_id);
     net_.settle();
@@ -181,8 +181,8 @@ TEST_F(PoisonScenario, NewLeaderPlacesPoison) {
   const auto& tree = net_.node(2).tree();
   auto path = tree.path_from_genesis(tree.best_tip());
   int poisons = 0;
-  for (auto idx : path)
-    for (const auto& tx : tree.entry(idx).block->txs())
+  for (const BlockId id : path)
+    for (const auto& tx : tree.facts(id).block->txs())
       if (tx->is_poison()) ++poisons;
   EXPECT_EQ(poisons, 1);
 }
@@ -192,8 +192,8 @@ TEST_F(PoisonScenario, PoisonPayloadValidates) {
   const auto& tree = net_.node(2).tree();
   auto path = tree.path_from_genesis(tree.best_tip());
   const chain::Transaction* poison = nullptr;
-  for (auto idx : path)
-    for (const auto& tx : tree.entry(idx).block->txs())
+  for (const BlockId id : path)
+    for (const auto& tx : tree.facts(id).block->txs())
       if (tx->is_poison()) poison = tx.get();
   ASSERT_NE(poison, nullptr);
   auto r = check_poison(tree, tree.best_tip(), *poison->poison, /*verify_signature=*/true);
@@ -240,8 +240,8 @@ TEST(PoisonValidation, RejectsHeaderOnMainChain) {
   const auto& tree = net.node(0).tree();
   auto path = tree.path_from_genesis(tree.best_tip());
   // Claim the chain's own microblock is "pruned": must fail.
-  const auto& key_entry = tree.entry(path[1]);
-  const auto& micro_entry = tree.entry(path[2]);
+  const auto& key_entry = tree.facts(path[1]);
+  const auto& micro_entry = tree.facts(path[2]);
   ASSERT_EQ(micro_entry.block->type(), chain::BlockType::kMicro);
   chain::PoisonPayload payload;
   payload.accused_key_block = key_entry.block->id();
@@ -261,7 +261,7 @@ TEST(PoisonValidation, RejectsGarbageHeader) {
   const auto& tree = net.node(0).tree();
   auto path = tree.path_from_genesis(tree.best_tip());
   chain::PoisonPayload payload;
-  payload.accused_key_block = tree.entry(path[1]).block->id();
+  payload.accused_key_block = tree.facts(path[1]).block->id();
   payload.pruned_header = {1, 2, 3};  // not parseable
   auto r = check_poison(tree, tree.best_tip(), payload, false);
   EXPECT_FALSE(r.ok);

@@ -90,8 +90,8 @@ TEST(SelfishMiner, OverridesWithLeadOfTwo) {
   // Attacker's 2-block chain wins everywhere; honest block orphaned.
   for (NodeId i = 1; i < 4; ++i) {
     const auto& t = net.nodes[i]->tree();
-    EXPECT_EQ(t.best_entry().chain_work, 2.0);
-    EXPECT_EQ(t.best_entry().block->miner(), 0u);
+    EXPECT_EQ(t.best().chain_work, 2.0);
+    EXPECT_EQ(t.best().block->miner(), 0u);
   }
 }
 
@@ -116,7 +116,7 @@ TEST(SelfishMiner, RacesWhenCaughtUpAndFollowsResolution) {
   // Honest extension resolves the race; the attacker follows the winner.
   net.nodes[2]->on_mining_win(1.0);
   net.settle(10);
-  EXPECT_EQ(net.attacker().tree().best_entry().chain_work, 2.0);
+  EXPECT_EQ(net.attacker().tree().best().chain_work, 2.0);
 }
 
 TEST(SelfishMiner, FollowsPublicChainAfterFallingBehind) {
@@ -136,8 +136,8 @@ TEST(SelfishMiner, FollowsPublicChainAfterFallingBehind) {
   net.nodes[3]->on_mining_win(1.0);  // fresh inv lets node 0 orphan-chase
   net.settle(20);
   EXPECT_EQ(net.attacker().withheld(), 0u);
-  EXPECT_GE(net.attacker().tree().best_entry().chain_work, 3.0);
-  EXPECT_NE(net.attacker().tree().best_entry().block->miner(), 0u);
+  EXPECT_GE(net.attacker().tree().best().chain_work, 3.0);
+  EXPECT_NE(net.attacker().tree().best().block->miner(), 0u);
 }
 
 TEST(SelfishMiner, ExperimentFactoryIntegration) {
@@ -168,10 +168,10 @@ TEST(SelfishMiner, ExperimentFactoryIntegration) {
   // Force any remaining private blocks into the open for final accounting.
   const auto& g = exp.global_tree();
   std::uint32_t attacker_main = 0, total_main = 0;
-  for (std::uint32_t idx : g.path_from_genesis(g.best_tip())) {
-    if (idx == chain::BlockTree::kGenesisIndex) continue;
+  for (const BlockId id : g.path_from_genesis(g.best_tip())) {
+    if (id == g.genesis()) continue;
     ++total_main;
-    if (g.entry(idx).block->miner() == 0) ++attacker_main;
+    if (g.facts(id).block->miner() == 0) ++attacker_main;
   }
   ASSERT_GT(total_main, 100u);
   const double revenue_share = static_cast<double>(attacker_main) / total_main;
@@ -203,10 +203,10 @@ TEST(SelfishMiner, SmallMinerGainsNothing) {
   exp.run();
   const auto& g = exp.global_tree();
   std::uint32_t attacker_main = 0, total_main = 0;
-  for (std::uint32_t idx : g.path_from_genesis(g.best_tip())) {
-    if (idx == chain::BlockTree::kGenesisIndex) continue;
+  for (const BlockId id : g.path_from_genesis(g.best_tip())) {
+    if (id == g.genesis()) continue;
     ++total_main;
-    if (g.entry(idx).block->miner() == 0) ++attacker_main;
+    if (g.facts(id).block->miner() == 0) ++attacker_main;
   }
   const double revenue_share = static_cast<double>(attacker_main) / total_main;
   EXPECT_LT(revenue_share, alpha + 0.03);

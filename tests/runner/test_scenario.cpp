@@ -162,8 +162,11 @@ TEST(Overrides, RejectsUnknownKeyAndBadValue) {
 
 class ScenarioFileTest : public ::testing::Test {
  protected:
+  // ctest runs each case as its own process, in parallel under -j: a file
+  // named after the running test keeps the cases from overwriting each other.
   std::string write_file(const std::string& content) {
-    path_ = ::testing::TempDir() + "/scenario_test.scn";
+    path_ = ::testing::TempDir() + "/scenario_test_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".scn";
     std::ofstream out(path_);
     out << content;
     return path_;

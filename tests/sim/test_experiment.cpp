@@ -118,11 +118,11 @@ TEST(Experiment, NodesConvergeAfterDrain) {
   // After drain, an overwhelming majority of nodes agree on the main-chain
   // PoW prefix (the paper's consensus property).
   const auto& g = exp.global_tree();
-  const Hash256 best = g.best_entry().block->id();
+  const Hash256 best = g.best().block->id();
   int agree = 0;
   for (const auto& node : exp.nodes()) {
     const auto& t = node->tree();
-    if (t.best_entry().block->id() == best) ++agree;
+    if (t.best().block->id() == best) ++agree;
   }
   EXPECT_GE(agree, 25);  // 30 nodes, small drain: near-unanimous
 }
@@ -147,7 +147,7 @@ TEST(Experiment, FullMempoolModeProducesSameShape) {
   exp.run();
   EXPECT_GE(exp.trace().micro_blocks(), 8u);
   // Payload flowed through real mempools.
-  EXPECT_GT(exp.global_tree().best_entry().chain_tx_count, 0u);
+  EXPECT_GT(exp.global_tree().best().chain_tx_count, 0u);
 }
 
 TEST(Experiment, GhostProtocolRuns) {

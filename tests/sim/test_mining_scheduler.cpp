@@ -144,7 +144,7 @@ TEST(MiningScheduler, WinnersActuallyMine) {
   std::uint64_t mined = 0;
   for (std::uint32_t i = 0; i < 3; ++i) mined += f.net.node(i).blocks_mined();
   EXPECT_EQ(mined, f.scheduler->wins());
-  EXPECT_GT(f.net.node(0).tree().best_entry().pow_height, 0u);
+  EXPECT_GT(f.net.node(0).tree().best().pow_height, 0u);
 }
 
 }  // namespace

@@ -39,7 +39,7 @@ class MiniNet {
     }
     workload_.tx_wire_size = workload_.txs[0]->wire_size();
     workload_.fee_per_tx = 1000;
-    trace_ = std::make_unique<sim::TraceRecorder>(genesis_, network_.interner());
+    trace_ = std::make_unique<sim::TraceRecorder>(genesis_, network_.block_store());
 
     for (NodeId i = 0; i < n; ++i) {
       protocol::NodeConfig cfg;
@@ -67,9 +67,9 @@ class MiniNet {
 
   /// Do all nodes report the same best-tip block id?
   bool converged() const {
-    const Hash256 tip0 = nodes_[0]->tree().best_entry().block->id();
+    const Hash256 tip0 = nodes_[0]->tree().best().block->id();
     for (const auto& n : nodes_)
-      if (n->tree().best_entry().block->id() != tip0) return false;
+      if (n->tree().best().block->id() != tip0) return false;
     return true;
   }
 
@@ -81,8 +81,8 @@ class MiniNet {
     for (const auto& n : nodes_) {
       const auto& t = n->tree();
       std::vector<Hash256> ids;
-      for (auto idx : t.path_from_genesis(t.best_tip()))
-        ids.push_back(t.entry(idx).block->id());
+      for (const BlockId id : t.path_from_genesis(t.best_tip()))
+        ids.push_back(t.facts(id).block->id());
       paths.push_back(std::move(ids));
     }
     const auto* longest = &paths[0];

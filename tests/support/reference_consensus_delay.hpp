@@ -28,29 +28,19 @@ inline double reference_consensus_delay(const sim::Experiment& exp, double epsil
   const std::size_t n_nodes = nodes.size();
   const auto quorum = static_cast<std::size_t>(epsilon * static_cast<double>(n_nodes));
 
-  // Generation times (ascending) with global indices: candidate prefix cuts.
+  // Generation times (ascending) of global-tree blocks: candidate prefix cuts.
   struct Gen {
     Seconds at;
-    std::uint32_t gidx;
+    BlockId id;
   };
   std::vector<Gen> gens;
-  for (const auto& rec : exp.trace().generated()) {
-    if (const std::uint32_t gi = g.index_of_id(rec.id); gi != BlockTree::kNoIndex)
-      gens.push_back({rec.at, gi});
-  }
+  for (const auto& rec : exp.trace().generated())
+    if (g.contains_id(rec.id)) gens.push_back({rec.at, rec.id});
   std::sort(gens.begin(), gens.end(), [](const Gen& a, const Gen& b) { return a.at < b.at; });
   if (gens.empty()) return 0.0;
 
-  // Per node: node-tree entry -> global index; unknowns map to the root.
-  std::vector<std::vector<std::uint32_t>> global_of(n_nodes);
-  for (std::size_t n = 0; n < n_nodes; ++n) {
-    const BlockTree& t = nodes[n]->tree();
-    global_of[n].resize(t.size());
-    for (std::uint32_t i = 0; i < t.size(); ++i) {
-      const std::uint32_t gi = g.index_of_id(t.entry(i).id);
-      global_of[n][i] = gi != BlockTree::kNoIndex ? gi : 0;
-    }
-  }
+  // Blocks the global tree does not know vote for its root.
+  auto global_of = [&g](BlockId id) { return g.contains_id(id) ? id : g.genesis(); };
 
   constexpr std::size_t kSamples = 240;
   const Seconds t_begin = gens.front().at + 0.1 * (gens.back().at - gens.front().at);
@@ -65,26 +55,22 @@ inline double reference_consensus_delay(const sim::Experiment& exp, double epsil
   }
 
   std::vector<double> point_delays;
-  std::vector<std::vector<std::pair<Seconds, std::uint32_t>>> chains(n_nodes);
-  std::unordered_map<std::uint32_t, std::size_t> votes;
+  std::vector<std::vector<std::pair<Seconds, BlockId>>> chains(n_nodes);
+  std::unordered_map<BlockId, std::size_t> votes;
 
   for (const Seconds t : sample_times) {
-    // Each node's chain at time t: (timestamp, global idx) ascending.
+    // Each node's chain at time t: (timestamp, global id) ascending.
     for (std::size_t n = 0; n < n_nodes; ++n) {
       const BlockTree& tree = nodes[n]->tree();
       const auto& hist = tree.tip_history();
       auto it = std::upper_bound(
           hist.begin(), hist.end(), t,
           [](Seconds value, const BlockTree::TipChange& c) { return value < c.at; });
-      const std::uint32_t tip = (it == hist.begin()) ? 0 : std::prev(it)->tip;
+      const BlockId tip = (it == hist.begin()) ? tree.genesis() : std::prev(it)->tip;
       auto& chain = chains[n];
       chain.clear();
-      for (std::int32_t cur = static_cast<std::int32_t>(tip); cur != -1;
-           cur = tree.entry(static_cast<std::uint32_t>(cur)).parent) {
-        const auto& e = tree.entry(static_cast<std::uint32_t>(cur));
-        chain.emplace_back(e.block->header().timestamp,
-                           global_of[n][static_cast<std::uint32_t>(cur)]);
-      }
+      for (BlockId cur = tip; cur != kNoBlockId; cur = tree.facts(cur).parent)
+        chain.emplace_back(tree.facts(cur).block->header().timestamp, global_of(cur));
       std::reverse(chain.begin(), chain.end());
     }
 
@@ -103,7 +89,7 @@ inline double reference_consensus_delay(const sim::Experiment& exp, double epsil
         auto c_it = std::upper_bound(
             chain.begin(), chain.end(), tau,
             [](Seconds value, const auto& pr) { return value < pr.first; });
-        const std::uint32_t cut = (c_it == chain.begin()) ? 0 : std::prev(c_it)->second;
+        const BlockId cut = (c_it == chain.begin()) ? g.genesis() : std::prev(c_it)->second;
         best = std::max(best, ++votes[cut]);
       }
       if (best >= quorum) {
