@@ -96,15 +96,29 @@ Worker liveness, for --procs and --hosts alike:
   --straggler-after-ms N    speculative re-dispatch age      (default 0 = off)
   --connect-timeout-ms N    per-host TCP connect timeout     (default 5000)
 
-Environment fallbacks: REPRO_NODES, REPRO_BLOCKS, REPRO_SEEDS, REPRO_JOBS,
-REPRO_PROCS.
-
 Scenario files (see bench/README.md):
   name = my_sweep
   base.protocol = bitcoin          # bitcoin | ng | ghost
   base.block_interval = 10
   axis.max_block_size = 10000, 20000, 40000
 )";
+
+/// The usage text, then every key a scenario file's base.KEY and axis.KEY
+/// lines accept.
+void print_usage(std::FILE* out) {
+  std::fputs(kUsage, out);
+  std::fputs("\nKeys for base.KEY and axis.KEY lines:\n", out);
+  std::string line;
+  for (const std::string& key : runner::config_override_keys()) {
+    if (!line.empty() && line.size() + 1 + key.size() > 76) {
+      std::fprintf(out, "  %s\n", line.c_str());
+      line.clear();
+    }
+    if (!line.empty()) line += ' ';
+    line += key;
+  }
+  std::fprintf(out, "  %s\n", line.c_str());
+}
 
 void list_scenarios() {
   std::printf("registered scenarios:\n");
@@ -226,18 +240,15 @@ int main(int argc, char** argv) {
   std::string out_dir = ".";
   bool print_table = true;
   bool dense = false;
-  runner::RunKnobs knobs{runner::env_u32("REPRO_NODES", 1000),
-                         runner::env_u32("REPRO_BLOCKS", 60)};
+  runner::RunKnobs knobs;
   runner::SweepOptions options;
-  options.seeds = runner::env_u32("REPRO_SEEDS", 1);
-  options.jobs = runner::env_u32("REPRO_JOBS", 0);
-  options.procs = runner::env_u32("REPRO_PROCS", 0);
+  options.jobs = 0;  // --help's default: all cores
 
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     const char* next = i + 1 < argc ? argv[i + 1] : nullptr;
     if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
-      std::fputs(kUsage, stdout);
+      print_usage(stdout);
       return 0;
     }
     if (std::strcmp(arg, "--list") == 0) {
@@ -385,7 +396,8 @@ int main(int argc, char** argv) {
       ++i;
       continue;
     }
-    std::fprintf(stderr, "ngsim: unknown option '%s'\n\n%s", arg, kUsage);
+    std::fprintf(stderr, "ngsim: unknown option '%s'\n\n", arg);
+    print_usage(stderr);
     return 1;
   }
 
@@ -403,8 +415,8 @@ int main(int argc, char** argv) {
   }
 
   if (scenario_name.empty() && scenario_file.empty()) {
-    std::fprintf(stderr, "ngsim: one of --scenario / --scenario-file is required\n\n%s",
-                 kUsage);
+    std::fprintf(stderr, "ngsim: one of --scenario / --scenario-file is required\n\n");
+    print_usage(stderr);
     return 1;
   }
 

@@ -3,15 +3,13 @@
 // fast path, fork choice, mempool assembly, and the consensus-delay metric.
 // These bound how far the experiment harness scales.
 //
-// Machine-readable output: pass --benchmark_format=json (or use
-// bench_sim_core, which writes BENCH_core.json with the headline metrics).
+// Machine-readable output: pass --benchmark_format=json.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <map>
 #include <memory>
 
-#include "core_bench_util.hpp"
 #include "chain/block_tree.hpp"
 #include "chain/mempool.hpp"
 #include "crypto/ecdsa.hpp"
@@ -23,12 +21,39 @@
 #include "net/latency_model.hpp"
 #include "net/network.hpp"
 #include "net/topology.hpp"
+#include "obs/registry.hpp"
 #include "obs/trace_ring.hpp"
 #include "sim/experiment.hpp"
 
 namespace {
 
 using namespace bng;
+
+/// Inv-sized message with no payload logic.
+struct BenchMessage final : net::Message {
+  [[nodiscard]] std::size_t wire_size() const override { return 36; }
+  [[nodiscard]] const char* type_name() const override { return "bench"; }
+};
+
+/// Node that just counts deliveries.
+struct BenchSink final : net::INode {
+  std::uint64_t received = 0;
+  void on_message(NodeId, const net::MessagePtr&) override { ++received; }
+};
+
+/// Deterministic 64-bit LCG (Knuth constants) for benchmark workloads.
+std::uint64_t lcg_next(std::uint64_t& s) {
+  s = s * 6364136223846793005ull + 1442695040888963407ull;
+  return s;
+}
+
+/// Export every metric of an obs::Registry snapshot as a google-benchmark
+/// counter, so benchmark-side accounting goes through the same typed
+/// registry as the sweep records (registration order and names are the
+/// schema).
+void export_registry(benchmark::State& state, const obs::Registry& reg) {
+  for (const auto& [name, value] : reg.snapshot()) state.counters[name] = value;
+}
 
 void BM_Sha256(benchmark::State& state) {
   std::vector<std::uint8_t> data(static_cast<std::size_t>(state.range(0)), 0x5a);
@@ -127,12 +152,12 @@ void BM_EventQueueSteadyState(benchmark::State& state) {
     Ctx* c;
     void operator()() const {
       ++c->fired;
-      c->q.schedule_in(1.0 + static_cast<double>(bench::lcg_next(c->lcg) >> 52), Tick{c});
+      c->q.schedule_in(1.0 + static_cast<double>(lcg_next(c->lcg) >> 52), Tick{c});
     }
   };
   Ctx ctx;
   for (int i = 0; i < state.range(0); ++i) {
-    ctx.q.schedule_at(static_cast<double>(bench::lcg_next(ctx.lcg) >> 52), Tick{&ctx});
+    ctx.q.schedule_at(static_cast<double>(lcg_next(ctx.lcg) >> 52), Tick{&ctx});
   }
   for (auto _ : state) {
     const std::uint64_t target = ctx.fired + 10000;
@@ -153,7 +178,7 @@ void BM_EventQueueBucketInsert(benchmark::State& state) {
   for (auto _ : state) {
     for (int i = 0; i < state.range(0); ++i) {
       // 10-bit delays scaled to ~1 s: all within the 2048-bucket window.
-      q.schedule_in(static_cast<double>(bench::lcg_next(lcg) >> 54) * 1e-3,
+      q.schedule_in(static_cast<double>(lcg_next(lcg) >> 54) * 1e-3,
                     [&fired] { ++fired; });
     }
     q.run_all();
@@ -188,13 +213,13 @@ void BM_NetworkGossipBurst(benchmark::State& state) {
   net::Topology topo = net::Topology::random(n_nodes, 5, rng);
   net::Network net(q, topo, net::LatencyModel::constant(0.05),
                    net::LinkParams{100'000.0, 40}, rng);
-  std::vector<bench::BenchSink> sinks(n_nodes);
+  std::vector<BenchSink> sinks(n_nodes);
   for (NodeId i = 0; i < n_nodes; ++i) net.attach(i, &sinks[i]);
   std::uint64_t messages = 0;
   for (auto _ : state) {
     const std::uint64_t before = net.messages_sent();
     for (NodeId a = 0; a < n_nodes; ++a) {
-      auto msg = std::make_shared<bench::BenchMessage>();
+      auto msg = std::make_shared<BenchMessage>();
       for (NodeId b : net.peers(a)) net.send(a, b, msg);
     }
     q.run_all();
@@ -221,9 +246,9 @@ void BM_NetworkLinkTrainPending(benchmark::State& state) {
     net::Topology topo = net::Topology::random(n_nodes, 5, rng);
     net::Network net(q, topo, net::LatencyModel::constant(0.05),
                      net::LinkParams{100'000.0, 40}, rng);
-    std::vector<bench::BenchSink> sinks(n_nodes);
+    std::vector<BenchSink> sinks(n_nodes);
     for (NodeId i = 0; i < n_nodes; ++i) net.attach(i, &sinks[i]);
-    const auto msg = std::make_shared<bench::BenchMessage>();
+    const auto msg = std::make_shared<BenchMessage>();
     for (int r = 0; r < per_link; ++r)
       for (NodeId a = 0; a < n_nodes; ++a)
         for (NodeId b : net.peers(a)) net.send(a, b, msg);
@@ -244,7 +269,7 @@ void BM_NetworkLinkTrainPending(benchmark::State& state) {
   reg.gauge("active_links", obs::Unit::kCount, "links carrying traffic").set(links);
   reg.gauge("pending_per_link", obs::Unit::kNone, "peak pending events per link")
       .set(links > 0 ? max_pending / links : 0);
-  bench::export_registry(state, reg);
+  export_registry(state, reg);
 }
 BENCHMARK(BM_NetworkLinkTrainPending)->Args({200, 16})->Args({1000, 16});
 
@@ -260,9 +285,9 @@ void BM_NetworkBurstDrain(benchmark::State& state) {
   net::Topology topo = net::Topology::complete(2);
   net::Network net(q, topo, net::LatencyModel::constant(0.05),
                    net::LinkParams{100'000.0, 40}, rng);
-  std::vector<bench::BenchSink> sinks(2);
+  std::vector<BenchSink> sinks(2);
   for (NodeId i = 0; i < 2; ++i) net.attach(i, &sinks[i]);
-  const auto msg = std::make_shared<bench::BenchMessage>();
+  const auto msg = std::make_shared<BenchMessage>();
   std::uint64_t delivered = 0;
   for (auto _ : state) {
     for (int i = 0; i < train; ++i) net.send(0, 1, msg);
@@ -282,7 +307,7 @@ void BM_NetworkBurstDrain(benchmark::State& state) {
                                                net.burst_drained()) /
                                static_cast<double>(delivered)
                          : 0);
-  bench::export_registry(state, reg);
+  export_registry(state, reg);
   state.SetItemsProcessed(static_cast<std::int64_t>(delivered));
 }
 BENCHMARK(BM_NetworkBurstDrain)->Arg(256);
@@ -301,13 +326,13 @@ void BM_NetworkSendFaultLayerOverhead(benchmark::State& state) {
   net::Topology topo = net::Topology::random(n_nodes, 5, rng);
   net::Network net(q, topo, net::LatencyModel::constant(0.05),
                    net::LinkParams{100'000.0, 40}, rng);
-  std::vector<bench::BenchSink> sinks(n_nodes);
+  std::vector<BenchSink> sinks(n_nodes);
   for (NodeId i = 0; i < n_nodes; ++i) net.attach(i, &sinks[i]);
   const std::size_t pending_before = q.pending();
   if (with_empty_plan) net::schedule_faults(net, net::FaultPlan{});
   double max_pending = 0;
   for (auto _ : state) {
-    const auto msg = std::make_shared<bench::BenchMessage>();
+    const auto msg = std::make_shared<BenchMessage>();
     for (NodeId a = 0; a < n_nodes; ++a)
       for (NodeId b : net.peers(a)) net.send(a, b, msg);
     max_pending = std::max(max_pending, static_cast<double>(q.pending()));
@@ -326,7 +351,7 @@ void BM_NetworkSendFaultLayerOverhead(benchmark::State& state) {
   reg.gauge("counter_mismatch", obs::Unit::kNone,
             "1 when the fault layer perturbed the queue")
       .set(q.pending() == pending_before ? 0 : 1);
-  bench::export_registry(state, reg);
+  export_registry(state, reg);
   if (q.pending() != pending_before) state.SkipWithError("empty FaultPlan scheduled events");
 }
 // Fixed iteration count so the two variants' counters (max_pending_events,

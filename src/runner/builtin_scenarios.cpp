@@ -1,6 +1,6 @@
 // Built-in scenario registrations: the paper's figures (§7-§8) and the
 // ablations, expressed as declarative sweeps for the runner engine. The
-// bench/fig*.cpp binaries and the ngsim CLI both run these.
+// ngsim CLI runs these (`ngsim --scenario NAME`).
 #include <algorithm>
 #include <cstdio>
 #include <memory>
@@ -52,8 +52,8 @@ sim::ExperimentConfig paper_base(const RunKnobs& knobs) {
 }
 
 // --- fig6: miner-population skew --------------------------------------------
-// The figure itself is the analytic weekly-rank fit (bench/fig6_mining_power
-// keeps that part: it needs no simulation); the registered sweep runs the
+// The figure itself is the analytic weekly-rank fit, which needs no
+// simulation: bench/fig6_mining_power.cpp prints it. This sweep runs the
 // consequence of the skew — fairness/MPU as the population exponent varies
 // around the paper's fitted -0.27.
 Scenario make_fig6(const RunKnobs& knobs) {

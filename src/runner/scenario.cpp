@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cstdlib>
+#include <cmath>
 #include <fstream>
 #include <limits>
 #include <map>
@@ -39,12 +39,15 @@ void ensure_builtins() {
   std::call_once(once, register_builtin_scenarios);
 }
 
+/// Non-finite values are rejected: a nan or inf interval or drain time
+/// never lets a run reach its stop condition.
 double parse_double(std::string_view key, std::string_view value) {
   try {
     std::size_t used = 0;
     std::string s(value);
     double d = std::stod(s, &used);
     if (used != s.size()) throw std::invalid_argument("trailing characters");
+    if (!std::isfinite(d)) throw std::invalid_argument("not finite");
     return d;
   } catch (const std::exception&) {
     throw std::invalid_argument("bad numeric value '" + std::string(value) + "' for key '" +
@@ -84,13 +87,6 @@ std::string_view trim(std::string_view s) {
 }
 
 }  // namespace
-
-std::uint32_t env_u32(const char* name, std::uint32_t fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return fallback;
-  auto parsed = std::strtoul(v, nullptr, 10);
-  return parsed > 0 ? static_cast<std::uint32_t>(parsed) : fallback;
-}
 
 void register_scenario(std::string name, std::string description, ScenarioFactory factory) {
   std::lock_guard lock(registry_mutex());
@@ -312,11 +308,15 @@ Scenario load_scenario_string(const std::string& text, const std::string& origin
       } else if (key.starts_with("axis.")) {
         std::string axis_key(key.substr(5));
         Axis axis{axis_key, {}};
+        // Each value is applied once here, so a bad key or value fails at
+        // this line instead of at sweep start.
+        sim::ExperimentConfig scratch = s.base;
         std::stringstream ss{std::string(value)};
         std::string item;
         while (std::getline(ss, item, ',')) {
           std::string v(trim(item));
           if (v.empty()) continue;
+          apply_config_override(scratch, axis_key, v);
           double x = 0;
           try {
             x = std::stod(v);

@@ -20,17 +20,14 @@
 
 namespace bng::runner {
 
-/// Paper §7 workload constants, shared by the built-in scenarios and the
-/// bench harnesses: operational Bitcoin payload = 1 MB / 600 s, carried by
-/// identical-size transactions (~3.5 tx/s at that rate).
+/// Paper §7 workload constants of the built-in scenarios: operational
+/// Bitcoin payload = 1 MB / 600 s, carried by identical-size transactions
+/// (~3.5 tx/s at that rate).
 inline constexpr double kPayloadBytesPerSecond = 1'000'000.0 / 600.0;
 inline constexpr std::size_t kTxSize = 476;
 
-/// Parse an unsigned env var; `fallback` when unset, unparsable, or 0.
-std::uint32_t env_u32(const char* name, std::uint32_t fallback);
-
 /// Scale knobs threaded into scenario factories so one registration covers
-/// paper scale and CI smoke scale (REPRO_NODES / REPRO_BLOCKS / CLI flags).
+/// paper scale and CI smoke scale (ngsim's --nodes / --blocks).
 struct RunKnobs {
   std::uint32_t nodes = 1000;
   std::uint32_t blocks = 60;

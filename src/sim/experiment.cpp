@@ -55,9 +55,19 @@ PrebuiltWorkload generate_workload(const ExperimentConfig& cfg) {
   out.workload.fee_per_tx = cfg.tx_fee;
   return out;
 }
+
+/// Checks that fail before any work, including a shared pool's: an NG
+/// leader schedules its next microblock this far ahead, so at zero sim time
+/// never advances.
+void check_config(const ExperimentConfig& cfg) {
+  if (cfg.params.protocol == chain::Protocol::kBitcoinNG &&
+      !(cfg.params.microblock_interval > 0))
+    throw std::invalid_argument("Experiment: Bitcoin-NG needs microblock_interval > 0");
+}
 }  // namespace
 
 std::shared_ptr<const PrebuiltWorkload> build_shared_workload(const ExperimentConfig& cfg) {
+  check_config(cfg);
   auto shared = std::make_shared<PrebuiltWorkload>(generate_workload(cfg));
   // Warm the lazy per-tx caches while the pool is still owned by one thread:
   // Transaction::id()/wire_size() write plain mutable fields on first use,
@@ -365,6 +375,7 @@ std::unique_ptr<protocol::BaseNode> Experiment::make_adversary(
 void Experiment::build() {
   if (built_) return;
   built_ = true;
+  check_config(cfg_);
   build_workload();
   build_nodes();
   for (const auto& event : cfg_.churn) {

@@ -174,7 +174,9 @@ struct ExperimentConfig {
 
 /// Generate the workload `cfg` would build, pre-warming every transaction's
 /// lazily cached id and wire size (they are plain mutable fields, so first
-/// use must not race across threads). Seed-independent.
+/// use must not race across threads). Seed-independent. Throws
+/// std::invalid_argument, before any work, for a config build() rejects up
+/// front.
 [[nodiscard]] std::shared_ptr<const PrebuiltWorkload> build_shared_workload(
     const ExperimentConfig& cfg);
 
@@ -203,6 +205,8 @@ class Experiment {
   ~Experiment();
 
   /// Build the deployment without running (allows callbacks/attacks setup).
+  /// Throws std::invalid_argument for a config it cannot run, e.g. Bitcoin-NG
+  /// with microblock_interval <= 0 or an adversary node out of range.
   void build();
 
   /// Run to the stop condition. Implies build() if not yet built.

@@ -171,6 +171,20 @@ class ScenarioFileTest : public ::testing::Test {
     out << content;
     return path_;
   }
+  /// Loads `text` and expects an error that starts with the file, then
+  /// `at_line` ("LINE: message"), and names `key`.
+  void expect_rejected(const std::string& text, const std::string& at_line,
+                       const std::string& key) {
+    const auto path = write_file(text);
+    try {
+      load_scenario_file(path, kSmall);
+      ADD_FAILURE() << "expected std::runtime_error for " << text;
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind(path + ":" + at_line, 0), 0u) << what;
+      EXPECT_NE(what.find("'" + key + "'"), std::string::npos) << what;
+    }
+  }
   std::string path_;
 };
 
@@ -251,6 +265,40 @@ TEST_F(ScenarioFileTest, RejectsIntegerThatDoesNotFitWithKeyAndLine) {
       EXPECT_NE(what.find(c.key), std::string::npos) << what;
     }
   }
+}
+
+// A non-finite interval or drain time never lets a run reach its stop
+// condition, so the loader refuses each one instead of hanging the sweep.
+TEST_F(ScenarioFileTest, RejectsNanBlockInterval) {
+  expect_rejected("name = x\nbase.block_interval = nan\n", "2: bad numeric value 'nan'",
+                  "block_interval");
+}
+
+TEST_F(ScenarioFileTest, RejectsInfBlockInterval) {
+  expect_rejected("name = x\nbase.block_interval = inf\n", "2: bad numeric value 'inf'",
+                  "block_interval");
+}
+
+TEST_F(ScenarioFileTest, RejectsNanDrainTime) {
+  expect_rejected("name = x\nbase.drain_time = nan\n", "2: bad numeric value 'nan'",
+                  "drain_time");
+}
+
+TEST_F(ScenarioFileTest, RejectsInfDrainTime) {
+  expect_rejected("name = x\nbase.drain_time = inf\n", "2: bad numeric value 'inf'",
+                  "drain_time");
+}
+
+// Axis values are applied once at load, so a bad one is reported at its
+// line like a bad base.* line, not when the sweep starts.
+TEST_F(ScenarioFileTest, RejectsUnknownAxisKeyAtLoad) {
+  expect_rejected("name = x\naxis.no_such_key = 1, 2\n", "2: unknown config key",
+                  "no_such_key");
+}
+
+TEST_F(ScenarioFileTest, RejectsBadAxisValueAtLoad) {
+  expect_rejected("name = x\naxis.max_block_size = 20000, 2e4\n",
+                  "2: bad integer value '2e4'", "max_block_size");
 }
 
 TEST_F(ScenarioFileTest, RejectsMissingFileAndBadSyntax) {

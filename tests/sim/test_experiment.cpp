@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace bng::sim {
 namespace {
@@ -168,6 +170,23 @@ TEST(Experiment, ZeroTargetBlocksStopsImmediately) {
   exp.run();
   EXPECT_EQ(exp.counted_blocks(), 0u);
   EXPECT_EQ(exp.end_time(), cfg.drain_time);
+}
+
+TEST(Experiment, NgRejectsZeroMicroblockInterval) {
+  // At zero a leader's microblocks never advance sim time: the run would
+  // spin with growing memory instead of ending.
+  auto cfg = small_ng();
+  cfg.params.microblock_interval = 0;
+  // A sweep builds the shared pool first; it refuses before doing the work.
+  EXPECT_THROW((void)build_shared_workload(cfg), std::invalid_argument);
+  Experiment exp(cfg);
+  try {
+    exp.build();
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("microblock_interval"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace
