@@ -7,6 +7,12 @@
 
 namespace bng::chain {
 
+namespace {
+/// The longest header serialize() writes (one with both a leader key and a
+/// signature), so a writer pre-sized to it never grows.
+constexpr std::size_t kMaxHeaderBytes = 1 + 32 + 8 + 32 + 32 + 8 + (1 + 64) + (1 + 64);
+}  // namespace
+
 void BlockHeader::serialize_unsigned(ByteWriter& w) const {
   w.u8(static_cast<std::uint8_t>(type));
   w.bytes(prev.bytes);
@@ -52,12 +58,14 @@ BlockHeader BlockHeader::deserialize(ByteReader& r) {
 
 Hash256 BlockHeader::id() const {
   ByteWriter w;
+  w.reserve(kMaxHeaderBytes);
   serialize(w);
   return crypto::sha256d(w.data());
 }
 
 Hash256 BlockHeader::signing_hash() const {
   ByteWriter w;
+  w.reserve(kMaxHeaderBytes);
   serialize_unsigned(w);
   return crypto::sha256d(w.data());
 }
@@ -65,9 +73,11 @@ Hash256 BlockHeader::signing_hash() const {
 Block::Block(BlockHeader header, std::vector<TxPtr> txs, std::uint32_t miner, double work)
     : header_(std::move(header)), txs_(std::move(txs)), miner_(miner) {
   work_ = header_.type == BlockType::kMicro ? 0.0 : work;
-  id_ = header_.id();
+  // One header serialization gives both the id and the header's size.
   ByteWriter w;
+  w.reserve(kMaxHeaderBytes);
   header_.serialize(w);
+  id_ = crypto::sha256d(w.data());
   wire_size_ = w.size();
   for (const auto& tx : txs_) wire_size_ += tx->wire_size();
 }

@@ -29,18 +29,16 @@ void Transaction::serialize(ByteWriter& w) const {
 }
 
 std::size_t Transaction::wire_size() const {
-  if (cached_size_ == 0) {
-    ByteWriter w;
-    serialize(w);
-    cached_size_ = w.size() + padding_bytes;
-  }
+  if (!cached_id_) (void)id();
   return cached_size_;
 }
 
 Hash256 Transaction::id() const {
   if (!cached_id_) {
+    // One serialization fills both caches.
     ByteWriter w;
     serialize(w);
+    cached_size_ = w.size() + padding_bytes;
     cached_id_ = crypto::sha256d(w.data());
   }
   return *cached_id_;
@@ -62,10 +60,13 @@ Hash256 address_of(const crypto::PublicKey& key) {
 }
 
 Hash256 address_from_tag(std::uint64_t tag) {
-  ByteWriter w;
-  w.u64(0x61646472u);  // "addr"
-  w.u64(tag);
-  return crypto::sha256(w.data());
+  // What ByteWriter's u64(0x61646472) ("addr") then u64(tag) would hold.
+  std::uint8_t preimage[16];
+  for (int i = 0; i < 8; ++i) {
+    preimage[i] = static_cast<std::uint8_t>(std::uint64_t{0x61646472} >> (8 * i));
+    preimage[8 + i] = static_cast<std::uint8_t>(tag >> (8 * i));
+  }
+  return crypto::sha256(preimage);
 }
 
 }  // namespace bng::chain

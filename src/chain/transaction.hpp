@@ -68,16 +68,17 @@ class Transaction {
   /// Serialize for hashing / size accounting.
   void serialize(ByteWriter& w) const;
 
-  /// Wire size in bytes (serialization + padding). Cached after first call.
+  /// Wire size in bytes (serialization + padding).
   [[nodiscard]] std::size_t wire_size() const;
 
   /// Transaction id: sha256d of the serialization (padding contributes
-  /// length only, not content). Cached after first call; callers must not
-  /// mutate a transaction after handing it to a TxPtr.
+  /// length only, not content). The first call to id() or wire_size()
+  /// serializes once and caches both; callers must not mutate a transaction
+  /// after handing it to a TxPtr.
   [[nodiscard]] Hash256 id() const;
 
  private:
-  mutable std::optional<Hash256> cached_id_;
+  mutable std::optional<Hash256> cached_id_;  ///< set together with cached_size_
   mutable std::size_t cached_size_ = 0;
 };
 

@@ -15,6 +15,10 @@ namespace bng {
 
 class ByteWriter {
  public:
+  /// Pre-size for `n` bytes, so a writer filled to a known size allocates
+  /// once instead of growing as it goes.
+  void reserve(std::size_t n) { buf_.reserve(n); }
+
   void u8(std::uint8_t v) { buf_.push_back(v); }
 
   void u16(std::uint16_t v) {

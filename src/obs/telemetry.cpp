@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "crypto/sha256.hpp"
 #include "runner/record_codec.hpp"  // json_escape
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -19,6 +20,7 @@ void SweepTelemetry::start(std::size_t total_jobs) {
   phase_jobs_ = 0;
   simulate_ms_ = 0;
   metrics_ms_ = 0;
+  workload_ms_ = 0;
   started_ = std::chrono::steady_clock::now();
 }
 
@@ -42,6 +44,11 @@ void SweepTelemetry::add_phase_ms(double simulate_ms, double metrics_ms) {
   ++phase_jobs_;
   simulate_ms_ += simulate_ms;
   metrics_ms_ += metrics_ms;
+}
+
+void SweepTelemetry::add_workload_ms(double ms) {
+  std::lock_guard lock(mu_);
+  workload_ms_ += ms;
 }
 
 std::uint64_t SweepTelemetry::peak_rss_bytes() {
@@ -136,16 +143,18 @@ std::string SweepTelemetry::to_json(const std::string& scenario, double wall_s) 
   j += buf;
   std::snprintf(buf, sizeof buf,
                 ",\n  \"events_executed\": %llu,\n  \"events_per_sec\": %.1f,\n"
-                "  \"rss_peak_mb\": %.1f",
+                "  \"rss_peak_mb\": %.1f,\n  \"sha256\": \"%s\"",
                 static_cast<unsigned long long>(events_total_),
                 wall_s > 0 ? static_cast<double>(events_total_) / wall_s : 0.0,
-                static_cast<double>(peak_rss_bytes()) / (1024.0 * 1024.0));
+                static_cast<double>(peak_rss_bytes()) / (1024.0 * 1024.0),
+                crypto::sha256_kernel_name(crypto::sha256_kernel()));
   j += buf;
   if (phase_jobs_ > 0) {
     std::snprintf(buf, sizeof buf,
                   ",\n  \"phases\": {\"jobs\": %llu, \"simulate_ms\": %.3f, "
-                  "\"metrics_ms\": %.3f}",
-                  static_cast<unsigned long long>(phase_jobs_), simulate_ms_, metrics_ms_);
+                  "\"metrics_ms\": %.3f, \"workload_ms\": %.3f}",
+                  static_cast<unsigned long long>(phase_jobs_), simulate_ms_, metrics_ms_,
+                  workload_ms_);
     j += buf;
   }
   if (has_cache_) {

@@ -74,6 +74,11 @@ class SweepTelemetry {
   /// add_events; adds a "phases" section to the stats JSON. Never part of a
   /// record.
   void add_phase_ms(double simulate_ms, double metrics_ms);
+  /// Wall time of one shared tx-pool build (sim::build_shared_workload), ms.
+  /// Reported by the in-process thread executor, once per pool it builds;
+  /// the "phases" section shows the sum as "workload_ms". Never part of a
+  /// record.
+  void add_workload_ms(double ms);
 
   /// Peak resident set of THIS process so far, bytes (getrusage ru_maxrss);
   /// 0 where unsupported. Free function so callers outside a sweep (the
@@ -107,7 +112,9 @@ class SweepTelemetry {
   /// the workers fields are omitted when no fleet is attached).
   [[nodiscard]] std::string progress_line() const;
 
-  /// End-of-sweep JSON report for `--stats-json`.
+  /// End-of-sweep JSON report for `--stats-json`. Its "sha256" field names
+  /// the SHA-256 kernel this process hashes with (crypto::sha256_kernel());
+  /// under --hosts, workers on other machines pick their own.
   [[nodiscard]] std::string to_json(const std::string& scenario, double wall_s) const;
 
   [[nodiscard]] std::size_t records_done() const;
@@ -123,6 +130,7 @@ class SweepTelemetry {
   std::uint64_t phase_jobs_ = 0;
   double simulate_ms_ = 0;
   double metrics_ms_ = 0;
+  double workload_ms_ = 0;
   std::chrono::steady_clock::time_point started_{};
   bool has_cache_ = false;
   CacheCounters cache_;

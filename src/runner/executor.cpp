@@ -116,8 +116,13 @@ class ThreadPoolExecutor final : public Executor {
         // The pool is a seed-independent pure function of the point config
         // (which job wins the call_once race must not matter), so the
         // config goes in with its seed untouched.
-        std::call_once(st->build_once,
-                       [&] { st->pool = sim::build_shared_workload(plan.points[p].config); });
+        std::call_once(st->build_once, [&] {
+          const auto start = std::chrono::steady_clock::now();
+          st->pool = sim::build_shared_workload(plan.points[p].config);
+          const std::chrono::duration<double, std::milli> took =
+              std::chrono::steady_clock::now() - start;
+          if (plan.telemetry != nullptr) plan.telemetry->add_workload_ms(took.count());
+        });
       }
       // run_job scopes the experiment, so it is destroyed on this worker
       // thread before the pool refcount below is released.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "crypto/sha256.hpp"
+
 namespace bng::chain {
 namespace {
 
@@ -95,6 +97,35 @@ TEST(Block, WireSizeIsHeaderPlusTxs) {
   h.serialize(w);
   Block block(h, txs, 0);
   EXPECT_EQ(block.wire_size(), w.size() + tx_bytes);
+}
+
+TEST(Block, IdAndWireSizeMatchAFreshSerializationForEveryType) {
+  // The constructor takes both from one header serialization; either
+  // accessor, in either order, must equal what a fresh one gives.
+  const auto txs = sample_txs(2);
+  auto pow = header_with(BlockType::kPow, Hash256{}, 1.0, txs);
+  pow.nonce = 9;
+  auto key = header_with(BlockType::kKey, Hash256{}, 2.0, {});
+  key.leader_key = crypto::PrivateKey::from_seed(3).public_key();
+  auto micro = header_with(BlockType::kMicro, Hash256{}, 3.0, txs);
+  micro.signature = crypto::sign(crypto::PrivateKey::from_seed(3), micro.signing_hash());
+  for (const BlockHeader& h : {pow, key, micro}) {
+    const std::vector<TxPtr> body = h.type == BlockType::kKey ? std::vector<TxPtr>{} : txs;
+    ByteWriter fresh;
+    h.serialize(fresh);
+    std::size_t expected_size = fresh.size();
+    for (const auto& tx : body) expected_size += tx->wire_size();
+
+    const Block id_first(h, body, 0);
+    const Hash256 id = id_first.id();
+    EXPECT_EQ(id, crypto::sha256d(fresh.data()));
+    EXPECT_EQ(id, h.id());
+    EXPECT_EQ(id_first.wire_size(), expected_size);
+
+    const Block size_first(h, body, 0);
+    EXPECT_EQ(size_first.wire_size(), expected_size);
+    EXPECT_EQ(size_first.id(), id);
+  }
 }
 
 TEST(Block, MerkleOkDetectsMismatch) {

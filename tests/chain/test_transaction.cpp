@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "crypto/sha256.hpp"
+
 namespace bng::chain {
 namespace {
 
@@ -86,6 +88,59 @@ TEST(Transaction, PoisonPayloadSerialized) {
   Transaction tx2 = tx;
   tx2.poison->pruned_header = {1, 2, 3, 5};
   EXPECT_NE(tx.id(), tx2.id());
+}
+
+TEST(Transaction, IdAndWireSizeMatchAFreshSerializationInEitherOrder) {
+  // One serialization fills both caches, whichever accessor runs first.
+  using Factory = TxPtr (*)();
+  const Factory factories[] = {
+      []() -> TxPtr { return make_transfer(op(1), 900, address_from_tag(2), 100, 57); },
+      []() -> TxPtr {
+        auto tx = std::make_shared<Transaction>();
+        tx->coinbase_height = 300;
+        tx->outputs.push_back(TxOutput{50, address_from_tag(3)});
+        return tx;
+      },
+      []() -> TxPtr {
+        auto tx = std::make_shared<Transaction>();
+        PoisonPayload p;
+        p.accused_key_block.bytes[0] = 0xaa;
+        p.pruned_header.assign(300, 0x42);  // a multi-byte CompactSize length
+        p.pruned_header_id.bytes[0] = 0xbb;
+        tx->poison = p;
+        tx->inputs.push_back(TxInput{op(4, 2)});
+        return tx;
+      },
+  };
+  for (const Factory make : factories) {
+    for (const bool id_first : {true, false}) {
+      const TxPtr tx = make();
+      Hash256 id;
+      std::size_t size = 0;
+      if (id_first) {
+        id = tx->id();
+        size = tx->wire_size();
+      } else {
+        size = tx->wire_size();
+        id = tx->id();
+      }
+      ByteWriter fresh;
+      tx->serialize(fresh);
+      EXPECT_EQ(id, crypto::sha256d(fresh.data())) << "id_first " << id_first;
+      EXPECT_EQ(size, fresh.size() + tx->padding_bytes) << "id_first " << id_first;
+      EXPECT_EQ(tx->id(), id);
+      EXPECT_EQ(tx->wire_size(), size);
+    }
+  }
+}
+
+TEST(Addresses, TagAddressIsTheHashOfItsLittleEndianPreimage) {
+  for (const std::uint64_t tag : {0ull, 1ull, 1'000'000ull, 0xfedcba9876543210ull}) {
+    ByteWriter w;
+    w.u64(0x61646472u);  // "addr"
+    w.u64(tag);
+    EXPECT_EQ(address_from_tag(tag), crypto::sha256(w.data())) << "tag " << tag;
+  }
 }
 
 TEST(Addresses, DerivedFromKeyAndTagAreStable) {

@@ -2,10 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ostream>
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
+
 namespace bng::crypto {
+
+// Names the kernel in test output (found by argument-dependent lookup).
+void PrintTo(Sha256Kernel kernel, std::ostream* os) { *os << sha256_kernel_name(kernel); }
+
 namespace {
 
 // FIPS 180-4 / NIST known-answer vectors.
@@ -76,6 +84,83 @@ TEST(Sha256, AvalancheEffect) {
   for (int i = 0; i < 32; ++i) diff_bits += __builtin_popcount(ha.bytes[i] ^ hb.bytes[i]);
   EXPECT_GT(diff_bits, 80);
   EXPECT_LT(diff_bits, 176);
+}
+
+// --- The compression kernels, each run directly ----------------------------
+
+std::string kernel_skip_reason(Sha256Kernel kernel) {
+  return std::string("this CPU lacks the instructions of the ") + sha256_kernel_name(kernel) +
+         " kernel (CPUID sha and sse4.1)";
+}
+
+class Sha256KernelTest : public ::testing::TestWithParam<Sha256Kernel> {
+ protected:
+  void SetUp() override {
+    if (!sha256_kernel_supported(GetParam())) GTEST_SKIP() << kernel_skip_reason(GetParam());
+  }
+
+  [[nodiscard]] std::string hex(std::string_view msg) const {
+    return Sha256(GetParam()).update(msg).finalize().to_hex();
+  }
+};
+
+TEST_P(Sha256KernelTest, NistVectors) {
+  EXPECT_EQ(hex(""), "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  EXPECT_EQ(hex("abc"), "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  EXPECT_EQ(hex("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  EXPECT_EQ(hex("abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmnopjklmnopq"
+                "klmnopqrlmnopqrsmnopqrstnopqrstu"),
+            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1");
+}
+
+TEST_P(Sha256KernelTest, MillionAs) {
+  Sha256 h(GetParam());
+  const std::string chunk(1000, 'a');
+  for (int i = 0; i < 1000; ++i) h.update(chunk);
+  EXPECT_EQ(h.finalize().to_hex(),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernels, Sha256KernelTest,
+                         ::testing::Values(Sha256Kernel::kPortable, Sha256Kernel::kShaNi),
+                         [](const ::testing::TestParamInfo<Sha256Kernel>& info) {
+                           return info.param == Sha256Kernel::kShaNi ? "ShaNi" : "Portable";
+                         });
+
+TEST(Sha256Kernels, ProcessUsesTheFastestSupportedKernel) {
+  EXPECT_TRUE(sha256_kernel_supported(Sha256Kernel::kPortable));
+  EXPECT_EQ(sha256_kernel(), sha256_kernel_supported(Sha256Kernel::kShaNi)
+                                 ? Sha256Kernel::kShaNi
+                                 : Sha256Kernel::kPortable);
+  EXPECT_STREQ(sha256_kernel_name(Sha256Kernel::kShaNi), "sha-ni");
+  EXPECT_STREQ(sha256_kernel_name(Sha256Kernel::kPortable), "portable");
+}
+
+TEST(Sha256Kernels, ShaNiMatchesPortableOnRandomStreams) {
+  if (!sha256_kernel_supported(Sha256Kernel::kShaNi))
+    GTEST_SKIP() << kernel_skip_reason(Sha256Kernel::kShaNi);
+  Rng rng(180);
+  std::vector<std::uint8_t> msg;
+  for (int n = 0; n < 10'000; ++n) {
+    msg.resize(rng.next_below(1001));
+    for (auto& b : msg) b = static_cast<std::uint8_t>(rng.next());
+    // Up to three random split points, so whole blocks go both through the
+    // partial-block buffer and straight from the caller's bytes.
+    std::vector<std::size_t> cuts{0, msg.size()};
+    for (auto k = rng.next_below(4); k > 0; --k) cuts.push_back(rng.next_below(msg.size() + 1));
+    std::sort(cuts.begin(), cuts.end());
+    Sha256 portable(Sha256Kernel::kPortable);
+    Sha256 shani(Sha256Kernel::kShaNi);
+    for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
+      const auto piece = std::span(msg).subspan(cuts[i], cuts[i + 1] - cuts[i]);
+      portable.update(piece);
+      shani.update(piece);
+    }
+    const Hash256 expected = portable.finalize();
+    ASSERT_EQ(shani.finalize(), expected) << "message " << n << ", " << msg.size() << " bytes";
+    ASSERT_EQ(sha256(msg), expected) << "message " << n << ", " << msg.size() << " bytes";
+  }
 }
 
 }  // namespace

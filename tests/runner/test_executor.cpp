@@ -165,6 +165,7 @@ TEST(SweepTelemetry, PhaseSplitReportedInProcessAndKeptOutOfRecords) {
   EXPECT_NE(json.find("\"phases\": {\"jobs\": 4, \"simulate_ms\": "), std::string::npos)
       << json;
   EXPECT_NE(json.find("\"metrics_ms\": "), std::string::npos) << json;
+  EXPECT_NE(json.find("\"workload_ms\": "), std::string::npos) << json;
 
   // Worker processes run their experiments in other address spaces and
   // report no phase split, as with events_executed.

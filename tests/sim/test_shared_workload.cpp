@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "metrics/metrics.hpp"
+#include "runner/digest.hpp"
 #include "sim/experiment.hpp"
 #include "sim/trace.hpp"
 
@@ -108,6 +109,30 @@ TEST(SharedWorkload, BuildIsSeedIndependent) {
   EXPECT_EQ(a->genesis->id(), b->genesis->id());
   EXPECT_EQ(a->workload.txs[0]->id(), b->workload.txs[0]->id());
   EXPECT_EQ(a->workload.tx_wire_size, b->workload.tx_wire_size);
+}
+
+TEST(SharedWorkload, Fig7PoolMatchesItsPinnedDigest) {
+  // The bitcoin_fig7 perfbench pool (60 kB blocks, 30 blocks, 8,560 txs).
+  // The digest was recorded with the portable SHA-256 kernel and the
+  // serialize-per-accessor caches; any kernel or serialization change that
+  // moves a txid or a size moves it.
+  ExperimentConfig cfg;
+  cfg.params = chain::Params::bitcoin();
+  cfg.params.max_block_size = 60000;
+  cfg.target_blocks = 30;
+  cfg.pool_size = 8560;
+  const auto pool = build_shared_workload(cfg);
+  ASSERT_EQ(pool->workload.txs.size(), 8560u);
+  EXPECT_EQ(pool->workload.tx_wire_size, 476u);
+
+  runner::Digest d;
+  d.bytes(pool->genesis->id().bytes.data(), 32);
+  d.u64(pool->genesis->wire_size());
+  for (const auto& tx : pool->workload.txs) {
+    d.bytes(tx->id().bytes.data(), 32);
+    d.u64(tx->wire_size());
+  }
+  EXPECT_EQ(d.h, 0x44e3471f18e43e43ull);
 }
 
 }  // namespace
