@@ -13,7 +13,6 @@
 // representation shrinks.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <unordered_map>
@@ -54,44 +53,6 @@ class BlockInterner {
  private:
   std::unordered_map<Hash256, BlockId, Hash256Hasher> ids_;
   std::vector<Hash256> hashes_;
-};
-
-/// Flat membership set over interned ids: an epoch-stamped array, so
-/// insert/contains/erase are single array accesses and clear() is O(1) (bump
-/// the epoch). Replaces the per-node unordered_set<Hash256> churn on the
-/// inv/getdata hot path.
-class FlatIdSet {
- public:
-  [[nodiscard]] bool contains(BlockId id) const {
-    return id < stamps_.size() && stamps_[id] == epoch_;
-  }
-
-  void insert(BlockId id) {
-    if (id >= stamps_.size()) grow(id);
-    stamps_[id] = epoch_;
-  }
-
-  void erase(BlockId id) {
-    if (id < stamps_.size() && stamps_[id] == epoch_) stamps_[id] = 0;
-  }
-
-  /// Drop all members without touching the array (epoch bump). Stamp 0 is
-  /// reserved as "never a member", so the epoch skips it on wrap.
-  void clear() {
-    if (++epoch_ == 0) {
-      std::fill(stamps_.begin(), stamps_.end(), 0u);
-      epoch_ = 1;
-    }
-  }
-
- private:
-  void grow(BlockId id) {
-    std::size_t n = std::max<std::size_t>(stamps_.size() * 2, 64);
-    stamps_.resize(std::max<std::size_t>(n, static_cast<std::size_t>(id) + 1), 0u);
-  }
-
-  std::vector<std::uint32_t> stamps_;
-  std::uint32_t epoch_ = 1;
 };
 
 }  // namespace bng

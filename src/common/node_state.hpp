@@ -1,21 +1,22 @@
-// Struct-of-arrays relayout of hot per-node protocol state.
+// The deployment-wide gossip arena: which blocks each node has seen.
 //
-// The BlockId interning (common/intern.hpp) makes per-node gossip state
-// densely indexable by (node, id). Instead of every node owning its own
-// epoch-stamped FlatIdSet — num_nodes separate allocations, each pulling its
-// own cache lines — one experiment-wide arena holds all of them as planes of
-// a single stamp array laid out [plane][node][id]. A 10k–50k-node deployment
-// touches two big flat arrays instead of 2×N small ones, the per-node CPU
-// cursor rides in a third dense plane, and growth (a new block id past
-// capacity) is one amortized relayout for the whole fleet.
+// Block identities are interned (common/intern.hpp), so per-node gossip state
+// is densely indexable by (block, node). One arena per deployment holds it
+// block-major — row `id` is one byte per node, with a known bit (the body
+// arrived or was accepted) and a requested bit (a getdata is out). A sender
+// that asks "which of my peers has seen this block?" reads one contiguous
+// row instead of one cache line per peer, and a new id appends a row, so
+// growth never relays out what is already stored.
 //
-// Semantics are FlatIdSet's exactly: epoch-stamped membership, O(1)
-// insert/contains/erase, clear() by epoch bump with stamp 0 reserved as
-// "never a member". The swap is pure data layout — no observable behavior
-// (and no digest) changes.
+// "Seen" (known or requested) only ever grows: no call zeroes a byte, and
+// learn() trades the requested bit for the known bit. The dead-inv skip
+// (protocol::BaseNode::announce) depends on it: a peer that has seen a block
+// when an inv is sent has still seen it when the inv would arrive.
+//
+// The arena also holds each node's CPU cursor, so a node's hot state is two
+// dense arrays for the whole deployment, not one allocation per node.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -26,92 +27,44 @@ namespace bng {
 
 class NodeStateArena {
  public:
-  enum Plane : std::uint32_t {
-    kKnown = 0,      ///< seen bodies (by interned id)
-    kRequested = 1,  ///< outstanding getdata (by interned id)
-  };
-  static constexpr std::uint32_t kPlanes = 2;
-
   explicit NodeStateArena(std::uint32_t num_nodes)
-      : nodes_(num_nodes),
-        epochs_(static_cast<std::size_t>(kPlanes) * num_nodes, 1),
-        cpu_busy_(num_nodes, 0) {}
+      : nodes_(num_nodes), cpu_busy_(num_nodes, 0) {}
 
-  [[nodiscard]] std::uint32_t num_nodes() const { return nodes_; }
-  [[nodiscard]] std::uint32_t capacity() const { return cap_; }
+  /// Block rows stored so far (ids below this have a row).
+  [[nodiscard]] std::size_t rows() const { return nodes_ == 0 ? 0 : bits_.size() / nodes_; }
 
-  /// Row handle for (plane, node) — precompute once per view.
-  [[nodiscard]] std::uint32_t row(Plane p, NodeId node) const {
-    return static_cast<std::uint32_t>(p) * nodes_ + node;
+  /// Known or requested.
+  [[nodiscard]] bool seen(BlockId id, NodeId node) const { return get(id, node) != 0; }
+  [[nodiscard]] bool known(BlockId id, NodeId node) const {
+    return (get(id, node) & kKnown) != 0;
   }
 
-  [[nodiscard]] bool contains(std::uint32_t row, BlockId id) const {
-    return id < cap_ &&
-           stamps_[static_cast<std::size_t>(row) * cap_ + id] == epochs_[row];
-  }
-
-  void insert(std::uint32_t row, BlockId id) {
-    if (id >= cap_) grow(id);
-    stamps_[static_cast<std::size_t>(row) * cap_ + id] = epochs_[row];
-  }
-
-  void erase(std::uint32_t row, BlockId id) {
-    if (id < cap_) {
-      auto& s = stamps_[static_cast<std::size_t>(row) * cap_ + id];
-      if (s == epochs_[row]) s = 0;
-    }
-  }
-
-  /// Drop all of one row's members without touching the array (epoch bump).
-  void clear(std::uint32_t row) {
-    if (++epochs_[row] == 0) {
-      std::fill(stamps_.begin() + static_cast<std::ptrdiff_t>(row) * cap_,
-                stamps_.begin() + (static_cast<std::ptrdiff_t>(row) + 1) * cap_, 0u);
-      epochs_[row] = 1;
-    }
-  }
+  /// A getdata for `id` is out.
+  void request(BlockId id, NodeId node) { at(id, node) |= kRequested; }
+  /// The body arrived or was accepted: sets known, clears requested.
+  void learn(BlockId id, NodeId node) { at(id, node) = kKnown; }
 
   /// Per-node CPU cursor (protocol verification pipeline).
   [[nodiscard]] Seconds& cpu_busy(NodeId node) { return cpu_busy_[node]; }
 
  private:
-  void grow(BlockId id) {
-    std::uint32_t cap = std::max(cap_ * 2, 64u);
-    cap = std::max(cap, id + 1);
-    std::vector<std::uint32_t> next(
-        static_cast<std::size_t>(kPlanes) * nodes_ * cap, 0u);
-    const std::size_t rows = static_cast<std::size_t>(kPlanes) * nodes_;
-    for (std::size_t r = 0; r < rows; ++r) {
-      std::copy(stamps_.begin() + static_cast<std::ptrdiff_t>(r * cap_),
-                stamps_.begin() + static_cast<std::ptrdiff_t>(r * cap_ + cap_),
-                next.begin() + static_cast<std::ptrdiff_t>(r * cap));
-    }
-    stamps_ = std::move(next);
-    cap_ = cap;
+  static constexpr std::uint8_t kKnown = 1;
+  static constexpr std::uint8_t kRequested = 2;
+
+  [[nodiscard]] std::uint8_t get(BlockId id, NodeId node) const {
+    const std::size_t i = static_cast<std::size_t>(id) * nodes_ + node;
+    return i < bits_.size() ? bits_[i] : 0;
+  }
+
+  std::uint8_t& at(BlockId id, NodeId node) {
+    const std::size_t i = static_cast<std::size_t>(id) * nodes_ + node;
+    if (i >= bits_.size()) bits_.resize((static_cast<std::size_t>(id) + 1) * nodes_, 0);
+    return bits_[i];
   }
 
   std::uint32_t nodes_;
-  std::uint32_t cap_ = 0;
-  std::vector<std::uint32_t> stamps_;  ///< [plane][node][id], stride cap_
-  std::vector<std::uint32_t> epochs_;  ///< per (plane, node) row
-  std::vector<Seconds> cpu_busy_;      ///< per node
-};
-
-/// FlatIdSet-shaped view over one arena row, so call sites keep reading
-/// `known_.contains(id)` — the relayout is invisible above this line.
-class ArenaIdSet {
- public:
-  ArenaIdSet(NodeStateArena& arena, NodeStateArena::Plane plane, NodeId node)
-      : arena_(&arena), row_(arena.row(plane, node)) {}
-
-  [[nodiscard]] bool contains(BlockId id) const { return arena_->contains(row_, id); }
-  void insert(BlockId id) { arena_->insert(row_, id); }
-  void erase(BlockId id) { arena_->erase(row_, id); }
-  void clear() { arena_->clear(row_); }
-
- private:
-  NodeStateArena* arena_;
-  std::uint32_t row_;
+  std::vector<std::uint8_t> bits_;  ///< [block][node]
+  std::vector<Seconds> cpu_busy_;   ///< per node
 };
 
 }  // namespace bng

@@ -191,6 +191,7 @@ bool EventQueue::pop_one(Seconds limit) {
       ++run_index_;
     }
     now_ = e.at;
+    cur_seq_ = e.seq;
     ++s.gen;  // no longer cancellable: it fires now
     ++executed_;
     // Invoke in place — slot addresses are stable (chunked storage), and the
@@ -253,6 +254,7 @@ bool EventQueue::consume_if_next(std::uint64_t id) {
       ++run_index_;
     }
     now_ = e.at;
+    cur_seq_ = e.seq;
     ++s.gen;
     ++executed_;
     s.fn.reset();  // the caller runs the work inline; the callback never fires
@@ -264,12 +266,18 @@ bool EventQueue::consume_if_next(std::uint64_t id) {
 void EventQueue::run_until(Seconds t_end) {
   while (pop_one(t_end)) {
   }
-  if (now_ < t_end) now_ = t_end;
+  // An earlier bound than the clock leaves both alone.
+  if (now_ <= t_end) {
+    now_ = t_end;
+    cur_seq_ = next_seq_;
+  }
 }
 
 void EventQueue::run_all() {
   while (pop_one(kInf)) {
   }
+  if (now_ < reserved_until_) now_ = reserved_until_;
+  cur_seq_ = next_seq_;
 }
 
 // --- Small 4-ary min-heap for arrivals behind the consuming bucket ----------

@@ -24,6 +24,15 @@
 //     decisions go through one monotone map from time to bucket index
 //     (fixed origin/width per epoch), so an event can never land behind one
 //     that orders after it — boundary cases included.
+//
+// Reserved places: reserve_seq(at) takes the seq a schedule now would get
+// and schedules nothing; schedule_reserved fills the (at, seq) place later,
+// as long as it has not passed (passed() compares it with the running
+// event). A place never filled costs nothing but its seq number, and the
+// clock treats it as an event that ran: run_until passes every place up to
+// its end, and run_all stops at the latest place if that is later than the
+// last event. Network::send_ignored uses this to skip deliveries nobody
+// reads while every other event keeps its exact place.
 #pragma once
 
 #include <cstdint>
@@ -53,24 +62,38 @@ class EventQueue {
   template <typename F>
   std::uint64_t schedule_at(Seconds at, F&& fn) {
     if (at < now_) throw std::invalid_argument("EventQueue: cannot schedule in the past");
-    std::uint32_t idx;
-    if (!free_slots_.empty()) {
-      idx = free_slots_.back();
-      free_slots_.pop_back();
-    } else {
-      if ((num_slots_ & (kChunkSize - 1)) == 0) grow_slots();
-      idx = num_slots_++;
-    }
-    Slot& s = slot(idx);
-    s.fn.assign(std::forward<F>(fn));
-    route(Entry{at, next_seq_++, idx, s.gen});
-    return (static_cast<std::uint64_t>(s.gen) << 32) | idx;
+    return insert(at, next_seq_++, std::forward<F>(fn));
   }
 
   /// Schedule `fn` after `delay` seconds.
   template <typename F>
   std::uint64_t schedule_in(Seconds delay, F&& fn) {
     return schedule_at(now_ + delay, std::forward<F>(fn));
+  }
+
+  /// Take the sequence number an event scheduled at `at` now would get, and
+  /// schedule nothing. The (at, seq) place can be filled later with
+  /// schedule_reserved, and the event then runs exactly where it would have
+  /// run had it been scheduled now. Used by Network::send_ignored for
+  /// deliveries that usually never need an event at all.
+  std::uint64_t reserve_seq(Seconds at) {
+    if (at < now_) throw std::invalid_argument("EventQueue: cannot reserve in the past");
+    if (at > reserved_until_) reserved_until_ = at;
+    return next_seq_++;
+  }
+
+  /// Schedule `fn` at a place reserved by reserve_seq. Throws
+  /// std::logic_error if the place has already passed.
+  template <typename F>
+  std::uint64_t schedule_reserved(Seconds at, std::uint64_t seq, F&& fn) {
+    if (passed(at, seq)) throw std::logic_error("EventQueue: reserved place already passed");
+    return insert(at, seq, std::forward<F>(fn));
+  }
+
+  /// Whether an event at (at, seq) would already have run: it orders before
+  /// the event running now (between runs, before every event not yet run).
+  [[nodiscard]] bool passed(Seconds at, std::uint64_t seq) const {
+    return at < now_ || (at == now_ && seq < cur_seq_);
   }
 
   /// Cancel a scheduled event. Returns false if already fired/cancelled.
@@ -87,10 +110,13 @@ class EventQueue {
   bool consume_if_next(std::uint64_t id);
 
   /// Run until the queue is empty or simulated time exceeds `t_end`.
-  /// Events scheduled exactly at `t_end` are executed.
+  /// Events scheduled exactly at `t_end` are executed. Afterwards every
+  /// place up to `t_end`, reserved or not, has passed.
   void run_until(Seconds t_end);
 
-  /// Run until the queue drains completely.
+  /// Run until the queue drains completely. The clock stops at the later of
+  /// the last event and the latest reserved place, where it would stop had
+  /// every reserved place held an event.
   void run_all();
 
   /// Pending event count (cancelled events may be counted until popped).
@@ -148,6 +174,23 @@ class EventQueue {
   Slot& slot(std::uint32_t s) { return chunks_[s >> kChunkShift][s & (kChunkSize - 1)]; }
   void grow_slots();
 
+  /// Construct `fn` straight into a recycled slot and route it at (at, seq).
+  template <typename F>
+  std::uint64_t insert(Seconds at, std::uint64_t seq, F&& fn) {
+    std::uint32_t idx;
+    if (!free_slots_.empty()) {
+      idx = free_slots_.back();
+      free_slots_.pop_back();
+    } else {
+      if ((num_slots_ & (kChunkSize - 1)) == 0) grow_slots();
+      idx = num_slots_++;
+    }
+    Slot& s = slot(idx);
+    s.fn.assign(std::forward<F>(fn));
+    route(Entry{at, seq, idx, s.gen});
+    return (static_cast<std::uint64_t>(s.gen) << 32) | idx;
+  }
+
   static bool entry_greater(const Entry& a, const Entry& b) { return entry_less(b, a); }
 
   /// Place an entry in near_/ring/overflow_. The bucket index is
@@ -194,6 +237,10 @@ class EventQueue {
 
   Seconds now_ = 0;
   std::uint64_t next_seq_ = 0;
+  /// Seq of the event running now; between runs, next_seq_ as of the run's
+  /// end. Places (now_, seq < cur_seq_) have passed.
+  std::uint64_t cur_seq_ = 0;
+  Seconds reserved_until_ = 0;  ///< latest reserved place's time
   std::uint64_t executed_ = 0;
 
   std::vector<Entry> run_;     ///< sorted ascending by (at, seq)

@@ -35,8 +35,9 @@ Network::Network(EventQueue& queue, const Topology& topology, const LatencyModel
   busy_until_.resize(offset_[n], 0);
   fifo_.resize(offset_[n]);
   blocked_.resize(offset_[n], 0);
-  direct_.resize(offset_[n], 0);
+  direct_.resize(offset_[n], kIdle);
   last_arrival_.resize(offset_[n], 0);
+  skip_seq_.resize(offset_[n], 0);
 
   // Draw a symmetric latency per undirected edge, once, like the paper's
   // fixed per-pair assignment. Iteration order matches the pre-CSR
@@ -89,12 +90,8 @@ Seconds Network::edge_latency(NodeId a, NodeId b) const {
   return latency_[e];
 }
 
-void Network::send(NodeId from, NodeId to, MessagePtr msg) {
-  const std::uint32_t e = find_edge(from, to);
-  if (e == kNoEdge) throw std::invalid_argument("Network::send: nodes are not neighbours");
-  if (offline_[from] || offline_[to] || blocked_[e] != 0) return;
-
-  const std::size_t wire_bytes = msg->wire_size() + params_.per_message_overhead_bytes;
+inline Seconds Network::charge(std::uint32_t e, std::size_t payload_bytes) {
+  const std::size_t wire_bytes = payload_bytes + params_.per_message_overhead_bytes;
   bytes_sent_ += wire_bytes;
   ++messages_sent_;
 
@@ -103,23 +100,29 @@ void Network::send(NodeId from, NodeId to, MessagePtr msg) {
   const Seconds start = std::max(queue_.now(), busy_until_[e]);
   const Seconds done_sending = start + transfer;
   busy_until_[e] = done_sending;
-  Seconds arrival = done_sending + latency_[e];
+  return done_sending + latency_[e];
+}
 
-  // Event train: only the idle->busy transition touches the event queue; a
-  // busy link just grows its FIFO (delivery re-arms on pop).
-  LinkFifo& f = fifo_[e];
-  const bool idle = direct_[e] == 0 && f.empty();
-  ++in_flight_;
-  if (idle) {
-    // Idle-link fast path: no FIFO round-trip — the delivery event carries
-    // the message. Scheduled at the same time with the same seq the
-    // FIFO-head event would have had, so runs replay identically.
-    ++active_links_;
-    direct_[e] = 1;
-    last_arrival_[e] = arrival;
-    queue_.schedule_at(arrival, DeliverDirect{this, e, std::move(msg)});
+inline bool Network::link_idle(std::uint32_t e) {
+  if (direct_[e] == kSkipped) settle_skip(e);
+  return direct_[e] == kIdle && fifo_[e].empty();
+}
+
+void Network::settle_skip(std::uint32_t e) {
+  if (queue_.passed(last_arrival_[e], skip_seq_[e])) {
+    direct_[e] = kIdle;  // the skipped delivery would have run already
     return;
   }
+  // This send lands behind the skipped delivery, which re-arms the link for
+  // it when it runs: give it its event, at its reserved place.
+  queue_.schedule_reserved(last_arrival_[e], skip_seq_[e], DeliverDirect{this, e, nullptr});
+  direct_[e] = kDirect;
+  ++active_links_;
+  ++in_flight_;
+  --deliveries_elided_;
+}
+
+inline void Network::enqueue(std::uint32_t e, Seconds arrival, MessagePtr&& msg) {
   // A link delivers in order. With constant latency arrivals are naturally
   // monotone; a mid-flight latency *decrease* (a healing fault window) would
   // let a later message compute an earlier arrival, so clamp to the link's
@@ -127,10 +130,52 @@ void Network::send(NodeId from, NodeId to, MessagePtr msg) {
   // does.
   arrival = std::max(arrival, last_arrival_[e]);
   last_arrival_[e] = arrival;
-  f.q.push_back(InFlight{arrival, std::move(msg)});
+  ++in_flight_;
+  fifo_[e].q.push_back(InFlight{arrival, std::move(msg)});
 }
 
-void Network::dispatch(std::uint32_t e, const MessagePtr& msg) {
+void Network::send(NodeId from, NodeId to, MessagePtr msg) {
+  const std::uint32_t e = find_edge(from, to);
+  if (e == kNoEdge) throw std::invalid_argument("Network::send: nodes are not neighbours");
+  if (offline_[from] || offline_[to] || blocked_[e] != 0) return;
+  const Seconds arrival = charge(e, msg->wire_size());
+
+  // Event train: only the idle->busy transition touches the event queue; a
+  // busy link just grows its FIFO (delivery re-arms on pop).
+  if (!link_idle(e)) {
+    enqueue(e, arrival, std::move(msg));
+    return;
+  }
+  // Idle-link fast path: no FIFO round-trip — the delivery event carries
+  // the message. Scheduled at the same time with the same seq the
+  // FIFO-head event would have had, so runs replay identically.
+  ++in_flight_;
+  ++active_links_;
+  direct_[e] = kDirect;
+  last_arrival_[e] = arrival;
+  queue_.schedule_at(arrival, DeliverDirect{this, e, std::move(msg)});
+}
+
+void Network::send_ignored(NodeId from, NodeId to, std::size_t wire_size) {
+  const std::uint32_t e = find_edge(from, to);
+  if (e == kNoEdge)
+    throw std::invalid_argument("Network::send_ignored: nodes are not neighbours");
+  if (offline_[from] || offline_[to] || blocked_[e] != 0) return;
+  const Seconds arrival = charge(e, wire_size);
+  if (!link_idle(e)) {
+    enqueue(e, arrival, nullptr);
+    return;
+  }
+  // Nothing to deliver and nothing queued behind it: hold the delivery's
+  // place in the event order, schedule nothing.
+  direct_[e] = kSkipped;
+  last_arrival_[e] = arrival;
+  skip_seq_[e] = queue_.reserve_seq(arrival);
+  ++deliveries_elided_;
+}
+
+inline void Network::dispatch(std::uint32_t e, const MessagePtr& msg) {
+  if (msg == nullptr) return;  // a send_ignored message
   const NodeId to = row_sorted_[e];
   if (offline_[to]) return;
   INode* handler = handlers_[to];
@@ -141,7 +186,7 @@ void Network::dispatch(std::uint32_t e, const MessagePtr& msg) {
 void Network::deliver_direct(std::uint32_t e, const MessagePtr& msg) {
   LinkFifo& f = fifo_[e];
   --in_flight_;
-  direct_[e] = 0;
+  direct_[e] = kIdle;
   ++direct_deliveries_;
   std::uint64_t rearm = 0;
   if (f.empty()) {
@@ -193,7 +238,15 @@ void Network::drain_train(std::uint32_t e) {
   }
 }
 
-void Network::set_offline(NodeId node, bool offline) { offline_[node] = offline; }
+void Network::set_offline(NodeId node, bool offline) {
+  if (node >= offline_.size()) throw std::out_of_range("Network::set_offline: bad node id");
+  offline_[node] = offline;
+}
+
+bool Network::is_offline(NodeId node) const {
+  if (node >= offline_.size()) throw std::out_of_range("Network::is_offline: bad node id");
+  return offline_[node];
+}
 
 void Network::set_edge_blocked(NodeId a, NodeId b, bool blocked) {
   const std::uint32_t e = find_edge(a, b);

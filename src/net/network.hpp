@@ -32,6 +32,17 @@
 //     draining in the same callback, NDN-DPDK style, instead of bouncing
 //     through the scheduler once per message.
 //
+// Ignored sends: most invs reach a peer that has already seen the block and
+// drops them on arrival. send_ignored charges such a message like any other
+// (bytes, link occupancy, arrival) but delivers nothing. On an idle link its
+// delivery gets no event at all — the queue reserves the (arrival, seq) place
+// the event would have had (EventQueue::reserve_seq). If a later send queues
+// behind it before that place passes, the delivery is scheduled at the
+// reserved place, so the later message re-arms the link at the same moment
+// as before; on a busy link it rides the FIFO as an empty entry. Either way
+// every other event keeps its exact (time, seq), and the runs replay
+// bit-identically with or without the skip.
+//
 // The Network also owns the deployment-wide chain::BlockStore: it is the one
 // object every protocol node of a deployment shares, so it is the natural
 // home for the Hash256 -> BlockId assignment that block trees, gossip sets
@@ -105,6 +116,15 @@ class Network {
   /// does not exist.
   void send(NodeId from, NodeId to, MessagePtr msg);
 
+  /// Send a `wire_size`-byte message that the receiver is known to ignore on
+  /// arrival. It is charged and timed like send() — drop checks, counters,
+  /// link occupancy, arrival — but handed to no one. On an idle link its
+  /// delivery gets no event: the (arrival, seq) place is reserved, and only
+  /// if a later send queues behind it before it passes is the event
+  /// scheduled there. So every other event runs at the same (time, seq) as
+  /// if the message had been sent and dropped by its receiver.
+  void send_ignored(NodeId from, NodeId to, std::size_t wire_size);
+
   /// Neighbours of `node`.
   [[nodiscard]] const std::vector<NodeId>& peers(NodeId node) const {
     return topology_.peers(node);
@@ -121,8 +141,8 @@ class Network {
     return block_store_;
   }
 
-  /// The experiment-wide SoA arena of hot per-node protocol state (gossip
-  /// dedupe planes, CPU cursors) — one dense layout for the whole fleet.
+  /// The deployment-wide gossip arena: per (block, node) known/requested
+  /// bits, block-major, plus each node's CPU cursor (common/node_state.hpp).
   [[nodiscard]] const std::shared_ptr<NodeStateArena>& node_state() const {
     return node_state_;
   }
@@ -144,11 +164,14 @@ class Network {
   /// Messages delivered by a burst continuation (train drained in the same
   /// callback instead of a fresh scheduler pop).
   [[nodiscard]] std::uint64_t burst_drained() const { return burst_drained_; }
+  /// send_ignored deliveries that never got an event.
+  [[nodiscard]] std::uint64_t deliveries_elided() const { return deliveries_elided_; }
 
   /// Partition control (for churn / attack experiments): while a node is
-  /// offline its inbound and outbound messages are dropped.
+  /// offline its inbound and outbound messages are dropped. Both throw
+  /// std::out_of_range for an unknown node.
   void set_offline(NodeId node, bool offline);
-  [[nodiscard]] bool is_offline(NodeId node) const { return offline_[node]; }
+  [[nodiscard]] bool is_offline(NodeId node) const;
 
   // --- Fault mechanism (net/fault_plan.hpp schedules the policy) ------------
   //
@@ -176,10 +199,18 @@ class Network {
  private:
   static constexpr std::uint32_t kNoEdge = UINT32_MAX;
 
-  /// A message riding a link, waiting for its arrival time.
+  /// A message riding a link, waiting for its arrival time. Null for a
+  /// send_ignored message: delivered in order, handed to no one.
   struct InFlight {
     Seconds arrival;
     MessagePtr msg;
+  };
+
+  /// Values of a link's direct_ byte.
+  enum : std::uint8_t {
+    kIdle = 0,
+    kDirect = 1,   ///< a DeliverDirect event is scheduled (the FIFO queues behind it)
+    kSkipped = 2,  ///< a send_ignored delivery holds a reserved place; the FIFO is empty
   };
 
   /// Per-directed-edge FIFO; `head` indexes the next message to deliver.
@@ -207,12 +238,29 @@ class Network {
     void operator()() const { net->deliver_direct(edge, msg); }
   };
 
+  // The send-path helpers are declared inline: send() and send_ignored()
+  // share them, and left out of line they cost the real-send
+  // micro-benchmarks (BM_Network*) 8-20%.
+
+  /// Charge a send of `payload_bytes` to `edge` (counters and link
+  /// occupancy) and return its store-and-forward arrival time.
+  inline Seconds charge(std::uint32_t edge, std::size_t payload_bytes);
+  /// Whether a send finds `edge` with nothing in flight, after settling a
+  /// reserved send_ignored place (settle_skip).
+  inline bool link_idle(std::uint32_t edge);
+  /// A send comes to a link whose send_ignored delivery holds a reserved
+  /// place. If the place has passed, the link is idle; otherwise the
+  /// delivery is given its event at that place, so the new message queues
+  /// behind it.
+  void settle_skip(std::uint32_t edge);
+  /// Queue a message behind the link's in-flight ones.
+  inline void enqueue(std::uint32_t edge, Seconds arrival, MessagePtr&& msg);
   /// Deliver the FIFO head, then keep draining while this edge's re-armed
   /// delivery event is the queue's next event.
   void drain_train(std::uint32_t edge);
   void deliver_direct(std::uint32_t edge, const MessagePtr& msg);
   /// Hand one arrived message to the receiving node (offline drop here).
-  void dispatch(std::uint32_t edge, const MessagePtr& msg);
+  inline void dispatch(std::uint32_t edge, const MessagePtr& msg);
 
   /// Directed-edge slot for (from, to): position of `to` in `from`'s sorted
   /// adjacency row, offset by the CSR row start. kNoEdge if absent.
@@ -236,8 +284,9 @@ class Network {
   std::vector<Seconds> busy_until_;        // per directed-edge slot (directed)
   std::vector<LinkFifo> fifo_;             // per directed-edge slot
   std::vector<std::uint8_t> blocked_;      // per directed-edge fault depth
-  std::vector<std::uint8_t> direct_;       // 1 while a DeliverDirect is in flight
+  std::vector<std::uint8_t> direct_;       // kIdle / kDirect / kSkipped
   std::vector<Seconds> last_arrival_;      // arrival of the edge's latest send
+  std::vector<std::uint64_t> skip_seq_;    // reserved seq while kSkipped
 
   std::uint64_t bytes_sent_ = 0;
   std::uint64_t messages_sent_ = 0;
@@ -245,6 +294,7 @@ class Network {
   std::uint32_t active_links_ = 0;
   std::uint64_t direct_deliveries_ = 0;
   std::uint64_t burst_drained_ = 0;
+  std::uint64_t deliveries_elided_ = 0;
 };
 
 }  // namespace bng::net

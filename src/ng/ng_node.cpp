@@ -177,7 +177,7 @@ chain::BlockPtr NgNode::forge_microblock(const Hash256& parent_id, std::uint64_t
   if (observer_ != nullptr) observer_->on_block_generated(block, id_, now());
   // Bypass normal acceptance: announce only (the forger may withhold it from
   // its own tree to keep its view consistent).
-  known_.insert(block_id);
+  arena_.learn(block_id, id_);
   if (!tree_.contains_id(block_id)) {
     // Insert so we can serve getdata for it.
     if (tree_.contains(block->header().prev)) tree_.insert(block, block_id, now(), 0.0);

@@ -17,6 +17,7 @@ void SweepTelemetry::start(std::size_t total_jobs) {
   prefilled_ = 0;
   delivered_ = 0;
   events_total_ = 0;
+  elided_total_ = 0;
   phase_jobs_ = 0;
   simulate_ms_ = 0;
   metrics_ms_ = 0;
@@ -34,9 +35,10 @@ void SweepTelemetry::on_record_delivered() {
   ++delivered_;
 }
 
-void SweepTelemetry::add_events(std::uint64_t n) {
+void SweepTelemetry::add_events(std::uint64_t executed, std::uint64_t elided) {
   std::lock_guard lock(mu_);
-  events_total_ += n;
+  events_total_ += executed;
+  elided_total_ += elided;
 }
 
 void SweepTelemetry::add_phase_ms(double simulate_ms, double metrics_ms) {
@@ -142,9 +144,11 @@ std::string SweepTelemetry::to_json(const std::string& scenario, double wall_s) 
                 total_jobs_, prefilled_, prefilled_ + delivered_, wall_s);
   j += buf;
   std::snprintf(buf, sizeof buf,
-                ",\n  \"events_executed\": %llu,\n  \"events_per_sec\": %.1f,\n"
+                ",\n  \"events_executed\": %llu,\n  \"deliveries_elided\": %llu,\n"
+                "  \"events_per_sec\": %.1f,\n"
                 "  \"rss_peak_mb\": %.1f,\n  \"sha256\": \"%s\"",
                 static_cast<unsigned long long>(events_total_),
+                static_cast<unsigned long long>(elided_total_),
                 wall_s > 0 ? static_cast<double>(events_total_) / wall_s : 0.0,
                 static_cast<double>(peak_rss_bytes()) / (1024.0 * 1024.0),
                 crypto::sha256_kernel_name(crypto::sha256_kernel()));

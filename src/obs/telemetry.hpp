@@ -64,10 +64,12 @@ class SweepTelemetry {
   /// Jobs answered from the record cache before dispatch.
   void add_prefilled(std::size_t n);
   void on_record_delivered();
-  /// Simulation events a finished job executed (EventQueue::events_executed).
-  /// Reported by the in-process thread executor; fleet workers run their
-  /// experiments in other address spaces and report 0.
-  void add_events(std::uint64_t n);
+  /// Simulation events a finished job executed (EventQueue::events_executed)
+  /// and the deliveries it elided instead (Network::deliveries_elided: dead
+  /// invs that never became an event). Reported by the in-process thread
+  /// executor; fleet workers run their experiments in other address spaces
+  /// and report 0. Never part of a record.
+  void add_events(std::uint64_t executed, std::uint64_t elided);
   /// One finished job's wall time split into its simulation phase (build and
   /// run the experiment) and its metric-extraction phase (metrics, hooks,
   /// record), ms. Reported by the in-process thread executor only, like
@@ -127,6 +129,7 @@ class SweepTelemetry {
   std::size_t prefilled_ = 0;
   std::size_t delivered_ = 0;
   std::uint64_t events_total_ = 0;
+  std::uint64_t elided_total_ = 0;
   std::uint64_t phase_jobs_ = 0;
   double simulate_ms_ = 0;
   double metrics_ms_ = 0;

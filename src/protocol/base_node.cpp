@@ -25,8 +25,7 @@ BaseNode::BaseNode(NodeId id, net::Network& net, chain::BlockPtr genesis, NodeCo
       tree_(std::move(genesis), cfg_.params.tie_break, fork_choice_for(cfg_.params), &rng_,
             net.block_store()),
       observer_(observer),
-      known_(*net.node_state(), NodeStateArena::kKnown, id),
-      requested_(*net.node_state(), NodeStateArena::kRequested, id) {
+      arena_(*net.node_state()) {
   if (cfg_.workload_mode == WorkloadMode::kSynthetic && cfg_.workload == nullptr)
     throw std::invalid_argument("BaseNode: synthetic mode needs a workload");
   tree_.set_tie_switch_prob(cfg_.params.tie_switch_prob);
@@ -49,8 +48,8 @@ void BaseNode::on_message(NodeId from, const net::MessagePtr& msg) {
 }
 
 void BaseNode::handle_inv(NodeId from, const InvMessage& inv) {
-  if (known_.contains(inv.block_id) || requested_.contains(inv.block_id)) return;
-  requested_.insert(inv.block_id);
+  if (arena_.seen(inv.block_id, id_)) return;
+  arena_.request(inv.block_id, id_);
   net_.send(id_, from, make_pooled<GetDataMessage>(inv.block_id));
 }
 
@@ -71,9 +70,8 @@ void BaseNode::handle_block_msg(NodeId from, const BlockMessage& msg) {
   // The one interner touch per (node, block): every later membership or
   // index lookup is a flat array read keyed by this id.
   const BlockId id = tree_.intern(block->id());
-  requested_.erase(id);
-  if (known_.contains(id)) return;
-  known_.insert(id);
+  if (arena_.known(id, id_)) return;
+  arena_.learn(id, id_);
   if (cfg_.trace != nullptr && cfg_.trace->wants(obs::kTraceEvents))
     cfg_.trace->record(obs::kTraceEvents, obs::TraceKind::kDeliver, id_, id, kNoBlockId,
                        from);
@@ -85,18 +83,27 @@ void BaseNode::handle_block_msg(NodeId from, const BlockMessage& msg) {
 }
 
 void BaseNode::process_after(Seconds cost, net::EventQueue::Callback fn) {
-  Seconds& busy = net_.node_state()->cpu_busy(id_);
+  Seconds& busy = arena_.cpu_busy(id_);
   const Seconds start = std::max(now(), busy);
   busy = start + cost;
   net_.queue().schedule_at(busy, std::move(fn));
 }
 
 void BaseNode::announce(BlockId id, NodeId except) {
-  // One immutable inv shared across the whole fan-out: broadcast costs one
-  // pooled allocation, not one per neighbour.
+  // A peer that has already seen the block (known or requested) will drop
+  // this inv when it arrives: "seen" never clears, and on_message is final,
+  // so every BaseNode handles an inv alike. Such an inv is charged to the
+  // link, but its delivery is skipped with the event order unchanged (see
+  // Network::send_ignored). Only BaseNodes write the arena, so any other
+  // kind of peer gets the real inv. The fan-out shares one immutable inv:
+  // one pooled allocation, not one per neighbour.
   net::MessagePtr inv;
   for (NodeId peer : net_.peers(id_)) {
     if (peer == except) continue;
+    if (arena_.seen(id, peer)) {
+      net_.send_ignored(id_, peer, InvMessage::kWireSize);
+      continue;
+    }
     if (inv == nullptr) inv = make_pooled<InvMessage>(id);
     net_.send(id_, peer, inv);
   }
@@ -106,7 +113,7 @@ void BaseNode::accept_block(const chain::BlockPtr& block, BlockId id, NodeId fro
                             double work) {
   const BlockId old_tip = tree_.best_tip();
   tree_.insert(block, id, now(), work);
-  known_.insert(id);
+  arena_.learn(id, id_);
   if (cfg_.workload_mode == WorkloadMode::kFullMempool) {
     const BlockId new_tip = tree_.best_tip();
     if (new_tip != old_tip) update_mempool_for_tip_change(old_tip, new_tip);
@@ -127,8 +134,8 @@ BlockId BaseNode::ensure_parent(const chain::BlockPtr& block, BlockId id, NodeId
       store.known(id) ? store.facts(id).parent : tree_.intern(block->header().prev);
   if (tree_.contains_id(parent_id)) return parent_id;
   orphans_.push_back(Orphan{parent_id, id, block, from});
-  if (!requested_.contains(parent_id) && !known_.contains(parent_id) && from != id_) {
-    requested_.insert(parent_id);
+  if (!arena_.seen(parent_id, id_) && from != id_) {
+    arena_.request(parent_id, id_);
     net_.send(id_, from, make_pooled<GetDataMessage>(parent_id));
   }
   return kNoBlockId;

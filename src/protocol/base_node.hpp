@@ -2,13 +2,16 @@
 // for block verification, and mempool/workload bookkeeping.
 //
 // Hot-path state is keyed by interned BlockId (common/intern.hpp), shared
-// experiment-wide through the Network: the seen/requested gossip sets and
-// the CPU cursor live in the deployment-wide struct-of-arrays
-// NodeStateArena (common/node_state.hpp) — dense planes indexed by
-// (node, id) rather than per-object allocations, so 10k+-node fleets touch
-// flat memory — the orphan buffer is a small flat vector, and the
-// inv/getdata flow never hashes a Hash256. The block hash is computed and
-// interned exactly once per (node, block) — when the body first arrives.
+// experiment-wide through the Network: each node's known/requested bits and
+// its CPU cursor live in the deployment-wide NodeStateArena
+// (common/node_state.hpp), one byte per (block, node), block-major, which a
+// node reads with its own id_. The orphan buffer is a small flat vector, and
+// the inv/getdata flow never hashes a Hash256. The block hash is computed
+// and interned exactly once per (node, block) — when the body first arrives.
+//
+// announce() reads the arena's row for the block to see which peers have
+// already seen it: their inv would be dropped on arrival, so it goes out as
+// Network::send_ignored, charged but never delivered (see net/network.hpp).
 #pragma once
 
 #include <functional>
@@ -19,6 +22,7 @@
 #include "chain/mempool.hpp"
 #include "chain/params.hpp"
 #include "common/intern.hpp"
+#include "common/node_state.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "net/network.hpp"
@@ -151,8 +155,8 @@ class BaseNode : public net::INode {
     NodeId from;
   };
   std::vector<Orphan> orphans_;
-  ArenaIdSet known_;      ///< seen bodies (by interned id; arena plane)
-  ArenaIdSet requested_;  ///< outstanding getdata (by interned id; arena plane)
+  /// Deployment-wide gossip state; this node's entries are (id, id_).
+  NodeStateArena& arena_;
 
  private:
   void handle_inv(NodeId from, const InvMessage& inv);

@@ -24,10 +24,11 @@ enum MessageKind : std::uint8_t {
 
 /// Announcement of a block id (bitcoind `inv`).
 struct InvMessage final : net::Message {
+  static constexpr std::size_t kWireSize = 36;
   BlockId block_id;
 
   explicit InvMessage(BlockId id) : net::Message(kInvKind), block_id(id) {}
-  [[nodiscard]] std::size_t wire_size() const override { return 36; }
+  [[nodiscard]] std::size_t wire_size() const override { return kWireSize; }
   [[nodiscard]] const char* type_name() const override { return "inv"; }
 };
 

@@ -26,8 +26,7 @@ void throw_if_interrupted() {
 RunRecord run_job(const Scenario& scenario, const SweepPoint& point,
                   std::uint32_t point_index, std::uint32_t ordinal,
                   std::shared_ptr<const sim::PrebuiltWorkload> pool,
-                  obs::TraceRing* trace, std::uint64_t* events_executed,
-                  obs::SweepTelemetry* telemetry) {
+                  obs::TraceRing* trace, obs::SweepTelemetry* telemetry) {
   sim::ExperimentConfig cfg = point.config;
   cfg.seed = job_seed(scenario.seed_base, point_index, ordinal);
   cfg.shared_workload = std::move(pool);
@@ -50,11 +49,11 @@ RunRecord run_job(const Scenario& scenario, const SweepPoint& point,
   NamedValues values = standard_metric_values(exp);
   values.insert(values.end(), hook_values.begin(), hook_values.end());
   if (scenario.extra) scenario.extra(exp, values);
-  if (events_executed != nullptr) *events_executed = exp.queue().events_executed();
   RunRecord record = extract_record(exp, std::move(values), point_index, ordinal);
   if (telemetry != nullptr) {
     telemetry->add_phase_ms(ms_since(simulate_start, metrics_start),
                             ms_since(metrics_start, Clock::now()));
+    telemetry->add_events(exp.queue().events_executed(), exp.network().deliveries_elided());
   }
   return record;
 }
@@ -126,19 +125,17 @@ class ThreadPoolExecutor final : public Executor {
       }
       // run_job scopes the experiment, so it is destroyed on this worker
       // thread before the pool refcount below is released.
-      std::uint64_t events = 0;
       auto pool = st != nullptr ? st->pool : nullptr;
       if (plan.trace_mask != 0) {
         obs::TraceRing ring(plan.trace_mask);
         sink(run_job(plan.scenario, plan.points[p], static_cast<std::uint32_t>(p),
-                     ordinal, std::move(pool), &ring, &events, plan.telemetry));
+                     ordinal, std::move(pool), &ring, plan.telemetry));
         if (plan.trace_sink)
           plan.trace_sink(static_cast<std::uint32_t>(p), ordinal, ring);
       } else {
         sink(run_job(plan.scenario, plan.points[p], static_cast<std::uint32_t>(p),
-                     ordinal, std::move(pool), nullptr, &events, plan.telemetry));
+                     ordinal, std::move(pool), nullptr, plan.telemetry));
       }
-      if (plan.telemetry != nullptr) plan.telemetry->add_events(events);
       if (st != nullptr && st->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1)
         st->pool.reset();
     };

@@ -107,13 +107,12 @@ std::unique_ptr<Executor> make_thread_executor(std::uint32_t jobs);
 /// worker session funnel through this. `trace` (optional) receives the
 /// experiment's decision trace; recording is observational, so the record —
 /// digest included — is bit-identical with and without it.
-/// `telemetry` (optional) receives the job's simulate/metrics phase split;
-/// like tracing it never touches the record.
+/// `telemetry` (optional) receives the job's simulate/metrics phase split
+/// and its event counts; like tracing it never touches the record.
 RunRecord run_job(const Scenario& scenario, const SweepPoint& point,
                   std::uint32_t point_index, std::uint32_t ordinal,
                   std::shared_ptr<const sim::PrebuiltWorkload> pool,
                   obs::TraceRing* trace = nullptr,
-                  std::uint64_t* events_executed = nullptr,
                   obs::SweepTelemetry* telemetry = nullptr);
 
 }  // namespace bng::runner

@@ -35,45 +35,5 @@ TEST(BlockInterner, HashOfRoundTrips) {
   EXPECT_THROW((void)in.hash_of(100), std::out_of_range);
 }
 
-TEST(FlatIdSet, InsertContainsErase) {
-  FlatIdSet set;
-  EXPECT_FALSE(set.contains(0));
-  EXPECT_FALSE(set.contains(12345));  // far past the backing array: no growth
-  set.insert(7);
-  set.insert(700);
-  EXPECT_TRUE(set.contains(7));
-  EXPECT_TRUE(set.contains(700));
-  EXPECT_FALSE(set.contains(8));
-  set.erase(7);
-  EXPECT_FALSE(set.contains(7));
-  EXPECT_TRUE(set.contains(700));
-  set.erase(7);       // double-erase is a no-op
-  set.erase(999999);  // erasing an id past the array is a no-op
-  EXPECT_FALSE(set.contains(7));
-}
-
-TEST(FlatIdSet, ClearIsEpochBump) {
-  FlatIdSet set;
-  for (BlockId id = 0; id < 64; ++id) set.insert(id);
-  set.clear();
-  for (BlockId id = 0; id < 64; ++id) EXPECT_FALSE(set.contains(id));
-  // Membership works again after the bump.
-  set.insert(3);
-  EXPECT_TRUE(set.contains(3));
-  EXPECT_FALSE(set.contains(4));
-}
-
-TEST(FlatIdSet, ManyClearsKeepSemantics) {
-  // A long-lived set survives thousands of epoch bumps without bleed-through.
-  FlatIdSet set;
-  for (int round = 0; round < 5000; ++round) {
-    const BlockId id = static_cast<BlockId>(round % 97);
-    set.insert(id);
-    ASSERT_TRUE(set.contains(id));
-    set.clear();
-    ASSERT_FALSE(set.contains(id));
-  }
-}
-
 }  // namespace
 }  // namespace bng

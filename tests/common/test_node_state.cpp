@@ -1,82 +1,76 @@
-// NodeStateArena: the FlatIdSet-shaped view semantics over the one
-// experiment-wide arena — plane/row isolation, per-row epoch clear, erase,
-// and the relayout that widens every row at once when an id outgrows the
-// capacity.
+// NodeStateArena: the block-major gossip arena — one byte per (block, node)
+// holding a known bit and a requested bit, rows appended as ids grow, and
+// "seen" (known or requested) that never clears.
 #include <gtest/gtest.h>
-
-#include <vector>
 
 #include "common/node_state.hpp"
 
 namespace bng {
 namespace {
 
+// The two bits of a (block, node) entry, and the entries of other nodes and
+// other blocks, are all independent.
 TEST(NodeState, ViewsIsolatedAcrossPlanesAndRows) {
   NodeStateArena arena(4);
-  ArenaIdSet a(arena, NodeStateArena::kKnown, 1);
-  ArenaIdSet b(arena, NodeStateArena::kKnown, 2);
-  ArenaIdSet a_req(arena, NodeStateArena::kRequested, 1);
-  a.insert(7);
-  EXPECT_TRUE(a.contains(7));
-  EXPECT_FALSE(b.contains(7));      // one row per node
-  EXPECT_FALSE(a_req.contains(7));  // planes are independent rows
-  a_req.insert(9);
-  EXPECT_TRUE(a_req.contains(9));
-  EXPECT_FALSE(a.contains(9));
+  arena.learn(7, 1);
+  EXPECT_TRUE(arena.known(7, 1));
+  EXPECT_TRUE(arena.seen(7, 1));
+  EXPECT_FALSE(arena.seen(7, 2));  // one column per node
+  EXPECT_FALSE(arena.seen(6, 1));  // one row per block
+  EXPECT_FALSE(arena.seen(8, 1));
+
+  arena.request(9, 1);
+  EXPECT_TRUE(arena.seen(9, 1));
+  EXPECT_FALSE(arena.known(9, 1));  // requested is not known
+  EXPECT_FALSE(arena.seen(9, 0));
+  EXPECT_FALSE(arena.seen(9, 3));
+  EXPECT_TRUE(arena.known(7, 1));
 }
 
-TEST(NodeState, ClearBumpsOnlyItsOwnRow) {
-  NodeStateArena arena(4);
-  ArenaIdSet a(arena, NodeStateArena::kKnown, 1);
-  ArenaIdSet b(arena, NodeStateArena::kKnown, 2);
-  a.insert(7);
-  b.insert(7);
-  a.clear();
-  EXPECT_FALSE(a.contains(7));
-  EXPECT_TRUE(b.contains(7));  // epoch bump is per row, not global
-  a.insert(7);                 // re-insert stamps the new epoch
-  EXPECT_TRUE(a.contains(7));
-}
-
+// learn() sets known and clears requested for exactly one entry; "seen" never
+// clears.
 TEST(NodeState, EraseRemovesOneMember) {
   NodeStateArena arena(2);
-  ArenaIdSet a(arena, NodeStateArena::kKnown, 0);
-  a.insert(3);
-  a.insert(4);
-  a.erase(3);
-  EXPECT_FALSE(a.contains(3));
-  EXPECT_TRUE(a.contains(4));
-  // Erasing an id past the capacity is a no-op, not a growth trigger.
-  const std::uint32_t cap = arena.capacity();
-  a.erase(100'000);
-  EXPECT_EQ(arena.capacity(), cap);
+  arena.request(3, 0);
+  arena.request(3, 1);
+  arena.learn(3, 0);
+  EXPECT_TRUE(arena.known(3, 0));
+  EXPECT_TRUE(arena.seen(3, 0));
+  EXPECT_FALSE(arena.known(3, 1));  // the other node still only requested it
+  EXPECT_TRUE(arena.seen(3, 1));
+
+  arena.request(3, 0);  // a stray request after learning keeps it known
+  EXPECT_TRUE(arena.known(3, 0));
+  arena.learn(3, 0);
+  EXPECT_TRUE(arena.known(3, 0));
+
+  // Reading an id past the stored rows is "not seen", and grows nothing.
+  const std::size_t rows = arena.rows();
+  EXPECT_FALSE(arena.seen(100'000, 1));
+  EXPECT_FALSE(arena.known(100'000, 1));
+  EXPECT_EQ(arena.rows(), rows);
 }
 
+// A new id appends rows; every entry already stored keeps its bits.
 TEST(NodeState, RelayoutKeepsEveryOtherRowsMembers) {
   constexpr std::uint32_t kNodes = 5;
   NodeStateArena arena(kNodes);
-  std::vector<ArenaIdSet> rows;
-  for (const auto plane : {NodeStateArena::kKnown, NodeStateArena::kRequested})
-    for (NodeId n = 0; n < kNodes; ++n) rows.emplace_back(arena, plane, n);
-  // A distinct member per row, plus one shared id, all below the first
-  // capacity; row 3 is then cleared so it holds only stale stamps.
-  for (std::uint32_t r = 0; r < rows.size(); ++r) {
-    rows[r].insert(r);
-    rows[r].insert(40);
+  EXPECT_EQ(arena.rows(), 0u);
+  for (NodeId n = 0; n < kNodes; ++n) {
+    arena.learn(n, n);
+    arena.request(40, n);
   }
-  rows[3].clear();
-  const std::uint32_t cap_before = arena.capacity();
+  EXPECT_EQ(arena.rows(), 41u);
 
-  rows[1].insert(10'000);  // one row forces the whole arena to relayout
-  ASSERT_GT(arena.capacity(), cap_before);
-  ASSERT_GE(arena.capacity(), 10'001u);
+  arena.learn(10'000, 1);
+  EXPECT_EQ(arena.rows(), 10'001u);
 
-  for (std::uint32_t r = 0; r < rows.size(); ++r) {
-    const bool live = r != 3;
-    for (BlockId id = 0; id < rows.size(); ++id)
-      EXPECT_EQ(rows[r].contains(id), live && id == r) << "row " << r << " id " << id;
-    EXPECT_EQ(rows[r].contains(40), live) << "row " << r;
-    EXPECT_EQ(rows[r].contains(10'000), r == 1) << "row " << r;
+  for (NodeId n = 0; n < kNodes; ++n) {
+    for (BlockId id = 0; id < kNodes; ++id)
+      EXPECT_EQ(arena.known(id, n), id == n) << "block " << id << " node " << n;
+    EXPECT_TRUE(arena.seen(40, n)) << "node " << n;
+    EXPECT_FALSE(arena.known(40, n)) << "node " << n;
+    EXPECT_EQ(arena.known(10'000, n), n == 1) << "node " << n;
   }
 }
 

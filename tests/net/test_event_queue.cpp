@@ -362,5 +362,196 @@ TEST(EventQueue, ConsumeIfNextHonorsRunUntilHorizon) {
   EXPECT_EQ(log, (std::vector<int>{5}));  // the consumed 1.5 never fired
 }
 
+// --- Reserved places: reserve_seq / schedule_reserved / passed --------------
+
+TEST(EventQueue, ReservedPlaceRunsWhereAnEventScheduledThenWould) {
+  EventQueue q;
+  std::vector<int> order;
+  q.schedule_at(1.0, [&] { order.push_back(0); });
+  const std::uint64_t place = q.reserve_seq(1.0);
+  q.schedule_at(1.0, [&] { order.push_back(2); });
+  q.schedule_at(0.5, [&] {
+    // Filled after two later schedulings, it still runs between them.
+    q.schedule_reserved(1.0, place, [&] { order.push_back(1); });
+  });
+  q.run_all();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(q.events_executed(), 4u);
+}
+
+TEST(EventQueue, ScheduleReservedOnAPassedPlaceThrows) {
+  EventQueue q;
+  const std::uint64_t early = q.reserve_seq(1.0);
+  const std::uint64_t tied = q.reserve_seq(2.0);
+  bool checked = false;
+  q.schedule_at(2.0, [&] {
+    // Same time, lower seq: the place ordered before this event.
+    EXPECT_TRUE(q.passed(2.0, tied));
+    EXPECT_THROW(q.schedule_reserved(2.0, tied, [] {}), std::logic_error);
+    checked = true;
+  });
+  EXPECT_FALSE(q.passed(1.0, early));
+  q.run_until(1.5);
+  EXPECT_TRUE(q.passed(1.0, early));
+  EXPECT_THROW(q.schedule_reserved(1.0, early, [] {}), std::logic_error);
+  EXPECT_FALSE(q.passed(2.0, tied));
+  q.run_all();
+  EXPECT_TRUE(checked);
+}
+
+TEST(EventQueue, ConsumeIfNextPassesThePlacesBeforeIt) {
+  // A reserved place is not an event, so consume_if_next may take an event
+  // that orders after one; the place has then passed.
+  EventQueue q;
+  std::uint64_t place = 0;
+  q.schedule_at(1.0, [&] {
+    place = q.reserve_seq(2.0);
+    const std::uint64_t next = q.schedule_at(2.0, [] {});
+    EXPECT_FALSE(q.passed(2.0, place));
+    EXPECT_TRUE(q.consume_if_next(next));
+    EXPECT_TRUE(q.passed(2.0, place));
+  });
+  q.run_all();
+  EXPECT_EQ(q.events_executed(), 2u);
+}
+
+TEST(EventQueue, RunUntilPassesEveryPlaceUpToItsEnd) {
+  EventQueue q;
+  const std::uint64_t inside = q.reserve_seq(1.0);
+  const std::uint64_t at_end = q.reserve_seq(2.0);
+  const std::uint64_t beyond = q.reserve_seq(2.5);
+  q.run_until(2.0);  // no events at all: the clock still moves to the end
+  EXPECT_EQ(q.now(), 2.0);
+  EXPECT_TRUE(q.passed(1.0, inside));
+  EXPECT_TRUE(q.passed(2.0, at_end));
+  EXPECT_FALSE(q.passed(2.5, beyond));
+  // A place reserved after the run, at the clock's own time, is still ahead.
+  const std::uint64_t fresh = q.reserve_seq(2.0);
+  EXPECT_FALSE(q.passed(2.0, fresh));
+  // An earlier bound leaves the clock and the passed places alone.
+  q.run_until(1.0);
+  EXPECT_EQ(q.now(), 2.0);
+  EXPECT_FALSE(q.passed(2.0, fresh));
+  EXPECT_FALSE(q.passed(2.5, beyond));
+}
+
+TEST(EventQueue, RunAllEndsAtTheLatestReservedPlace) {
+  EventQueue q;
+  q.schedule_at(3.0, [] {});
+  (void)q.reserve_seq(7.0);  // never filled: a skipped delivery
+  (void)q.reserve_seq(5.0);
+  q.run_all();
+  EXPECT_EQ(q.now(), 7.0);  // where it ends had the place held an event
+  EXPECT_EQ(q.events_executed(), 1u);
+  EXPECT_THROW((void)q.reserve_seq(6.0), std::invalid_argument);
+
+  EventQueue later;
+  (void)later.reserve_seq(1.0);
+  later.schedule_at(4.0, [] {});
+  later.run_all();
+  EXPECT_EQ(later.now(), 4.0);  // the last event is later than every place
+}
+
+// Twin runs of one random script. In the `direct` twin every place is a
+// real event, scheduled when the place is taken, that logs only if a filler
+// claimed it before it ran. In the `reserved` twin a place is reserve_seq'd
+// and a filler schedules it only if it has not passed. Both twins must log
+// the same sequence and end at the same time: a filled place runs exactly
+// where an event scheduled at reservation time would, and an unfilled one
+// leaves no trace but the clock.
+class PlaceTwin {
+ public:
+  explicit PlaceTwin(bool reserve) : reserve_(reserve) {}
+
+  void run(int ops) {
+    for (int i = 0; i < ops; ++i) {
+      const std::uint64_t r = rng_();
+      const Seconds at = 0.25 * static_cast<double>((r >> 8) % 20);
+      if (r % 3 == 0) {
+        take_place(at);
+      } else {
+        add_event(at);
+      }
+    }
+    q_.run_all();
+  }
+
+  std::vector<int> log;
+  int claims = 0;
+  int refused = 0;
+  [[nodiscard]] Seconds end() const { return q_.now(); }
+
+ private:
+  struct Place {
+    Seconds at;
+    std::uint64_t seq = 0;
+    bool ran = false;
+    bool claimed = false;
+  };
+
+  void take_place(Seconds at) {
+    const int p = static_cast<int>(places_.size());
+    places_.push_back(Place{at});
+    if (reserve_) {
+      places_[p].seq = q_.reserve_seq(at);
+      return;
+    }
+    q_.schedule_at(at, [this, p] {
+      places_[p].ran = true;
+      if (places_[p].claimed) log.push_back(-1 - p);
+    });
+  }
+
+  void claim(int p) {
+    Place& place = places_[p];
+    if (place.claimed) return;
+    const bool gone = reserve_ ? q_.passed(place.at, place.seq) : place.ran;
+    if (gone) {
+      ++refused;
+      return;
+    }
+    place.claimed = true;
+    ++claims;
+    if (reserve_) q_.schedule_reserved(place.at, place.seq, [this, p] { log.push_back(-1 - p); });
+  }
+
+  void add_event(Seconds at) {
+    const int id = next_id_++;
+    q_.schedule_at(at, [this, id] {
+      log.push_back(id);
+      const std::uint64_t r = rng_();
+      if (r % 3 == 0) take_place(q_.now() + 0.25 * static_cast<double>((r >> 8) % 3));
+      if (r % 2 == 0 && !places_.empty())
+        claim(static_cast<int>((r >> 16) % places_.size()));
+      if (r % 5 == 0 && id < 2000) add_event(q_.now() + 0.25 * static_cast<double>((r >> 24) % 2));
+    });
+  }
+
+  bool reserve_;
+  EventQueue q_;
+  std::vector<Place> places_;
+  int next_id_ = 0;
+  std::uint64_t state_ = 0x9e3779b97f4a7c15ull;
+  std::uint64_t rng_() {  // splitmix64: the same stream in both twins
+    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ull);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+  }
+};
+
+TEST(EventQueue, ReservedPlacesMatchEventsScheduledAtReservation) {
+  PlaceTwin direct(false);
+  PlaceTwin reserved(true);
+  direct.run(600);
+  reserved.run(600);
+  EXPECT_EQ(reserved.log, direct.log);
+  EXPECT_EQ(reserved.end(), direct.end());
+  EXPECT_EQ(reserved.claims, direct.claims);
+  // Not vacuous: places were filled, and some were refused as passed.
+  EXPECT_GT(reserved.claims, 20);
+  EXPECT_GT(reserved.refused, 20);
+}
+
 }  // namespace
 }  // namespace bng::net

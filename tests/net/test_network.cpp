@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <functional>
+#include <ostream>
+#include <string>
 #include <vector>
 
 namespace bng::net {
@@ -312,6 +315,193 @@ TEST(NetworkStandalone, UnattachedRecipientThrows) {
   net.attach(0, &a);
   net.send(0, 1, std::make_shared<TestMessage>(1, 1));
   EXPECT_THROW(queue.run_all(), std::logic_error);
+}
+
+
+TEST_F(NetworkTest, OfflineControlRejectsUnknownNode) {
+  EXPECT_THROW(net_.set_offline(3, true), std::out_of_range);
+  EXPECT_THROW((void)net_.is_offline(3), std::out_of_range);
+  EXPECT_FALSE(net_.is_offline(2));
+}
+
+// --- send_ignored: a message its receiver is known to drop -------------------
+//
+// Each script runs twice: once with send_ignored, once with a real message
+// that its receiver drops. Both runs must log the same deliveries and the same
+// probe events, in the same order, at the same times, and charge the same
+// bytes: the skipped delivery keeps its (time, seq) place. Latency, sizes and
+// bandwidth are powers of two, so every tie is exact.
+constexpr int kDroppedTag = -1;
+constexpr Seconds kStep = 0.125;  // one 1250-byte transfer at 80 kbit/s
+
+class IgnoredTwin {
+ public:
+  explicit IgnoredTwin(bool elide, const Topology& topo = Topology::line(3))
+      : elide_(elide),
+        topo_(topo),
+        rng_(1),
+        net_(queue_, topo_, LatencyModel::constant(2 * kStep), LinkParams{80'000.0, 0}, rng_) {
+    sinks_.resize(topo_.num_nodes());
+    for (NodeId i = 0; i < topo_.num_nodes(); ++i) {
+      sinks_[i].twin = this;
+      net_.attach(i, &sinks_[i]);
+    }
+  }
+
+  void ignored(NodeId from, NodeId to) {
+    if (elide_) {
+      net_.send_ignored(from, to, 1250);
+    } else {
+      net_.send(from, to, std::make_shared<TestMessage>(1250, kDroppedTag));
+    }
+  }
+  void real(NodeId from, NodeId to, int tag) {
+    net_.send(from, to, std::make_shared<TestMessage>(1250, tag));
+  }
+  /// Events that log `tag` at every grid time from now on, scheduled now:
+  /// they order before everything scheduled later at the same time.
+  void probes(int tag) {
+    for (int k = 0; k <= 16; ++k) {
+      const Seconds at = kStep * k;
+      if (at < queue_.now()) continue;
+      queue_.schedule_at(at, [this, tag] { note(tag, kNoNode); });
+    }
+  }
+  template <typename F>
+  void at(Seconds t, F fn) {
+    queue_.schedule_at(t, std::move(fn));
+  }
+
+  EventQueue& queue() { return queue_; }
+  Network& net() { return net_; }
+  [[nodiscard]] const std::vector<std::string>& log() const { return log_; }
+
+ private:
+  struct Sink : INode {
+    IgnoredTwin* twin = nullptr;
+    void on_message(NodeId from, const MessagePtr& msg) override {
+      const int tag = static_cast<const TestMessage&>(*msg).tag;
+      if (tag != kDroppedTag) twin->note(tag, from);
+    }
+  };
+
+  void note(int tag, NodeId from) {
+    log_.push_back(std::to_string(tag) + " from " + std::to_string(from) + " at " +
+                   std::to_string(queue_.now() / kStep));
+  }
+
+  bool elide_;
+  EventQueue queue_;
+  Topology topo_;
+  Rng rng_;
+  Network net_;
+  std::deque<Sink> sinks_;
+  std::vector<std::string> log_;
+};
+
+struct IgnoredCase {
+  const char* name;
+  bool busy;             ///< a real message is on the link before the ignored one
+  int later_offset;      ///< later real send, in steps from the skipped arrival
+  bool later_scheduled_first;  ///< its event ordered before the skipped place
+  std::uint64_t elided;  ///< expected Network::deliveries_elided
+};
+
+void PrintTo(const IgnoredCase& c, std::ostream* os) { *os << c.name; }
+
+class SendIgnored : public ::testing::TestWithParam<IgnoredCase> {};
+
+TEST_P(SendIgnored, MatchesARealMessageItsReceiverDrops) {
+  const IgnoredCase& c = GetParam();
+  std::vector<std::string> logs[2];
+  std::uint64_t bytes[2];
+  std::uint64_t messages[2];
+  std::uint64_t events[2];
+  for (const bool elide : {false, true}) {
+    IgnoredTwin t(elide);
+    // Idle link: the ignored message arrives at 3 steps (1 transfer + 2
+    // latency). Busy link: it queues behind a real one and arrives at 4.
+    const Seconds skipped = kStep * (c.busy ? 4 : 3);
+    const Seconds later = skipped + kStep * c.later_offset;
+    const auto later_send = [&t] {
+      t.real(0, 1, 20);
+      t.probes(300);  // ties with the re-armed train at the same times
+    };
+    t.probes(100);
+    if (c.busy) t.real(0, 1, 10);
+    if (c.later_scheduled_first) t.at(later, later_send);
+    t.ignored(0, 1);
+    if (!c.later_scheduled_first) t.at(later, later_send);
+    t.at(skipped, [&t] { t.probes(200); });
+    t.queue().run_all();
+    logs[elide] = t.log();
+    bytes[elide] = t.net().bytes_sent();
+    messages[elide] = t.net().messages_sent();
+    events[elide] = t.queue().events_executed();
+    if (elide) {
+      EXPECT_EQ(t.net().deliveries_elided(), c.elided);
+    }
+    EXPECT_EQ(t.net().messages_in_flight(), 0u);
+    EXPECT_EQ(t.net().active_links(), 0u);
+  }
+  EXPECT_EQ(logs[1], logs[0]);
+  EXPECT_EQ(bytes[1], bytes[0]);
+  EXPECT_EQ(messages[1], messages[0]);
+  EXPECT_EQ(bytes[1], messages[1] * 1250);  // ignored sends are counted
+  EXPECT_EQ(events[1] + c.elided, events[0]);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Network, SendIgnored,
+    ::testing::Values(IgnoredCase{"IdleThenSendBeforeArrival", false, -1, false, 0},
+                      IgnoredCase{"IdleThenSendAtArrivalAheadOfIt", false, 0, true, 0},
+                      IgnoredCase{"IdleThenSendAtArrivalBehindIt", false, 0, false, 1},
+                      IgnoredCase{"IdleThenSendAfterArrival", false, 1, false, 1},
+                      IgnoredCase{"BusyThenSendBeforeArrival", true, -1, false, 0},
+                      IgnoredCase{"BusyThenSendAtArrivalAheadOfIt", true, 0, true, 0},
+                      IgnoredCase{"BusyThenSendAtArrivalBehindIt", true, 0, false, 0},
+                      IgnoredCase{"BusyThenSendAfterArrival", true, 1, false, 0}),
+    [](const ::testing::TestParamInfo<IgnoredCase>& info) { return info.param.name; });
+
+// A random gossip script on a complete graph: real and ignored sends on every
+// link, from events at tied times, with probes in between.
+TEST(NetworkStandalone, RandomIgnoredSendsMatchDroppedMessages) {
+  constexpr NodeId kNodes = 4;
+  std::vector<std::string> logs[2];
+  std::uint64_t elided = 0;
+  for (const bool elide : {false, true}) {
+    IgnoredTwin t(elide, Topology::complete(kNodes));
+    std::uint64_t state = 42;
+    auto next = [&state] {  // splitmix64: the same stream in both runs
+      std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
+      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+      z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+      return z ^ (z >> 31);
+    };
+    std::function<void(int)> act = [&](int depth) {
+      const std::uint64_t r = next();
+      const auto from = static_cast<NodeId>(r % kNodes);
+      const auto to = static_cast<NodeId>((from + 1 + (r >> 8) % (kNodes - 1)) % kNodes);
+      if ((r >> 16) % 3 == 0) {
+        t.real(from, to, static_cast<int>(r >> 40) & 0xffff);
+      } else {
+        t.ignored(from, to);
+      }
+      if (depth < 6) {
+        const Seconds at = t.queue().now() + kStep * static_cast<double>((r >> 24) % 16);
+        t.at(at, [&act, depth] { act(depth + 1); });
+        if ((r >> 32) % 4 == 0) t.at(at, [&act, depth] { act(depth + 1); });
+      }
+    };
+    for (int i = 0; i < 40; ++i) t.at(kStep * (2 * i), [&act] { act(0); });
+    t.probes(7);
+    t.queue().run_all();
+    logs[elide] = t.log();
+    if (elide) elided = t.net().deliveries_elided();
+  }
+  EXPECT_EQ(logs[1], logs[0]);
+  EXPECT_GT(logs[0].size(), 150u);
+  EXPECT_GT(elided, 20u);
 }
 
 }  // namespace

@@ -31,6 +31,26 @@ TEST(BitcoinNode, BlockPropagatesToAllPeers) {
   EXPECT_TRUE(net.converged());
 }
 
+TEST(BitcoinNode, DeadInvsCostNoEvent) {
+  // On a complete graph nearly every inv reaches a peer that already has or
+  // has requested the block, and its delivery gets no event. Records cannot
+  // show this fast path, so this is the test that fails if it silently
+  // turns off.
+  constexpr std::uint32_t kNodes = 12;
+  MiniNet<BitcoinNode> net(kNodes, btc_params());
+  net.node(0).on_mining_win(1.0);
+  net.queue().run_all();
+  for (NodeId i = 0; i < kNodes; ++i) ASSERT_EQ(net.node(i).tree().best().height, 1u);
+  // The miner announces to 11 peers and every other node to 10; each other
+  // node fetches the block once (a getdata and a block).
+  const std::uint64_t invs = 11 + 11 * 10;
+  ASSERT_EQ(net.network().messages_sent(), invs + 2 * 11);
+  EXPECT_GT(net.network().deliveries_elided(), invs * 3 / 4);
+  // The clock ends where it did when every inv was delivered: the last
+  // skipped delivery, later than any event that ran.
+  EXPECT_EQ(net.queue().now(), 0.044779160000000005);
+}
+
 TEST(BitcoinNode, ChainGrowsAcrossMiners) {
   MiniNet<BitcoinNode> net(4, btc_params());
   for (int round = 0; round < 6; ++round) {

@@ -176,5 +176,31 @@ TEST(SweepTelemetry, PhaseSplitReportedInProcessAndKeptOutOfRecords) {
   EXPECT_EQ(procs.to_json(s.name, 1.0).find("\"phases\""), std::string::npos);
 }
 
+TEST(SweepTelemetry, ElidedDeliveriesReportedBesideEventsInProcess) {
+  const Scenario s = registered_mini();
+  const auto field = [](const std::string& json, const std::string& key) {
+    const std::size_t at = json.find("\"" + key + "\": ");
+    EXPECT_NE(at, std::string::npos) << key << " missing from " << json;
+    return at == std::string::npos ? 0ull
+                                   : std::stoull(json.substr(at + key.size() + 4));
+  };
+  obs::SweepTelemetry threads;
+  SweepOptions with_stats = thread_options(2, 2);
+  with_stats.telemetry = &threads;
+  (void)run_sweep(s, with_stats);
+  const std::string json = threads.to_json(s.name, 1.0);
+  EXPECT_GT(field(json, "events_executed"), 0u);
+  EXPECT_GT(field(json, "deliveries_elided"), 0u);
+
+  // Worker processes report neither count.
+  obs::SweepTelemetry procs;
+  SweepOptions proc_stats = proc_options(2, 2);
+  proc_stats.telemetry = &procs;
+  (void)run_sweep(s, proc_stats);
+  const std::string proc_json = procs.to_json(s.name, 1.0);
+  EXPECT_EQ(field(proc_json, "events_executed"), 0u);
+  EXPECT_EQ(field(proc_json, "deliveries_elided"), 0u);
+}
+
 }  // namespace
 }  // namespace bng::runner
