@@ -6,8 +6,10 @@
 // Field (mod p) and scalar (mod n) arithmetic both reduce by the special
 // form of their modulus: 2^256 is congruent to a small constant, 2^32 + 977
 // mod p and 2^256 - n (129 bits) mod n. Scalar arithmetic is on the hot path
-// because every Bitcoin-NG microblock is signed. Not constant-time: this is a
-// protocol simulator, not a wallet.
+// because every Bitcoin-NG microblock is signed. Both inverses, mod p (to
+// leave Jacobian coordinates) and mod n (one per signature), run one binary
+// extended Euclidean routine, whose time depends on its input. Not
+// constant-time: this is a protocol simulator, not a wallet.
 #pragma once
 
 #include <optional>
@@ -27,7 +29,8 @@ U256 fe_mul(const U256& a, const U256& b);
 U256 fe_sqr(const U256& a);
 U256 fe_neg(const U256& a);
 U256 fe_pow(const U256& a, const U256& e);
-U256 fe_inv(const U256& a);  // a != 0
+/// a^-1 mod p; throws std::domain_error if a == 0 (mod p).
+U256 fe_inv(const U256& a);
 
 /// Square root mod p (p ≡ 3 mod 4, so sqrt(a) = a^((p+1)/4) when it exists).
 /// Returns nullopt for quadratic non-residues.
@@ -38,7 +41,8 @@ U256 sc_reduce(const U256& a);                  // a mod n
 U256 sc_add(const U256& a, const U256& b);
 U256 sc_mul(const U256& a, const U256& b);
 U256 sc_neg(const U256& a);
-U256 sc_inv(const U256& a);  // a != 0 mod n
+/// a^-1 mod n; throws std::domain_error if a == 0 (mod n).
+U256 sc_inv(const U256& a);
 
 /// Affine point; infinity iff `infinity` is true.
 struct AffinePoint {

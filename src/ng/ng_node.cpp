@@ -188,10 +188,14 @@ chain::BlockPtr NgNode::forge_microblock(const Hash256& parent_id, std::uint64_t
 
 void NgNode::note_microblock(const chain::BlockPtr& block, BlockId id, BlockId parent,
                              NodeId from) {
-  const Hash256 epoch_id = tree_.facts(tree_.facts(parent).epoch_key_block).block->id();
-  if (auto fraud = detector_.observe(epoch_id, block->header())) {
+  const BlockId epoch = tree_.facts(parent).epoch_key_block;
+  if (auto first = detector_.observe(epoch, parent, id)) {
+    // The first sibling was admitted right after its own observation, so
+    // the store holds its header.
+    const Hash256& epoch_id = tree_.facts(epoch).block->id();
     if (observer_ != nullptr) observer_->on_fraud_detected(id_, epoch_id, now());
-    pending_frauds_.push_back(std::move(*fraud));
+    pending_frauds_.push_back(
+        FraudEvidence{epoch_id, tree_.facts(*first).block->header(), block->header()});
     // Gossip the proof: this conflicting sibling sits off the active chain,
     // so the normal relay policy would strand it at the cheater's direct
     // neighbours — but the evidence must reach a *future leader* to be

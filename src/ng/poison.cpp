@@ -1,23 +1,20 @@
 #include "ng/poison.hpp"
 
+#include <algorithm>
+
 #include "crypto/ecdsa.hpp"
 
 namespace bng::ng {
 
-std::optional<FraudEvidence> EquivocationDetector::observe(const Hash256& epoch_key_block,
-                                                           const chain::BlockHeader& header) {
-  const auto key = std::make_pair(epoch_key_block, header.prev);
-  auto [it, inserted] = first_seen_.emplace(key, header);
-  if (inserted) return std::nullopt;
-  const Hash256 first_id = it->second.id();
-  if (first_id == header.id()) return std::nullopt;  // same block re-observed
-  if (reported_epochs_.count(epoch_key_block) > 0) return std::nullopt;
-  reported_epochs_.insert(epoch_key_block);
-  FraudEvidence evidence;
-  evidence.accused_key_block = epoch_key_block;
-  evidence.header_a = it->second;
-  evidence.header_b = header;
-  return evidence;
+std::optional<BlockId> EquivocationDetector::observe(BlockId epoch, BlockId parent,
+                                                    BlockId id) {
+  if (parent >= first_child_.size()) first_child_.resize(parent + 1, kNoBlockId);
+  BlockId& first = first_child_[parent];
+  if (first == kNoBlockId) first = id;
+  if (first == id) return std::nullopt;
+  if (std::ranges::find(reported_epochs_, epoch) != reported_epochs_.end()) return std::nullopt;
+  reported_epochs_.push_back(epoch);
+  return first;
 }
 
 const chain::BlockHeader& FraudEvidence::pruned_header(const chain::BlockTree& tree,

@@ -5,11 +5,14 @@
 // holding both headers has a proof of fraud; the poison transaction carries
 // the header of the first block in the pruned branch, revokes the cheater's
 // revenue, and grants the poisoner a fraction (e.g. 5%).
+//
+// Every node checks every microblock it admits, so the detector keeps one
+// interned id per predecessor; a conflict's headers come from the shared
+// block store only when one shows up.
 #pragma once
 
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 #include "chain/block_tree.hpp"
 #include "chain/params.hpp"
@@ -36,26 +39,20 @@ struct FraudEvidence {
                                                         BlockId tip) const;
 };
 
-/// Watches microblock headers and reports leader equivocation: two distinct
-/// microblocks by the same epoch key extending the same predecessor.
+/// Watches microblocks and reports leader equivocation: two distinct
+/// microblocks extending the same predecessor. A microblock's epoch is its
+/// parent's, so the parent alone keys a conflict.
 class EquivocationDetector {
  public:
-  /// Record an observed microblock header. Returns evidence the first time a
-  /// conflict for (epoch, prev) is seen; at most one report per epoch.
-  std::optional<FraudEvidence> observe(const Hash256& epoch_key_block,
-                                       const chain::BlockHeader& header);
-
-  [[nodiscard]] std::size_t tracked() const { return first_seen_.size(); }
+  /// Record that microblock `id` of epoch `epoch` extends `parent`. Returns
+  /// the first microblock seen on `parent` the first time a different one
+  /// extends it; at most one report per epoch. `id` seen again is silent.
+  std::optional<BlockId> observe(BlockId epoch, BlockId parent, BlockId id);
 
  private:
-  struct PairHasher {
-    std::size_t operator()(const std::pair<Hash256, Hash256>& p) const noexcept {
-      return Hash256Hasher{}(p.first) * 1000003 ^ Hash256Hasher{}(p.second);
-    }
-  };
-  /// (epoch key block, prev) -> first microblock header seen.
-  std::unordered_map<std::pair<Hash256, Hash256>, chain::BlockHeader, PairHasher> first_seen_;
-  std::unordered_set<Hash256, Hash256Hasher> reported_epochs_;
+  /// By parent id: the first microblock seen extending it, or kNoBlockId.
+  std::vector<BlockId> first_child_;
+  std::vector<BlockId> reported_epochs_;
 };
 
 /// Revenue of the accused leader that is still revocable on the chain ending

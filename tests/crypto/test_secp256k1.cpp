@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -87,14 +88,37 @@ TEST(Secp256k1Field, MulEdgeValuesNearP) {
   EXPECT_EQ(fe_mul(U256(0), pm1), U256(0));
 }
 
+/// {1, 2, m - 2, m - 1}: the ends of the range an inverse is defined on.
+std::vector<U256> inverse_edges(const U256& m) {
+  bool borrow;
+  return {U256(1), U256(2), U256::sub(m, U256(2), borrow), U256::sub(m, U256(1), borrow)};
+}
+
 TEST(Secp256k1Field, InverseIdentity) {
+  // fe_inv runs the binary extended Euclidean algorithm; Fermat's
+  // a^(p-2) is the oracle.
+  bool borrow;
+  const U256 pm2 = U256::sub(field_p(), U256(2), borrow);
+  std::vector<U256> values = inverse_edges(field_p());
   bng::Rng rng(7);
-  for (int i = 0; i < 10; ++i) {
-    U256 a = U512::from_u256(U256(rng.next(), rng.next(), rng.next(), rng.next()))
-                 .mod(field_p());
+  for (int i = 0; i < 1000; ++i) values.push_back(random_u256(rng));
+  for (const U256& raw : values) {
+    const U256 a = U512::from_u256(raw).mod(field_p());
     if (a.is_zero()) continue;
-    EXPECT_EQ(fe_mul(a, fe_inv(a)), U256(1));
+    const U256 inv = fe_inv(a);
+    ASSERT_EQ(fe_mul(a, inv), U256(1)) << a.to_hex();
+    ASSERT_EQ(inv, fe_pow(a, pm2)) << a.to_hex();
   }
+  // p - 1 is its own inverse; 2's is (p + 1) / 2.
+  const U256 pm1 = U256::sub(field_p(), U256(1), borrow);
+  EXPECT_EQ(fe_inv(pm1), pm1);
+  bool carry;
+  EXPECT_EQ(fe_inv(U256(2)), U256::add(field_p(), U256(1), carry).shr(1));
+}
+
+TEST(Secp256k1Field, InverseOfZeroThrows) {
+  EXPECT_THROW(fe_inv(U256(0)), std::domain_error);
+  EXPECT_THROW(fe_inv(field_p()), std::domain_error);  // p == 0 (mod p)
 }
 
 TEST(Secp256k1Field, FermatLittleTheorem) {
@@ -155,14 +179,35 @@ TEST(Secp256k1Scalar, ReduceAgainstGenericMod) {
   }
 }
 
+/// a^(n-2) mod n by square-and-multiply: the Fermat inverse, as the oracle.
+U256 fermat_inverse_mod_n(const U256& a) {
+  bool borrow;
+  const U256 nm2 = U256::sub(order_n(), U256(2), borrow);
+  U256 result(1);
+  U256 base = sc_reduce(a);
+  for (int i = 0; i < 256; ++i) {
+    if (nm2.bit(i)) result = sc_mul(result, base);
+    base = sc_mul(base, base);
+  }
+  return result;
+}
+
 TEST(Secp256k1Scalar, InverseIdentity) {
+  std::vector<U256> values = scalar_edges();  // unreduced inputs too
+  for (const U256& a : inverse_edges(order_n())) values.push_back(a);
   bng::Rng rng(11);
-  std::vector<U256> values = scalar_edges();
-  for (int i = 0; i < 5; ++i) values.push_back(random_scalar(rng));
+  for (int i = 0; i < 1000; ++i) values.push_back(random_u256(rng));
   for (const U256& a : values) {
     if (sc_reduce(a).is_zero()) continue;  // 0 and n have no inverse
-    EXPECT_EQ(sc_mul(a, sc_inv(a)), U256(1)) << a.to_hex();
+    const U256 inv = sc_inv(a);
+    ASSERT_EQ(sc_mul(a, inv), U256(1)) << a.to_hex();
+    ASSERT_EQ(inv, fermat_inverse_mod_n(a)) << a.to_hex();
   }
+}
+
+TEST(Secp256k1Scalar, InverseOfZeroThrows) {
+  EXPECT_THROW(sc_inv(U256(0)), std::domain_error);
+  EXPECT_THROW(sc_inv(order_n()), std::domain_error);  // n == 0 (mod n)
 }
 
 TEST(Secp256k1Scalar, AddWrapsModN) {

@@ -33,67 +33,50 @@ chain::BlockHeader signed_micro_header(const crypto::PrivateKey& sk, const Hash2
   return h;
 }
 
+// The detector sees interned ids: a key block (the epoch), the predecessor a
+// microblock extends, and the microblock itself. Ids are arbitrary here.
+constexpr BlockId kEpoch = 1;
+
 TEST(EquivocationDetectorTest, FirstObservationSilent) {
   EquivocationDetector det;
-  auto sk = leader_key(0);
-  Hash256 epoch;
-  epoch.bytes[0] = 1;
-  Hash256 prev;
-  prev.bytes[0] = 2;
-  EXPECT_FALSE(det.observe(epoch, signed_micro_header(sk, prev, 1.0)).has_value());
+  EXPECT_FALSE(det.observe(kEpoch, kEpoch, 2).has_value());
+  // A parent far past every id seen so far.
+  EXPECT_FALSE(det.observe(kEpoch, 100'000, 100'001).has_value());
 }
 
 TEST(EquivocationDetectorTest, ConflictReportedOnce) {
   EquivocationDetector det;
-  auto sk = leader_key(0);
-  Hash256 epoch;
-  epoch.bytes[0] = 1;
-  Hash256 prev;
-  prev.bytes[0] = 2;
-  auto h1 = signed_micro_header(sk, prev, 1.0, 1);
-  auto h2 = signed_micro_header(sk, prev, 1.0, 2);
-  auto h3 = signed_micro_header(sk, prev, 1.0, 3);
-  EXPECT_FALSE(det.observe(epoch, h1).has_value());
-  auto fraud = det.observe(epoch, h2);
-  ASSERT_TRUE(fraud.has_value());
-  EXPECT_EQ(fraud->accused_key_block, epoch);
-  EXPECT_EQ(fraud->header_a.id(), h1.id());
-  EXPECT_EQ(fraud->header_b.id(), h2.id());
-  // Only one report per cheater (§4.5).
-  EXPECT_FALSE(det.observe(epoch, h3).has_value());
+  EXPECT_FALSE(det.observe(kEpoch, 2, 3).has_value());
+  const auto first = det.observe(kEpoch, 2, 4);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(*first, 3u);  // the first-seen sibling, not the newcomer
+  // Only one report per cheater (§4.5): neither a third sibling nor a
+  // conflict on another parent of the same epoch is reported again.
+  EXPECT_FALSE(det.observe(kEpoch, 2, 5).has_value());
+  EXPECT_FALSE(det.observe(kEpoch, 3, 6).has_value());
+  EXPECT_FALSE(det.observe(kEpoch, 3, 7).has_value());
+  // Another epoch's leader is a different cheater.
+  constexpr BlockId kNextEpoch = 8;
+  EXPECT_FALSE(det.observe(kNextEpoch, 9, 10).has_value());
+  const auto next = det.observe(kNextEpoch, 9, 11);
+  ASSERT_TRUE(next.has_value());
+  EXPECT_EQ(*next, 10u);
 }
 
 TEST(EquivocationDetectorTest, SameBlockReobservedIsBenign) {
   EquivocationDetector det;
-  auto sk = leader_key(0);
-  Hash256 epoch, prev;
-  auto h1 = signed_micro_header(sk, prev, 1.0);
-  EXPECT_FALSE(det.observe(epoch, h1).has_value());
-  EXPECT_FALSE(det.observe(epoch, h1).has_value());
+  EXPECT_FALSE(det.observe(kEpoch, 2, 3).has_value());
+  EXPECT_FALSE(det.observe(kEpoch, 2, 3).has_value());
+  // Still armed: a real sibling is reported.
+  EXPECT_EQ(det.observe(kEpoch, 2, 4), std::optional<BlockId>(3));
 }
 
 TEST(EquivocationDetectorTest, DifferentPrevIsBenign) {
   // A leader extending its own chain is NOT equivocation (Fig 2 benign case).
   EquivocationDetector det;
-  auto sk = leader_key(0);
-  Hash256 epoch;
-  Hash256 prev1, prev2;
-  prev1.bytes[0] = 1;
-  prev2.bytes[0] = 2;
-  EXPECT_FALSE(det.observe(epoch, signed_micro_header(sk, prev1, 1.0)).has_value());
-  EXPECT_FALSE(det.observe(epoch, signed_micro_header(sk, prev2, 2.0)).has_value());
-}
-
-TEST(EquivocationDetectorTest, DistinctEpochsTrackedIndependently) {
-  EquivocationDetector det;
-  auto sk = leader_key(0);
-  Hash256 e1, e2, prev;
-  e1.bytes[0] = 1;
-  e2.bytes[0] = 2;
-  EXPECT_FALSE(det.observe(e1, signed_micro_header(sk, prev, 1.0, 1)).has_value());
-  EXPECT_FALSE(det.observe(e2, signed_micro_header(sk, prev, 1.0, 2)).has_value());
-  EXPECT_TRUE(det.observe(e1, signed_micro_header(sk, prev, 1.0, 3)).has_value());
-  EXPECT_TRUE(det.observe(e2, signed_micro_header(sk, prev, 1.0, 4)).has_value());
+  EXPECT_FALSE(det.observe(kEpoch, kEpoch, 2).has_value());
+  EXPECT_FALSE(det.observe(kEpoch, 2, 3).has_value());
+  EXPECT_FALSE(det.observe(kEpoch, 3, 4).has_value());
 }
 
 TEST(FraudEvidenceTest, PrunedHeaderPicksTheBranchThatLost) {

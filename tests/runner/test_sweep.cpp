@@ -264,6 +264,37 @@ TEST(GoldenDigest, Fig8bScenarioUnchangedByCoreRefactors) {
       r, 3, {{3008200, 0x5770e8f2fa280464ull}, {3008201, 0x8ae90793f5fac698ull}});
 }
 
+// The fraud path end to end: an equivocating leader, the equivocation
+// detector on every node, and the poison transactions honest leaders place.
+// All three points run, none truncated: at these knobs the scenario runs at
+// its 40-node cap and 120-block floor, 0.2 s for all six jobs.
+TEST(GoldenDigest, NgPoisonScenarioUnchangedByCoreRefactors) {
+  if (golden::skip_golden()) GTEST_SKIP() << "BNG_SKIP_GOLDEN_DIGEST set";
+  auto s = make_scenario("ng_poison", RunKnobs{40, 8});
+  ASSERT_TRUE(s.has_value());
+  const auto r = run_sweep(*s, options(2, 2));
+  ASSERT_EQ(r.points.size(), 3u);  // equivocate_every 1, 2, 4
+  golden::expect_digests(r, 0,
+                         {{9100, 0x03d8406dd0f6c74full}, {9101, 0x3bc9a5714d778535ull}});
+  golden::expect_digests(
+      r, 1, {{1009100, 0x7603c917a4d9b1d8ull}, {1009101, 0x4c2fbe8eff8d941aull}});
+  golden::expect_digests(
+      r, 2, {{2009100, 0x54865750a1b5585eull}, {2009101, 0x2750169289d0cbb3ull}});
+  // A digest only shows the run repeated; the detector must also have fired
+  // and a poison must have landed on the main chain.
+  auto value = [](const RunRecord& rec, const std::string& name) {
+    for (const auto& [key, v] : rec.values)
+      if (key == name) return v;
+    ADD_FAILURE() << "no metric " << name;
+    return 0.0;
+  };
+  for (const auto& point : r.points)
+    for (const auto& rec : point.seeds) {
+      EXPECT_GT(value(rec, "frauds_detected"), 0) << "seed " << rec.seed;
+      EXPECT_GT(value(rec, "main_chain_poisons"), 0) << "seed " << rec.seed;
+    }
+}
+
 TEST(Sweep, AttackScenariosAreJobsInvariant) {
   // Adversary + fault runs must stay a pure function of (scenario, seed):
   // the attack smoke grid yields bit-identical digests for any --jobs.
