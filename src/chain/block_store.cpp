@@ -5,6 +5,36 @@
 
 namespace bng::chain {
 
+BlockStore::BlockStore(std::uint32_t views) : views_(views) {
+  if (views == 0) throw std::invalid_argument("BlockStore: needs at least one view");
+}
+
+void BlockStore::record_acceptance(BlockId id, std::uint32_t view, std::uint32_t ordinal,
+                                   Seconds at) {
+  const std::size_t i = static_cast<std::size_t>(id) * views_ + view;
+  if (i >= ordinal_.size()) {  // append rows up to id's
+    ordinal_.resize((static_cast<std::size_t>(id) + 1) * views_, kNotAccepted);
+    arrival_.resize(ordinal_.size(), 0);
+  }
+  ordinal_[i] = ordinal;
+  arrival_[i] = at;
+}
+
+void BlockStore::hold(BlockId id, const BlockPtr& block) {
+  if (id >= facts_.size())
+    facts_.resize(std::max<std::size_t>(facts_.size() * 2, static_cast<std::size_t>(id) + 1));
+  BlockPtr& held = facts_[id].block;
+  if (held == nullptr) held = block;
+  if (held != block && held->id() != block->id())
+    throw std::logic_error("BlockStore: a different block under a held id");
+}
+
+const BlockPtr& BlockStore::body(BlockId id) const {
+  if (id >= facts_.size() || facts_[id].block == nullptr)
+    throw std::logic_error("BlockStore: no body held for this id");
+  return facts_[id].block;
+}
+
 BlockId BlockStore::admit_genesis(const BlockPtr& genesis) {
   const BlockId id = interner_.intern(genesis->id());
   if (genesis_ != kNoBlockId) {
@@ -32,12 +62,9 @@ void BlockStore::admit(const BlockPtr& block, BlockId id, BlockId parent, double
     return;
   }
   if (!known(parent)) throw std::invalid_argument("BlockStore: unknown parent");
-  if (id >= facts_.size()) {
-    facts_.resize(std::max<std::size_t>(facts_.size() * 2, static_cast<std::size_t>(id) + 1));
-  }
+  hold(id, block);
   const BlockFacts& p = facts_[parent];
   BlockFacts& f = facts_[id];
-  f.block = block;
   f.parent = parent;
   f.height = p.height + 1;
   f.pow_height = p.pow_height + (block->is_pow() ? 1 : 0);

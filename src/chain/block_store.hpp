@@ -1,4 +1,5 @@
-// The deployment-wide block store: each block's chain facts, computed once.
+// The deployment-wide block store: each block's chain facts, computed once,
+// and every node's chain view.
 //
 // A block's height, chain work, payload tx count and fee sum, epoch key block
 // and skip-ancestor pointer are pure functions of the block and its ancestry,
@@ -6,11 +7,14 @@
 // (owned by net::Network and shared by every node tree and the trace
 // recorder's global tree) holds them, keyed by the interned BlockId: the
 // first tree to accept a block computes its facts, and every later tree
-// reuses them after checking that it agrees. Per-node trees
-// (chain/block_tree.hpp) keep only what differs between nodes.
+// reuses them after checking that it agrees. What differs between nodes is
+// kept as flat planes, not per-node vectors: per (block, view), block-major,
+// the view's acceptance ordinal and arrival time, and one tip log of every
+// view's best-tip changes in event order. Each tree is one view.
 //
 // The store also owns the deployment's BlockInterner, so a BlockId names the
-// same block in every tree, gossip set and wire message of the deployment.
+// same block in every tree, gossip set and wire message of the deployment,
+// and the body of every block put on the wire (a message carries the id).
 //
 // Ancestry queries (`is_ancestor`, `common_ancestor`, `ancestor_at_height`,
 // `ancestor_at_or_before`) run here in O(log height) over skip-ancestor
@@ -32,7 +36,7 @@ namespace bng::chain {
 /// Everything about a block that depends only on the block and its
 /// ancestors. Cumulative statistics exclude genesis.
 struct BlockFacts {
-  BlockPtr block;                        ///< null until the block is admitted
+  BlockPtr block;                        ///< null until held or admitted
   BlockId parent = kNoBlockId;           ///< kNoBlockId for genesis
   BlockId jump = kNoBlockId;             ///< skip ancestor (genesis: itself)
   std::uint32_t height = 0;              ///< distance from genesis (all blocks)
@@ -48,6 +52,17 @@ struct BlockFacts {
 
 class BlockStore {
  public:
+  struct TipEntry {
+    Seconds at;
+    std::uint32_t view;
+    BlockId tip;
+  };
+  static constexpr std::uint32_t kNotAccepted = UINT32_MAX;  ///< ordinal of a block not held
+
+  /// A store for a fixed number (> 0) of views.
+  explicit BlockStore(std::uint32_t views);
+  [[nodiscard]] std::uint32_t views() const { return views_; }
+
   /// Id for `h`, assigning the next dense id at first sight.
   BlockId intern(const Hash256& h) { return interner_.intern(h); }
   /// Id for `h` if already interned; kNoBlockId otherwise.
@@ -68,8 +83,14 @@ class BlockStore {
 
   /// Has any tree of the deployment admitted this block?
   [[nodiscard]] bool known(BlockId id) const {
-    return id < facts_.size() && facts_[id].block != nullptr;
+    return id < facts_.size() && facts_[id].jump != kNoBlockId;
   }
+  /// Keep the body of `block`, interned as `id`, readable by id (a no-op if
+  /// held or admitted already; another block under the id throws).
+  void hold(BlockId id, const BlockPtr& block);
+  /// A held or admitted body; throws std::logic_error for any other id.
+  /// Valid until the store next grows.
+  [[nodiscard]] const BlockPtr& body(BlockId id) const;
   /// Facts of an admitted block. The reference stays valid until the next
   /// admission of a new block into this store, by any tree.
   [[nodiscard]] const BlockFacts& facts(BlockId id) const { return facts_[id]; }
@@ -91,14 +112,35 @@ class BlockStore {
   /// Blocks from genesis to `tip`, inclusive.
   [[nodiscard]] std::vector<BlockId> path_from_genesis(BlockId tip) const;
 
+  // --- Views ----------------------------------------------------------------
+  /// Ids below this have a row: one entry per view in each plane.
+  [[nodiscard]] std::size_t rows() const { return ordinal_.size() / views_; }
+  /// `view`'s acceptance ordinal of `id` (genesis 0), or kNotAccepted.
+  [[nodiscard]] std::uint32_t ordinal(BlockId id, std::uint32_t view) const {
+    const std::size_t i = static_cast<std::size_t>(id) * views_ + view;
+    return i < ordinal_.size() ? ordinal_[i] : kNotAccepted;
+  }
+  /// When `view` accepted `id` (requires an ordinal).
+  [[nodiscard]] Seconds arrival(BlockId id, std::uint32_t view) const {
+    return arrival_[static_cast<std::size_t>(id) * views_ + view];
+  }
+  void record_acceptance(BlockId id, std::uint32_t view, std::uint32_t ordinal, Seconds at);
+  /// Every view's best-tip changes in event order; each view opens with genesis.
+  [[nodiscard]] const std::vector<TipEntry>& tip_log() const { return tip_log_; }
+  void log_tip(std::uint32_t view, BlockId tip, Seconds at) { tip_log_.push_back({at, view, tip}); }
+
  private:
   [[nodiscard]] Seconds timestamp(BlockId id) const {
     return facts_[id].block->header().timestamp;
   }
 
   BlockInterner interner_;
-  std::vector<BlockFacts> facts_;  ///< by BlockId; block == nullptr if unknown
+  std::vector<BlockFacts> facts_;  ///< by BlockId; jump == kNoBlockId until admitted
   BlockId genesis_ = kNoBlockId;
+  std::uint32_t views_;
+  std::vector<std::uint32_t> ordinal_;  ///< [block][view]
+  std::vector<Seconds> arrival_;        ///< [block][view]
+  std::vector<TipEntry> tip_log_;
 };
 
 }  // namespace bng::chain

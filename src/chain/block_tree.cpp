@@ -1,22 +1,38 @@
 #include "chain/block_tree.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace bng::chain {
 
 BlockTree::BlockTree(BlockPtr genesis, TieBreak tie_break, ForkChoice fork_choice, Rng* rng,
-                     std::shared_ptr<BlockStore> store)
+                     std::shared_ptr<BlockStore> store, std::uint32_t view)
     : tie_break_(tie_break),
       fork_choice_(fork_choice),
       rng_(rng),
-      store_(store != nullptr ? std::move(store) : std::make_shared<BlockStore>()) {
+      store_(store != nullptr ? std::move(store) : std::make_shared<BlockStore>(1)),
+      view_(view) {
   if (tie_break_ == TieBreak::kRandom && rng_ == nullptr)
     throw std::invalid_argument("BlockTree: random tie-break needs an Rng");
   const BlockId id = store_->admit_genesis(genesis);
-  add_slot(id, 0);
-  best_tip_ = id;
-  tip_history_.push_back({0.0, id});
+  // A view holding genesis is another tree's.
+  if (view_ >= store_->views() || contains_id(id))
+    throw std::invalid_argument("BlockTree: store view out of range or taken");
+  accept(id, 0);
+  set_tip(id, 0);
+}
+
+std::vector<BlockId> BlockTree::accepted() const {
+  std::vector<BlockId> out(size_);
+  for (BlockId id = 0; id < store_->rows(); ++id)
+    if (contains_id(id)) out[store_->ordinal(id, view_)] = id;
+  return out;
+}
+
+std::vector<BlockTree::TipChange> BlockTree::tip_history() const {
+  std::vector<TipChange> out;
+  for (const BlockStore::TipEntry& e : store_->tip_log())
+    if (e.view == view_) out.push_back(e);
+  return out;
 }
 
 std::optional<BlockId> BlockTree::find(const Hash256& h) const {
@@ -33,32 +49,31 @@ void BlockTree::insert(const BlockPtr& block, BlockId id, Seconds received_at, d
                                            : store_->lookup(block->header().prev);
   if (!contains_id(parent)) throw std::invalid_argument("BlockTree: unknown parent");
   store_->admit(block, id, parent, work);
-  add_slot(id, received_at);
+  const std::uint32_t slot = size_;
+  accept(id, received_at);
   if (fork_choice_ == ForkChoice::kHeaviestChain) {
     maybe_switch_tip(id, received_at);
   } else {
-    add_ghost_work(slot_[id], parent, work);
+    add_ghost_work(slot, parent, work);
     recompute_ghost_tip(received_at);
   }
 }
 
-void BlockTree::add_slot(BlockId id, Seconds received_at) {
-  if (id >= slot_.size()) {
-    slot_.resize(std::max<std::size_t>(slot_.size() * 2, static_cast<std::size_t>(id) + 1),
-                 kNoSlot);
+void BlockTree::accept(BlockId id, Seconds received_at) {
+  store_->record_acceptance(id, view_, size_, received_at);
+  ++size_;
+  if (fork_choice_ == ForkChoice::kHeaviestSubtree) {
+    ghost_.emplace_back();
+    ghost_ids_.push_back(id);
   }
-  slot_[id] = static_cast<std::uint32_t>(accepted_.size());
-  accepted_.push_back(id);
-  received_.push_back(received_at);
-  if (fork_choice_ == ForkChoice::kHeaviestSubtree) ghost_.emplace_back();
 }
 
 void BlockTree::add_ghost_work(std::uint32_t slot, BlockId parent, double work) {
-  ghost_[slot_[parent]].children.push_back(slot);
+  ghost_[store_->ordinal(parent, view_)].children.push_back(slot);
   ghost_[slot].subtree_work = work;
   if (work > 0) {
     for (BlockId a = parent; a != kNoBlockId; a = store_->facts(a).parent)
-      ghost_[slot_[a]].subtree_work += work;
+      ghost_[store_->ordinal(a, view_)].subtree_work += work;
   }
 }
 
@@ -110,12 +125,12 @@ void BlockTree::recompute_ghost_tip(Seconds at) {
     if (best_child == kNoSlot || best_work <= 0) break;
     cur = best_child;
   }
-  if (accepted_[cur] != best_tip_) set_tip(accepted_[cur], at);
+  if (ghost_ids_[cur] != best_tip_) set_tip(ghost_ids_[cur], at);
 }
 
 void BlockTree::set_tip(BlockId tip, Seconds at) {
   best_tip_ = tip;
-  tip_history_.push_back({at, tip});
+  store_->log_tip(view_, tip, at);
 }
 
 }  // namespace bng::chain

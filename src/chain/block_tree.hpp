@@ -8,12 +8,12 @@
 // Everything about a block that depends only on the block and its ancestry
 // (height, chain work, tx and fee sums, epoch, jump pointer) lives once per
 // deployment in the shared BlockStore (chain/block_store.hpp), keyed by the
-// interned BlockId; so do the ancestry queries. A tree keeps only what
-// differs between nodes: which blocks this node accepted and in what order,
-// their arrival times, its best tip and tip history, and — under GHOST only —
-// child lists in arrival order and subtree work, because tie-break draws
-// follow that order. Blocks are named by BlockId throughout; membership and
-// arrival lookups are single array reads.
+// interned BlockId; so do the ancestry queries, and, in the tree's own view
+// of the store, which blocks this node accepted in what order, their arrival
+// times and its tip history. The tree keeps its best tip and — under GHOST
+// only — child lists in arrival order and subtree work, because tie-break
+// draws follow that order. Blocks are named by BlockId throughout;
+// membership and arrival lookups are single array reads.
 #pragma once
 
 #include <cstdint>
@@ -37,17 +37,16 @@ class BlockTree {
     kHeaviestSubtree,  ///< GHOST rule.
   };
 
-  /// A record of every best-tip change, consumed by the metrics suite.
-  struct TipChange {
-    Seconds at;
-    BlockId tip;
-  };
+  /// A best-tip change: when, to which tip (and in which store view).
+  using TipChange = BlockStore::TipEntry;
 
   /// `store` is the deployment-wide block store shared by every tree of a
-  /// deployment (see net::Network::block_store()); a standalone tree (unit
-  /// tests, benches) may pass nullptr and owns a private one.
+  /// deployment (see net::Network::block_store()), and `view` the one view
+  /// of it this tree claims (throws if taken or out of range); a standalone
+  /// tree (unit tests, benches) may pass nullptr and owns a one-view store.
   BlockTree(BlockPtr genesis, TieBreak tie_break, ForkChoice fork_choice, Rng* rng,
-            std::shared_ptr<BlockStore> store = nullptr);
+            std::shared_ptr<BlockStore> store = nullptr, std::uint32_t view = 0);
+  BlockTree(BlockTree&&) noexcept = default;  ///< the view moves; no copies
 
   /// Gamma knob for kRandom tie-breaking (see Params::tie_switch_prob). The
   /// 0.5 default keeps the original unbiased draw path bit-for-bit.
@@ -73,17 +72,17 @@ class BlockTree {
 
   // --- Membership and this node's arrival record ----------------------------
   [[nodiscard]] bool contains_id(BlockId id) const {
-    return id < slot_.size() && slot_[id] != kNoSlot;
+    return store_->ordinal(id, view_) != BlockStore::kNotAccepted;
   }
   [[nodiscard]] bool contains(const Hash256& h) const { return contains_id(store_->lookup(h)); }
   /// The block's id if this tree holds it.
   [[nodiscard]] std::optional<BlockId> find(const Hash256& h) const;
   /// When this node accepted the block (genesis: 0). Requires contains_id.
-  [[nodiscard]] Seconds received(BlockId id) const { return received_[slot_[id]]; }
+  [[nodiscard]] Seconds received(BlockId id) const { return store_->arrival(id, view_); }
   /// Accepted blocks in acceptance order, genesis first (a parent always
-  /// precedes its children).
-  [[nodiscard]] const std::vector<BlockId>& accepted() const { return accepted_; }
-  [[nodiscard]] std::size_t size() const { return accepted_.size(); }
+  /// precedes its children). Derived in O(rows), for tests and tools.
+  [[nodiscard]] std::vector<BlockId> accepted() const;
+  [[nodiscard]] std::size_t size() const { return size_; }
 
   // --- Chain facts (shared store) -------------------------------------------
   /// Facts of a block this tree holds; see BlockStore::facts for lifetime.
@@ -93,10 +92,13 @@ class BlockTree {
   [[nodiscard]] const BlockFacts& best() const { return store_->facts(best_tip_); }
 
   /// History of best-tip switches, in order (first entry is genesis at 0).
-  [[nodiscard]] const std::vector<TipChange>& tip_history() const { return tip_history_; }
+  /// Derived from the store's tip log, for tests and tools.
+  [[nodiscard]] std::vector<TipChange> tip_history() const;
 
   /// Own + descendants' work in this node's view. GHOST trees only.
-  [[nodiscard]] double subtree_work(BlockId id) const { return ghost_[slot_[id]].subtree_work; }
+  [[nodiscard]] double subtree_work(BlockId id) const {
+    return ghost_[store_->ordinal(id, view_)].subtree_work;
+  }
 
   // --- Ancestry (answered by the shared store) ------------------------------
   [[nodiscard]] bool is_ancestor(BlockId anc, BlockId desc) const {
@@ -113,7 +115,7 @@ class BlockTree {
   }
 
  private:
-  static constexpr std::uint32_t kNoSlot = UINT32_MAX;
+  static constexpr std::uint32_t kNoSlot = BlockStore::kNotAccepted;
 
   /// Per-block GHOST state: it depends on which descendants this node has
   /// seen, and in what order, so it cannot live in the shared store.
@@ -122,7 +124,7 @@ class BlockTree {
     std::vector<std::uint32_t> children;  ///< slots, in arrival order
   };
 
-  void add_slot(BlockId id, Seconds received_at);
+  void accept(BlockId id, Seconds received_at);  ///< as slot size()
   void add_ghost_work(std::uint32_t slot, BlockId parent, double work);
   void maybe_switch_tip(BlockId candidate, Seconds at);
   void recompute_ghost_tip(Seconds at);
@@ -134,12 +136,11 @@ class BlockTree {
   ForkChoice fork_choice_;
   Rng* rng_;  ///< used for random tie-breaking only; may be null for kFirstSeen
   std::shared_ptr<BlockStore> store_;
-  std::vector<std::uint32_t> slot_;  ///< BlockId -> acceptance slot / kNoSlot
-  std::vector<BlockId> accepted_;    ///< slot -> BlockId
-  std::vector<Seconds> received_;    ///< slot -> arrival time
-  std::vector<GhostState> ghost_;    ///< slot -> GHOST state; empty otherwise
+  std::uint32_t view_;
+  std::uint32_t size_ = 0;  ///< blocks accepted; a slot is a view's ordinal
   BlockId best_tip_ = kNoBlockId;
-  std::vector<TipChange> tip_history_;
+  std::vector<GhostState> ghost_;   ///< slot -> GHOST state; empty otherwise
+  std::vector<BlockId> ghost_ids_;  ///< slot -> BlockId; GHOST only
 };
 
 }  // namespace bng::chain

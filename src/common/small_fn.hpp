@@ -1,12 +1,13 @@
 // Small-buffer-optimized move-only callable, the event-queue callback type.
 //
 // The simulation schedules millions of callbacks per run, almost all of them
-// lambdas capturing `this` plus a few ids or one shared_ptr (16-40 bytes).
-// std::function heap-allocates for captures over ~16 bytes, which made every
-// simulated message pay a malloc/free pair. SmallFn stores callables up to
-// kInlineBytes inline and only falls back to the heap for oversized or
-// throwing-move captures. Trivially copyable / destructible callables skip
-// the indirect relocate / destroy calls entirely.
+// lambdas capturing `this` plus a few ids, or a network delivery carrying a
+// 12-byte message value (16-32 bytes). std::function heap-allocates for
+// captures over ~16 bytes, which made every simulated message pay a
+// malloc/free pair. SmallFn stores callables up to kInlineBytes inline and
+// only falls back to the heap for oversized or throwing-move captures.
+// Trivially copyable / destructible callables (all of the above) skip the
+// indirect relocate / destroy calls entirely.
 #pragma once
 
 #include <cstddef>
@@ -20,7 +21,7 @@ namespace bng {
 
 class SmallFn {
  public:
-  /// Sized so the common simulation lambdas (this + shared_ptr + two ids,
+  /// Sized so the common simulation callbacks (this + a link + a message,
   /// or a whole std::function) fit without touching the heap.
   static constexpr std::size_t kInlineBytes = 48;
 

@@ -65,8 +65,7 @@ std::vector<BlockId> final_main_chain(const Experiment& exp) {
 
 double consensus_delay(const Experiment& exp, double epsilon, double delta) {
   const BlockTree& g = exp.global_tree();
-  const auto& nodes = exp.nodes();
-  const std::size_t n_nodes = nodes.size();
+  const std::size_t n_nodes = exp.nodes().size();
   const auto quorum = static_cast<std::size_t>(epsilon * static_cast<double>(n_nodes));
 
   // Generation times (ascending): candidate prefix cuts.
@@ -94,25 +93,23 @@ double consensus_delay(const Experiment& exp, double epsilon, double delta) {
   }
 
   // Nodes holding the same tip hold the same chain, so the vote is taken per
-  // distinct tip, weighted by how many nodes hold it. One stable merge of
-  // every node's tip history (each already in time order) into the sample
-  // intervals replays the holder counts forward: a change lands in the
-  // first sample at or after it. Filling node by node keeps each node's
-  // changes in history order, and a node's tip at a sample is its last
-  // change at or before it; every history opens with genesis at time 0.
+  // distinct tip, weighted by how many nodes hold it. One pass over the
+  // store's tip log (event order; node v is view v, and the last view is the
+  // trace recorder's) files each change under the first sample at or after
+  // it; replayed forward, a node's tip at a sample is its last change at or
+  // before it (every view opens with genesis at 0). Only where each node
+  // ends a sample matters, not how the nodes' changes interleave.
   struct Change {
     std::uint32_t node;
     BlockId tip;
   };
   std::vector<std::vector<Change>> changes_before(sample_times.size());
-  for (std::size_t n = 0; n < n_nodes; ++n) {
-    auto s_it = sample_times.begin();
-    for (const BlockTree::TipChange& c : nodes[n]->tree().tip_history()) {
-      s_it = std::lower_bound(s_it, sample_times.end(), c.at);
-      if (s_it == sample_times.end()) break;
-      changes_before[static_cast<std::size_t>(s_it - sample_times.begin())].push_back(
-          {static_cast<std::uint32_t>(n), c.tip});
-    }
+  for (const chain::BlockStore::TipEntry& c : g.store().tip_log()) {
+    if (c.view >= n_nodes) continue;
+    const auto s_it = std::lower_bound(sample_times.begin(), sample_times.end(), c.at);
+    if (s_it == sample_times.end()) continue;
+    changes_before[static_cast<std::size_t>(s_it - sample_times.begin())].push_back(
+        {c.view, c.tip});
   }
 
   // Per tip BlockId: its holder count. Chains are walked in the shared store,
@@ -202,51 +199,49 @@ double mining_power_utilization(const Experiment& exp) {
 
 double time_to_prune(const Experiment& exp, double percentile_value) {
   const auto on_main = main_chain_flags(exp);
-  std::vector<double> samples;
-  // Branch of each off-main block, by BlockId, shared by every node's pass:
-  // a pass visits blocks in acceptance order, parents before children, so
-  // it writes each entry it reads before reading it.
-  std::vector<std::size_t> branch_of(on_main.size(), 0);
+  const chain::BlockStore& store = exp.global_tree().store();
+  const auto n_nodes = static_cast<std::uint32_t>(exp.nodes().size());
+  // A node's view (node v's tree is view v) holds a prefix of the main
+  // chain, whose work never falls: the first main-chain block outweighing a
+  // branch is one block for all nodes, and prunes it where it arrives.
+  const std::vector<BlockId> main = final_main_chain(exp);
+  const auto lighter = [&store](double work, BlockId id) {
+    return work < store.facts(id).chain_work;
+  };
 
-  for (const auto& node : exp.nodes()) {
-    const BlockTree& t = node->tree();
-    // Receipt curve of main-chain blocks: (received, chain_work), in receipt
-    // order (parents precede children, so work is non-decreasing).
-    std::vector<std::pair<Seconds, double>> main_curve;
-    for (const BlockId id : t.accepted())
-      if (on_main[id]) main_curve.emplace_back(t.received(id), t.facts(id).chain_work);
-    // Group off-main blocks into branches rooted where they leave the chain.
-    struct Branch {
-      Seconds first_received = 0;
-      double max_work = 0;
-    };
-    std::vector<Branch> branches;
-    for (const BlockId id : t.accepted()) {
-      if (on_main[id]) continue;
-      const chain::BlockFacts& f = t.facts(id);
-      const Seconds received = t.received(id);
-      if (!on_main[f.parent]) {
-        Branch& b = branches[branch_of[f.parent]];
-        b.first_received = std::min(b.first_received, received);
-        b.max_work = std::max(b.max_work, f.chain_work);
-        branch_of[id] = branch_of[f.parent];
-      } else {
-        branch_of[id] = branches.size();
-        branches.push_back(Branch{received, f.chain_work});
-      }
+  // Off-main blocks by branch, rooted where they leave the chain. Ids are
+  // interned in generation order, so a parent's id is below its children's.
+  std::vector<std::uint32_t> branch_of(store.rows(), 0);
+  std::vector<std::vector<BlockId>> branches;  // members, root first
+  for (BlockId id = 0; id < store.rows(); ++id) {
+    if (on_main[id] || !store.known(id)) continue;
+    const BlockId parent = store.facts(id).parent;
+    branch_of[id] = on_main[parent] ? static_cast<std::uint32_t>(branches.size())
+                                    : branch_of[parent];
+    if (on_main[parent]) branches.emplace_back();
+    branches[branch_of[id]].push_back(id);
+  }
+
+  // Block by block over the planes: the heaviest member each node holds,
+  // then each holder's wait from the root's arrival to the pruning block's.
+  std::vector<double> samples;
+  std::vector<double> max_work(n_nodes);
+  for (const std::vector<BlockId>& members : branches) {
+    std::fill(max_work.begin(), max_work.end(), 0.0);
+    for (const BlockId id : members) {
+      const double work = store.facts(id).chain_work;
+      for (std::uint32_t v = 0; v < n_nodes; ++v)
+        if (store.ordinal(id, v) != chain::BlockStore::kNotAccepted)
+          max_work[v] = std::max(max_work[v], work);
     }
-    // For each branch: first main-chain receipt whose chain outweighs it.
-    for (const Branch& br : branches) {
-      auto it = std::find_if(main_curve.begin(), main_curve.end(),
-                             [&](const auto& pr) { return pr.second > br.max_work; });
-      if (it == main_curve.end()) continue;  // never pruned within the run
-      if (it->first <= br.first_received) {
-        // The node already held a heavier main chain when the branch block
-        // arrived: pruned immediately.
-        samples.push_back(0.0);
-      } else {
-        samples.push_back(it->first - br.first_received);
-      }
+    const BlockId root = members.front();
+    for (std::uint32_t v = 0; v < n_nodes; ++v) {
+      if (store.ordinal(root, v) == chain::BlockStore::kNotAccepted) continue;
+      const auto pruner = std::upper_bound(main.begin(), main.end(), max_work[v], lighter);
+      if (pruner == main.end()) continue;  // never pruned within the run
+      if (store.ordinal(*pruner, v) == chain::BlockStore::kNotAccepted) continue;
+      const Seconds wait = store.arrival(*pruner, v) - store.arrival(root, v);
+      samples.push_back(wait <= 0 ? 0.0 : wait);  // <= 0: pruned on arrival
     }
   }
   return percentile(std::move(samples), percentile_value);
@@ -316,14 +311,16 @@ AttackerReport attacker_report(const Experiment& exp, NodeId attacker) {
 }
 
 std::vector<double> propagation_delays(const Experiment& exp) {
-  // One id-indexed array probe per (block, node) pair — the interned id in
-  // the generation record replaces a Hash256 map lookup per pair.
+  // One plane row per generated block, read across the nodes' views in node
+  // order (node v's tree is view v).
+  const chain::BlockStore& store = exp.global_tree().store();
+  const auto n_nodes = static_cast<std::uint32_t>(exp.nodes().size());
   std::vector<double> delays;
   for (const auto& rec : exp.trace().generated()) {
-    for (const auto& node : exp.nodes()) {
-      if (node->id() == rec.miner) continue;  // the miner holds it instantly
-      const BlockTree& t = node->tree();
-      if (t.contains_id(rec.id)) delays.push_back(t.received(rec.id) - rec.at);
+    for (std::uint32_t v = 0; v < n_nodes; ++v) {
+      if (v == rec.miner) continue;  // the miner holds it instantly
+      if (store.ordinal(rec.id, v) != chain::BlockStore::kNotAccepted)
+        delays.push_back(store.arrival(rec.id, v) - rec.at);
     }
   }
   return delays;

@@ -12,7 +12,7 @@ Network::Network(EventQueue& queue, const Topology& topology, const LatencyModel
     : queue_(queue),
       topology_(topology),
       params_(params),
-      block_store_(std::make_shared<chain::BlockStore>()),
+      block_store_(std::make_shared<chain::BlockStore>(topology.num_nodes() + 1)),
       node_state_(std::make_shared<NodeStateArena>(topology.num_nodes())) {
   const std::uint32_t n = topology_.num_nodes();
   handlers_.resize(n, nullptr);
@@ -24,18 +24,18 @@ Network::Network(EventQueue& queue, const Topology& topology, const LatencyModel
   for (NodeId v = 0; v < n; ++v)
     offset_[v + 1] = offset_[v] + static_cast<std::uint32_t>(topology_.peers(v).size());
   row_sorted_.resize(offset_[n]);
-  edge_from_.resize(offset_[n]);
+  peer_edge_.resize(offset_[n]);
   for (NodeId v = 0; v < n; ++v) {
     const auto& adj = topology_.peers(v);
     std::copy(adj.begin(), adj.end(), row_sorted_.begin() + offset_[v]);
     std::sort(row_sorted_.begin() + offset_[v], row_sorted_.begin() + offset_[v + 1]);
-    std::fill(edge_from_.begin() + offset_[v], edge_from_.begin() + offset_[v + 1], v);
+    for (std::size_t i = 0; i < adj.size(); ++i) peer_edge_[offset_[v] + i] = find_edge(v, adj[i]);
   }
   latency_.resize(offset_[n], 0);
   busy_until_.resize(offset_[n], 0);
   fifo_.resize(offset_[n]);
   blocked_.resize(offset_[n], 0);
-  direct_.resize(offset_[n], kIdle);
+  state_.resize(offset_[n], kIdle);
   last_arrival_.resize(offset_[n], 0);
   skip_seq_.resize(offset_[n], 0);
 
@@ -84,16 +84,24 @@ void Network::attach(NodeId node, INode* handler) {
   handlers_[node] = handler;
 }
 
+Network::Link Network::link(NodeId from, NodeId to) const {
+  const std::uint32_t e = find_edge(from, to);
+  if (e == kNoEdge) throw std::invalid_argument("Network: nodes are not neighbours");
+  return {from, to, e};
+}
+
 Seconds Network::edge_latency(NodeId a, NodeId b) const {
   const std::uint32_t e = find_edge(a, b);
   if (e == kNoEdge) throw std::invalid_argument("Network: no such edge");
   return latency_[e];
 }
 
-inline Seconds Network::charge(std::uint32_t e, std::size_t payload_bytes) {
+inline Seconds Network::charge(std::uint32_t e, std::uint32_t payload_bytes,
+                               std::uint8_t kind) {
   const std::size_t wire_bytes = payload_bytes + params_.per_message_overhead_bytes;
   bytes_sent_ += wire_bytes;
   ++messages_sent_;
+  ++sent_by_kind_[kind];
 
   // Store-and-forward over a serialized directed link.
   const Seconds transfer = static_cast<double>(wire_bytes) * 8.0 / params_.bandwidth_bps;
@@ -103,26 +111,25 @@ inline Seconds Network::charge(std::uint32_t e, std::size_t payload_bytes) {
   return done_sending + latency_[e];
 }
 
-inline bool Network::link_idle(std::uint32_t e) {
-  if (direct_[e] == kSkipped) settle_skip(e);
-  return direct_[e] == kIdle && fifo_[e].empty();
+inline bool Network::link_idle(const Link& l) {
+  if (state_[l.edge] == kSkipped) {
+    if (!queue_.passed(last_arrival_[l.edge], skip_seq_[l.edge])) schedule_skipped(l);
+    else state_[l.edge] = kIdle;  // the skipped delivery would have run already
+  }
+  return state_[l.edge] == kIdle;
 }
 
-void Network::settle_skip(std::uint32_t e) {
-  if (queue_.passed(last_arrival_[e], skip_seq_[e])) {
-    direct_[e] = kIdle;  // the skipped delivery would have run already
-    return;
-  }
-  // This send lands behind the skipped delivery, which re-arms the link for
-  // it when it runs: give it its event, at its reserved place.
-  queue_.schedule_reserved(last_arrival_[e], skip_seq_[e], DeliverDirect{this, e, nullptr});
-  direct_[e] = kDirect;
+void Network::schedule_skipped(const Link& l) {
+  // The skipped delivery gets its event at its place, and re-arms the link.
+  queue_.schedule_reserved(last_arrival_[l.edge], skip_seq_[l.edge],
+                           DeliverDirect{this, l, Message{}});
+  state_[l.edge] = kDirect;
   ++active_links_;
   ++in_flight_;
   --deliveries_elided_;
 }
 
-inline void Network::enqueue(std::uint32_t e, Seconds arrival, MessagePtr&& msg) {
+inline void Network::enqueue(std::uint32_t e, Seconds arrival, Message msg) {
   // A link delivers in order. With constant latency arrivals are naturally
   // monotone; a mid-flight latency *decrease* (a healing fault window) would
   // let a later message compute an earlier arrival, so clamp to the link's
@@ -131,19 +138,20 @@ inline void Network::enqueue(std::uint32_t e, Seconds arrival, MessagePtr&& msg)
   arrival = std::max(arrival, last_arrival_[e]);
   last_arrival_[e] = arrival;
   ++in_flight_;
-  fifo_[e].q.push_back(InFlight{arrival, std::move(msg)});
+  fifo_[e].q.push_back(InFlight{arrival, msg});
+  state_[e] |= kQueued;
 }
 
-void Network::send(NodeId from, NodeId to, MessagePtr msg) {
-  const std::uint32_t e = find_edge(from, to);
-  if (e == kNoEdge) throw std::invalid_argument("Network::send: nodes are not neighbours");
-  if (offline_[from] || offline_[to] || blocked_[e] != 0) return;
-  const Seconds arrival = charge(e, msg->wire_size());
+void Network::send(Link l, Message msg) {
+  if (msg.kind == 0 || msg.kind >= kMessageKinds)
+    throw std::invalid_argument("Network::send: message kind out of range");
+  if (offline_[l.from] || offline_[l.to] || blocked_[l.edge] != 0) return;
+  const Seconds arrival = charge(l.edge, msg.wire_size, msg.kind);
 
   // Event train: only the idle->busy transition touches the event queue; a
   // busy link just grows its FIFO (delivery re-arms on pop).
-  if (!link_idle(e)) {
-    enqueue(e, arrival, std::move(msg));
+  if (!link_idle(l)) {
+    enqueue(l.edge, arrival, msg);
     return;
   }
   // Idle-link fast path: no FIFO round-trip — the delivery event carries
@@ -151,68 +159,66 @@ void Network::send(NodeId from, NodeId to, MessagePtr msg) {
   // FIFO-head event would have had, so runs replay identically.
   ++in_flight_;
   ++active_links_;
-  direct_[e] = kDirect;
-  last_arrival_[e] = arrival;
-  queue_.schedule_at(arrival, DeliverDirect{this, e, std::move(msg)});
+  state_[l.edge] = kDirect;
+  last_arrival_[l.edge] = arrival;
+  queue_.schedule_at(arrival, DeliverDirect{this, l, msg});
 }
 
-void Network::send_ignored(NodeId from, NodeId to, std::size_t wire_size) {
-  const std::uint32_t e = find_edge(from, to);
-  if (e == kNoEdge)
-    throw std::invalid_argument("Network::send_ignored: nodes are not neighbours");
-  if (offline_[from] || offline_[to] || blocked_[e] != 0) return;
-  const Seconds arrival = charge(e, wire_size);
-  if (!link_idle(e)) {
-    enqueue(e, arrival, nullptr);
+void Network::send_ignored(Link l, std::uint32_t wire_size) {
+  if (offline_[l.from] || offline_[l.to] || blocked_[l.edge] != 0) return;
+  const Seconds arrival = charge(l.edge, wire_size, 0);
+  if (!link_idle(l)) {
+    enqueue(l.edge, arrival, Message{0, 0, wire_size});
     return;
   }
   // Nothing to deliver and nothing queued behind it: hold the delivery's
   // place in the event order, schedule nothing.
-  direct_[e] = kSkipped;
-  last_arrival_[e] = arrival;
-  skip_seq_[e] = queue_.reserve_seq(arrival);
+  state_[l.edge] = kSkipped;
+  last_arrival_[l.edge] = arrival;
+  skip_seq_[l.edge] = queue_.reserve_seq(arrival);
   ++deliveries_elided_;
 }
 
-inline void Network::dispatch(std::uint32_t e, const MessagePtr& msg) {
-  if (msg == nullptr) return;  // a send_ignored message
-  const NodeId to = row_sorted_[e];
+inline void Network::dispatch(NodeId from, NodeId to, Message msg) {
+  if (msg.kind == 0) return;  // a send_ignored message
   if (offline_[to]) return;
   INode* handler = handlers_[to];
   if (handler == nullptr) throw std::logic_error("Network: message for unattached node");
-  handler->on_message(edge_from_[e], msg);
+  handler->on_message(from, msg);
 }
 
-void Network::deliver_direct(std::uint32_t e, const MessagePtr& msg) {
-  LinkFifo& f = fifo_[e];
+void Network::deliver_direct(Link l, Message msg) {
   --in_flight_;
-  direct_[e] = kIdle;
   ++direct_deliveries_;
+  std::uint8_t& state = state_[l.edge];
+  state &= static_cast<std::uint8_t>(~kDirect);
   std::uint64_t rearm = 0;
-  if (f.empty()) {
+  if (state == kIdle) {
     --active_links_;
   } else {
     // Messages queued up behind the direct flight: re-arm before delivering
     // (see drain_train for the ordering discipline).
-    rearm = queue_.schedule_at(f.q[f.head].arrival, DeliverHead{this, e});
+    const LinkFifo& f = fifo_[l.edge];
+    rearm = queue_.schedule_at(f.q[f.head].arrival, DeliverHead{this, l});
   }
-  dispatch(e, msg);
+  dispatch(l.from, l.to, msg);
   if (rearm != 0 && queue_.consume_if_next(rearm)) {
     ++burst_drained_;
-    drain_train(e);
+    drain_train(l);
   }
 }
 
-void Network::drain_train(std::uint32_t e) {
+void Network::drain_train(Link l) {
   for (;;) {
-    LinkFifo& f = fifo_[e];
-    MessagePtr msg = std::move(f.q[f.head].msg);
+    LinkFifo& f = fifo_[l.edge];
+    const Message msg = f.q[f.head].msg;
     ++f.head;
     --in_flight_;
     std::uint64_t rearm = 0;
     if (f.empty()) {
       f.q.clear();
       f.head = 0;
+      state_[l.edge] = kIdle;
       --active_links_;
     } else {
       // Compact the delivered prefix once it dominates the vector, so a link
@@ -225,9 +231,9 @@ void Network::drain_train(std::uint32_t e) {
       // Re-arm before delivering: keeps this link's next delivery ahead (in
       // schedule order) of any events the handler schedules now, matching
       // the per-message scheduling the train replaced.
-      rearm = queue_.schedule_at(f.q[f.head].arrival, DeliverHead{this, e});
+      rearm = queue_.schedule_at(f.q[f.head].arrival, DeliverHead{this, l});
     }
-    dispatch(e, msg);
+    dispatch(l.from, l.to, msg);
     // Burst drain: if the event we just armed is the queue's next event,
     // nothing else in the simulation is due before it — consume it and keep
     // draining inline. consume_if_next advances time and the executed count

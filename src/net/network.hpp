@@ -7,18 +7,20 @@
 // latency even begins — this is what creates the linear size/latency
 // relation of Fig 7 and the fork pressure of Fig 8b.
 //
-// Fast-path design: the per-edge state (latency, link-busy horizon, in-flight
+// A message is a 12-byte value, so a send allocates nothing. Fast-path design: the per-edge state (latency, link-busy horizon, in-flight
 // FIFO) lives in CSR-style flat arrays indexed by a directed-edge slot
-// resolved once at construction, so send() is a short scan over one adjacency
-// row plus pure array arithmetic — no hash maps anywhere on the message path.
+// resolved once at construction (peer_edges(), so a broadcast never searches
+// a row), and whether a link is idle is one byte — no hash maps anywhere on
+// the message path.
 //
 // Per-link event trains: a store-and-forward link delivers in order, so each
 // directed edge keeps one FIFO of in-flight messages and at most ONE
 // scheduled delivery event (for the head's arrival). Sending onto a busy
 // link is a FIFO push with no event-queue traffic; the delivery callback is
-// a trivially-copyable {Network*, edge} pair that re-arms itself for the next
-// queued message. The pending-event set is O(active links), not O(in-flight
-// messages) — under a gossip burst that is an order of magnitude smaller.
+// a trivially-copyable {Network*, link} value that re-arms itself for the
+// next queued message. The pending-event set is O(active links), not
+// O(in-flight messages) — under a gossip burst that is an order of magnitude
+// smaller.
 //
 // Two delivery fast paths on top of the train (both observationally
 // identical to the one-event-per-message schedule, so digests don't move):
@@ -39,7 +41,7 @@
 // the event would have had (EventQueue::reserve_seq). If a later send queues
 // behind it before that place passes, the delivery is scheduled at the
 // reserved place, so the later message re-arms the link at the same moment
-// as before; on a busy link it rides the FIFO as an empty entry. Either way
+// as before; on a busy link it rides the FIFO as a kind-0 entry. Either way
 // every other event keeps its exact (time, seq), and the runs replay
 // bit-identically with or without the skip.
 //
@@ -47,11 +49,14 @@
 // object every protocol node of a deployment shares, so it is the natural
 // home for the Hash256 -> BlockId assignment that block trees, gossip sets
 // and wire messages key their hot state by (see common/intern.hpp), and for
-// the per-block chain facts every node tree reads (chain/block_store.hpp).
+// the chain facts, bodies and per-node views (chain/block_store.hpp).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
+#include <span>
+#include <type_traits>
 #include <vector>
 
 #include "common/intern.hpp"
@@ -68,28 +73,23 @@ class BlockStore;
 
 namespace bng::net {
 
-/// Base class for anything sent over the wire. Subclasses add payload.
+/// Kinds 1 .. kMessageKinds - 1 belong to the protocol (protocol::MessageKind).
+inline constexpr std::size_t kMessageKinds = 4;
+
+/// A message on the wire, a plain value.
 struct Message {
-  /// Dispatch tag so receivers can switch + static_cast instead of paying a
-  /// dynamic_cast chain per delivery. 0 = untagged; the protocol layer owns
-  /// the id space (see protocol::MessageKind).
-  const std::uint8_t kind;
-
-  explicit Message(std::uint8_t k = 0) : kind(k) {}
-  virtual ~Message() = default;
-  /// Serialized size in bytes; drives the bandwidth model.
-  [[nodiscard]] virtual std::size_t wire_size() const = 0;
-  /// Short type tag for tracing.
-  [[nodiscard]] virtual const char* type_name() const = 0;
+  /// Dispatch tag. Kind 0 marks a send_ignored entry: never dispatched.
+  std::uint8_t kind = 0;
+  std::uint32_t id = 0;         ///< the interned BlockId, for the protocol
+  std::uint32_t wire_size = 0;  ///< serialized bytes; drives the bandwidth model
 };
-
-using MessagePtr = std::shared_ptr<const Message>;
+static_assert(sizeof(Message) == 12 && std::is_trivially_copyable_v<Message>);
 
 /// Interface implemented by protocol nodes.
 class INode {
  public:
   virtual ~INode() = default;
-  virtual void on_message(NodeId from, const MessagePtr& msg) = 0;
+  virtual void on_message(NodeId from, const Message& msg) = 0;
 };
 
 struct LinkParams {
@@ -108,13 +108,21 @@ class Network {
   Network(EventQueue& queue, const Topology& topology, const LatencyModel& latency,
           LinkParams params, Rng& rng, const LatencyModel* intra = nullptr);
 
+  /// A directed link: its endpoints and its edge slot.
+  struct Link {
+    NodeId from;
+    NodeId to;
+    std::uint32_t edge;
+  };
+
   /// Attach the protocol object for `node`. Must be called for every node
   /// before any message is delivered to it.
   void attach(NodeId node, INode* handler);
 
   /// Send a message from `from` to direct neighbour `to`. Throws if the edge
-  /// does not exist.
-  void send(NodeId from, NodeId to, MessagePtr msg);
+  /// does not exist or the kind is not one of 1 .. kMessageKinds - 1.
+  void send(NodeId from, NodeId to, Message msg) { send(link(from, to), msg); }
+  void send(Link link, Message msg);
 
   /// Send a `wire_size`-byte message that the receiver is known to ignore on
   /// arrival. It is charged and timed like send() — drop checks, counters,
@@ -123,20 +131,28 @@ class Network {
   /// if a later send queues behind it before it passes is the event
   /// scheduled there. So every other event runs at the same (time, seq) as
   /// if the message had been sent and dropped by its receiver.
-  void send_ignored(NodeId from, NodeId to, std::size_t wire_size);
+  void send_ignored(Link link, std::uint32_t wire_size);
+
+  /// Throws if the edge does not exist.
+  [[nodiscard]] Link link(NodeId from, NodeId to) const;
 
   /// Neighbours of `node`.
   [[nodiscard]] const std::vector<NodeId>& peers(NodeId node) const {
     return topology_.peers(node);
+  }
+  /// The edge slot of each of `node`'s links, in peers(node) order.
+  [[nodiscard]] std::span<const std::uint32_t> peer_edges(NodeId node) const {
+    return {peer_edge_.data() + offset_[node], peer_edge_.data() + offset_[node + 1]};
   }
 
   [[nodiscard]] std::uint32_t num_nodes() const { return topology_.num_nodes(); }
   [[nodiscard]] EventQueue& queue() { return queue_; }
   [[nodiscard]] const Topology& topology() const { return topology_; }
 
-  /// The deployment-wide block store — block identities and chain facts —
-  /// shared by every node of this deployment (trees, gossip sets, wire
-  /// messages) and by the trace recorder's global tree.
+  /// The deployment-wide block store — block identities, chain facts, bodies
+  /// and views — shared by every node of this deployment (trees, gossip
+  /// sets, wire messages) and by the trace recorder's global tree. Node v's
+  /// tree is view v; the global tree is view num_nodes().
   [[nodiscard]] const std::shared_ptr<chain::BlockStore>& block_store() const {
     return block_store_;
   }
@@ -153,6 +169,10 @@ class Network {
   /// Total bytes ever put on the wire (payload + overhead).
   [[nodiscard]] std::uint64_t bytes_sent() const { return bytes_sent_; }
   [[nodiscard]] std::uint64_t messages_sent() const { return messages_sent_; }
+  /// Messages charged to links, by kind (0: send_ignored).
+  [[nodiscard]] const std::array<std::uint64_t, kMessageKinds>& sent_by_kind() const {
+    return sent_by_kind_;
+  }
 
   /// Messages currently queued on links (sent, not yet delivered).
   [[nodiscard]] std::uint64_t messages_in_flight() const { return in_flight_; }
@@ -199,68 +219,63 @@ class Network {
  private:
   static constexpr std::uint32_t kNoEdge = UINT32_MAX;
 
-  /// A message riding a link, waiting for its arrival time. Null for a
-  /// send_ignored message: delivered in order, handed to no one.
+  /// A message riding a link, waiting for its arrival time.
   struct InFlight {
     Seconds arrival;
-    MessagePtr msg;
+    Message msg;
   };
 
-  /// Values of a link's direct_ byte.
+  /// Bits of a link's state byte; 0 is idle.
   enum : std::uint8_t {
     kIdle = 0,
     kDirect = 1,   ///< a DeliverDirect event is scheduled (the FIFO queues behind it)
     kSkipped = 2,  ///< a send_ignored delivery holds a reserved place; the FIFO is empty
+    kQueued = 4,   ///< the FIFO is non-empty
   };
 
   /// Per-directed-edge FIFO; `head` indexes the next message to deliver.
-  /// The invariant "a delivery event is scheduled iff the FIFO is non-empty"
-  /// makes a separate scheduled flag unnecessary.
   struct LinkFifo {
     std::vector<InFlight> q;
     std::uint32_t head = 0;
     [[nodiscard]] bool empty() const { return head == q.size(); }
   };
 
-  /// The scheduled per-link delivery callback: trivially copyable, 12 bytes.
+  /// The scheduled per-link delivery callback.
   struct DeliverHead {
     Network* net;
-    std::uint32_t edge;
-    void operator()() const { net->drain_train(edge); }
+    Link link;
+    void operator()() const { net->drain_train(link); }
   };
 
-  /// Idle-link fast path: the message rides inside the event (32 bytes,
-  /// within SmallFn's inline buffer), skipping the FIFO entirely.
+  /// Idle-link fast path: the message rides inside the event, not the FIFO.
   struct DeliverDirect {
     Network* net;
-    std::uint32_t edge;
-    MessagePtr msg;
-    void operator()() const { net->deliver_direct(edge, msg); }
+    Link link;
+    Message msg;
+    void operator()() const { net->deliver_direct(link, msg); }
   };
+  static_assert(std::is_trivially_copyable_v<DeliverDirect>);  // SmallFn memcpys it
 
   // The send-path helpers are declared inline: send() and send_ignored()
   // share them, and left out of line they cost the real-send
   // micro-benchmarks (BM_Network*) 8-20%.
 
-  /// Charge a send of `payload_bytes` to `edge` (counters and link
+  /// Charge a send of `payload_bytes` of `kind` to `edge` (counters and link
   /// occupancy) and return its store-and-forward arrival time.
-  inline Seconds charge(std::uint32_t edge, std::size_t payload_bytes);
-  /// Whether a send finds `edge` with nothing in flight, after settling a
-  /// reserved send_ignored place (settle_skip).
-  inline bool link_idle(std::uint32_t edge);
-  /// A send comes to a link whose send_ignored delivery holds a reserved
-  /// place. If the place has passed, the link is idle; otherwise the
-  /// delivery is given its event at that place, so the new message queues
-  /// behind it.
-  void settle_skip(std::uint32_t edge);
+  inline Seconds charge(std::uint32_t edge, std::uint32_t payload_bytes, std::uint8_t kind);
+  /// Whether a send finds the link with nothing in flight, after settling a
+  /// reserved send_ignored place: a passed one frees the link, and one still
+  /// ahead gets its event (schedule_skipped), so the send queues behind it.
+  inline bool link_idle(const Link& link);
+  void schedule_skipped(const Link& link);
   /// Queue a message behind the link's in-flight ones.
-  inline void enqueue(std::uint32_t edge, Seconds arrival, MessagePtr&& msg);
-  /// Deliver the FIFO head, then keep draining while this edge's re-armed
+  inline void enqueue(std::uint32_t edge, Seconds arrival, Message msg);
+  /// Deliver the FIFO head, then keep draining while this link's re-armed
   /// delivery event is the queue's next event.
-  void drain_train(std::uint32_t edge);
-  void deliver_direct(std::uint32_t edge, const MessagePtr& msg);
+  void drain_train(Link link);
+  void deliver_direct(Link link, Message msg);
   /// Hand one arrived message to the receiving node (offline drop here).
-  inline void dispatch(std::uint32_t edge, const MessagePtr& msg);
+  inline void dispatch(NodeId from, NodeId to, Message msg);
 
   /// Directed-edge slot for (from, to): position of `to` in `from`'s sorted
   /// adjacency row, offset by the CSR row start. kNoEdge if absent.
@@ -279,17 +294,18 @@ class Network {
   // still Topology's original order (peers()); only lookups use these rows.
   std::vector<std::uint32_t> offset_;      // num_nodes + 1
   std::vector<NodeId> row_sorted_;         // peer id per directed-edge slot
-  std::vector<NodeId> edge_from_;          // source node per directed-edge slot
+  std::vector<std::uint32_t> peer_edge_;   // edge slot per peers() position
   std::vector<Seconds> latency_;           // per directed-edge slot, symmetric
   std::vector<Seconds> busy_until_;        // per directed-edge slot (directed)
   std::vector<LinkFifo> fifo_;             // per directed-edge slot
   std::vector<std::uint8_t> blocked_;      // per directed-edge fault depth
-  std::vector<std::uint8_t> direct_;       // kIdle / kDirect / kSkipped
+  std::vector<std::uint8_t> state_;        // link state bits (kDirect, ...)
   std::vector<Seconds> last_arrival_;      // arrival of the edge's latest send
   std::vector<std::uint64_t> skip_seq_;    // reserved seq while kSkipped
 
   std::uint64_t bytes_sent_ = 0;
   std::uint64_t messages_sent_ = 0;
+  std::array<std::uint64_t, kMessageKinds> sent_by_kind_{};
   std::uint64_t in_flight_ = 0;
   std::uint32_t active_links_ = 0;
   std::uint64_t direct_deliveries_ = 0;

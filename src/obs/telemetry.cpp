@@ -1,6 +1,7 @@
 #include "obs/telemetry.hpp"
 
 #include <cstdio>
+#include <fstream>
 
 #include "crypto/sha256.hpp"
 #include "runner/record_codec.hpp"  // json_escape
@@ -18,6 +19,8 @@ void SweepTelemetry::start(std::size_t total_jobs) {
   delivered_ = 0;
   events_total_ = 0;
   elided_total_ = 0;
+  has_messages_ = false;
+  messages_ = {};
   phase_jobs_ = 0;
   simulate_ms_ = 0;
   metrics_ms_ = 0;
@@ -35,10 +38,13 @@ void SweepTelemetry::on_record_delivered() {
   ++delivered_;
 }
 
-void SweepTelemetry::add_events(std::uint64_t executed, std::uint64_t elided) {
+void SweepTelemetry::add_events(std::uint64_t executed, std::uint64_t elided,
+                                const MessageCounts& sent) {
   std::lock_guard lock(mu_);
   events_total_ += executed;
   elided_total_ += elided;
+  has_messages_ = true;
+  for (std::size_t k = 0; k < sent.size(); ++k) messages_[k] += sent[k];
 }
 
 void SweepTelemetry::add_phase_ms(double simulate_ms, double metrics_ms) {
@@ -54,6 +60,9 @@ void SweepTelemetry::add_workload_ms(double ms) {
 }
 
 std::uint64_t SweepTelemetry::peak_rss_bytes() {
+  std::ifstream status("/proc/self/status");  // "VmHWM:   12345 kB"
+  for (std::string line; std::getline(status, line);)
+    if (line.rfind("VmHWM:", 0) == 0) return std::stoull(line.substr(6)) * 1024;
 #if defined(__unix__) || defined(__APPLE__)
   struct rusage ru {};
   if (getrusage(RUSAGE_SELF, &ru) != 0) return 0;
@@ -143,12 +152,23 @@ std::string SweepTelemetry::to_json(const std::string& scenario, double wall_s) 
                 "  \"wall_s\": %.3f",
                 total_jobs_, prefilled_, prefilled_ + delivered_, wall_s);
   j += buf;
-  std::snprintf(buf, sizeof buf,
-                ",\n  \"events_executed\": %llu,\n  \"deliveries_elided\": %llu,\n"
-                "  \"events_per_sec\": %.1f,\n"
-                "  \"rss_peak_mb\": %.1f,\n  \"sha256\": \"%s\"",
+  std::snprintf(buf, sizeof buf, ",\n  \"events_executed\": %llu,\n  \"deliveries_elided\": %llu",
                 static_cast<unsigned long long>(events_total_),
-                static_cast<unsigned long long>(elided_total_),
+                static_cast<unsigned long long>(elided_total_));
+  j += buf;
+  if (has_messages_) {
+    std::snprintf(buf, sizeof buf,
+                  ",\n  \"messages\": {\"inv\": %llu, \"getdata\": %llu, \"block\": %llu, "
+                  "\"ignored\": %llu}",
+                  static_cast<unsigned long long>(messages_[1]),
+                  static_cast<unsigned long long>(messages_[2]),
+                  static_cast<unsigned long long>(messages_[3]),
+                  static_cast<unsigned long long>(messages_[0]));
+    j += buf;
+  }
+  std::snprintf(buf, sizeof buf,
+                ",\n  \"events_per_sec\": %.1f,\n"
+                "  \"rss_peak_mb\": %.1f,\n  \"sha256\": \"%s\"",
                 wall_s > 0 ? static_cast<double>(events_total_) / wall_s : 0.0,
                 static_cast<double>(peak_rss_bytes()) / (1024.0 * 1024.0),
                 crypto::sha256_kernel_name(crypto::sha256_kernel()));

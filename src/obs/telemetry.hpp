@@ -9,6 +9,7 @@
 // never the sim hot path. `--stats-json` serializes the final state.
 #pragma once
 
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <mutex>
@@ -40,6 +41,10 @@ struct CacheCounters {
   double fsync_max_ms = 0;
 };
 
+/// A job's charged sends by net::Message kind: ignored (dead invs, never
+/// delivered), inv, getdata, block. They sum to Network::messages_sent().
+using MessageCounts = std::array<std::uint64_t, 4>;
+
 /// Dispatcher-side view of one fleet worker slot.
 struct WorkerTelemetry {
   std::string endpoint;  ///< "host:port", or "procN" for a local slot
@@ -64,12 +69,12 @@ class SweepTelemetry {
   /// Jobs answered from the record cache before dispatch.
   void add_prefilled(std::size_t n);
   void on_record_delivered();
-  /// Simulation events a finished job executed (EventQueue::events_executed)
-  /// and the deliveries it elided instead (Network::deliveries_elided: dead
-  /// invs that never became an event). Reported by the in-process thread
-  /// executor; fleet workers run their experiments in other address spaces
-  /// and report 0. Never part of a record.
-  void add_events(std::uint64_t executed, std::uint64_t elided);
+  /// Simulation events a finished job executed (EventQueue::events_executed),
+  /// the deliveries it elided instead (Network::deliveries_elided: dead invs
+  /// that never became an event) and its sends (a "messages" section). Only
+  /// the in-process thread executor reports them: fleet workers run their
+  /// experiments in other address spaces. Never part of a record.
+  void add_events(std::uint64_t executed, std::uint64_t elided, const MessageCounts& sent);
   /// One finished job's wall time split into its simulation phase (build and
   /// run the experiment) and its metric-extraction phase (metrics, hooks,
   /// record), ms. Reported by the in-process thread executor only, like
@@ -82,9 +87,10 @@ class SweepTelemetry {
   /// record.
   void add_workload_ms(double ms);
 
-  /// Peak resident set of THIS process so far, bytes (getrusage ru_maxrss);
-  /// 0 where unsupported. Free function so callers outside a sweep (the
-  /// runner's final report) can use it too.
+  /// Peak resident set of THIS process so far, bytes: VmHWM, which starts
+  /// afresh at exec, or else ru_maxrss (on Linux it keeps the pre-exec
+  /// image); 0 where unsupported. Free function so callers outside a sweep
+  /// (the runner's final report) can use it too.
   static std::uint64_t peak_rss_bytes();
 
   // --- Record cache (runner/cache.hpp) --------------------------------------
@@ -130,6 +136,8 @@ class SweepTelemetry {
   std::size_t delivered_ = 0;
   std::uint64_t events_total_ = 0;
   std::uint64_t elided_total_ = 0;
+  bool has_messages_ = false;
+  MessageCounts messages_;
   std::uint64_t phase_jobs_ = 0;
   double simulate_ms_ = 0;
   double metrics_ms_ = 0;

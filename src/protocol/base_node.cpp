@@ -1,9 +1,8 @@
 #include "protocol/base_node.hpp"
 
-#include <cassert>
+#include <algorithm>
 #include <stdexcept>
 
-#include "common/pool.hpp"
 #include "obs/trace_ring.hpp"
 
 namespace bng::protocol {
@@ -23,7 +22,7 @@ BaseNode::BaseNode(NodeId id, net::Network& net, chain::BlockPtr genesis, NodeCo
       cfg_(std::move(cfg)),
       rng_(rng),
       tree_(std::move(genesis), cfg_.params.tie_break, fork_choice_for(cfg_.params), &rng_,
-            net.block_store()),
+            net.block_store(), id),
       observer_(observer),
       arena_(*net.node_state()) {
   if (cfg_.workload_mode == WorkloadMode::kSynthetic && cfg_.workload == nullptr)
@@ -31,45 +30,36 @@ BaseNode::BaseNode(NodeId id, net::Network& net, chain::BlockPtr genesis, NodeCo
   tree_.set_tie_switch_prob(cfg_.params.tie_switch_prob);
 }
 
-void BaseNode::on_message(NodeId from, const net::MessagePtr& msg) {
-  switch (msg->kind) {
+void BaseNode::on_message(NodeId from, const net::Message& msg) {
+  switch (msg.kind) {
     case kInvKind:
-      handle_inv(from, static_cast<const InvMessage&>(*msg));
+      handle_inv(from, msg.id);
       break;
     case kGetDataKind:
-      handle_getdata(from, static_cast<const GetDataMessage&>(*msg));
+      handle_getdata(from, msg.id);
       break;
     case kBlockKind:
-      handle_block_msg(from, static_cast<const BlockMessage&>(*msg));
+      handle_block_msg(from, msg.id, msg.wire_size);
       break;
     default:
       throw std::logic_error("BaseNode: unknown message type");
   }
 }
 
-void BaseNode::handle_inv(NodeId from, const InvMessage& inv) {
-  if (arena_.seen(inv.block_id, id_)) return;
-  arena_.request(inv.block_id, id_);
-  net_.send(id_, from, make_pooled<GetDataMessage>(inv.block_id));
+void BaseNode::handle_inv(NodeId from, BlockId id) {
+  if (arena_.seen(id, id_)) return;
+  arena_.request(id, id_);
+  net_.send(id_, from, {kGetDataKind, id, kInvWireSize});
 }
 
-void BaseNode::handle_getdata(NodeId from, const GetDataMessage& req) {
-  chain::BlockPtr block = find_block(req.block_id);
-  if (block != nullptr) net_.send(id_, from, make_pooled<BlockMessage>(std::move(block)));
+void BaseNode::handle_getdata(NodeId from, BlockId id) {
+  // Serve a block from the tree or the orphan buffer.
+  if (tree_.contains_id(id) || std::any_of(orphans_.begin(), orphans_.end(),
+                                           [id](const Orphan& o) { return o.id == id; }))
+    send_block(net_, id_, from, id, tree_.store().body(id));
 }
 
-chain::BlockPtr BaseNode::find_block(BlockId id) const {
-  if (tree_.contains_id(id)) return tree_.facts(id).block;
-  for (const Orphan& o : orphans_)
-    if (o.id == id) return o.block;
-  return nullptr;
-}
-
-void BaseNode::handle_block_msg(NodeId from, const BlockMessage& msg) {
-  const chain::BlockPtr& block = msg.block;
-  // The one interner touch per (node, block): every later membership or
-  // index lookup is a flat array read keyed by this id.
-  const BlockId id = tree_.intern(block->id());
+void BaseNode::handle_block_msg(NodeId from, BlockId id, std::uint32_t wire_size) {
   if (arena_.known(id, id_)) return;
   arena_.learn(id, id_);
   if (cfg_.trace != nullptr && cfg_.trace->wants(obs::kTraceEvents))
@@ -77,9 +67,13 @@ void BaseNode::handle_block_msg(NodeId from, const BlockMessage& msg) {
                        from);
   // Model verification cost on this node's CPU, then hand to the protocol.
   const Seconds cost =
-      cfg_.verify_fixed +
-      static_cast<double>(block->wire_size()) / cfg_.verify_bytes_per_second;
-  process_after(cost, [this, block, id, from] { handle_block(block, id, from); });
+      cfg_.verify_fixed + static_cast<double>(wire_size) / cfg_.verify_bytes_per_second;
+  process_after(cost, [this, id, from] { handle_held_block(id, from); });
+}
+
+void BaseNode::handle_held_block(BlockId id, NodeId from) {
+  const chain::BlockPtr block = tree_.store().body(id);  // a copy: the store may grow
+  handle_block(block, id, from);
 }
 
 void BaseNode::process_after(Seconds cost, net::EventQueue::Callback fn) {
@@ -95,17 +89,18 @@ void BaseNode::announce(BlockId id, NodeId except) {
   // so every BaseNode handles an inv alike. Such an inv is charged to the
   // link, but its delivery is skipped with the event order unchanged (see
   // Network::send_ignored). Only BaseNodes write the arena, so any other
-  // kind of peer gets the real inv. The fan-out shares one immutable inv:
-  // one pooled allocation, not one per neighbour.
-  net::MessagePtr inv;
-  for (NodeId peer : net_.peers(id_)) {
-    if (peer == except) continue;
-    if (arena_.seen(id, peer)) {
-      net_.send_ignored(id_, peer, InvMessage::kWireSize);
-      continue;
+  // kind of peer gets the real inv. Links come from the Network's edge
+  // slots, so no send searches an adjacency row.
+  const std::vector<NodeId>& peers = net_.peers(id_);
+  const std::span<const std::uint32_t> edges = net_.peer_edges(id_);
+  for (std::size_t i = 0; i < peers.size(); ++i) {
+    if (peers[i] == except) continue;
+    const net::Network::Link link{id_, peers[i], edges[i]};
+    if (arena_.seen(id, peers[i])) {
+      net_.send_ignored(link, kInvWireSize);
+    } else {
+      net_.send(link, {kInvKind, id, kInvWireSize});
     }
-    if (inv == nullptr) inv = make_pooled<InvMessage>(id);
-    net_.send(id_, peer, inv);
   }
 }
 
@@ -133,10 +128,10 @@ BlockId BaseNode::ensure_parent(const chain::BlockPtr& block, BlockId id, NodeId
   const BlockId parent_id =
       store.known(id) ? store.facts(id).parent : tree_.intern(block->header().prev);
   if (tree_.contains_id(parent_id)) return parent_id;
-  orphans_.push_back(Orphan{parent_id, id, block, from});
+  orphans_.push_back(Orphan{parent_id, id, from});
   if (!arena_.seen(parent_id, id_) && from != id_) {
     arena_.request(parent_id, id_);
-    net_.send(id_, from, make_pooled<GetDataMessage>(parent_id));
+    net_.send(id_, from, {kGetDataKind, parent_id, kInvWireSize});
   }
   return kNoBlockId;
 }
@@ -153,7 +148,7 @@ void BaseNode::resolve_orphans(BlockId parent_id) {
       ++i;
     }
   }
-  for (Orphan& o : waiting) handle_block(o.block, o.id, o.from);
+  for (const Orphan& o : waiting) handle_held_block(o.id, o.from);
 }
 
 std::vector<chain::TxPtr> BaseNode::assemble_payload(BlockId tip, std::size_t max_bytes,

@@ -5,9 +5,9 @@
 // experiment-wide through the Network: each node's known/requested bits and
 // its CPU cursor live in the deployment-wide NodeStateArena
 // (common/node_state.hpp), one byte per (block, node), block-major, which a
-// node reads with its own id_. The orphan buffer is a small flat vector, and
-// the inv/getdata flow never hashes a Hash256. The block hash is computed
-// and interned exactly once per (node, block) — when the body first arrives.
+// node reads with its own id_; its tree is view id_ of the BlockStore. The
+// orphan buffer is a small flat vector. Messages name blocks by id and a body
+// is read from the store, so a relay never hashes a Hash256.
 //
 // announce() reads the arena's row for the block to see which peers have
 // already seen it: their inv would be dropped on arrival, so it goes out as
@@ -78,7 +78,7 @@ class BaseNode : public net::INode {
   ~BaseNode() override = default;
 
   // INode:
-  void on_message(NodeId from, const net::MessagePtr& msg) final;
+  void on_message(NodeId from, const net::Message& msg) final;
 
   /// Mining scheduler callback: this node won the next proof-of-work.
   /// `work` is the PoW weight of the won block (difficulty units).
@@ -92,12 +92,9 @@ class BaseNode : public net::INode {
   /// Submit a transaction locally (full-mempool mode).
   void submit_transaction(const chain::TxPtr& tx) { mempool_.submit(tx); }
 
-  /// Blocks accepted into this node's tree.
-  [[nodiscard]] std::size_t blocks_known() const { return tree_.size(); }
-
  protected:
   /// Protocol-specific validation + insertion. Runs after the verification
-  /// delay. `id` is the block's interned identity (computed once on receipt).
+  /// delay. `id` is the block's interned identity (its message carried it).
   /// Implementations call accept_block() when the block is valid.
   virtual void handle_block(const chain::BlockPtr& block, BlockId id, NodeId from) = 0;
 
@@ -146,12 +143,11 @@ class BaseNode : public net::INode {
   chain::Mempool mempool_;
   IBlockObserver* observer_;
 
-  /// Block bodies known but whose parent is missing. Orphans are rare and
-  /// few, so a flat vector scanned by interned parent id beats a hash map.
+  /// Blocks (bodies in the store) whose parent is missing. Orphans are rare
+  /// and few, so a flat vector scanned by interned parent id beats a hash map.
   struct Orphan {
     BlockId parent;
     BlockId id;
-    chain::BlockPtr block;
     NodeId from;
   };
   std::vector<Orphan> orphans_;
@@ -159,11 +155,11 @@ class BaseNode : public net::INode {
   NodeStateArena& arena_;
 
  private:
-  void handle_inv(NodeId from, const InvMessage& inv);
-  void handle_getdata(NodeId from, const GetDataMessage& req);
-  void handle_block_msg(NodeId from, const BlockMessage& msg);
+  void handle_inv(NodeId from, BlockId id);
+  void handle_getdata(NodeId from, BlockId id);
+  void handle_block_msg(NodeId from, BlockId id, std::uint32_t wire_size);
+  void handle_held_block(BlockId id, NodeId from);  ///< handle_block on the stored body
   void resolve_orphans(BlockId parent_id);
-  [[nodiscard]] chain::BlockPtr find_block(BlockId id) const;
 };
 
 }  // namespace bng::protocol

@@ -1,14 +1,17 @@
 // Wire messages for block gossip, mirroring bitcoind's inv/getdata/block flow.
 //
-// Announcements carry the interned BlockId, not the 32-byte hash: every
-// receiver of an inv/getdata resolves it with plain array indexing instead
-// of hashing. The simulated wire cost is unchanged (wire_size() still counts
-// the 36 bytes a real inv vector entry occupies); only the host-side
-// representation is compressed, the same way compact-block relay replaced
-// repeated full-hash lookups with short ids on the relay hot path.
+// Every message is a net::Message value carrying the interned BlockId, not
+// the 32-byte hash or the body: receivers index arrays instead of hashing and
+// read bodies from the BlockStore. The simulated wire cost is unchanged (36
+// bytes per inv vector entry, or the whole block); only the host-side
+// representation is compressed, the way compact-block relay replaced
+// full-hash lookups with short ids on the relay hot path.
 #pragma once
 
+#include <stdexcept>
+
 #include "chain/block.hpp"
+#include "chain/block_store.hpp"
 #include "common/intern.hpp"
 #include "common/types.hpp"
 #include "net/network.hpp"
@@ -17,37 +20,20 @@ namespace bng::protocol {
 
 /// Dispatch tags carried in net::Message::kind (hot path: switch, not RTTI).
 enum MessageKind : std::uint8_t {
-  kInvKind = 1,
-  kGetDataKind = 2,
-  kBlockKind = 3,
+  kInvKind = 1,      ///< bitcoind `inv`
+  kGetDataKind = 2,  ///< bitcoind `getdata`
+  kBlockKind = 3,    ///< a full block
 };
+inline constexpr std::uint32_t kInvWireSize = 36;  ///< an inv or getdata
 
-/// Announcement of a block id (bitcoind `inv`).
-struct InvMessage final : net::Message {
-  static constexpr std::size_t kWireSize = 36;
-  BlockId block_id;
-
-  explicit InvMessage(BlockId id) : net::Message(kInvKind), block_id(id) {}
-  [[nodiscard]] std::size_t wire_size() const override { return kWireSize; }
-  [[nodiscard]] const char* type_name() const override { return "inv"; }
-};
-
-/// Request for a block body (bitcoind `getdata`).
-struct GetDataMessage final : net::Message {
-  BlockId block_id;
-
-  explicit GetDataMessage(BlockId id) : net::Message(kGetDataKind), block_id(id) {}
-  [[nodiscard]] std::size_t wire_size() const override { return 36; }
-  [[nodiscard]] const char* type_name() const override { return "getdata"; }
-};
-
-/// Full block body.
-struct BlockMessage final : net::Message {
-  chain::BlockPtr block;
-
-  explicit BlockMessage(chain::BlockPtr b) : net::Message(kBlockKind), block(std::move(b)) {}
-  [[nodiscard]] std::size_t wire_size() const override { return block->wire_size(); }
-  [[nodiscard]] const char* type_name() const override { return "block"; }
-};
+/// Put `block`, interned as `id`, on the wire: the one way a block is sent.
+/// The store holds its body from here on (admitted blocks already are), so
+/// the receiver reads it by id. Throws for a block over 4 GiB.
+inline void send_block(net::Network& net, NodeId from, NodeId to, BlockId id,
+                       const chain::BlockPtr& block) {
+  if (block->wire_size() > UINT32_MAX) throw std::length_error("send_block: block too large");
+  net.block_store()->hold(id, block);
+  net.send(from, to, {kBlockKind, id, static_cast<std::uint32_t>(block->wire_size())});
+}
 
 }  // namespace bng::protocol

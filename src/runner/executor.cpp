@@ -53,7 +53,8 @@ RunRecord run_job(const Scenario& scenario, const SweepPoint& point,
   if (telemetry != nullptr) {
     telemetry->add_phase_ms(ms_since(simulate_start, metrics_start),
                             ms_since(metrics_start, Clock::now()));
-    telemetry->add_events(exp.queue().events_executed(), exp.network().deliveries_elided());
+    telemetry->add_events(exp.queue().events_executed(), exp.network().deliveries_elided(),
+                          exp.network().sent_by_kind());
   }
   return record;
 }

@@ -8,9 +8,11 @@ namespace {
 constexpr std::uint32_t kNoRecord = UINT32_MAX;
 }  // namespace
 
-TraceRecorder::TraceRecorder(chain::BlockPtr genesis, std::shared_ptr<chain::BlockStore> store)
+TraceRecorder::TraceRecorder(chain::BlockPtr genesis,
+                             const std::shared_ptr<chain::BlockStore>& store)
     : tree_(std::move(genesis), chain::TieBreak::kFirstSeen,
-            chain::BlockTree::ForkChoice::kHeaviestChain, nullptr, std::move(store)) {}
+            chain::BlockTree::ForkChoice::kHeaviestChain, nullptr, store,
+            store != nullptr ? store->views() - 1 : 0) {}
 
 void TraceRecorder::on_block_generated(const chain::BlockPtr& block, NodeId miner,
                                        Seconds at) {

@@ -8,7 +8,7 @@
 // its generation registry and reference tree agree on BlockId with every
 // node tree, and the reference tree computes each generated block's chain
 // facts once for the whole deployment (it admits a block at generation,
-// before any node has received it).
+// before any node has received it). It is the store's last view.
 #pragma once
 
 #include <memory>
@@ -45,7 +45,7 @@ class TraceRecorder : public protocol::IBlockObserver {
   /// and facts agree across the global tree and every node tree; a
   /// standalone recorder may pass nullptr and owns a private store.
   explicit TraceRecorder(chain::BlockPtr genesis,
-                         std::shared_ptr<chain::BlockStore> store = nullptr);
+                         const std::shared_ptr<chain::BlockStore>& store = nullptr);
 
   void on_block_generated(const chain::BlockPtr& block, NodeId miner, Seconds at) override;
   void on_fraud_detected(NodeId detector, const Hash256& accused, Seconds at) override;

@@ -259,11 +259,11 @@ TEST(BlockTreeGhost, SubtreeWorkAccumulates) {
 
 TEST(BlockStoreSharing, LaterTreesReuseTheFactsAndKeepTheirOwnArrivals) {
   auto genesis = make_genesis(1, kCoin);
-  auto store = std::make_shared<BlockStore>();
+  auto store = std::make_shared<BlockStore>(2);
   BlockTree first(genesis, TieBreak::kFirstSeen, BlockTree::ForkChoice::kHeaviestChain,
                   nullptr, store);
   BlockTree second(genesis, TieBreak::kFirstSeen, BlockTree::ForkChoice::kHeaviestChain,
-                   nullptr, store);
+                   nullptr, store, 1);
   EXPECT_EQ(first.genesis(), second.genesis());
   auto k1 = make_block(BlockType::kKey, genesis->id(), 1.0, 0);
   const BlockId id = first.insert(k1, 1.0, 1.0);
@@ -282,11 +282,11 @@ TEST(BlockStoreSharing, LaterTreesReuseTheFactsAndKeepTheirOwnArrivals) {
 
 TEST(BlockStoreSharing, DisagreeingWorkForAKnownBlockThrows) {
   auto genesis = make_genesis(1, kCoin);
-  auto store = std::make_shared<BlockStore>();
+  auto store = std::make_shared<BlockStore>(2);
   BlockTree first(genesis, TieBreak::kFirstSeen, BlockTree::ForkChoice::kHeaviestChain,
                   nullptr, store);
   BlockTree second(genesis, TieBreak::kFirstSeen, BlockTree::ForkChoice::kHeaviestChain,
-                   nullptr, store);
+                   nullptr, store, 1);
   auto b1 = make_block(BlockType::kPow, genesis->id(), 1.0, 0);
   const BlockId id = first.insert(b1, 1.0, 1.0);
   EXPECT_THROW(second.insert(b1, id, 2.0, 2.5), std::logic_error);
@@ -302,11 +302,11 @@ TEST(BlockStoreSharing, DisagreeingWorkForAKnownBlockThrows) {
 
 TEST(BlockStoreSharing, ABlockUnderAnotherIdThrows) {
   auto genesis = make_genesis(1, kCoin);
-  auto store = std::make_shared<BlockStore>();
+  auto store = std::make_shared<BlockStore>(2);
   BlockTree first(genesis, TieBreak::kFirstSeen, BlockTree::ForkChoice::kHeaviestChain,
                   nullptr, store);
   BlockTree second(genesis, TieBreak::kFirstSeen, BlockTree::ForkChoice::kHeaviestChain,
-                   nullptr, store);
+                   nullptr, store, 1);
   auto b1 = make_block(BlockType::kPow, genesis->id(), 1.0, 0);
   auto b2 = make_block(BlockType::kPow, genesis->id(), 1.0, 1, 7);
   const BlockId id1 = first.insert(b1, 1.0, 1.0);
@@ -314,21 +314,92 @@ TEST(BlockStoreSharing, ABlockUnderAnotherIdThrows) {
 }
 
 TEST(BlockStoreSharing, OneGenesisPerStore) {
-  auto store = std::make_shared<BlockStore>();
+  auto store = std::make_shared<BlockStore>(2);
   BlockTree first(make_genesis(1, kCoin), TieBreak::kFirstSeen,
                   BlockTree::ForkChoice::kHeaviestChain, nullptr, store);
   EXPECT_THROW(BlockTree(make_genesis(2, kCoin), TieBreak::kFirstSeen,
-                         BlockTree::ForkChoice::kHeaviestChain, nullptr, store),
+                         BlockTree::ForkChoice::kHeaviestChain, nullptr, store, 1),
                std::invalid_argument);
+}
+
+TEST(BlockStoreViews, EachViewSeesOnlyItsOwnAcceptance) {
+  auto genesis = make_genesis(1, kCoin);
+  auto store = std::make_shared<BlockStore>(5);
+  BlockTree three(genesis, TieBreak::kFirstSeen, BlockTree::ForkChoice::kHeaviestChain,
+                  nullptr, store, 3);
+  BlockTree four(genesis, TieBreak::kFirstSeen, BlockTree::ForkChoice::kHeaviestChain,
+                 nullptr, store, 4);
+  auto b1 = make_block(BlockType::kPow, genesis->id(), 1.0, 0);
+  const BlockId id = three.insert(b1, 1.5, 1.0);
+  EXPECT_TRUE(three.contains_id(id));
+  EXPECT_FALSE(four.contains_id(id));
+  EXPECT_EQ(store->ordinal(id, 3), 1u);
+  EXPECT_EQ(store->ordinal(id, 4), BlockStore::kNotAccepted);
+  EXPECT_EQ(store->ordinal(id, 0), BlockStore::kNotAccepted);  // an unclaimed view
+  EXPECT_EQ(four.size(), 1u);
+  EXPECT_EQ(four.best_tip(), four.genesis());
+
+  four.insert(b1, id, 2.5, 1.0);
+  EXPECT_EQ(three.received(id), 1.5);
+  EXPECT_EQ(four.received(id), 2.5);
+  EXPECT_EQ(three.tip_history().back().at, 1.5);
+  EXPECT_EQ(four.tip_history().back().at, 2.5);
+  EXPECT_EQ(three.accepted(), (std::vector<BlockId>{three.genesis(), id}));
+  EXPECT_EQ(four.accepted(), (std::vector<BlockId>{four.genesis(), id}));
+  // One log in event order: each view's genesis, then its switch to b1.
+  ASSERT_EQ(store->tip_log().size(), 4u);
+  EXPECT_EQ(store->tip_log()[2].view, 3u);
+  EXPECT_EQ(store->tip_log()[3].view, 4u);
+}
+
+TEST(BlockStoreViews, AViewIsClaimedOnceAndMustExist) {
+  auto genesis = make_genesis(1, kCoin);
+  auto store = std::make_shared<BlockStore>(2);
+  BlockTree first(genesis, TieBreak::kFirstSeen, BlockTree::ForkChoice::kHeaviestChain,
+                  nullptr, store, 1);
+  EXPECT_THROW(BlockTree(genesis, TieBreak::kFirstSeen, BlockTree::ForkChoice::kHeaviestChain,
+                         nullptr, store, 1),
+               std::invalid_argument);
+  EXPECT_THROW(BlockTree(genesis, TieBreak::kFirstSeen, BlockTree::ForkChoice::kHeaviestChain,
+                         nullptr, store, 2),
+               std::invalid_argument);
+  // A standalone tree owns a one-view store.
+  EXPECT_THROW(BlockTree(genesis, TieBreak::kFirstSeen, BlockTree::ForkChoice::kHeaviestChain,
+                         nullptr, nullptr, 1),
+               std::invalid_argument);
+  EXPECT_THROW(BlockStore(0), std::invalid_argument);
+  BlockTree zero(genesis, TieBreak::kFirstSeen, BlockTree::ForkChoice::kHeaviestChain,
+                 nullptr, store, 0);
+  EXPECT_EQ(store->ordinal(zero.genesis(), 0), 0u);
+}
+
+TEST(BlockStoreViews, OnlyABodyPutOnTheWireOrAdmittedCanBeRead) {
+  auto genesis = make_genesis(1, kCoin);
+  auto store = std::make_shared<BlockStore>(1);
+  BlockTree tree(genesis, TieBreak::kFirstSeen, BlockTree::ForkChoice::kHeaviestChain,
+                 nullptr, store);
+  EXPECT_EQ(store->body(tree.genesis()), genesis);
+  auto b1 = make_block(BlockType::kPow, genesis->id(), 1.0, 0);
+  auto b2 = make_block(BlockType::kPow, genesis->id(), 1.0, 1, 7);
+  const BlockId id = store->intern(b1->id());
+  EXPECT_THROW((void)store->body(id), std::logic_error);       // interned only
+  EXPECT_THROW((void)store->body(id + 1), std::logic_error);   // never seen
+  store->hold(id, b1);
+  EXPECT_EQ(store->body(id), b1);
+  EXPECT_FALSE(store->known(id));  // held is not admitted
+  EXPECT_THROW(store->hold(id, b2), std::logic_error);
+  tree.insert(b1, id, 1.0, 1.0);
+  EXPECT_TRUE(store->known(id));
+  EXPECT_EQ(store->body(id), b1);
 }
 
 TEST(BlockStoreSharing, UnknownParentIsRejectedBeforeAdmission) {
   auto genesis = make_genesis(1, kCoin);
-  auto store = std::make_shared<BlockStore>();
+  auto store = std::make_shared<BlockStore>(2);
   BlockTree first(genesis, TieBreak::kFirstSeen, BlockTree::ForkChoice::kHeaviestChain,
                   nullptr, store);
   BlockTree second(genesis, TieBreak::kFirstSeen, BlockTree::ForkChoice::kHeaviestChain,
-                   nullptr, store);
+                   nullptr, store, 1);
   auto b1 = make_block(BlockType::kPow, genesis->id(), 1.0, 0);
   auto b2 = make_block(BlockType::kPow, b1->id(), 2.0, 0);
   first.insert(b1, 1.0, 1.0);

@@ -53,7 +53,9 @@ BlockId ref_ancestor_at_or_before(const BlockTree& t, BlockId tip, Seconds time)
 }
 
 /// A uniformly random block of the tree.
-BlockId pick(const BlockTree& t, Rng& rng) { return t.accepted()[rng.next_below(t.size())]; }
+BlockId pick(const std::vector<BlockId>& accepted, Rng& rng) {
+  return accepted[rng.next_below(accepted.size())];
+}
 
 /// Grow a tree of `n` blocks. Each block forks off a random existing block,
 /// biased towards recent ones (`recent_bias` high => long chains with thin
@@ -64,6 +66,7 @@ BlockTree grow_random_tree(std::uint32_t n, std::uint64_t seed, std::uint32_t re
   Rng rng(seed);
   BlockTree tree(genesis, TieBreak::kFirstSeen, BlockTree::ForkChoice::kHeaviestChain,
                  nullptr);
+  std::vector<BlockId> accepted{tree.genesis()};
   for (std::uint32_t i = 1; i <= n; ++i) {
     const std::uint32_t span = static_cast<std::uint32_t>(tree.size());
     std::uint32_t parent;
@@ -72,9 +75,9 @@ BlockTree grow_random_tree(std::uint32_t n, std::uint64_t seed, std::uint32_t re
     } else {
       parent = static_cast<std::uint32_t>(rng.next_below(span));
     }
-    auto block = make_block(tree.facts(tree.accepted()[parent]).block->id(),
+    auto block = make_block(tree.facts(accepted[parent]).block->id(),
                             static_cast<Seconds>(i), i);
-    tree.insert(block, static_cast<Seconds>(i), 1.0);
+    accepted.push_back(tree.insert(block, static_cast<Seconds>(i), 1.0));
   }
   return tree;
 }
@@ -90,10 +93,11 @@ class AncestryShapes : public ::testing::TestWithParam<Shape> {};
 TEST_P(AncestryShapes, MatchesBruteForceOnRandomPairs) {
   const Shape shape = GetParam();
   const BlockTree tree = grow_random_tree(shape.n, shape.seed, shape.recent_bias);
+  const std::vector<BlockId> accepted = tree.accepted();
   Rng rng(shape.seed ^ 0x5eedu);
   for (int i = 0; i < 2000; ++i) {
-    const BlockId a = pick(tree, rng);
-    const BlockId b = pick(tree, rng);
+    const BlockId a = pick(accepted, rng);
+    const BlockId b = pick(accepted, rng);
     ASSERT_EQ(tree.is_ancestor(a, b), ref_is_ancestor(tree, a, b))
         << "a=" << a << " b=" << b;
     ASSERT_EQ(tree.is_ancestor(b, a), ref_is_ancestor(tree, b, a))
@@ -106,9 +110,10 @@ TEST_P(AncestryShapes, MatchesBruteForceOnRandomPairs) {
 TEST_P(AncestryShapes, AncestorAtHeightMatchesParentWalk) {
   const Shape shape = GetParam();
   const BlockTree tree = grow_random_tree(shape.n, shape.seed, shape.recent_bias);
+  const std::vector<BlockId> accepted = tree.accepted();
   Rng rng(shape.seed ^ 0xa17u);
   for (int i = 0; i < 500; ++i) {
-    const BlockId v = pick(tree, rng);
+    const BlockId v = pick(accepted, rng);
     const std::uint32_t h =
         static_cast<std::uint32_t>(rng.next_below(tree.facts(v).height + 1));
     BlockId expect = v;
@@ -120,9 +125,10 @@ TEST_P(AncestryShapes, AncestorAtHeightMatchesParentWalk) {
 TEST_P(AncestryShapes, AncestorAtOrBeforeMatchesBruteForce) {
   const Shape shape = GetParam();
   const BlockTree tree = grow_random_tree(shape.n, shape.seed, shape.recent_bias);
+  const std::vector<BlockId> accepted = tree.accepted();
   Rng rng(shape.seed ^ 0x7173u);
   for (int i = 0; i < 500; ++i) {
-    const BlockId tip = pick(tree, rng);
+    const BlockId tip = pick(accepted, rng);
     // Probe below, inside, and above the tree's timestamp range, including
     // exact block timestamps (the <= boundary).
     const Seconds probes[] = {-1.0, 0.0,

@@ -1,7 +1,7 @@
 // Differential test: node trees over one shared BlockStore against the
 // per-node tree they replaced (support/reference_block_tree.hpp).
 //
-// Several trees share one store; each is paired with a reference tree that
+// Several trees are views of one store; each is paired with a reference tree that
 // keeps every fact privately, and the pair draws tie-breaks from
 // same-seeded Rngs. All trees receive one random DAG of PoW, key and
 // zero-work micro blocks, each in its own parent-respecting order, so the
@@ -109,10 +109,10 @@ std::vector<std::size_t> random_order(const std::vector<DagBlock>& dag, Rng& rng
 /// One node's view under test with its reference twin.
 struct Pair {
   Pair(const BlockPtr& genesis, const Mode& mode, std::uint64_t seed,
-       const std::shared_ptr<BlockStore>& store)
+       const std::shared_ptr<BlockStore>& store, std::uint32_t view)
       : rng(seed),
         ref_rng(seed),
-        tree(genesis, mode.tie_break, mode.fork_choice, &rng, store),
+        tree(genesis, mode.tie_break, mode.fork_choice, &rng, store, view),
         ref(genesis, mode.tie_break,
             mode.fork_choice == BlockTree::ForkChoice::kHeaviestChain
                 ? ReferenceBlockTree::ForkChoice::kHeaviestChain
@@ -164,8 +164,9 @@ void expect_same_view(const Pair& p, Rng& query_rng) {
     EXPECT_EQ(hist[i].tip, p.id_of(ref_hist[i].tip)) << "tip change " << i;
   }
 
+  const std::vector<BlockId> accepted = p.tree.accepted();
   for (std::uint32_t i = 0; i < n; ++i)
-    EXPECT_EQ(p.tree.accepted()[i], p.id_of(i)) << "acceptance slot " << i;
+    EXPECT_EQ(accepted[i], p.id_of(i)) << "acceptance slot " << i;
   expect_same_facts(p, n - 1);
 
   for (int q = 0; q < 8; ++q) {
@@ -199,10 +200,12 @@ TEST_P(BlockTreeDifferential, SharedStoreTreesMatchTheReferenceAfterEveryInsert)
   Rng dag_rng(seed);
   const std::vector<DagBlock> dag = random_dag(genesis, kBlocks, dag_rng);
 
-  auto store = std::make_shared<BlockStore>();
+  // The four trees are four views of one store, as node trees are.
+  auto store = std::make_shared<BlockStore>(kTrees);
   std::vector<std::unique_ptr<Pair>> pairs;
   for (std::size_t k = 0; k < kTrees; ++k) {
-    pairs.push_back(std::make_unique<Pair>(genesis, mode, seed * 31 + k, store));
+    pairs.push_back(std::make_unique<Pair>(genesis, mode, seed * 31 + k, store,
+                                           static_cast<std::uint32_t>(k)));
     // Tree 0 sees blocks in creation order, like the trace recorder's
     // global tree; the others in their own random orders.
     if (k == 0) {

@@ -18,15 +18,13 @@ namespace {
 struct CountingSink : INode {
   std::vector<std::pair<NodeId, Seconds>> received;
   EventQueue* queue = nullptr;
-  void on_message(NodeId from, const MessagePtr&) override {
+  void on_message(NodeId from, const Message&) override {
     received.emplace_back(from, queue->now());
   }
 };
 
-struct PingMessage : Message {
-  [[nodiscard]] std::size_t wire_size() const override { return 100; }
-  [[nodiscard]] const char* type_name() const override { return "ping"; }
-};
+/// A 100-byte message.
+constexpr Message kPing{1, 0, 100};
 
 /// Fully-connected 4-node fixture with constant latency.
 struct Net4 {
@@ -60,23 +58,23 @@ TEST(FaultPlan, PartitionDropsCrossEdgesAndHeals) {
   schedule_faults(*f.net, plan);
 
   // Before the cut: 0 -> 2 flows.
-  f.net->send(0, 2, std::make_shared<PingMessage>());
+  f.net->send(0, 2, kPing);
   f.queue.run_until(0.5);
   EXPECT_EQ(f.sinks[2].received.size(), 1u);
 
   // During the cut: cross-group drops, intra-group flows.
   f.queue.run_until(1.5);
-  f.net->send(0, 2, std::make_shared<PingMessage>());
-  f.net->send(2, 1, std::make_shared<PingMessage>());
-  f.net->send(0, 1, std::make_shared<PingMessage>());
-  f.net->send(3, 2, std::make_shared<PingMessage>());
+  f.net->send(0, 2, kPing);
+  f.net->send(2, 1, kPing);
+  f.net->send(0, 1, kPing);
+  f.net->send(3, 2, kPing);
   f.queue.run_until(1.9);
   EXPECT_EQ(f.sinks[2].received.size(), 2u);  // only 3 -> 2 got through
   EXPECT_EQ(f.sinks[1].received.size(), 1u);  // only 0 -> 1 got through
 
   // After healing everything flows again.
   f.queue.run_until(2.5);
-  f.net->send(0, 2, std::make_shared<PingMessage>());
+  f.net->send(0, 2, kPing);
   f.queue.run_until(3.0);
   EXPECT_EQ(f.sinks[2].received.size(), 3u);
 }
@@ -86,7 +84,7 @@ TEST(FaultPlan, InFlightMessagesSurviveTheCut) {
   FaultPlan plan;
   plan.partitions.push_back(FaultPlan::Partition{0.05, 2.0, {0}});
   schedule_faults(*f.net, plan);
-  f.net->send(0, 1, std::make_shared<PingMessage>());  // sent before the cut
+  f.net->send(0, 1, kPing);  // sent before the cut
   f.queue.run_until(1.0);
   EXPECT_EQ(f.sinks[1].received.size(), 1u);  // arrival ~0.1s, mid-partition
 }
@@ -97,15 +95,15 @@ TEST(FaultPlan, EclipseIsolatesBothDirections) {
   plan.eclipses.push_back(FaultPlan::Eclipse{1.0, 2.0, 3});
   schedule_faults(*f.net, plan);
   f.queue.run_until(1.1);
-  f.net->send(3, 0, std::make_shared<PingMessage>());
-  f.net->send(0, 3, std::make_shared<PingMessage>());
-  f.net->send(0, 1, std::make_shared<PingMessage>());
+  f.net->send(3, 0, kPing);
+  f.net->send(0, 3, kPing);
+  f.net->send(0, 1, kPing);
   f.queue.run_until(1.9);
   EXPECT_TRUE(f.sinks[3].received.empty());
   EXPECT_TRUE(f.sinks[0].received.empty());
   EXPECT_EQ(f.sinks[1].received.size(), 1u);
   f.queue.run_until(2.1);
-  f.net->send(3, 0, std::make_shared<PingMessage>());
+  f.net->send(3, 0, kPing);
   f.queue.run_until(2.6);
   EXPECT_EQ(f.sinks[0].received.size(), 1u);
 }
@@ -117,9 +115,9 @@ TEST(FaultPlan, LinkDelayWindowAddsAndRemovesLatency) {
   schedule_faults(*f.net, plan);
 
   f.queue.run_until(1.1);
-  f.net->send(0, 1, std::make_shared<PingMessage>());  // inside the window
+  f.net->send(0, 1, kPing);  // inside the window
   f.queue.run_until(10.0);
-  f.net->send(0, 1, std::make_shared<PingMessage>());  // after it closed
+  f.net->send(0, 1, kPing);  // after it closed
   f.queue.run_until(20.0);
   ASSERT_EQ(f.sinks[1].received.size(), 2u);
   // Inside the window: ~1.1 + transfer + (0.1 + 3.0). After it: base latency.
@@ -137,9 +135,9 @@ TEST(FaultPlan, HealingDelayNeverReordersABusyLink) {
   plan.link_delays.push_back(FaultPlan::LinkDelay{1.0, 2.0, 0, 1, 5.0});
   schedule_faults(*f.net, plan);
   f.queue.run_until(1.5);
-  f.net->send(0, 1, std::make_shared<PingMessage>());  // arrives ~6.6
+  f.net->send(0, 1, kPing);  // arrives ~6.6
   f.queue.run_until(2.5);
-  f.net->send(0, 1, std::make_shared<PingMessage>());  // raw arrival ~2.6
+  f.net->send(0, 1, kPing);  // raw arrival ~2.6
   f.queue.run_until(10.0);
   ASSERT_EQ(f.sinks[1].received.size(), 2u);
   EXPECT_LE(f.sinks[1].received[0].second, f.sinks[1].received[1].second);
@@ -155,11 +153,11 @@ TEST(FaultPlan, OverlappingFaultsComposeOnSharedEdges) {
   plan.eclipses.push_back(FaultPlan::Eclipse{1.5, 2.0, 0});
   schedule_faults(*f.net, plan);
   f.queue.run_until(2.5);  // eclipse healed, partition still active
-  f.net->send(0, 1, std::make_shared<PingMessage>());
+  f.net->send(0, 1, kPing);
   f.queue.run_until(3.5);
   EXPECT_TRUE(f.sinks[1].received.empty());
   f.queue.run_until(4.5);  // partition healed too
-  f.net->send(0, 1, std::make_shared<PingMessage>());
+  f.net->send(0, 1, kPing);
   f.queue.run_until(5.0);
   EXPECT_EQ(f.sinks[1].received.size(), 1u);
 }
@@ -193,7 +191,7 @@ TEST(FaultPlan, EmptyPlanLeavesTrafficBitIdentical) {
     if (install_empty_plan) schedule_faults(*f.net, FaultPlan{});
     for (int round = 0; round < 8; ++round) {
       for (NodeId a = 0; a < 4; ++a)
-        for (NodeId b : f.net->peers(a)) f.net->send(a, b, std::make_shared<PingMessage>());
+        for (NodeId b : f.net->peers(a)) f.net->send(a, b, kPing);
       f.queue.run_until(f.queue.now() + 0.05);
     }
     f.queue.run_all();

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <deque>
 #include <functional>
 #include <ostream>
@@ -11,13 +12,11 @@
 namespace bng::net {
 namespace {
 
-struct TestMessage : Message {
-  std::size_t size;
-  int tag;
-  TestMessage(std::size_t s, int t) : size(s), tag(t) {}
-  [[nodiscard]] std::size_t wire_size() const override { return size; }
-  [[nodiscard]] const char* type_name() const override { return "test"; }
-};
+/// A `size`-byte message whose id carries `tag`.
+Message test_message(std::uint32_t size, int tag) {
+  return {1, static_cast<std::uint32_t>(tag), size};
+}
+int tag_of(const Message& msg) { return static_cast<int>(msg.id); }
 
 struct Recorder : INode {
   struct Received {
@@ -28,9 +27,8 @@ struct Recorder : INode {
   std::vector<Received> received;
   EventQueue* queue = nullptr;
 
-  void on_message(NodeId from, const MessagePtr& msg) override {
-    auto tm = std::dynamic_pointer_cast<const TestMessage>(msg);
-    received.push_back({from, tm ? tm->tag : -1, queue->now()});
+  void on_message(NodeId from, const Message& msg) override {
+    received.push_back({from, tag_of(msg), queue->now()});
   }
 };
 
@@ -58,7 +56,7 @@ class NetworkTest : public ::testing::Test {
 
 TEST_F(NetworkTest, DeliversWithLatencyPlusTransfer) {
   // 1250 bytes at 100 kbit/s = 0.1 s transfer, + 0.1 s latency.
-  net_.send(0, 1, std::make_shared<TestMessage>(1250, 7));
+  net_.send(0, 1, test_message(1250, 7));
   queue_.run_all();
   ASSERT_EQ(nodes_[1].received.size(), 1u);
   EXPECT_EQ(nodes_[1].received[0].from, 0u);
@@ -67,13 +65,13 @@ TEST_F(NetworkTest, DeliversWithLatencyPlusTransfer) {
 }
 
 TEST_F(NetworkTest, NonNeighborSendThrows) {
-  EXPECT_THROW(net_.send(0, 2, std::make_shared<TestMessage>(10, 0)), std::invalid_argument);
+  EXPECT_THROW(net_.send(0, 2, test_message(10, 0)), std::invalid_argument);
 }
 
 TEST_F(NetworkTest, LinkSerializesBackToBackMessages) {
   // Two 1250-byte messages on the same link: the second waits for the first.
-  net_.send(0, 1, std::make_shared<TestMessage>(1250, 1));
-  net_.send(0, 1, std::make_shared<TestMessage>(1250, 2));
+  net_.send(0, 1, test_message(1250, 1));
+  net_.send(0, 1, test_message(1250, 2));
   queue_.run_all();
   ASSERT_EQ(nodes_[1].received.size(), 2u);
   EXPECT_NEAR(nodes_[1].received[0].at, 0.2, 1e-9);
@@ -82,8 +80,8 @@ TEST_F(NetworkTest, LinkSerializesBackToBackMessages) {
 }
 
 TEST_F(NetworkTest, OppositeDirectionsDoNotContend) {
-  net_.send(0, 1, std::make_shared<TestMessage>(1250, 1));
-  net_.send(1, 0, std::make_shared<TestMessage>(1250, 2));
+  net_.send(0, 1, test_message(1250, 1));
+  net_.send(1, 0, test_message(1250, 2));
   queue_.run_all();
   ASSERT_EQ(nodes_[0].received.size(), 1u);
   ASSERT_EQ(nodes_[1].received.size(), 1u);
@@ -92,15 +90,15 @@ TEST_F(NetworkTest, OppositeDirectionsDoNotContend) {
 }
 
 TEST_F(NetworkTest, DistinctLinksDoNotContend) {
-  net_.send(1, 0, std::make_shared<TestMessage>(1250, 1));
-  net_.send(1, 2, std::make_shared<TestMessage>(1250, 2));
+  net_.send(1, 0, test_message(1250, 1));
+  net_.send(1, 2, test_message(1250, 2));
   queue_.run_all();
   EXPECT_NEAR(nodes_[0].received[0].at, 0.2, 1e-9);
   EXPECT_NEAR(nodes_[2].received[0].at, 0.2, 1e-9);
 }
 
 TEST_F(NetworkTest, LargerMessagesTakeProportionallyLonger) {
-  net_.send(0, 1, std::make_shared<TestMessage>(12500, 1));  // 1 s transfer
+  net_.send(0, 1, test_message(12500, 1));  // 1 s transfer
   queue_.run_all();
   EXPECT_NEAR(nodes_[1].received[0].at, 1.1, 1e-9);
 }
@@ -113,7 +111,7 @@ TEST_F(NetworkTest, PerMessageOverheadCounted) {
   sink.queue = &queue_;
   overhead_net.attach(0, &sink);
   overhead_net.attach(1, &sink);
-  overhead_net.send(0, 1, std::make_shared<TestMessage>(0, 1));  // only overhead
+  overhead_net.send(0, 1, test_message(0, 1));  // only overhead
   queue_.run_all();
   ASSERT_EQ(sink.received.size(), 1u);
   EXPECT_NEAR(sink.received[0].at, 0.1, 1e-9);
@@ -121,27 +119,58 @@ TEST_F(NetworkTest, PerMessageOverheadCounted) {
 
 TEST_F(NetworkTest, OfflineNodeDropsTraffic) {
   net_.set_offline(1, true);
-  net_.send(0, 1, std::make_shared<TestMessage>(100, 1));
+  net_.send(0, 1, test_message(100, 1));
   queue_.run_all();
   EXPECT_TRUE(nodes_[1].received.empty());
   net_.set_offline(1, false);
-  net_.send(0, 1, std::make_shared<TestMessage>(100, 2));
+  net_.send(0, 1, test_message(100, 2));
   queue_.run_all();
   EXPECT_EQ(nodes_[1].received.size(), 1u);
 }
 
 TEST_F(NetworkTest, OfflineSenderDropsTraffic) {
   net_.set_offline(0, true);
-  net_.send(0, 1, std::make_shared<TestMessage>(100, 1));
+  net_.send(0, 1, test_message(100, 1));
   queue_.run_all();
   EXPECT_TRUE(nodes_[1].received.empty());
 }
 
 TEST_F(NetworkTest, ByteAndMessageCounters) {
-  net_.send(0, 1, std::make_shared<TestMessage>(100, 1));
-  net_.send(1, 2, std::make_shared<TestMessage>(50, 2));
+  net_.send(0, 1, test_message(100, 1));
+  net_.send(1, 2, test_message(50, 2));
   EXPECT_EQ(net_.messages_sent(), 2u);
   EXPECT_EQ(net_.bytes_sent(), 150u);  // overhead configured as 0 in fixture
+}
+
+TEST_F(NetworkTest, SendsAreCountedByKind) {
+  net_.send(0, 1, Message{1, 0, 100});
+  net_.send(0, 1, Message{3, 0, 100});
+  net_.send(1, 2, Message{3, 0, 100});
+  net_.send_ignored(net_.link(1, 0), 36);
+  EXPECT_EQ(net_.sent_by_kind(), (std::array<std::uint64_t, kMessageKinds>{1, 1, 0, 2}));
+  EXPECT_EQ(net_.messages_sent(), 4u);
+  EXPECT_THROW(net_.send(0, 1, Message{0, 0, 10}), std::invalid_argument);
+  EXPECT_THROW(net_.send(0, 1, Message{kMessageKinds, 0, 10}), std::invalid_argument);
+  EXPECT_EQ(net_.messages_sent(), 4u);
+}
+
+// A send_ignored message is a kind-0 entry wherever it waits: in the FIFO
+// behind a busy link's message, or as the scheduled delivery a later send
+// queues behind. Neither is ever handed to the receiver.
+TEST_F(NetworkTest, KindZeroEntriesAreNeverDispatched) {
+  net_.send(0, 1, test_message(1250, 1));  // busy link: the ignored send queues
+  net_.send_ignored(net_.link(0, 1), 1250);
+  net_.send(0, 1, test_message(1250, 2));
+  net_.send_ignored(net_.link(1, 2), 1250);  // idle link: its place is reserved...
+  queue_.schedule_at(0.05, [this] { net_.send(1, 2, test_message(1250, 3)); });
+  queue_.run_all();  // ...and the send behind it gives the place its event
+  EXPECT_EQ(net_.deliveries_elided(), 0u);
+  ASSERT_EQ(nodes_[1].received.size(), 2u);
+  EXPECT_EQ(nodes_[1].received[0].tag, 1);
+  EXPECT_EQ(nodes_[1].received[1].tag, 2);
+  ASSERT_EQ(nodes_[2].received.size(), 1u);
+  EXPECT_EQ(nodes_[2].received[0].tag, 3);
+  EXPECT_NEAR(nodes_[2].received[0].at, 0.3, 1e-9);  // serialized behind the ignored one
 }
 
 TEST_F(NetworkTest, EdgeLatencySymmetricAndStable) {
@@ -155,7 +184,7 @@ TEST_F(NetworkTest, EdgeLatencySymmetricAndStable) {
 // transfer starting when the previous one finishes.
 TEST_F(NetworkTest, LinkSerializesLongTrainInOrder) {
   constexpr int kTrain = 50;
-  for (int i = 0; i < kTrain; ++i) net_.send(0, 1, std::make_shared<TestMessage>(1250, i));
+  for (int i = 0; i < kTrain; ++i) net_.send(0, 1, test_message(1250, i));
   queue_.run_all();
   ASSERT_EQ(nodes_[1].received.size(), static_cast<std::size_t>(kTrain));
   for (int i = 0; i < kTrain; ++i) {
@@ -171,9 +200,9 @@ TEST_F(NetworkTest, LinkSerializesLongTrainInOrder) {
 TEST_F(NetworkTest, PendingEventsBoundedByActiveLinks) {
   constexpr int kPerLink = 40;
   for (int i = 0; i < kPerLink; ++i) {
-    net_.send(0, 1, std::make_shared<TestMessage>(1250, i));        // link 0->1
-    net_.send(1, 0, std::make_shared<TestMessage>(1250, 100 + i));  // link 1->0
-    net_.send(1, 2, std::make_shared<TestMessage>(1250, 200 + i));  // link 1->2
+    net_.send(0, 1, test_message(1250, i));        // link 0->1
+    net_.send(1, 0, test_message(1250, 100 + i));  // link 1->0
+    net_.send(1, 2, test_message(1250, 200 + i));  // link 1->2
   }
   EXPECT_EQ(net_.messages_in_flight(), 3u * kPerLink);
   EXPECT_EQ(net_.active_links(), 3u);
@@ -196,8 +225,8 @@ TEST_F(NetworkTest, PendingEventsBoundedByActiveLinks) {
 // time (same per-message semantics as the per-event implementation), and
 // the link drains cleanly for later traffic.
 TEST_F(NetworkTest, OfflineMidTrainDropsQueuedMessages) {
-  net_.send(0, 1, std::make_shared<TestMessage>(1250, 1));  // arrives at 0.2
-  net_.send(0, 1, std::make_shared<TestMessage>(1250, 2));  // arrives at 0.3
+  net_.send(0, 1, test_message(1250, 1));  // arrives at 0.2
+  net_.send(0, 1, test_message(1250, 2));  // arrives at 0.3
   queue_.run_until(0.25);
   ASSERT_EQ(nodes_[1].received.size(), 1u);
   net_.set_offline(1, true);
@@ -206,7 +235,7 @@ TEST_F(NetworkTest, OfflineMidTrainDropsQueuedMessages) {
   EXPECT_EQ(net_.messages_in_flight(), 0u);
   EXPECT_EQ(net_.active_links(), 0u);
   net_.set_offline(1, false);
-  net_.send(0, 1, std::make_shared<TestMessage>(1250, 3));
+  net_.send(0, 1, test_message(1250, 3));
   queue_.run_all();
   ASSERT_EQ(nodes_[1].received.size(), 2u);
   EXPECT_EQ(nodes_[1].received[1].tag, 3);
@@ -218,15 +247,15 @@ TEST_F(NetworkTest, ReplyFromHandlerDoesNotDisturbTrain) {
   struct Replier : INode {
     Network* net = nullptr;
     std::vector<int> tags;
-    void on_message(NodeId from, const MessagePtr& msg) override {
-      tags.push_back(static_cast<const TestMessage&>(*msg).tag);
-      if (tags.size() == 1) net->send(1, from, std::make_shared<TestMessage>(10, 99));
+    void on_message(NodeId from, const Message& msg) override {
+      tags.push_back(tag_of(msg));
+      if (tags.size() == 1) net->send(1, from, test_message(10, 99));
     }
   };
   Replier replier;
   replier.net = &net_;
   net_.attach(1, &replier);
-  for (int i = 0; i < 5; ++i) net_.send(0, 1, std::make_shared<TestMessage>(1250, i));
+  for (int i = 0; i < 5; ++i) net_.send(0, 1, test_message(1250, i));
   queue_.run_all();
   ASSERT_EQ(replier.tags.size(), 5u);
   for (int i = 0; i < 5; ++i) EXPECT_EQ(replier.tags[i], i);
@@ -237,9 +266,9 @@ TEST_F(NetworkTest, ReplyFromHandlerDoesNotDisturbTrain) {
 // Fast-path counters: a send on an idle link delivers directly (no FIFO),
 // while messages queued behind it drain as a burst train.
 TEST_F(NetworkTest, IdleLinkSendsCountAsDirectDeliveries) {
-  net_.send(0, 1, std::make_shared<TestMessage>(1250, 1));  // idle link: direct
+  net_.send(0, 1, test_message(1250, 1));  // idle link: direct
   queue_.run_all();
-  net_.send(0, 1, std::make_shared<TestMessage>(1250, 2));  // idle again: direct
+  net_.send(0, 1, test_message(1250, 2));  // idle again: direct
   queue_.run_all();
   EXPECT_EQ(net_.direct_deliveries(), 2u);
   EXPECT_EQ(net_.burst_drained(), 0u);
@@ -249,7 +278,7 @@ TEST_F(NetworkTest, IdleLinkSendsCountAsDirectDeliveries) {
 
 TEST_F(NetworkTest, BusyLinkTrainCountsBurstDrains) {
   constexpr int kTrain = 8;
-  for (int i = 0; i < kTrain; ++i) net_.send(0, 1, std::make_shared<TestMessage>(1250, i));
+  for (int i = 0; i < kTrain; ++i) net_.send(0, 1, test_message(1250, i));
   queue_.run_all();
   // First message rode the direct path; the 7 queued behind it drained as
   // consecutive head events on the same link.
@@ -262,10 +291,10 @@ TEST_F(NetworkTest, BusyLinkTrainCountsBurstDrains) {
 TEST_F(NetworkTest, FastPathPreservesTimingAcrossIdleGaps) {
   // Burst, drain to idle, then another send: the second burst must start
   // from the link-idle state, not from a stale last-arrival clamp.
-  net_.send(0, 1, std::make_shared<TestMessage>(1250, 1));
-  net_.send(0, 1, std::make_shared<TestMessage>(1250, 2));
+  net_.send(0, 1, test_message(1250, 1));
+  net_.send(0, 1, test_message(1250, 2));
   queue_.run_all();
-  net_.send(0, 1, std::make_shared<TestMessage>(1250, 3));
+  net_.send(0, 1, test_message(1250, 3));
   queue_.run_all();
   ASSERT_EQ(nodes_[1].received.size(), 3u);
   EXPECT_NEAR(nodes_[1].received[0].at, 0.2, 1e-9);
@@ -313,7 +342,7 @@ TEST(NetworkStandalone, UnattachedRecipientThrows) {
   Recorder a;
   a.queue = &queue;
   net.attach(0, &a);
-  net.send(0, 1, std::make_shared<TestMessage>(1, 1));
+  net.send(0, 1, test_message(1, 1));
   EXPECT_THROW(queue.run_all(), std::logic_error);
 }
 
@@ -350,13 +379,13 @@ class IgnoredTwin {
 
   void ignored(NodeId from, NodeId to) {
     if (elide_) {
-      net_.send_ignored(from, to, 1250);
+      net_.send_ignored(net_.link(from, to), 1250);
     } else {
-      net_.send(from, to, std::make_shared<TestMessage>(1250, kDroppedTag));
+      net_.send(from, to, test_message(1250, kDroppedTag));
     }
   }
   void real(NodeId from, NodeId to, int tag) {
-    net_.send(from, to, std::make_shared<TestMessage>(1250, tag));
+    net_.send(from, to, test_message(1250, tag));
   }
   /// Events that log `tag` at every grid time from now on, scheduled now:
   /// they order before everything scheduled later at the same time.
@@ -379,8 +408,8 @@ class IgnoredTwin {
  private:
   struct Sink : INode {
     IgnoredTwin* twin = nullptr;
-    void on_message(NodeId from, const MessagePtr& msg) override {
-      const int tag = static_cast<const TestMessage&>(*msg).tag;
+    void on_message(NodeId from, const Message& msg) override {
+      const int tag = tag_of(msg);
       if (tag != kDroppedTag) twin->note(tag, from);
     }
   };

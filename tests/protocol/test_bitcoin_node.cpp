@@ -51,6 +51,22 @@ TEST(BitcoinNode, DeadInvsCostNoEvent) {
   EXPECT_EQ(net.queue().now(), 0.044779160000000005);
 }
 
+TEST(BitcoinNode, EveryBlockSentAnswersAGetdata) {
+  // Without faults a node sends a block only to serve a getdata, so the
+  // block count never exceeds the getdata count.
+  MiniNet<BitcoinNode> net(6, btc_params(), 0.01, 10e6, 2000, true,
+                           bng::testing::Topo::kLine);
+  for (int round = 0; round < 5; ++round) {
+    net.node(static_cast<NodeId>(round % 6)).on_mining_win(1.0);
+    net.settle();
+  }
+  ASSERT_TRUE(net.converged());
+  const auto& sent = net.network().sent_by_kind();
+  EXPECT_GT(sent[protocol::kInvKind], 0u);
+  EXPECT_GT(sent[protocol::kBlockKind], 0u);
+  EXPECT_LE(sent[protocol::kBlockKind], sent[protocol::kGetDataKind]);
+}
+
 TEST(BitcoinNode, ChainGrowsAcrossMiners) {
   MiniNet<BitcoinNode> net(4, btc_params());
   for (int round = 0; round < 6; ++round) {
@@ -149,7 +165,8 @@ TEST(BitcoinNode, RejectsWrongTypeBlocks) {
   std::vector<chain::TxPtr> txs{cb};
   h.merkle_root = chain::compute_merkle_root(txs);
   auto key_block = std::make_shared<chain::Block>(h, txs, 1);
-  net.network().send(1, 0, std::make_shared<protocol::BlockMessage>(key_block));
+  protocol::send_block(net.network(), 1, 0,
+                       net.network().block_store()->intern(key_block->id()), key_block);
   net.settle();
   EXPECT_EQ(net.node(0).tree().size(), 1u);  // still only genesis
 }
@@ -171,7 +188,8 @@ TEST(BitcoinNode, OversizedBlockRejected) {
   h.merkle_root = chain::compute_merkle_root(txs);
   auto fat_block = std::make_shared<chain::Block>(h, txs, 1);
   ASSERT_GT(fat_block->wire_size(), params.max_block_size);
-  net.network().send(1, 0, std::make_shared<protocol::BlockMessage>(fat_block));
+  protocol::send_block(net.network(), 1, 0,
+                       net.network().block_store()->intern(fat_block->id()), fat_block);
   net.settle();
   EXPECT_EQ(net.node(0).tree().size(), 1u);
 }

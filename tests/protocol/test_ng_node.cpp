@@ -186,7 +186,8 @@ TEST(NgNode, InvalidSignatureMicroblockRejected) {
   h.merkle_root = chain::compute_merkle_root(txs);
   h.signature = crypto::sign(bad_signer, h.signing_hash());
   auto forged = std::make_shared<chain::Block>(h, txs, 0);
-  net.network().send(0, 1, std::make_shared<protocol::BlockMessage>(forged));
+  protocol::send_block(net.network(), 0, 1,
+                       net.network().block_store()->intern(forged->id()), forged);
   net.settle();
   EXPECT_FALSE(net.node(1).tree().contains(forged->id()));
 }
@@ -205,7 +206,8 @@ TEST(NgNode, FutureTimestampMicroblockRejected) {
   auto leader_sk = crypto::PrivateKey::from_seed(0x6e670000ull + 0);
   h.signature = crypto::sign(leader_sk, h.signing_hash());
   auto forged = std::make_shared<chain::Block>(h, txs, 0);
-  net.network().send(0, 1, std::make_shared<protocol::BlockMessage>(forged));
+  protocol::send_block(net.network(), 0, 1,
+                       net.network().block_store()->intern(forged->id()), forged);
   net.settle();
   EXPECT_FALSE(net.node(1).tree().contains(forged->id()));
 }

@@ -16,6 +16,7 @@
 #include "runner/executor.hpp"
 #include "runner/scenario.hpp"
 #include "runner/sweep.hpp"
+#include "sim/experiment.hpp"
 
 namespace bng::runner {
 namespace {
@@ -200,6 +201,55 @@ TEST(SweepTelemetry, ElidedDeliveriesReportedBesideEventsInProcess) {
   const std::string proc_json = procs.to_json(s.name, 1.0);
   EXPECT_EQ(field(proc_json, "events_executed"), 0u);
   EXPECT_EQ(field(proc_json, "deliveries_elided"), 0u);
+}
+
+TEST(SweepTelemetry, MessageCountsByKindReportedInProcessAndKeptOutOfRecords) {
+  const Scenario s = registered_mini();
+  constexpr std::uint32_t kSeeds = 2;
+  const std::string plain = artifacts(run_sweep(s, thread_options(kSeeds, 2)));
+  const auto count = [](const std::string& json, const std::string& key) {
+    const std::size_t at = json.find("\"" + key + "\": ");
+    EXPECT_NE(at, std::string::npos) << key << " missing from " << json;
+    return at == std::string::npos ? 0ull
+                                   : std::stoull(json.substr(at + key.size() + 4));
+  };
+
+  obs::SweepTelemetry threads;
+  SweepOptions with_stats = thread_options(kSeeds, 2);
+  with_stats.telemetry = &threads;
+  EXPECT_EQ(plain, artifacts(run_sweep(s, with_stats)));
+  const std::string json = threads.to_json(s.name, 1.0);
+  const std::size_t messages = json.find("\"messages\": {");
+  ASSERT_NE(messages, std::string::npos) << json;
+  const std::string counts = json.substr(messages, json.find('}', messages) - messages);
+  const auto inv = count(counts, "inv");
+  const auto getdata = count(counts, "getdata");
+  const auto block = count(counts, "block");
+  const auto ignored = count(counts, "ignored");
+  EXPECT_GT(inv, 0u);
+  EXPECT_GT(block, 0u);
+  EXPECT_LE(block, getdata);
+
+  // The kinds add up to every message the same jobs charge to their links.
+  std::uint64_t sent = 0;
+  const std::vector<SweepPoint> points = expand(s);
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    for (std::uint32_t ordinal = 0; ordinal < kSeeds; ++ordinal) {
+      sim::ExperimentConfig cfg = points[p].config;
+      cfg.seed = job_seed(s.seed_base, p, ordinal);
+      sim::Experiment exp(std::move(cfg));
+      exp.run();
+      sent += exp.network().messages_sent();
+    }
+  }
+  EXPECT_EQ(inv + getdata + block + ignored, sent);
+
+  // Worker processes count in other address spaces: no section at all.
+  obs::SweepTelemetry procs;
+  SweepOptions proc_stats = proc_options(kSeeds, 2);
+  proc_stats.telemetry = &procs;
+  EXPECT_EQ(plain, artifacts(run_sweep(s, proc_stats)));
+  EXPECT_EQ(procs.to_json(s.name, 1.0).find("\"messages\""), std::string::npos);
 }
 
 }  // namespace
