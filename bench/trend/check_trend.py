@@ -32,10 +32,10 @@ CI's negative control uses it to prove the gate actually fails on a
 seeded regression (a gate that cannot fail is not a gate).
 
 A benchmark present in the run but absent from every baseline is NEW: it
-is reported as "new, baselined" and appended to the store as a
-speed-normalized baseline record (values divided by the machine-speed
-factor, so they are in reference-container units), which gates it from
-the next run onward. --no-baseline-new reverts to report-only.
+is reported as "[new] NAME ... (not gated)". The gate never writes the
+store: a run that baselined its own new names would gate the next local run
+against itself. Record a baseline line by hand (append_trend.py --source
+baseline) to bring a new benchmark under the gate.
 
 A benchmark in the baseline but absent from the run is RETIRED (deleted
 or renamed): it is reported as "[retired] NAME" so it does not drop out of
@@ -44,11 +44,9 @@ store alone.
 
 Usage:
   check_trend.py --run micro_core.json --store micro_core.jsonl \
-                 [--rel 0.20] [--abs-ns 25] [--inject NAME=FACTOR]... \
-                 [--no-baseline-new]
+                 [--rel 0.20] [--abs-ns 25] [--inject NAME=FACTOR]...
 """
 import argparse
-import datetime
 import json
 import statistics
 import sys
@@ -57,9 +55,9 @@ import sys
 def load_baseline(store_path: str) -> dict:
     """Merge every source=baseline line: union of names, later lines win.
 
-    Merging (rather than last-line-wins wholesale) lets an auto-baseline
+    Merging (rather than last-line-wins wholesale) lets a later baseline
     record carry only newly added benchmarks without eclipsing the full
-    hand-recorded baseline that precedes it.
+    baseline that precedes it.
     """
     baseline = None
     with open(store_path) as f:
@@ -104,8 +102,6 @@ def main() -> int:
     ap.add_argument("--inject", action="append", default=[],
                     metavar="NAME=FACTOR",
                     help="multiply a run entry before comparison (negative control)")
-    ap.add_argument("--no-baseline-new", action="store_true",
-                    help="report new benchmarks without appending them to the store")
     args = ap.parse_args()
 
     try:
@@ -150,31 +146,8 @@ def main() -> int:
         if rel > args.rel and excess > args.abs_ns:
             failures.append((n, base[n], adjusted, run[n], rel))
 
-    if new and args.no_baseline_new:
-        for n in new:
-            print(f"[new] {n}: {run[n]:.1f} ns (not baselined — not gated)")
-    elif new:
-        # Auto-baseline: store speed-normalized values (reference-container
-        # units) so the next run gates these like any hand-recorded entry.
-        record = {
-            "commit": baseline["commit"],
-            "date": datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%d"),
-            "source": "baseline",
-            "note": "auto-baselined by check_trend.py (new benchmarks)",
-            "time_unit": "ns",
-            "benchmarks": {n: round(run[n] / speed, 2) for n in new},
-        }
-        try:
-            with open(args.store, "a") as f:
-                f.write(json.dumps(record, sort_keys=True) + "\n")
-        except OSError as e:
-            print(f"check_trend: cannot append new-benchmark baseline: {e}",
-                  file=sys.stderr)
-            return 2
-        for n in new:
-            print(f"[new, baselined] {n}: {run[n]:.1f} ns "
-                  f"(stored {run[n] / speed:.1f} ns speed-normalized; "
-                  "gated from next run)")
+    for n in new:
+        print(f"[new] {n}: {run[n]:.1f} ns (not gated)")
     if failures:
         print(f"\nFAIL: {len(failures)} benchmark(s) regressed beyond "
               f"{args.rel:.0%} + {args.abs_ns:g} ns over the speed-adjusted baseline:")

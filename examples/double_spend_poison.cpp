@@ -30,14 +30,9 @@ int main() {
   auto genesis = chain::make_genesis(4000, kCoin);
   sim::TraceRecorder trace(genesis);
 
-  protocol::SyntheticWorkload pool;
-  const Hash256 genesis_txid = genesis->txs()[0]->id();
-  for (std::size_t i = 0; i < 4000; ++i)
-    pool.txs.push_back(chain::make_transfer(
-        chain::Outpoint{genesis_txid, static_cast<std::uint32_t>(i)}, kCoin - 1000,
-        chain::address_from_tag(i), 1000, 120));
-  pool.tx_wire_size = pool.txs[0]->wire_size();
-  pool.fee_per_tx = 1000;
+  // Transaction i spends genesis output i: 1000 fee, 120 padding bytes.
+  const protocol::SyntheticWorkload pool({genesis->txs()[0]->id(), kCoin - 1000, 1000, 120, 0},
+                                         4000);
 
   std::vector<std::unique_ptr<ng::NgNode>> nodes;
   for (NodeId i = 0; i < 5; ++i) {

@@ -12,8 +12,12 @@ constexpr std::size_t kBlockOverhead = 300;
 BitcoinNode::BitcoinNode(NodeId id, net::Network& net, chain::BlockPtr genesis,
                          protocol::NodeConfig cfg, Rng rng,
                          protocol::IBlockObserver* observer)
-    : BaseNode(id, net, std::move(genesis), std::move(cfg), rng, observer),
-      reward_address_(chain::address_from_tag(0x626974ull << 32 | id)) {}
+    : BaseNode(id, net, std::move(genesis), std::move(cfg), rng, observer) {}
+
+const Hash256& BitcoinNode::reward_address() const {
+  if (!reward_address_) reward_address_ = chain::address_from_tag(0x626974ull << 32 | id_);
+  return *reward_address_;
+}
 
 void BitcoinNode::on_mining_win(double work) {
   chain::BlockPtr block = build_block(tree_.best_tip(), work);
@@ -34,7 +38,7 @@ chain::BlockPtr BitcoinNode::build_block(BlockId tip, double work) {
   auto coinbase = std::make_shared<chain::Transaction>();
   coinbase->coinbase_height = tip_facts.pow_height + 1;
   coinbase->outputs.push_back(
-      chain::TxOutput{cfg_.params.block_subsidy + fees, reward_address_});
+      chain::TxOutput{cfg_.params.block_subsidy + fees, reward_address()});
   txs.insert(txs.begin(), std::move(coinbase));
 
   chain::BlockHeader header;

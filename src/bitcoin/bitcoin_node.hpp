@@ -6,6 +6,8 @@
 // paper's regtest + in-situ controller setup (§7 "Simulated Mining").
 #pragma once
 
+#include <optional>
+
 #include "protocol/base_node.hpp"
 
 namespace bng::bitcoin {
@@ -20,8 +22,9 @@ class BitcoinNode : public protocol::BaseNode {
 
   [[nodiscard]] std::uint64_t blocks_mined() const { return blocks_mined_; }
 
-  /// Address collecting this node's rewards.
-  [[nodiscard]] const Hash256& reward_address() const { return reward_address_; }
+  /// Address collecting this node's rewards. Derived on first use (from the
+  /// node id): it costs a hash, and most nodes of a run never mine.
+  [[nodiscard]] const Hash256& reward_address() const;
 
  protected:
   void handle_block(const chain::BlockPtr& block, BlockId id, NodeId from) override;
@@ -29,7 +32,7 @@ class BitcoinNode : public protocol::BaseNode {
  private:
   [[nodiscard]] chain::BlockPtr build_block(BlockId tip, double work);
 
-  Hash256 reward_address_;
+  mutable std::optional<Hash256> reward_address_;
   std::uint64_t blocks_mined_ = 0;
 };
 

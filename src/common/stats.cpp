@@ -8,8 +8,23 @@
 namespace bng {
 
 double percentile(std::vector<double> samples, double p) {
-  std::sort(samples.begin(), samples.end());
-  return percentile_sorted(samples, p);
+  return select_percentile(samples, p);
+}
+
+double select_percentile(std::span<double> samples, double p) {
+  if (samples.empty()) return 0.0;
+  assert(p >= 0.0 && p <= 100.0);
+  if (samples.size() == 1) return samples[0];
+  // The same two order statistics percentile_sorted interpolates between,
+  // found by selection: the lo-th, then the least of what lies above it.
+  const double rank = p / 100.0 * static_cast<double>(samples.size() - 1);
+  const auto lo = static_cast<std::size_t>(rank);
+  const double frac = rank - static_cast<double>(lo);
+  const auto lo_it = samples.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(samples.begin(), lo_it, samples.end());
+  const double low = *lo_it;
+  const double high = lo + 1 < samples.size() ? *std::min_element(lo_it + 1, samples.end()) : low;
+  return low * (1.0 - frac) + high * frac;
 }
 
 double percentile_sorted(std::span<const double> sorted, double p) {

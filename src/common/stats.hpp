@@ -12,6 +12,15 @@ namespace bng {
 /// Input does not need to be sorted.
 double percentile(std::vector<double> samples, double p);
 
+/// percentile() in place, by selection (O(n), no sort): reorders `samples`,
+/// so several ranks of one sample set can share one copy. It takes
+/// the same two order statistics a sort would and interpolates them the
+/// same way, so the result is bit-identical to percentile_sorted() of the
+/// sorted input, except that a -0.0 and a +0.0 (equal under <) may trade
+/// places. No metric produces -0.0: delays are differences of
+/// non-decreasing times, and time_to_prune clamps at 0.0.
+double select_percentile(std::span<double> samples, double p);
+
 /// percentile() over input already sorted ascending: no copy, no sort, so
 /// several ranks of one sample set cost a single sort.
 double percentile_sorted(std::span<const double> sorted, double p);

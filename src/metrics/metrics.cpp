@@ -351,13 +351,13 @@ MetricsReport compute_metrics(const Experiment& exp, double epsilon, double delt
   r.chain_duration_s = g.received(g.best_tip());
 
   r.prop_delay_samples = propagation_delays(exp);
-  // One sorted copy serves all three ranks; the samples themselves keep
-  // their order, which the histogram's floating-point sum depends on.
-  std::vector<double> sorted = r.prop_delay_samples;
-  std::sort(sorted.begin(), sorted.end());
-  r.prop_delay_p50_s = percentile_sorted(sorted, 50);
-  r.prop_delay_p90_s = percentile_sorted(sorted, 90);
-  r.prop_delay_p99_s = percentile_sorted(sorted, 99);
+  // One copy serves all three ranks, each found by selection; the samples
+  // themselves keep their order, which the histogram's floating-point sum
+  // depends on.
+  std::vector<double> delays = r.prop_delay_samples;
+  r.prop_delay_p50_s = select_percentile(delays, 50);
+  r.prop_delay_p90_s = select_percentile(delays, 90);
+  r.prop_delay_p99_s = select_percentile(delays, 99);
   return r;
 }
 

@@ -2,48 +2,68 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "chain/block_store.hpp"
 
 namespace bng::net {
 
-Network::Network(EventQueue& queue, const Topology& topology, const LatencyModel& latency,
+Network::Network(EventQueue& queue, Topology topology, const LatencyModel& latency,
                  LinkParams params, Rng& rng, const LatencyModel* intra)
     : queue_(queue),
-      topology_(topology),
+      topology_(std::move(topology)),
       params_(params),
-      block_store_(std::make_shared<chain::BlockStore>(topology.num_nodes() + 1)),
-      node_state_(std::make_shared<NodeStateArena>(topology.num_nodes())) {
+      block_store_(std::make_shared<chain::BlockStore>(topology_.num_nodes() + 1)),
+      node_state_(std::make_shared<NodeStateArena>(topology_.num_nodes())) {
   const std::uint32_t n = topology_.num_nodes();
   handlers_.resize(n, nullptr);
   offline_.resize(n, false);
 
   // CSR rows, sorted by peer id so find_edge is a short binary search over
-  // contiguous memory.
+  // contiguous memory. Sorting (peer, position) keys gives each peers()
+  // position its slot without a search.
   offset_.resize(n + 1, 0);
   for (NodeId v = 0; v < n; ++v)
     offset_[v + 1] = offset_[v] + static_cast<std::uint32_t>(topology_.peers(v).size());
-  row_sorted_.resize(offset_[n]);
-  peer_edge_.resize(offset_[n]);
+  const std::uint32_t edges = offset_[n];
+  row_sorted_.resize(edges);
+  peer_edge_.resize(edges);
+  std::vector<std::uint64_t> keys;
   for (NodeId v = 0; v < n; ++v) {
     const auto& adj = topology_.peers(v);
-    std::copy(adj.begin(), adj.end(), row_sorted_.begin() + offset_[v]);
-    std::sort(row_sorted_.begin() + offset_[v], row_sorted_.begin() + offset_[v + 1]);
-    for (std::size_t i = 0; i < adj.size(); ++i) peer_edge_[offset_[v] + i] = find_edge(v, adj[i]);
+    keys.resize(adj.size());
+    for (std::uint32_t i = 0; i < adj.size(); ++i)
+      keys[i] = std::uint64_t{adj[i]} << 32 | i;
+    std::sort(keys.begin(), keys.end());
+    for (std::uint32_t k = 0; k < keys.size(); ++k) {
+      row_sorted_[offset_[v] + k] = static_cast<NodeId>(keys[k] >> 32);
+      peer_edge_[offset_[v] + static_cast<std::uint32_t>(keys[k])] = offset_[v] + k;
+    }
   }
-  latency_.resize(offset_[n], 0);
-  busy_until_.resize(offset_[n], 0);
-  fifo_.resize(offset_[n]);
-  blocked_.resize(offset_[n], 0);
-  state_.resize(offset_[n], kIdle);
-  last_arrival_.resize(offset_[n], 0);
-  skip_seq_.resize(offset_[n], 0);
+  latency_.resize(edges, 0);
+  busy_until_.resize(edges, 0);
+  fifo_of_.resize(edges, kNoFifo);
+  blocked_.resize(edges, 0);
+  state_.resize(edges, kIdle);
+  last_arrival_.resize(edges, 0);
+  skip_seq_.resize(edges, 0);
+
+  // The reverse of every directed edge, in one pass: visiting the nodes v in
+  // ascending order, the edges (v, u) arrive at each row u in its sorted
+  // order, so one cursor per row names the slot of (u, v).
+  std::vector<std::uint32_t> reverse(edges);
+  std::vector<std::uint32_t> cursor(offset_.begin(), offset_.end() - 1);
+  for (NodeId v = 0; v < n; ++v)
+    for (std::uint32_t e = offset_[v]; e < offset_[v + 1]; ++e)
+      reverse[e] = cursor[row_sorted_[e]]++;
 
   // Draw a symmetric latency per undirected edge, once, like the paper's
   // fixed per-pair assignment. Iteration order matches the pre-CSR
   // implementation so a given rng yields the identical assignment.
   for (NodeId a = 0; a < n; ++a) {
-    for (NodeId b : topology_.peers(a)) {
+    const auto& adj = topology_.peers(a);
+    for (std::uint32_t i = 0; i < adj.size(); ++i) {
+      const NodeId b = adj[i];
       if (a < b) {
         // Clustered overlays give same-cluster edges the short-haul model;
         // with intra unset this selects `latency` unconditionally and the
@@ -53,8 +73,9 @@ Network::Network(EventQueue& queue, const Topology& topology, const LatencyModel
                 ? *intra
                 : latency;
         const Seconds sample = model.sample(rng);
-        latency_[find_edge(a, b)] = sample;
-        latency_[find_edge(b, a)] = sample;
+        const std::uint32_t e = peer_edge_[offset_[a] + i];
+        latency_[e] = sample;
+        latency_[reverse[e]] = sample;
       }
     }
   }
@@ -138,7 +159,13 @@ inline void Network::enqueue(std::uint32_t e, Seconds arrival, Message msg) {
   arrival = std::max(arrival, last_arrival_[e]);
   last_arrival_[e] = arrival;
   ++in_flight_;
-  fifo_[e].q.push_back(InFlight{arrival, msg});
+  // A link's first queueing gives it a FIFO of its own, kept for the run.
+  std::uint32_t& fifo = fifo_of_[e];
+  if (fifo == kNoFifo) {
+    fifo = static_cast<std::uint32_t>(fifos_.size());
+    fifos_.emplace_back();
+  }
+  fifos_[fifo].q.push_back(InFlight{arrival, msg});
   state_[e] |= kQueued;
 }
 
@@ -198,7 +225,7 @@ void Network::deliver_direct(Link l, Message msg) {
   } else {
     // Messages queued up behind the direct flight: re-arm before delivering
     // (see drain_train for the ordering discipline).
-    const LinkFifo& f = fifo_[l.edge];
+    const LinkFifo& f = fifos_[fifo_of_[l.edge]];
     rearm = queue_.schedule_at(f.q[f.head].arrival, DeliverHead{this, l});
   }
   dispatch(l.from, l.to, msg);
@@ -209,8 +236,10 @@ void Network::deliver_direct(Link l, Message msg) {
 }
 
 void Network::drain_train(Link l) {
+  const std::uint32_t fifo = fifo_of_[l.edge];
   for (;;) {
-    LinkFifo& f = fifo_[l.edge];
+    // Not held across dispatch: a send from the handler may grow fifos_.
+    LinkFifo& f = fifos_[fifo];
     const Message msg = f.q[f.head].msg;
     ++f.head;
     --in_flight_;

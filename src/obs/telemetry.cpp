@@ -25,6 +25,10 @@ void SweepTelemetry::start(std::size_t total_jobs) {
   simulate_ms_ = 0;
   metrics_ms_ = 0;
   workload_ms_ = 0;
+  build_ms_ = 0;
+  has_pool_ = false;
+  pool_txs_ = 0;
+  pool_built_ = 0;
   started_ = std::chrono::steady_clock::now();
 }
 
@@ -47,16 +51,24 @@ void SweepTelemetry::add_events(std::uint64_t executed, std::uint64_t elided,
   for (std::size_t k = 0; k < sent.size(); ++k) messages_[k] += sent[k];
 }
 
-void SweepTelemetry::add_phase_ms(double simulate_ms, double metrics_ms) {
+void SweepTelemetry::add_phase_ms(double simulate_ms, double build_ms, double metrics_ms) {
   std::lock_guard lock(mu_);
   ++phase_jobs_;
   simulate_ms_ += simulate_ms;
+  build_ms_ += build_ms;
   metrics_ms_ += metrics_ms;
 }
 
 void SweepTelemetry::add_workload_ms(double ms) {
   std::lock_guard lock(mu_);
   workload_ms_ += ms;
+}
+
+void SweepTelemetry::add_pool(std::uint64_t txs, std::uint64_t built) {
+  std::lock_guard lock(mu_);
+  has_pool_ = true;
+  pool_txs_ += txs;
+  pool_built_ += built;
 }
 
 std::uint64_t SweepTelemetry::peak_rss_bytes() {
@@ -176,9 +188,15 @@ std::string SweepTelemetry::to_json(const std::string& scenario, double wall_s) 
   if (phase_jobs_ > 0) {
     std::snprintf(buf, sizeof buf,
                   ",\n  \"phases\": {\"jobs\": %llu, \"simulate_ms\": %.3f, "
-                  "\"metrics_ms\": %.3f, \"workload_ms\": %.3f}",
+                  "\"metrics_ms\": %.3f, \"workload_ms\": %.3f, \"build_ms\": %.3f}",
                   static_cast<unsigned long long>(phase_jobs_), simulate_ms_, metrics_ms_,
-                  workload_ms_);
+                  workload_ms_, build_ms_);
+    j += buf;
+  }
+  if (has_pool_) {
+    std::snprintf(buf, sizeof buf, ",\n  \"pool\": {\"txs\": %llu, \"built\": %llu}",
+                  static_cast<unsigned long long>(pool_txs_),
+                  static_cast<unsigned long long>(pool_built_));
     j += buf;
   }
   if (has_cache_) {

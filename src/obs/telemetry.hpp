@@ -76,16 +76,22 @@ class SweepTelemetry {
   /// experiments in other address spaces. Never part of a record.
   void add_events(std::uint64_t executed, std::uint64_t elided, const MessageCounts& sent);
   /// One finished job's wall time split into its simulation phase (build and
-  /// run the experiment) and its metric-extraction phase (metrics, hooks,
-  /// record), ms. Reported by the in-process thread executor only, like
-  /// add_events; adds a "phases" section to the stats JSON. Never part of a
-  /// record.
-  void add_phase_ms(double simulate_ms, double metrics_ms);
-  /// Wall time of one shared tx-pool build (sim::build_shared_workload), ms.
-  /// Reported by the in-process thread executor, once per pool it builds;
-  /// the "phases" section shows the sum as "workload_ms". Never part of a
-  /// record.
+  /// run the experiment), the deployment build within it (Experiment::build:
+  /// topology, network, trace recorder, nodes, scheduler) and its
+  /// metric-extraction phase (metrics, hooks, record), ms. Reported by the
+  /// in-process thread executor only, like add_events; adds a "phases"
+  /// section to the stats JSON. Never part of a record.
+  void add_phase_ms(double simulate_ms, double build_ms, double metrics_ms);
+  /// Wall time of one shared tx-pool build (sim::build_shared_workload: the
+  /// genesis and transaction 0), ms. Reported by the in-process thread
+  /// executor, once per pool it builds; the "phases" section shows the sum
+  /// as "workload_ms". Never part of a record.
   void add_workload_ms(double ms);
+  /// One shared tx pool after its last job: its size and how many of its
+  /// transactions the jobs' blocks made it build. Reported by the in-process
+  /// thread executor; adds a "pool" section (sums over pools) to the stats
+  /// JSON. Never part of a record.
+  void add_pool(std::uint64_t txs, std::uint64_t built);
 
   /// Peak resident set of THIS process so far, bytes: VmHWM, which starts
   /// afresh at exec, or else ru_maxrss (on Linux it keeps the pre-exec
@@ -142,6 +148,10 @@ class SweepTelemetry {
   double simulate_ms_ = 0;
   double metrics_ms_ = 0;
   double workload_ms_ = 0;
+  double build_ms_ = 0;
+  bool has_pool_ = false;
+  std::uint64_t pool_txs_ = 0;
+  std::uint64_t pool_built_ = 0;
   std::chrono::steady_clock::time_point started_{};
   bool has_cache_ = false;
   CacheCounters cache_;

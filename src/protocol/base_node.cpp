@@ -13,7 +13,38 @@ chain::BlockTree::ForkChoice fork_choice_for(const chain::Params& params) {
              ? chain::BlockTree::ForkChoice::kHeaviestSubtree
              : chain::BlockTree::ForkChoice::kHeaviestChain;
 }
+
+chain::TxPtr make_pool_tx(const SyntheticWorkload::Generator& gen, std::size_t i) {
+  return chain::make_transfer(chain::Outpoint{gen.genesis_txid, static_cast<std::uint32_t>(i)},
+                              gen.value, chain::address_from_tag(gen.tag_base + i), gen.fee,
+                              gen.padding);
+}
 }  // namespace
+
+SyntheticWorkload::SyntheticWorkload(const Generator& gen, std::size_t size)
+    : gen_(gen), txs_(size) {
+  if (size > 0) tx_wire_size_ = tx(0)->wire_size();
+}
+
+std::span<const chain::TxPtr> SyntheticWorkload::txs(std::size_t begin,
+                                                     std::size_t count) const {
+  if (begin > txs_.size() || count > txs_.size() - begin)
+    throw std::out_of_range("SyntheticWorkload: read past the pool");
+  if (built_.load(std::memory_order_acquire) < begin + count) build_to(begin + count);
+  return {txs_.data() + begin, count};
+}
+
+void SyntheticWorkload::build_to(std::size_t end) const {
+  std::lock_guard lock(build_mu_);
+  std::size_t i = built_.load(std::memory_order_relaxed);
+  if (i >= end) return;  // another reader built it first
+  for (; i < end; ++i) {
+    chain::TxPtr tx = make_pool_tx(gen_, i);
+    (void)tx->id();  // caches the id and the wire size together
+    txs_[i] = std::move(tx);
+  }
+  built_.store(end, std::memory_order_release);
+}
 
 BaseNode::BaseNode(NodeId id, net::Network& net, chain::BlockPtr genesis, NodeConfig cfg,
                    Rng rng, IBlockObserver* observer)
@@ -155,15 +186,14 @@ std::vector<chain::TxPtr> BaseNode::assemble_payload(BlockId tip, std::size_t ma
                                                      std::size_t reserve_bytes) {
   if (cfg_.workload_mode == WorkloadMode::kSynthetic) {
     const SyntheticWorkload& pool = *cfg_.workload;
-    std::vector<chain::TxPtr> out;
-    if (pool.tx_wire_size == 0 || reserve_bytes >= max_bytes) return out;
-    std::size_t budget = max_bytes - reserve_bytes;
-    std::size_t start = tree_.facts(tip).chain_tx_count;
-    std::size_t count = std::min(budget / pool.tx_wire_size,
-                                 pool.txs.size() > start ? pool.txs.size() - start : 0);
-    out.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) out.push_back(pool.txs[start + i]);
-    return out;
+    if (pool.tx_wire_size() == 0 || reserve_bytes >= max_bytes) return {};
+    const std::size_t budget = max_bytes - reserve_bytes;
+    const std::size_t start = tree_.facts(tip).chain_tx_count;
+    const std::size_t count =
+        std::min(budget / pool.tx_wire_size(), pool.size() > start ? pool.size() - start : 0);
+    if (count == 0) return {};
+    const std::span<const chain::TxPtr> txs = pool.txs(start, count);
+    return {txs.begin(), txs.end()};
   }
   return mempool_.assemble(max_bytes, reserve_bytes);
 }

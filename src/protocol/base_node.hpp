@@ -14,8 +14,11 @@
 // Network::send_ignored, charged but never delivered (see net/network.hpp).
 #pragma once
 
+#include <atomic>
 #include <functional>
 #include <memory>
+#include <mutex>
+#include <span>
 #include <vector>
 
 #include "chain/block_tree.hpp"
@@ -38,10 +41,50 @@ namespace bng::protocol {
 /// Pre-generated synthetic transaction pool shared by all nodes
 /// (paper §7 "No Transaction Propagation": identical mempools, independent
 /// identically-sized transactions serializable in any order).
-struct SyntheticWorkload {
-  std::vector<chain::TxPtr> txs;
-  std::size_t tx_wire_size = 0;  ///< identical for all txs
-  Amount fee_per_tx = 0;
+///
+/// Transaction i spends output i of the genesis coinbase and pays
+/// address_from_tag(tag_base + i). It is built the first time a block reads
+/// it: a chain's payload is the pool slice after its tip's chain_tx_count,
+/// so blocks read a prefix, and the pool builds [0, highest index read) and
+/// nothing past it. Concurrent jobs share one pool, so reads are safe from
+/// any thread: a transaction's id and wire size are computed (they are
+/// cached in plain mutable fields) before the built watermark moves past it.
+class SyntheticWorkload {
+ public:
+  /// What transaction i is made of.
+  struct Generator {
+    Hash256 genesis_txid;
+    Amount value = 0;  ///< of each transaction's one output
+    Amount fee = 0;
+    std::uint32_t padding = 0;
+    std::uint64_t tag_base = 0;
+  };
+
+  /// A pool of `size` transactions. Builds transaction 0, whose wire size
+  /// every transaction shares.
+  SyntheticWorkload(const Generator& gen, std::size_t size);
+
+  [[nodiscard]] std::size_t size() const { return txs_.size(); }
+  /// Identical for all transactions; 0 for an empty pool.
+  [[nodiscard]] std::size_t tx_wire_size() const { return tx_wire_size_; }
+
+  /// Transactions [begin, begin + count), built on first read. Throws
+  /// std::out_of_range past size().
+  [[nodiscard]] std::span<const chain::TxPtr> txs(std::size_t begin, std::size_t count) const;
+  [[nodiscard]] const chain::TxPtr& tx(std::size_t i) const { return txs(i, 1)[0]; }
+
+  /// How many transactions are built: always a prefix of the pool.
+  [[nodiscard]] std::size_t built() const { return built_.load(std::memory_order_acquire); }
+
+ private:
+  void build_to(std::size_t end) const;
+
+  Generator gen_;
+  std::size_t tx_wire_size_ = 0;
+  /// Sized once; slots [0, built_) are set and never change again.
+  mutable std::vector<chain::TxPtr> txs_;
+  mutable std::atomic<std::size_t> built_{0};
+  mutable std::mutex build_mu_;
 };
 
 enum class WorkloadMode {

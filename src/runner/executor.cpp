@@ -38,9 +38,10 @@ RunRecord run_job(const Scenario& scenario, const SweepPoint& point,
   };
   const Clock::time_point simulate_start = Clock::now();
   sim::Experiment exp(std::move(cfg));
+  exp.build();
+  const Clock::time_point build_end = Clock::now();
   NamedValues hook_values;
   if (scenario.run) {
-    exp.build();
     scenario.run(exp, hook_values);
   } else {
     exp.run();
@@ -52,6 +53,7 @@ RunRecord run_job(const Scenario& scenario, const SweepPoint& point,
   RunRecord record = extract_record(exp, std::move(values), point_index, ordinal);
   if (telemetry != nullptr) {
     telemetry->add_phase_ms(ms_since(simulate_start, metrics_start),
+                            ms_since(simulate_start, build_end),
                             ms_since(metrics_start, Clock::now()));
     telemetry->add_events(exp.queue().events_executed(), exp.network().deliveries_elided(),
                           exp.network().sent_by_kind());
@@ -137,8 +139,11 @@ class ThreadPoolExecutor final : public Executor {
         sink(run_job(plan.scenario, plan.points[p], static_cast<std::uint32_t>(p),
                      ordinal, std::move(pool), nullptr, plan.telemetry));
       }
-      if (st != nullptr && st->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1)
+      if (st != nullptr && st->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        if (plan.telemetry != nullptr)
+          plan.telemetry->add_pool(st->pool->workload.size(), st->pool->workload.built());
         st->pool.reset();
+      }
     };
 
     auto worker_loop = [&] {
@@ -158,9 +163,12 @@ class ThreadPoolExecutor final : public Executor {
       }
     };
 
+    // The calling thread is one of the workers, so a one-worker run (every
+    // --jobs 1 job) starts no thread.
     std::vector<std::thread> threads;
-    threads.reserve(workers);
-    for (std::uint32_t w = 0; w < workers; ++w) threads.emplace_back(worker_loop);
+    threads.reserve(workers - 1);
+    for (std::uint32_t w = 1; w < workers; ++w) threads.emplace_back(worker_loop);
+    worker_loop();
     for (auto& t : threads) t.join();
     if (first_error) std::rethrow_exception(first_error);
     return workers;

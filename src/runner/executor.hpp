@@ -60,8 +60,8 @@ struct ExecutionPlan {
       trace_sink{};
   /// Optional sweep telemetry. The in-process thread executor feeds it each
   /// job's executed-event count (for the events/sec rate in --progress and
-  /// --stats-json) and its simulate/metrics phase split; the fleet executor
-  /// ignores it — its experiments run in other address spaces.
+  /// --stats-json), its phase split and each tx pool's built share; the
+  /// fleet executor ignores it — its experiments run in other address spaces.
   obs::SweepTelemetry* telemetry = nullptr;
 };
 
@@ -107,8 +107,8 @@ std::unique_ptr<Executor> make_thread_executor(std::uint32_t jobs);
 /// worker session funnel through this. `trace` (optional) receives the
 /// experiment's decision trace; recording is observational, so the record —
 /// digest included — is bit-identical with and without it.
-/// `telemetry` (optional) receives the job's simulate/metrics phase split
-/// and its event counts; like tracing it never touches the record.
+/// `telemetry` (optional) receives the job's simulate/build/metrics phase
+/// split and its event counts; like tracing it never touches the record.
 RunRecord run_job(const Scenario& scenario, const SweepPoint& point,
                   std::uint32_t point_index, std::uint32_t ordinal,
                   std::shared_ptr<const sim::PrebuiltWorkload> pool,

@@ -20,7 +20,7 @@ constexpr std::size_t kMaxPoolSize = 400'000;
 
 /// Generate genesis + tx pool for `cfg`. Deterministic and seed-independent:
 /// the pool depends only on the deployment/workload parameters.
-PrebuiltWorkload generate_workload(const ExperimentConfig& cfg) {
+std::shared_ptr<const PrebuiltWorkload> generate_workload(const ExperimentConfig& cfg) {
   std::size_t pool = cfg.pool_size;
   if (pool == 0) {
     // Auto-size: enough transactions to fill every counted block twice over.
@@ -33,9 +33,8 @@ PrebuiltWorkload generate_workload(const ExperimentConfig& cfg) {
   }
   pool = std::min(pool, kMaxPoolSize);
 
-  PrebuiltWorkload out;
-  out.genesis = chain::make_genesis(pool, kCoin);
-  const Hash256 genesis_txid = out.genesis->txs()[0]->id();
+  chain::BlockPtr genesis = chain::make_genesis(pool, kCoin);
+  const Hash256 genesis_txid = genesis->txs()[0]->id();
 
   // Determine padding so that every tx hits exactly cfg.tx_size on the wire.
   auto probe = chain::make_transfer(chain::Outpoint{genesis_txid, 0}, kCoin - cfg.tx_fee,
@@ -44,16 +43,9 @@ PrebuiltWorkload generate_workload(const ExperimentConfig& cfg) {
   const std::uint32_t padding =
       cfg.tx_size > base_size ? static_cast<std::uint32_t>(cfg.tx_size - base_size) : 0;
 
-  out.workload.txs.reserve(pool);
-  for (std::size_t i = 0; i < pool; ++i) {
-    out.workload.txs.push_back(chain::make_transfer(
-        chain::Outpoint{genesis_txid, static_cast<std::uint32_t>(i)}, kCoin - cfg.tx_fee,
-        chain::address_from_tag(i + 1'000'000), cfg.tx_fee, padding));
-  }
-  out.workload.tx_wire_size =
-      out.workload.txs.empty() ? cfg.tx_size : out.workload.txs[0]->wire_size();
-  out.workload.fee_per_tx = cfg.tx_fee;
-  return out;
+  const protocol::SyntheticWorkload::Generator generator{genesis_txid, kCoin - cfg.tx_fee,
+                                                         cfg.tx_fee, padding, 1'000'000};
+  return std::make_shared<const PrebuiltWorkload>(std::move(genesis), generator, pool);
 }
 
 /// Checks that fail before any work, including a shared pool's: an NG
@@ -68,15 +60,7 @@ void check_config(const ExperimentConfig& cfg) {
 
 std::shared_ptr<const PrebuiltWorkload> build_shared_workload(const ExperimentConfig& cfg) {
   check_config(cfg);
-  auto shared = std::make_shared<PrebuiltWorkload>(generate_workload(cfg));
-  // Warm the lazy per-tx caches while the pool is still owned by one thread:
-  // Transaction::id()/wire_size() write plain mutable fields on first use,
-  // which would be a data race if first computed by concurrent experiments.
-  for (const auto& tx : shared->workload.txs) {
-    (void)tx->id();
-    (void)tx->wire_size();
-  }
-  return shared;
+  return generate_workload(cfg);
 }
 
 namespace {
@@ -224,14 +208,14 @@ Experiment::Experiment(ExperimentConfig cfg) : cfg_(std::move(cfg)), master_rng_
 
 Experiment::~Experiment() = default;
 
+const protocol::SyntheticWorkload& Experiment::workload() const {
+  if (!pool_) throw std::logic_error("Experiment::workload: call build() first");
+  return pool_->workload;
+}
+
 void Experiment::build_workload() {
-  if (cfg_.shared_workload) {
-    genesis_ = cfg_.shared_workload->genesis;
-    return;
-  }
-  PrebuiltWorkload generated = generate_workload(cfg_);
-  genesis_ = std::move(generated.genesis);
-  workload_ = std::move(generated.workload);
+  pool_ = cfg_.shared_workload ? cfg_.shared_workload : generate_workload(cfg_);
+  genesis_ = pool_->genesis;
 }
 
 void Experiment::build_nodes() {
@@ -248,7 +232,7 @@ void Experiment::build_nodes() {
       cfg_.latency ? *cfg_.latency : net::LatencyModel::default_internet();
   const net::LatencyModel intra =
       cfg_.intra_latency ? *cfg_.intra_latency : net::LatencyModel::intra_cluster();
-  network_ = std::make_unique<net::Network>(queue_, topology, latency, cfg_.link,
+  network_ = std::make_unique<net::Network>(queue_, std::move(topology), latency, cfg_.link,
                                             latency_rng, clustered ? &intra : nullptr);
 
   // Share the deployment-wide store so global-tree and node-tree ids and
@@ -329,10 +313,12 @@ void Experiment::build_nodes() {
                                                  cfg_.params.block_interval, sched_rng);
   if (cfg_.retarget) scheduler_->enable_difficulty(*cfg_.retarget);
 
-  // In full-mempool mode every node starts with the identical pool.
+  // In full-mempool mode every node starts with the identical pool, all of
+  // it built.
   if (cfg_.workload_mode == protocol::WorkloadMode::kFullMempool) {
+    const auto all = workload().txs(0, workload().size());
     for (auto& n : nodes_)
-      for (const auto& tx : workload().txs) n->submit_transaction(tx);
+      for (const auto& tx : all) n->submit_transaction(tx);
   }
 }
 

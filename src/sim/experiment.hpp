@@ -70,14 +70,18 @@ struct AdversarySpec {
   [[nodiscard]] bool active() const { return kind != Kind::kNone; }
 };
 
-/// A fully generated synthetic workload (genesis block + tx pool) that can
-/// be shared read-only between experiments. All seeds of a sweep point use
-/// the same pool (ROADMAP "synthetic-workload memory"): the pool is a pure
-/// function of the deployment parameters, not of the seed, and nodes never
-/// mutate it, so one copy serves every run instead of hundreds of MB per
-/// seed. Build with build_shared_workload(), which also pre-warms the lazy
-/// tx-id/wire-size caches so the pool is safe to read from many threads.
+/// A synthetic workload (genesis block + tx pool) that can be shared
+/// between experiments. All seeds of a sweep point use the same pool
+/// (ROADMAP "synthetic-workload memory"): the pool is a pure function of
+/// the deployment parameters, not of the seed, and nodes never mutate it, so
+/// one copy serves every run instead of one per seed. Its transactions are
+/// built as blocks first read them, safely from many threads
+/// (protocol::SyntheticWorkload). Build with build_shared_workload().
 struct PrebuiltWorkload {
+  PrebuiltWorkload(chain::BlockPtr genesis_block,
+                   const protocol::SyntheticWorkload::Generator& generator, std::size_t size)
+      : genesis(std::move(genesis_block)), workload(generator, size) {}
+
   chain::BlockPtr genesis;
   protocol::SyntheticWorkload workload;
 };
@@ -172,11 +176,10 @@ struct ExperimentConfig {
   std::uint64_t seed = 1;
 };
 
-/// Generate the workload `cfg` would build, pre-warming every transaction's
-/// lazily cached id and wire size (they are plain mutable fields, so first
-/// use must not race across threads). Seed-independent. Throws
-/// std::invalid_argument, before any work, for a config build() rejects up
-/// front.
+/// Generate the workload `cfg` would build: the genesis block and the
+/// pool's generator, with transaction 0 built (the pool builds the rest as
+/// blocks read them). Seed-independent. Throws std::invalid_argument, before
+/// any work, for a config build() rejects up front.
 [[nodiscard]] std::shared_ptr<const PrebuiltWorkload> build_shared_workload(
     const ExperimentConfig& cfg);
 
@@ -224,9 +227,8 @@ class Experiment {
   [[nodiscard]] const net::Network& network() const { return *network_; }
   [[nodiscard]] net::EventQueue& queue() { return queue_; }
   [[nodiscard]] MiningScheduler& scheduler() { return *scheduler_; }
-  [[nodiscard]] const protocol::SyntheticWorkload& workload() const {
-    return cfg_.shared_workload ? cfg_.shared_workload->workload : workload_;
-  }
+  /// The tx pool. Throws std::logic_error before build().
+  [[nodiscard]] const protocol::SyntheticWorkload& workload() const;
   [[nodiscard]] Seconds end_time() const { return end_time_; }
   [[nodiscard]] chain::BlockPtr genesis() const { return genesis_; }
 
@@ -245,7 +247,7 @@ class Experiment {
   net::EventQueue queue_;
   Rng master_rng_;
   chain::BlockPtr genesis_;
-  protocol::SyntheticWorkload workload_;
+  std::shared_ptr<const PrebuiltWorkload> pool_;  ///< cfg_.shared_workload or our own
   std::unique_ptr<net::Network> network_;
   std::unique_ptr<TraceRecorder> trace_;
   std::unique_ptr<MiningScheduler> scheduler_;

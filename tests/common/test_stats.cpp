@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <random>
 #include <vector>
 
 namespace bng {
@@ -30,6 +34,38 @@ TEST(Percentile, P90OfMostlyZeros) {
 
 TEST(Percentile, UnsortedInputHandled) {
   EXPECT_EQ(percentile({10, 0, 5}, 50), 5.0);
+}
+
+// Selection must return the exact bits a sort returns: the same two order
+// statistics, interpolated the same way. Random sets of every small size and
+// many larger ones, with heavy duplicates (values drawn from a few dozen
+// levels), at the ranks the metrics use plus the ends. One copy serves all
+// ranks, as in compute_metrics.
+TEST(Percentile, SelectionMatchesTheSortedOracleBitForBit) {
+  const auto bits = [](double v) {
+    std::uint64_t b = 0;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+  };
+  constexpr double kRanks[] = {0, 0.5, 25, 50, 90, 99, 100};
+  std::mt19937_64 gen(20261019);
+  std::vector<std::size_t> sizes{0, 1, 2};
+  for (std::size_t n = 3; n <= 64; ++n) sizes.push_back(n);
+  for (int k = 0; k < 60; ++k) sizes.push_back(65 + gen() % 1936);  // up to 2,000
+  for (const std::size_t n : sizes) {
+    const std::uint64_t levels = 1 + gen() % 40;
+    std::vector<double> samples(n);
+    for (double& v : samples)
+      v = static_cast<double>(gen() % levels) * 0.37 + (gen() % 4 == 0 ? 1e-3 : 0.0);
+    std::vector<double> sorted = samples;
+    std::sort(sorted.begin(), sorted.end());
+    std::vector<double> shared = samples;
+    for (const double p : kRanks) {
+      const double want = percentile_sorted(sorted, p);
+      EXPECT_EQ(bits(percentile(samples, p)), bits(want)) << "n=" << n << " p=" << p;
+      EXPECT_EQ(bits(select_percentile(shared, p)), bits(want)) << "n=" << n << " p=" << p;
+    }
+  }
 }
 
 TEST(MeanStddev, BasicValues) {

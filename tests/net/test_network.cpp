@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstring>
 #include <deque>
 #include <functional>
+#include <map>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -346,6 +348,99 @@ TEST(NetworkStandalone, UnattachedRecipientThrows) {
   EXPECT_THROW(queue.run_all(), std::logic_error);
 }
 
+
+// Busy links draw their FIFOs from one pool. A link that drained to empty
+// and queues again while another link is busy must deliver exactly its own
+// messages, in order, and the other link exactly its own.
+TEST_F(NetworkTest, RequeuedLinkKeepsItsOwnFifo) {
+  for (int i = 0; i < 3; ++i) net_.send(0, 1, test_message(1250, i));  // 0->1 queues
+  queue_.run_all();                                                     // ...and drains
+  ASSERT_EQ(nodes_[1].received.size(), 3u);
+  EXPECT_EQ(net_.active_links(), 0u);
+  for (int i = 0; i < 3; ++i) net_.send(1, 2, test_message(1250, 10 + i));  // 1->2 busy
+  for (int i = 0; i < 3; ++i) net_.send(0, 1, test_message(1250, 20 + i));  // 0->1 again
+  EXPECT_EQ(net_.active_links(), 2u);
+  queue_.run_until(queue_.now() + 0.25);  // both links part-way through their trains
+  net_.send(1, 2, test_message(1250, 13));
+  net_.send(0, 1, test_message(1250, 23));
+  queue_.run_all();
+
+  std::vector<int> to1;
+  for (const auto& r : nodes_[1].received) {
+    EXPECT_EQ(r.from, 0u);
+    to1.push_back(r.tag);
+  }
+  std::vector<int> to2;
+  for (const auto& r : nodes_[2].received) {
+    EXPECT_EQ(r.from, 1u);
+    to2.push_back(r.tag);
+  }
+  EXPECT_EQ(to1, (std::vector<int>{0, 1, 2, 20, 21, 22, 23}));
+  EXPECT_EQ(to2, (std::vector<int>{10, 11, 12, 13}));
+  EXPECT_TRUE(nodes_[0].received.empty());
+  EXPECT_EQ(net_.messages_in_flight(), 0u);
+}
+
+// --- Latency assignment ---------------------------------------------------
+//
+// One latency is drawn per undirected edge, in (a ascending, peers(a) order)
+// order for a < b, and both directed slots get it. The oracle replays those
+// draws into a map keyed by node pair and reads every directed edge back
+// through edge_latency, a find_edge lookup. The digests pin the assignment
+// itself; they were recorded before the constructor paired each edge with
+// its reverse in one pass.
+std::uint64_t checked_latency_digest(const Topology& topo, bool clustered) {
+  const LatencyModel inter = LatencyModel::default_internet();
+  const LatencyModel intra = LatencyModel::intra_cluster();
+  const auto model_of = [&](NodeId a, NodeId b) -> const LatencyModel& {
+    return clustered && topo.cluster_of(a) == topo.cluster_of(b) ? intra : inter;
+  };
+  EventQueue queue;
+  Rng rng(2024);
+  Network net(queue, topo, inter, LinkParams{1e6, 0}, rng, clustered ? &intra : nullptr);
+
+  Rng oracle_rng(2024);
+  std::map<std::pair<NodeId, NodeId>, Seconds> drawn;
+  for (NodeId a = 0; a < topo.num_nodes(); ++a)
+    for (NodeId b : topo.peers(a))
+      if (a < b) drawn[{a, b}] = model_of(a, b).sample(oracle_rng);
+
+  std::uint64_t h = 1469598103934665603ull;  // FNV-1a over (a, b, latency bits)
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= static_cast<std::uint8_t>(v >> (8 * i));
+      h *= 1099511628211ull;
+    }
+  };
+  std::size_t directed = 0;
+  for (NodeId a = 0; a < topo.num_nodes(); ++a) {
+    for (NodeId b : topo.peers(a)) {
+      const Seconds got = net.edge_latency(a, b);
+      EXPECT_EQ(got, drawn.at({std::min(a, b), std::max(a, b)})) << a << " -> " << b;
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &got, sizeof bits);
+      mix(a);
+      mix(b);
+      mix(bits);
+      ++directed;
+    }
+  }
+  EXPECT_EQ(directed, 2 * drawn.size());
+  return h;
+}
+
+TEST(NetworkLatency, EveryDirectedEdgeMatchesTheFindEdgeOracle) {
+  Rng random_rng(31);
+  EXPECT_EQ(checked_latency_digest(Topology::random(300, 5, random_rng), false),
+            0x50b0104d1e091ecbull);
+  Rng clustered_rng(32);
+  EXPECT_EQ(checked_latency_digest(Topology::clustered(400, 4, 5, 8, clustered_rng), true),
+            0xbb38bc0702035b17ull);
+  // Rows of 39 peers: past find_edge's linear-scan cutoff, so the oracle
+  // takes its binary search.
+  EXPECT_EQ(checked_latency_digest(Topology::complete(40), false), 0x1311031552a0ac8full);
+  EXPECT_EQ(checked_latency_digest(Topology::line(25), false), 0x8f657f20f17bd0d3ull);
+}
 
 TEST_F(NetworkTest, OfflineControlRejectsUnknownNode) {
   EXPECT_THROW(net_.set_offline(3, true), std::out_of_range);

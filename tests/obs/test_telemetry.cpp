@@ -35,8 +35,10 @@ TEST(SweepTelemetry, ReportsTheWorkloadBuildAndTheSha256Kernel) {
   telemetry.start(2);
   telemetry.add_workload_ms(12.5);  // two pools, each built once
   telemetry.add_workload_ms(0.25);
-  telemetry.add_phase_ms(30.0, 1.0);
-  telemetry.add_phase_ms(31.0, 2.0);
+  telemetry.add_phase_ms(30.0, 4.0, 1.0);
+  telemetry.add_phase_ms(31.0, 5.5, 2.0);
+  telemetry.add_pool(8560, 2375);
+  telemetry.add_pool(1240, 164);
   const std::string json = telemetry.to_json("s", /*wall_s=*/1.0);
 
   const std::size_t phases = json.find("\"phases\": {");
@@ -45,6 +47,9 @@ TEST(SweepTelemetry, ReportsTheWorkloadBuildAndTheSha256Kernel) {
   EXPECT_DOUBLE_EQ(std::stod(field(phase_json, "workload_ms")), 12.75) << json;
   EXPECT_DOUBLE_EQ(std::stod(field(phase_json, "simulate_ms")), 61.0) << json;
   EXPECT_DOUBLE_EQ(std::stod(field(phase_json, "metrics_ms")), 3.0) << json;
+  EXPECT_DOUBLE_EQ(std::stod(field(phase_json, "build_ms")), 9.5) << json;
+  EXPECT_NE(json.find("\"pool\": {\"txs\": 9800, \"built\": 2539}"), std::string::npos)
+      << json;
 
   const std::string kernel = field(json, "sha256");
   EXPECT_EQ(kernel,

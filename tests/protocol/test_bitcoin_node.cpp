@@ -180,8 +180,8 @@ TEST(BitcoinNode, OversizedBlockRejected) {
   cb->outputs.push_back(chain::TxOutput{1, chain::address_from_tag(1)});
   txs.push_back(cb);
   const std::size_t too_many =
-      params.max_block_size / net.workload().tx_wire_size + 5;
-  for (std::size_t i = 0; i < too_many; ++i) txs.push_back(net.workload().txs[i]);
+      params.max_block_size / net.workload().tx_wire_size() + 5;
+  for (std::size_t i = 0; i < too_many; ++i) txs.push_back(net.workload().tx(i));
   chain::BlockHeader h;
   h.type = chain::BlockType::kPow;
   h.prev = net.genesis()->id();

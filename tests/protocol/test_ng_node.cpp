@@ -182,7 +182,7 @@ TEST(NgNode, InvalidSignatureMicroblockRejected) {
   h.type = chain::BlockType::kMicro;
   h.prev = net.node(1).tree().best().block->id();
   h.timestamp = net.queue().now();
-  std::vector<chain::TxPtr> txs{net.workload().txs[0]};
+  std::vector<chain::TxPtr> txs{net.workload().tx(0)};
   h.merkle_root = chain::compute_merkle_root(txs);
   h.signature = crypto::sign(bad_signer, h.signing_hash());
   auto forged = std::make_shared<chain::Block>(h, txs, 0);
@@ -200,7 +200,7 @@ TEST(NgNode, FutureTimestampMicroblockRejected) {
   h.type = chain::BlockType::kMicro;
   h.prev = net.node(1).tree().best().block->id();
   h.timestamp = net.queue().now() + 1000.0;  // far future
-  std::vector<chain::TxPtr> txs{net.workload().txs[0]};
+  std::vector<chain::TxPtr> txs{net.workload().tx(0)};
   h.merkle_root = chain::compute_merkle_root(txs);
   // Signed by the *correct* leader key, so only the timestamp is at fault.
   auto leader_sk = crypto::PrivateKey::from_seed(0x6e670000ull + 0);

@@ -22,14 +22,8 @@ struct MixedNet {
         network(queue, topology, net::LatencyModel::constant(latency),
                 net::LinkParams{10e6, 40}, rng),
         genesis(chain::make_genesis(2000, kCoin)),
-        trace(genesis) {
-    const Hash256 genesis_txid = genesis->txs()[0]->id();
-    for (std::size_t i = 0; i < 2000; ++i)
-      pool.txs.push_back(chain::make_transfer(
-          chain::Outpoint{genesis_txid, static_cast<std::uint32_t>(i)}, kCoin - 1000,
-          chain::address_from_tag(i), 1000, 120));
-    pool.tx_wire_size = pool.txs[0]->wire_size();
-
+        trace(genesis),
+        pool({genesis->txs()[0]->id(), kCoin - 1000, 1000, 120, 0}, 2000) {
     for (NodeId i = 0; i < n; ++i) {
       protocol::NodeConfig cfg;
       cfg.params = btc_params();

@@ -177,6 +177,56 @@ TEST(SweepTelemetry, PhaseSplitReportedInProcessAndKeptOutOfRecords) {
   EXPECT_EQ(procs.to_json(s.name, 1.0).find("\"phases\""), std::string::npos);
 }
 
+TEST(SweepTelemetry, BuildPhaseAndPoolShareReportedInProcessAndKeptOutOfRecords) {
+  // A fig7-shaped one-block run: 60 kB Bitcoin blocks and the pool sized for
+  // 30 of them (as perfbench's set-up runs pin it). Its one block reads a
+  // block's worth of transactions, so the pool builds only that much.
+  const std::string text =
+      "name = fig7_one_block\n"
+      "seed_base = 71\n"
+      "base.protocol = bitcoin\n"
+      "base.block_interval = 36\n"
+      "base.max_block_size = 60000\n"
+      "base.pool_size = 8560\n"
+      "base.drain_time = 0\n";
+  const Scenario s = load_scenario_string(text, "<test>", RunKnobs{200, 1});
+  const std::string plain = artifacts(run_sweep(s, thread_options(1, 1)));
+  const auto number = [](const std::string& json, const std::string& key) {
+    const std::size_t at = json.find("\"" + key + "\": ");
+    EXPECT_NE(at, std::string::npos) << key << " missing from " << json;
+    return at == std::string::npos ? -1.0 : std::stod(json.substr(at + key.size() + 4));
+  };
+
+  obs::SweepTelemetry threads;
+  SweepOptions with_stats = thread_options(1, 1);
+  with_stats.telemetry = &threads;
+  EXPECT_EQ(plain, artifacts(run_sweep(s, with_stats)));
+  const std::string json = threads.to_json(s.name, 1.0);
+  const std::size_t phases = json.find("\"phases\": {");
+  ASSERT_NE(phases, std::string::npos) << json;
+  const std::string phase_json = json.substr(phases, json.find('}', phases) - phases);
+  const double build_ms = number(phase_json, "build_ms");
+  EXPECT_GT(build_ms, 0.0) << json;
+  EXPECT_LE(build_ms, number(phase_json, "simulate_ms")) << json;
+  const std::size_t pool = json.find("\"pool\": {");
+  ASSERT_NE(pool, std::string::npos) << json;
+  const std::string pool_json = json.substr(pool, json.find('}', pool) - pool);
+  EXPECT_EQ(number(pool_json, "txs"), 8560.0) << json;
+  const double built = number(pool_json, "built");
+  EXPECT_GT(built, 0.0) << json;
+  EXPECT_LT(built, 8560.0) << json;
+
+  // Worker processes build their pools in other address spaces: neither
+  // section appears.
+  obs::SweepTelemetry procs;
+  SweepOptions proc_stats = proc_options(1, 1);
+  proc_stats.telemetry = &procs;
+  EXPECT_EQ(plain, artifacts(run_sweep(s, proc_stats)));
+  const std::string proc_json = procs.to_json(s.name, 1.0);
+  EXPECT_EQ(proc_json.find("\"build_ms\""), std::string::npos) << proc_json;
+  EXPECT_EQ(proc_json.find("\"pool\""), std::string::npos) << proc_json;
+}
+
 TEST(SweepTelemetry, ElidedDeliveriesReportedBesideEventsInProcess) {
   const Scenario s = registered_mini();
   const auto field = [](const std::string& json, const std::string& key) {

@@ -100,12 +100,13 @@ TEST(Experiment, CustomPowersSizeMismatchThrows) {
 
 TEST(Experiment, WorkloadTransactionsIdenticallySized) {
   Experiment exp(small_ng());
+  EXPECT_THROW((void)exp.workload(), std::logic_error);  // no pool before build()
   exp.build();
   const auto& pool = exp.workload();
-  ASSERT_FALSE(pool.txs.empty());
-  for (std::size_t i = 1; i < std::min<std::size_t>(pool.txs.size(), 200); ++i)
-    EXPECT_EQ(pool.txs[i]->wire_size(), pool.tx_wire_size);
-  EXPECT_EQ(pool.tx_wire_size, exp.config().tx_size);
+  ASSERT_FALSE(pool.size() == 0);
+  for (std::size_t i = 1; i < std::min<std::size_t>(pool.size(), 200); ++i)
+    EXPECT_EQ(pool.tx(i)->wire_size(), pool.tx_wire_size());
+  EXPECT_EQ(pool.tx_wire_size(), exp.config().tx_size);
 }
 
 TEST(Experiment, GlobalTreeContainsAllGenerated) {

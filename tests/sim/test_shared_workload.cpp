@@ -2,6 +2,10 @@
 // (ROADMAP "synthetic-workload memory") without cross-talk.
 #include <gtest/gtest.h>
 
+#include <span>
+#include <thread>
+#include <vector>
+
 #include "metrics/metrics.hpp"
 #include "runner/digest.hpp"
 #include "sim/experiment.hpp"
@@ -20,6 +24,30 @@ ExperimentConfig small_config(std::uint64_t seed) {
   cfg.drain_time = 20;
   cfg.seed = seed;
   return cfg;
+}
+
+/// The bitcoin_fig7 perfbench pool's inputs (60 kB blocks, 30 blocks).
+ExperimentConfig fig7_config() {
+  ExperimentConfig cfg;
+  cfg.params = chain::Params::bitcoin();
+  cfg.params.max_block_size = 60000;
+  cfg.target_blocks = 30;
+  cfg.pool_size = 8560;
+  return cfg;
+}
+
+constexpr std::uint64_t kFig7PoolDigest = 0x44e3471f18e43e43ull;
+
+/// FNV-1a over the genesis and every transaction's id and wire size.
+std::uint64_t pool_digest(const PrebuiltWorkload& pool, std::span<const chain::TxPtr> txs) {
+  runner::Digest d;
+  d.bytes(pool.genesis->id().bytes.data(), 32);
+  d.u64(pool.genesis->wire_size());
+  for (const auto& tx : txs) {
+    d.bytes(tx->id().bytes.data(), 32);
+    d.u64(tx->wire_size());
+  }
+  return d.h;
 }
 
 /// The run's observable output: the generated-block trace.
@@ -43,16 +71,16 @@ TEST(SharedWorkload, MatchesOwnedWorkload) {
 
   // Same genesis, same pool contents, same simulation outcome.
   EXPECT_EQ(owned.genesis()->id(), shared.genesis()->id());
-  ASSERT_EQ(owned.workload().txs.size(), shared.workload().txs.size());
-  EXPECT_EQ(owned.workload().txs[0]->id(), shared.workload().txs[0]->id());
+  ASSERT_EQ(owned.workload().size(), shared.workload().size());
+  EXPECT_EQ(owned.workload().tx(0)->id(), shared.workload().tx(0)->id());
   EXPECT_EQ(trace_of(owned), trace_of(shared));
 }
 
 TEST(SharedWorkload, NoCrossTalkBetweenExperiments) {
   auto pool = build_shared_workload(small_config(7));
-  const std::size_t pool_txs = pool->workload.txs.size();
-  const Hash256 first_id = pool->workload.txs[0]->id();
-  const Hash256 last_id = pool->workload.txs.back()->id();
+  const std::size_t pool_txs = pool->workload.size();
+  const Hash256 first_id = pool->workload.tx(0)->id();
+  const Hash256 last_id = pool->workload.tx(pool_txs - 1)->id();
 
   // Baseline: run seed 7 alone off the shared pool.
   std::vector<std::pair<Hash256, double>> baseline;
@@ -83,9 +111,9 @@ TEST(SharedWorkload, NoCrossTalkBetweenExperiments) {
     exp.run();
     EXPECT_EQ(trace_of(exp), baseline);
   }
-  EXPECT_EQ(pool->workload.txs.size(), pool_txs);
-  EXPECT_EQ(pool->workload.txs[0]->id(), first_id);
-  EXPECT_EQ(pool->workload.txs.back()->id(), last_id);
+  EXPECT_EQ(pool->workload.size(), pool_txs);
+  EXPECT_EQ(pool->workload.tx(0)->id(), first_id);
+  EXPECT_EQ(pool->workload.tx(pool_txs - 1)->id(), last_id);
 }
 
 TEST(SharedWorkload, ExperimentsDropTheirReference) {
@@ -105,10 +133,10 @@ TEST(SharedWorkload, ExperimentsDropTheirReference) {
 TEST(SharedWorkload, BuildIsSeedIndependent) {
   auto a = build_shared_workload(small_config(1));
   auto b = build_shared_workload(small_config(999));
-  ASSERT_EQ(a->workload.txs.size(), b->workload.txs.size());
+  ASSERT_EQ(a->workload.size(), b->workload.size());
   EXPECT_EQ(a->genesis->id(), b->genesis->id());
-  EXPECT_EQ(a->workload.txs[0]->id(), b->workload.txs[0]->id());
-  EXPECT_EQ(a->workload.tx_wire_size, b->workload.tx_wire_size);
+  EXPECT_EQ(a->workload.tx(0)->id(), b->workload.tx(0)->id());
+  EXPECT_EQ(a->workload.tx_wire_size(), b->workload.tx_wire_size());
 }
 
 TEST(SharedWorkload, Fig7PoolMatchesItsPinnedDigest) {
@@ -116,23 +144,63 @@ TEST(SharedWorkload, Fig7PoolMatchesItsPinnedDigest) {
   // The digest was recorded with the portable SHA-256 kernel and the
   // serialize-per-accessor caches; any kernel or serialization change that
   // moves a txid or a size moves it.
-  ExperimentConfig cfg;
-  cfg.params = chain::Params::bitcoin();
-  cfg.params.max_block_size = 60000;
-  cfg.target_blocks = 30;
-  cfg.pool_size = 8560;
-  const auto pool = build_shared_workload(cfg);
-  ASSERT_EQ(pool->workload.txs.size(), 8560u);
-  EXPECT_EQ(pool->workload.tx_wire_size, 476u);
+  const auto pool = build_shared_workload(fig7_config());
+  ASSERT_EQ(pool->workload.size(), 8560u);
+  EXPECT_EQ(pool->workload.tx_wire_size(), 476u);
+  EXPECT_EQ(pool_digest(*pool, pool->workload.txs(0, pool->workload.size())),
+            kFig7PoolDigest);
+}
 
-  runner::Digest d;
-  d.bytes(pool->genesis->id().bytes.data(), 32);
-  d.u64(pool->genesis->wire_size());
-  for (const auto& tx : pool->workload.txs) {
-    d.bytes(tx->id().bytes.data(), 32);
-    d.u64(tx->wire_size());
+TEST(SharedWorkload, BuildsOnlyWhatBlocksRead) {
+  const auto pool = build_shared_workload(fig7_config());
+  const protocol::SyntheticWorkload& w = pool->workload;
+  EXPECT_EQ(w.built(), 1u);  // transaction 0 gives the wire size
+  (void)w.txs(200, 126);
+  EXPECT_EQ(w.built(), 326u);  // a prefix, up to the highest index read
+  (void)w.txs(10, 5);
+  EXPECT_EQ(w.built(), 326u);
+  EXPECT_THROW((void)w.txs(8500, 61), std::out_of_range);
+  EXPECT_EQ(w.built(), 326u);
+}
+
+TEST(SharedWorkload, ConcurrentReadersGetOneTransactionPerIndex) {
+  // Four threads read one shared fig7 pool in interleaved, overlapping
+  // block-sized windows, each with its own stride, so each keeps both
+  // building past the watermark and reading what another thread built.
+  const auto pool = build_shared_workload(fig7_config());
+  const protocol::SyntheticWorkload& w = pool->workload;
+  const std::size_t n = w.size();
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kWindow = 126;  // a 60 kB block's transactions
+  std::vector<std::vector<const chain::Transaction*>> seen(
+      kThreads, std::vector<const chain::Transaction*>(n, nullptr));
+  std::vector<std::size_t> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t begin = t * 11; begin < n; begin += 29 + 8 * t) {
+        const std::size_t count = std::min(kWindow, n - begin);
+        const std::span<const chain::TxPtr> txs = w.txs(begin, count);
+        for (std::size_t i = 0; i < count; ++i) {
+          const chain::Transaction* tx = txs[i].get();
+          const chain::Transaction*& slot = seen[t][begin + i];
+          if (tx == nullptr || (slot != nullptr && slot != tx)) ++mismatches[t];
+          slot = tx;
+          (void)tx->id();  // reads the caches the build filled
+        }
+      }
+    });
   }
-  EXPECT_EQ(d.h, 0x44e3471f18e43e43ull);
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(w.built(), n);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (seen[t][i] == nullptr) continue;
+      EXPECT_EQ(seen[t][i], w.tx(i).get()) << t << " @" << i;
+    }
+  }
+  EXPECT_EQ(pool_digest(*pool, w.txs(0, n)), kFig7PoolDigest);
 }
 
 }  // namespace

@@ -29,16 +29,8 @@ class MiniNet {
                                           : net::Topology::line(n)),
         network_(queue_, topology_, net::LatencyModel::constant(latency),
                  net::LinkParams{bandwidth_bps, 40}, rng_),
-        genesis_(chain::make_genesis(pool_txs, kCoin)) {
-    const Hash256 genesis_txid = genesis_->txs()[0]->id();
-    workload_.txs.reserve(pool_txs);
-    for (std::size_t i = 0; i < pool_txs; ++i) {
-      workload_.txs.push_back(chain::make_transfer(
-          chain::Outpoint{genesis_txid, static_cast<std::uint32_t>(i)}, kCoin - 1000,
-          chain::address_from_tag(i), 1000, 120));
-    }
-    workload_.tx_wire_size = workload_.txs[0]->wire_size();
-    workload_.fee_per_tx = 1000;
+        genesis_(chain::make_genesis(pool_txs, kCoin)),
+        workload_({genesis_->txs()[0]->id(), kCoin - 1000, 1000, 120, 0}, pool_txs) {
     trace_ = std::make_unique<sim::TraceRecorder>(genesis_, network_.block_store());
 
     for (NodeId i = 0; i < n; ++i) {
