@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "chain/block_tree.hpp"
@@ -119,16 +120,24 @@ void BM_ScalarMul(benchmark::State& state) {
 }
 BENCHMARK(BM_ScalarMul);
 
+/// 4,096 values from `rng`, cycled through by the benchmarks of
+/// variable-time code: one fixed input would let the branch predictor learn
+/// its path, which a job's fresh inputs never allow.
+template <typename Make>
+auto fresh_inputs(Make make) {
+  std::vector<decltype(make())> inputs;
+  while (inputs.size() < 4096) inputs.push_back(make());
+  return inputs;
+}
+
 void BM_ScalarInverse(benchmark::State& state) {
-  // The binary extended-Euclid inverse takes a data-dependent path, so one
-  // fixed input would let the branch predictor learn it: cycle through
-  // 4,096 random nonzero scalars, as signing sees fresh nonces.
+  // One per signature (k^-1), on a fresh nonce each time.
   Rng rng(1);
-  std::vector<crypto::U256> inputs;
-  while (inputs.size() < 4096) {
-    const crypto::U256 a = random_scalar(rng);
-    if (!a.is_zero()) inputs.push_back(a);
-  }
+  const auto inputs = fresh_inputs([&rng] {
+    crypto::U256 a;
+    while (a.is_zero()) a = random_scalar(rng);
+    return a;
+  });
   std::size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(crypto::sc_inv(inputs[i]));
@@ -137,21 +146,51 @@ void BM_ScalarInverse(benchmark::State& state) {
 }
 BENCHMARK(BM_ScalarInverse);
 
+void BM_FieldInverse(benchmark::State& state) {
+  // One per signature too: R's Z coordinate, to leave Jacobian coordinates.
+  Rng rng(2);
+  const auto inputs = fresh_inputs([&rng] {
+    crypto::U256 a;
+    while (a.is_zero() || a >= crypto::field_p())
+      a = crypto::U256(rng.next(), rng.next(), rng.next(), rng.next());
+    return a;
+  });
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::fe_inv(inputs[i]));
+    i = (i + 1) & (inputs.size() - 1);
+  }
+}
+BENCHMARK(BM_FieldInverse);
+
 void BM_PublicKey(benchmark::State& state) {
-  // Leader-key derivation, done once per NG node at deployment build. The
-  // first call builds the fixed-base table; it is kept out of the timing.
+  // Leader-key derivation, done once per NG node at deployment build, over
+  // 4,096 keys. The first call builds the fixed-base table; it is kept out
+  // of the timing.
   Rng rng(1);
-  const auto sk = crypto::PrivateKey::generate(rng);
-  benchmark::DoNotOptimize(sk.public_key());
-  for (auto _ : state) benchmark::DoNotOptimize(sk.public_key());
+  const auto keys = fresh_inputs([&rng] { return crypto::PrivateKey::generate(rng); });
+  benchmark::DoNotOptimize(keys[0].public_key());
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(keys[i].public_key());
+    i = (i + 1) & (keys.size() - 1);
+  }
 }
 BENCHMARK(BM_PublicKey);
 
 void BM_EcdsaSign(benchmark::State& state) {
+  // A leader signs each microblock header once: 4,096 distinct message
+  // hashes, so every signature derives a fresh nonce.
   Rng rng(1);
-  auto sk = crypto::PrivateKey::generate(rng);
-  auto msg = crypto::sha256("microblock header");
-  for (auto _ : state) benchmark::DoNotOptimize(crypto::sign(sk, msg));
+  const auto sk = crypto::PrivateKey::generate(rng);
+  std::uint64_t n = 0;
+  const auto messages = fresh_inputs([&n] { return crypto::sha256(std::to_string(n++)); });
+  benchmark::DoNotOptimize(sk.public_key());  // builds the fixed-base table
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::sign(sk, messages[i]));
+    i = (i + 1) & (messages.size() - 1);
+  }
 }
 BENCHMARK(BM_EcdsaSign);
 

@@ -12,6 +12,8 @@ namespace {
 /// Message hash -> scalar (mod n), per ECDSA (take leftmost 256 bits, reduce).
 U256 hash_to_scalar(const Hash256& h) { return sc_reduce(U256::from_hash(h)); }
 
+thread_local SignatureCounts tls_signature_counts;
+
 /// Deterministic nonce: k_i = SHA256(secret || msg || i), first i giving a
 /// valid k in [1, n-1]. Simplified from RFC 6979's HMAC-DRBG but serves the
 /// same purpose: no RNG dependence at signing time, unique per (key, msg).
@@ -102,6 +104,7 @@ Signature Signature::deserialize(std::span<const std::uint8_t> bytes) {
 }
 
 Signature sign(const PrivateKey& key, const Hash256& msg_hash) {
+  ++tls_signature_counts.signs;
   const U256 z = hash_to_scalar(msg_hash);
   for (std::uint32_t counter = 0;; ++counter) {
     U256 k = derive_nonce(key.secret, msg_hash, counter);
@@ -121,6 +124,7 @@ Signature sign(const PrivateKey& key, const Hash256& msg_hash) {
 }
 
 bool verify(const PublicKey& key, const Hash256& msg_hash, const Signature& sig) {
+  ++tls_signature_counts.verifies;
   if (!key.valid()) return false;
   if (sig.r.is_zero() || sig.s.is_zero()) return false;
   if (sig.r >= order_n() || sig.s >= order_n()) return false;
@@ -133,5 +137,7 @@ bool verify(const PublicKey& key, const Hash256& msg_hash, const Signature& sig)
   AffinePoint Ra = R.to_affine();
   return sc_reduce(Ra.x) == sig.r;
 }
+
+SignatureCounts thread_signature_counts() { return tls_signature_counts; }
 
 }  // namespace bng::crypto

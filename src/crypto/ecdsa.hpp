@@ -61,4 +61,13 @@ Signature sign(const PrivateKey& key, const Hash256& msg_hash);
 /// Verify a signature on a 32-byte message hash.
 bool verify(const PublicKey& key, const Hash256& msg_hash, const Signature& sig);
 
+/// sign() and verify() calls made on the calling thread since it started.
+/// A job runs on one thread, so the difference across the job is its count
+/// (ngsim's `--stats-json` "signatures"). Nothing in a simulation reads it.
+struct SignatureCounts {
+  std::uint64_t signs = 0;
+  std::uint64_t verifies = 0;
+};
+SignatureCounts thread_signature_counts();
+
 }  // namespace bng::crypto

@@ -1,69 +1,109 @@
 #include "crypto/secp256k1.hpp"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cassert>
 #include <stdexcept>
-#include <vector>
 
 namespace bng::crypto {
 
 namespace {
 
 // p = 2^256 - 2^32 - 977
-const U256 kP = U256::from_hex(
-    "fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f");
+constexpr U256 kP{0xfffffffefffffc2full, ~0ull, ~0ull, ~0ull};
 // n = group order
-const U256 kN = U256::from_hex(
-    "fffffffffffffffffffffffffffffffebaaedce6af48a03bbfd25e8cd0364141");
+constexpr U256 kN{0xbfd25e8cd0364141ull, 0xbaaedce6af48a03bull, 0xfffffffffffffffeull, ~0ull};
 // 2^256 mod n = 2^256 - n, a 129-bit value
-const U256 kNC = U256::from_hex("14551231950b75fc4402da1732fc9bebf");
+constexpr U256 kNC{0x402da1732fc9bebfull, 0x4551231950b75fc4ull, 1, 0};
 // 2^256 mod p = 2^32 + 977
 constexpr std::uint64_t kC = 0x1000003d1ull;
 
-const U256 kGx = U256::from_hex(
-    "79be667ef9dcbbac55a06295ce870b07029bfcdb2dce28d959f2815b16f81798");
-const U256 kGy = U256::from_hex(
-    "483ada7726a3c4655da4fbfc0e1108a8fd17b448a68554199c47d08ffb10d4b8");
+constexpr U256 kGx{0x59f2815b16f81798ull, 0x029bfcdb2dce28d9ull, 0x55a06295ce870b07ull,
+                   0x79be667ef9dcbbacull};
+constexpr U256 kGy{0x9c47d08ffb10d4b8ull, 0xfd17b448a6855419ull, 0x5da4fbfc0e1108a8ull,
+                   0x483ada7726a3c465ull};
+
+using u128 = unsigned __int128;
+using i128 = __int128;
+
+inline std::uint64_t lo64(u128 v) { return static_cast<std::uint64_t>(v); }
+
+// --- Field kernels -----------------------------------------------------------
+// Inline, so the point formulas below make no calls into u256.cpp. Every
+// value is kept fully reduced (< p), so equal field elements compare equal.
+
+/// a += b; returns the carry out.
+inline bool add_in_place(U256& a, const U256& b) {
+  unsigned __int128 carry = 0;
+  for (int i = 0; i < 4; ++i) {
+    carry += static_cast<unsigned __int128>(a.limb[i]) + b.limb[i];
+    a.limb[i] = static_cast<std::uint64_t>(carry);
+    carry >>= 64;
+  }
+  return carry != 0;
+}
+
+/// a -= b; returns the borrow out.
+inline bool sub_in_place(U256& a, const U256& b) {
+  unsigned __int128 borrow = 0;
+  for (int i = 0; i < 4; ++i) {
+    // A negative difference wraps, which sets every bit above bit 63.
+    const unsigned __int128 d = static_cast<unsigned __int128>(a.limb[i]) - b.limb[i] - borrow;
+    a.limb[i] = static_cast<std::uint64_t>(d);
+    borrow = (d >> 64) & 1;
+  }
+  return borrow != 0;
+}
 
 /// Reduce a 512-bit product modulo p using p's special form:
-/// hi*2^256 + lo == hi*(2^32+977) + lo (mod p).
-U256 reduce512_mod_p(const U512& t) {
-  // First fold: acc (5 limbs) = lo + hi * kC.
-  std::uint64_t acc[5] = {};
-  {
-    unsigned __int128 carry = 0;
-    for (int i = 0; i < 4; ++i) {
-      unsigned __int128 cur = static_cast<unsigned __int128>(t.limb[4 + i]) * kC +
-                              t.limb[i] + carry;
-      acc[i] = static_cast<std::uint64_t>(cur);
-      carry = cur >> 64;
-    }
-    acc[4] = static_cast<std::uint64_t>(carry);
-  }
-  // Second fold: r = acc[0..3] + acc[4] * kC.
+/// hi*2^256 + lo == hi*(2^32+977) + lo (mod p). The first fold leaves a
+/// 290-bit value, the second a value below 2^256 + 2^67, and a carry out of
+/// that is folded once more; one conditional subtraction of p finishes.
+inline U256 reduce512_mod_p(const U512& t) {
+  u128 acc = static_cast<u128>(t.limb[4]) * kC + t.limb[0];
   U256 r;
-  {
-    unsigned __int128 cur = static_cast<unsigned __int128>(acc[4]) * kC + acc[0];
-    r.limb[0] = static_cast<std::uint64_t>(cur);
-    unsigned __int128 carry = cur >> 64;
-    for (int i = 1; i < 4; ++i) {
-      cur = static_cast<unsigned __int128>(acc[i]) + carry;
-      r.limb[i] = static_cast<std::uint64_t>(cur);
-      carry = cur >> 64;
-    }
-    // Final possible carry of 1: fold once more (adds kC).
-    if (carry) {
-      bool c2;
-      r = U256::add(r, U256(kC), c2);
-      // c2 cannot propagate again: r was < 2^64 in the low limbs after carry.
-      assert(!c2);
-    }
+  r.limb[0] = lo64(acc);
+  for (int i = 1; i < 4; ++i) {
+    acc = (acc >> 64) + static_cast<u128>(t.limb[4 + i]) * kC + t.limb[i];
+    r.limb[i] = lo64(acc);
   }
-  while (r >= kP) {
-    bool borrow;
-    r = U256::sub(r, kP, borrow);
+  acc = (acc >> 64) * kC + r.limb[0];  // the top (< 2^34) times 2^256 mod p
+  r.limb[0] = lo64(acc);
+  for (int i = 1; i < 4; ++i) {
+    acc = (acc >> 64) + r.limb[i];
+    r.limb[i] = lo64(acc);
   }
+  // A carry out leaves r below 2^67, so folding it cannot carry again.
+  if (acc >> 64) add_in_place(r, U256(kC));
+  // r < 2^256 < 2p. p's upper three limbs are all ones, so r >= p exactly
+  // when r's are too and r's low limb is at least p's; r - p is then that
+  // low-limb difference alone.
+  if ((r.limb[1] & r.limb[2] & r.limb[3]) == ~0ull && r.limb[0] >= kP.limb[0])
+    r = U256(r.limb[0] - kP.limb[0]);
+  return r;
+}
+
+inline U256 mul(const U256& a, const U256& b) {
+  return reduce512_mod_p(U256::mul_wide(a, b));
+}
+
+/// A dedicated squaring (six cross products, doubled) measured no faster
+/// than the multiplication here.
+inline U256 sqr(const U256& a) { return mul(a, a); }
+
+inline U256 add(const U256& a, const U256& b) {
+  U256 r = a;
+  // At or past p, or past 2^256: subtracting p is adding 2^256 - p = kC,
+  // modulo 2^256.
+  if (add_in_place(r, b) || r >= kP) add_in_place(r, U256(kC));
+  return r;
+}
+
+inline U256 sub(const U256& a, const U256& b) {
+  U256 r = a;
+  // Below zero: adding p is subtracting 2^256 - p = kC, modulo 2^256.
+  if (sub_in_place(r, b)) sub_in_place(r, U256(kC));
   return r;
 }
 
@@ -96,85 +136,172 @@ U256 reduce512_mod_n(U512 t) {
 }
 
 // --- Modular inverse ---------------------------------------------------------
-// Inline limb helpers: U256::add/sub/shr are out of line, and the inverse
-// loop below runs them a few hundred times per call.
+// Pornin's optimized binary GCD ("Optimized Binary GCD for Modular
+// Inversion", IACR ePrint 2020/972, Algorithm 2, with k = 32), run in
+// variable time: each round makes 31 divsteps on 64-bit approximations of
+// (a, b), then applies their 2x2 matrix to the full a and b and to the
+// cofactors u and v.
 
-/// a += b; returns the carry out.
-inline bool add_in_place(U256& a, const U256& b) {
-  unsigned __int128 carry = 0;
+/// -m^-1 mod 2^64 for odd m, for dividing cofactors by 2^31: Newton's
+/// iteration doubles the correct low bits each step, from the 3 that
+/// m * m == 1 (mod 8) gives.
+inline std::uint64_t neg_inverse_2_64(std::uint64_t m) {
+  std::uint64_t x = m;
+  for (int i = 0; i < 5; ++i) x *= 2 - m * x;
+  return -x;
+}
+
+constexpr int kDivsteps = 31;
+/// Pornin's bound: 2*256 - 1 divsteps take a and b from at most 256 bits
+/// each to a == 0, and each round makes at least 31 of them count.
+constexpr int kMaxRounds = (2 * 256 - 1 + kDivsteps - 1) / kDivsteps;
+constexpr std::uint64_t kLow31 = (std::uint64_t{1} << kDivsteps) - 1;
+
+/// Bits [shift, shift + 33) of x, for shift in [32, 223].
+inline std::uint64_t top33(const U256& x, int shift) {
+  const int limb = shift / 64, bit = shift % 64;
+  std::uint64_t w = x.limb[limb] >> bit;
+  if (bit != 0 && limb < 3) w |= x.limb[limb + 1] << (64 - bit);
+  return w & ((std::uint64_t{1} << 33) - 1);
+}
+
+/// (f*x + g*y + h*z) / 2^31 for x, y, z < 2^256, |f| + |g| <= 2^31 and
+/// 0 <= h < 2^31, whose low 31 bits are zero: its low 256 bits, and in
+/// `above` its bits from 256 up, sign-extended.
+inline U256 combine(const U256& x, std::int64_t f, const U256& y, std::int64_t g,
+                    const U256& z, std::int64_t h, std::int64_t& above) {
+  std::uint64_t t[5];
+  i128 acc = 0;
   for (int i = 0; i < 4; ++i) {
-    carry += static_cast<unsigned __int128>(a.limb[i]) + b.limb[i];
-    a.limb[i] = static_cast<std::uint64_t>(carry);
-    carry >>= 64;
+    acc += static_cast<i128>(x.limb[i]) * f + static_cast<i128>(y.limb[i]) * g +
+           static_cast<i128>(z.limb[i]) * h;
+    t[i] = lo64(static_cast<u128>(acc));
+    acc >>= 64;  // arithmetic: the carry keeps its sign
   }
-  return carry != 0;
+  t[4] = lo64(static_cast<u128>(acc));
+  U256 r;
+  for (int i = 0; i < 4; ++i) r.limb[i] = t[i] >> kDivsteps | t[i + 1] << (64 - kDivsteps);
+  above = static_cast<std::int64_t>(t[4]) >> kDivsteps;
+  return r;
 }
 
-/// a -= b; returns the borrow out.
-inline bool sub_in_place(U256& a, const U256& b) {
-  unsigned __int128 borrow = 0;
-  for (int i = 0; i < 4; ++i) {
-    // A negative difference wraps, which sets every bit above bit 63.
-    const unsigned __int128 d = static_cast<unsigned __int128>(a.limb[i]) - b.limb[i] - borrow;
-    a.limb[i] = static_cast<std::uint64_t>(d);
-    borrow = (d >> 64) & 1;
+/// (f*a + g*b) / 2^31 for a, b < 2^256: it is exact, and below 2^256 in
+/// magnitude. Returns its absolute value and negates the row (f, g) if it
+/// was negative.
+inline U256 apply_exact(const U256& a, const U256& b, std::int64_t& f, std::int64_t& g) {
+  std::int64_t above;
+  U256 r = combine(a, f, b, g, U256(), 0, above);
+  if (above < 0) {
+    U256 zero;
+    sub_in_place(zero, r);
+    r = zero;
+    f = -f;
+    g = -g;
   }
-  return borrow != 0;
+  return r;
 }
 
-/// x = x / 2 mod m, for odd m and x < m: an odd x gets m added first, and
-/// the carry out of that sum becomes the top bit.
-inline void halve_mod(U256& x, const U256& m) {
-  const std::uint64_t top = x.is_odd() && add_in_place(x, m) ? 1 : 0;
-  for (int i = 0; i < 3; ++i) x.limb[i] = x.limb[i] >> 1 | x.limb[i + 1] << 63;
-  x.limb[3] = x.limb[3] >> 1 | top << 63;
-}
-
-/// Divide u (non-zero) by its largest power-of-two factor 2^k in one shift,
-/// and x by 2^k mod m.
-inline void remove_twos(U256& u, U256& x, const U256& m) {
-  while (u.limb[0] == 0) {  // a whole zero limb: rare
-    u = U256(u.limb[1], u.limb[2], u.limb[3], 0);
-    for (int i = 0; i < 64; ++i) halve_mod(x, m);
+/// (f*u + g*v) / 2^31 mod m for u, v < m and |f| + |g| <= 2^31. Adds the
+/// multiple q*m, q < 2^31, that clears the low 31 bits (Montgomery's
+/// reduction), so the sum lies in (-2^31 m, 2^32 m) and the quotient in
+/// (-m, 2m); one addition or subtraction of m brings it into [0, m).
+inline U256 apply_mod(const U256& u, const U256& v, std::int64_t f, std::int64_t g,
+                      const U256& m, std::uint64_t neg_inv) {
+  const std::uint64_t low = u.limb[0] * static_cast<std::uint64_t>(f) +
+                            v.limb[0] * static_cast<std::uint64_t>(g);
+  const auto q = static_cast<std::int64_t>((low * neg_inv) & kLow31);
+  std::int64_t above;
+  U256 r = combine(u, f, v, g, m, q, above);
+  if (above < 0) {
+    add_in_place(r, m);
+  } else if (above > 0 || r >= m) {
+    sub_in_place(r, m);
   }
-  const int k = std::countr_zero(u.limb[0]);
-  if (k == 0) return;
-  for (int i = 0; i < 3; ++i) u.limb[i] = u.limb[i] >> k | u.limb[i + 1] << (64 - k);
-  u.limb[3] >>= k;
-  for (int i = 0; i < k; ++i) halve_mod(x, m);
+  return r;
 }
 
-/// x = x - y mod m, for x, y < m.
-inline void sub_mod(U256& x, const U256& y, const U256& m) {
-  if (sub_in_place(x, y)) add_in_place(x, m);
-}
-
-/// a^-1 mod m for an odd prime m > 2^255 (p or n), by the binary extended
-/// Euclidean algorithm: about 1.4 subtractions and 2 halvings per bit,
-/// against the 256 squarings of a Fermat inverse. An inverse is unique, so
+/// a^-1 mod m for an odd prime m > 2^255 (p or n). An inverse is unique, so
 /// the result is the Fermat one. a may be unreduced (a < 2^256 < 2m).
-U256 inverse_mod(const U256& a, const U256& m) {
-  U256 u = a;
-  if (u >= m) sub_in_place(u, m);
-  // Zero has no inverse, and the loop below would never end on it.
-  if (u.is_zero()) throw std::domain_error("modular inverse of zero");
-  // Invariants: a*x1 == u and a*x2 == v (mod m), gcd(u, v) == 1, and u and v
-  // are odd at the top of the loop. u == v only when both are 1.
-  U256 v = m, x1(1), x2(0);
-  remove_twos(u, x1, m);
-  const U256 one(1);
-  while (u != one && v != one) {
-    if (u >= v) {
-      sub_in_place(u, v);
-      sub_mod(x1, x2, m);
-      remove_twos(u, x1, m);
-    } else {
-      sub_in_place(v, u);
-      sub_mod(x2, x1, m);
-      remove_twos(v, x2, m);
+U256 inverse_mod(const U256& x, const U256& m) {
+  U256 a = x;
+  if (a >= m) sub_in_place(a, m);
+  // Zero has no inverse, and the rounds below would never reach b == 1.
+  if (a.is_zero()) throw std::domain_error("modular inverse of zero");
+  const std::uint64_t neg_inv = neg_inverse_2_64(m.limb[0]);
+  // Invariants: a == x*u and b == x*v (mod m), a, b >= 0, b odd, and
+  // gcd(a, b) == 1. The rounds end when a == 0, so b == 1 and v = x^-1.
+  U256 b = m, u(1), v(0);
+  for (int round = 0; !a.is_zero(); ++round) {
+    if (round == kMaxRounds) throw std::logic_error("modular inverse: divstep bound exceeded");
+    // Both approximations keep their low 31 bits exactly, which decide the
+    // parities of 31 divsteps, and the 33 bits below the top bit of the
+    // longer of a and b, which decide (nearly always) their comparisons.
+    int top = 3;
+    while (top > 0 && (a.limb[top] | b.limb[top]) == 0) --top;
+    const int len = 64 * top + std::bit_width(a.limb[top] | b.limb[top]);
+    std::uint64_t a_hat = a.limb[0], b_hat = b.limb[0];
+    if (len > 64) {
+      a_hat = (a_hat & kLow31) | top33(a, len - 33) << kDivsteps;
+      b_hat = (b_hat & kLow31) | top33(b, len - 33) << kDivsteps;
     }
+    // a_hat * 2^j == f0*a + g0*b and b_hat * 2^j == f1*a + g1*b after j
+    // steps, in two's complement modulo 2^64.
+    std::uint64_t f0 = 1, g0 = 0, f1 = 0, g1 = 1;
+    // Each divstep halves a_hat; an odd a_hat first becomes a_hat - b_hat,
+    // after swapping the two (and their rows) if a_hat < b_hat. Masks
+    // instead of branches: the branches mispredict about half the time.
+    for (int j = 0; j < kDivsteps; ++j) {
+      const std::uint64_t odd = -(a_hat & 1);
+      const std::uint64_t swap = odd & -static_cast<std::uint64_t>(a_hat < b_hat);
+      const std::uint64_t da = (a_hat ^ b_hat) & swap;
+      const std::uint64_t df = (f0 ^ f1) & swap;
+      const std::uint64_t dg = (g0 ^ g1) & swap;
+      a_hat ^= da, b_hat ^= da;
+      f0 ^= df, f1 ^= df;
+      g0 ^= dg, g1 ^= dg;
+      a_hat -= b_hat & odd;
+      f0 -= f1 & odd;
+      g0 -= g1 & odd;
+      a_hat >>= 1;
+      f1 <<= 1;
+      g1 <<= 1;
+    }
+    // A comparison the approximations got wrong leaves a or b negative:
+    // apply_exact negates it, and its matrix row with it.
+    auto sf0 = static_cast<std::int64_t>(f0), sg0 = static_cast<std::int64_t>(g0);
+    auto sf1 = static_cast<std::int64_t>(f1), sg1 = static_cast<std::int64_t>(g1);
+    const U256 next_a = apply_exact(a, b, sf0, sg0);
+    b = apply_exact(a, b, sf1, sg1);
+    a = next_a;
+    const U256 next_u = apply_mod(u, v, sf0, sg0, m, neg_inv);
+    v = apply_mod(u, v, sf1, sg1, m, neg_inv);
+    u = next_u;
   }
-  return u == one ? x1 : x2;
+  if (b != U256(1)) throw std::logic_error("modular inverse: gcd is not 1");
+  return v;
+}
+
+// --- Point formulas ----------------------------------------------------------
+
+/// p + (x, y) for an affine, finite second point: madd-2004-hmv, 8M + 3S.
+/// Same cases as point_add: p == q doubles, p == -q gives infinity.
+JacobianPoint add_affine(const JacobianPoint& p, const U256& x, const U256& y) {
+  if (p.is_infinity()) return {x, y, U256(1)};
+  const U256 z1z1 = sqr(p.Z);
+  const U256 h = sub(mul(x, z1z1), p.X);
+  const U256 r = sub(mul(y, mul(p.Z, z1z1)), p.Y);
+  if (h.is_zero()) {
+    if (r.is_zero()) return point_double(p);
+    return JacobianPoint::infinity();
+  }
+  const U256 hh = sqr(h);
+  const U256 hhh = mul(h, hh);
+  const U256 v = mul(p.X, hh);
+  JacobianPoint out;
+  out.X = sub(sub(sqr(r), hhh), add(v, v));
+  out.Y = sub(mul(r, sub(v, out.X)), mul(p.Y, hhh));
+  out.Z = mul(p.Z, h);
+  return out;
 }
 
 }  // namespace
@@ -182,29 +309,13 @@ U256 inverse_mod(const U256& a, const U256& m) {
 const U256& field_p() { return kP; }
 const U256& order_n() { return kN; }
 
-U256 fe_add(const U256& a, const U256& b) {
-  bool carry;
-  U256 r = U256::add(a, b, carry);
-  if (carry || r >= kP) {
-    bool borrow;
-    r = U256::sub(r, kP, borrow);
-  }
-  return r;
-}
+U256 fe_add(const U256& a, const U256& b) { return add(a, b); }
 
-U256 fe_sub(const U256& a, const U256& b) {
-  bool borrow;
-  U256 r = U256::sub(a, b, borrow);
-  if (borrow) {
-    bool carry;
-    r = U256::add(r, kP, carry);
-  }
-  return r;
-}
+U256 fe_sub(const U256& a, const U256& b) { return sub(a, b); }
 
-U256 fe_mul(const U256& a, const U256& b) { return reduce512_mod_p(U256::mul_wide(a, b)); }
+U256 fe_mul(const U256& a, const U256& b) { return mul(a, b); }
 
-U256 fe_sqr(const U256& a) { return fe_mul(a, a); }
+U256 fe_sqr(const U256& a) { return sqr(a); }
 
 U256 fe_neg(const U256& a) {
   if (a.is_zero()) return a;
@@ -216,8 +327,8 @@ U256 fe_pow(const U256& a, const U256& e) {
   U256 result(1);
   U256 base = a;
   for (int i = 0; i < 256; ++i) {
-    if (e.bit(i)) result = fe_mul(result, base);
-    base = fe_sqr(base);
+    if (e.bit(i)) result = mul(result, base);
+    base = sqr(base);
   }
   return result;
 }
@@ -231,13 +342,13 @@ std::optional<U256> fe_sqrt(const U256& a) {
   const U256 exp = U256::add(kP, U256(1), carry).shr(2);
   assert(!carry);
   U256 root = fe_pow(a, exp);
-  if (fe_sqr(root) != a) return std::nullopt;
+  if (sqr(root) != a) return std::nullopt;
   return root;
 }
 
 std::optional<AffinePoint> lift_x(const U256& x, bool odd_y) {
   if (!(x < kP)) return std::nullopt;
-  U256 rhs = fe_add(fe_mul(fe_sqr(x), x), U256(7));
+  U256 rhs = add(mul(sqr(x), x), U256(7));
   auto y = fe_sqrt(rhs);
   if (!y) return std::nullopt;
   AffinePoint p;
@@ -274,8 +385,8 @@ U256 sc_inv(const U256& a) { return inverse_mod(a, kN); }
 bool AffinePoint::valid() const {
   if (infinity) return true;
   if (x >= kP || y >= kP) return false;
-  U256 lhs = fe_sqr(y);
-  U256 rhs = fe_add(fe_mul(fe_sqr(x), x), U256(7));
+  U256 lhs = sqr(y);
+  U256 rhs = add(mul(sqr(x), x), U256(7));
   return lhs == rhs;
 }
 
@@ -289,11 +400,11 @@ JacobianPoint JacobianPoint::from_affine(const AffinePoint& p) {
 AffinePoint JacobianPoint::to_affine() const {
   if (is_infinity()) return {};
   U256 zinv = fe_inv(Z);
-  U256 zinv2 = fe_sqr(zinv);
+  U256 zinv2 = sqr(zinv);
   AffinePoint p;
   p.infinity = false;
-  p.x = fe_mul(X, zinv2);
-  p.y = fe_mul(Y, fe_mul(zinv2, zinv));
+  p.x = mul(X, zinv2);
+  p.y = mul(Y, mul(zinv2, zinv));
   return p;
 }
 
@@ -305,51 +416,52 @@ const AffinePoint& generator() {
 JacobianPoint point_double(const JacobianPoint& p) {
   if (p.is_infinity() || p.Y.is_zero()) return JacobianPoint::infinity();
   // dbl-2009-l formulas for a = 0.
-  U256 A = fe_sqr(p.X);
-  U256 B = fe_sqr(p.Y);
-  U256 C = fe_sqr(B);
-  U256 t = fe_sub(fe_sqr(fe_add(p.X, B)), fe_add(A, C));
-  U256 D = fe_add(t, t);
-  U256 E = fe_add(fe_add(A, A), A);
-  U256 F = fe_sqr(E);
+  U256 A = sqr(p.X);
+  U256 B = sqr(p.Y);
+  U256 C = sqr(B);
+  U256 t = sub(sqr(add(p.X, B)), add(A, C));
+  U256 D = add(t, t);
+  U256 E = add(add(A, A), A);
+  U256 F = sqr(E);
   JacobianPoint r;
-  r.X = fe_sub(F, fe_add(D, D));
-  U256 C8 = fe_add(C, C);
-  C8 = fe_add(C8, C8);
-  C8 = fe_add(C8, C8);
-  r.Y = fe_sub(fe_mul(E, fe_sub(D, r.X)), C8);
-  U256 YZ = fe_mul(p.Y, p.Z);
-  r.Z = fe_add(YZ, YZ);
+  r.X = sub(F, add(D, D));
+  U256 C8 = add(C, C);
+  C8 = add(C8, C8);
+  C8 = add(C8, C8);
+  r.Y = sub(mul(E, sub(D, r.X)), C8);
+  U256 YZ = mul(p.Y, p.Z);
+  r.Z = add(YZ, YZ);
   return r;
 }
 
 JacobianPoint point_add(const JacobianPoint& p, const JacobianPoint& q) {
   if (p.is_infinity()) return q;
   if (q.is_infinity()) return p;
-  U256 Z1Z1 = fe_sqr(p.Z);
-  U256 Z2Z2 = fe_sqr(q.Z);
-  U256 U1 = fe_mul(p.X, Z2Z2);
-  U256 U2 = fe_mul(q.X, Z1Z1);
-  U256 S1 = fe_mul(p.Y, fe_mul(Z2Z2, q.Z));
-  U256 S2 = fe_mul(q.Y, fe_mul(Z1Z1, p.Z));
+  U256 Z1Z1 = sqr(p.Z);
+  U256 Z2Z2 = sqr(q.Z);
+  U256 U1 = mul(p.X, Z2Z2);
+  U256 U2 = mul(q.X, Z1Z1);
+  U256 S1 = mul(p.Y, mul(Z2Z2, q.Z));
+  U256 S2 = mul(q.Y, mul(Z1Z1, p.Z));
   if (U1 == U2) {
     if (S1 == S2) return point_double(p);
     return JacobianPoint::infinity();
   }
-  U256 H = fe_sub(U2, U1);
-  U256 R = fe_sub(S2, S1);
-  U256 H2 = fe_sqr(H);
-  U256 H3 = fe_mul(H, H2);
-  U256 U1H2 = fe_mul(U1, H2);
+  U256 H = sub(U2, U1);
+  U256 R = sub(S2, S1);
+  U256 H2 = sqr(H);
+  U256 H3 = mul(H, H2);
+  U256 U1H2 = mul(U1, H2);
   JacobianPoint r;
-  r.X = fe_sub(fe_sub(fe_sqr(R), H3), fe_add(U1H2, U1H2));
-  r.Y = fe_sub(fe_mul(R, fe_sub(U1H2, r.X)), fe_mul(S1, H3));
-  r.Z = fe_mul(fe_mul(p.Z, q.Z), H);
+  r.X = sub(sub(sqr(R), H3), add(U1H2, U1H2));
+  r.Y = sub(mul(R, sub(U1H2, r.X)), mul(S1, H3));
+  r.Z = mul(mul(p.Z, q.Z), H);
   return r;
 }
 
 JacobianPoint point_add_affine(const JacobianPoint& p, const AffinePoint& q) {
-  return point_add(p, JacobianPoint::from_affine(q));
+  if (q.infinity) return p;
+  return add_affine(p, q.x, q.y);
 }
 
 JacobianPoint scalar_mul(const U256& k, const AffinePoint& p) {
@@ -366,24 +478,52 @@ JacobianPoint scalar_mul(const U256& k, const AffinePoint& p) {
 
 namespace {
 
-/// row[i][j - 1] = j * 16^i * G for i in [0, 64) and j in [1, 15]: every
-/// non-zero 4-bit digit of a 256-bit scalar at every position (92 KB).
-using BaseTable = std::vector<std::array<JacobianPoint, 15>>;
+/// A comb table entry: an affine point, x and y only.
+struct CombPoint {
+  U256 x;
+  U256 y;
+};
 
-const BaseTable& base_table() {
+/// The comb splits a scalar's 256 bits into 8 teeth of 32 bits each: bit
+/// 32*i + c is tooth i's bit at column c.
+constexpr int kTeeth = 8;
+constexpr int kColumns = 256 / kTeeth;
+
+/// Entry j - 1, for j in [1, 255], is the sum of 2^(32 i) * G over the set
+/// bits i of j: every column's 8-bit digit (16 KB).
+using CombTable = std::array<CombPoint, (1 << kTeeth) - 1>;
+
+CombTable build_comb_table() {
+  std::array<JacobianPoint, (1 << kTeeth) - 1> points;
+  JacobianPoint tooth = JacobianPoint::from_affine(generator());  // 2^(32 i) * G
+  for (int i = 0; i < kTeeth; ++i) {
+    const std::size_t first = (std::size_t{1} << i) - 1;  // entry 2^i
+    points[first] = tooth;
+    for (std::size_t j = 1; j <= first; ++j) points[first + j] = point_add(points[j - 1], tooth);
+    if (i + 1 < kTeeth)
+      for (int c = 0; c < kColumns; ++c) tooth = point_double(tooth);
+  }
+  // Montgomery's trick normalizes all 255 points with one inversion:
+  // prefix[i] = Z_0 * ... * Z_i (no entry is infinity, so none is zero).
+  std::array<U256, (1 << kTeeth) - 1> prefix;
+  prefix[0] = points[0].Z;
+  for (std::size_t i = 1; i < points.size(); ++i) prefix[i] = mul(prefix[i - 1], points[i].Z);
+  U256 inv = fe_inv(prefix.back());  // 1 / (Z_0 * ... * Z_i), for i from the last down
+  CombTable table;
+  for (std::size_t i = points.size(); i-- > 0;) {
+    const U256 zinv = i > 0 ? mul(inv, prefix[i - 1]) : inv;
+    if (i > 0) inv = mul(inv, points[i].Z);
+    const U256 zinv2 = sqr(zinv);
+    table[i] = {mul(points[i].X, zinv2), mul(points[i].Y, mul(zinv2, zinv))};
+  }
+  return table;
+}
+
+const CombTable& comb_table() {
   // Built on first use, so runs that never sign never pay for it. The
   // initialisation of a function-local static is thread-safe: concurrent
   // first callers wait for the one build.
-  static const BaseTable table = [] {
-    BaseTable rows(64);
-    JacobianPoint base = JacobianPoint::from_affine(generator());  // 16^i * G
-    for (auto& row : rows) {
-      row[0] = base;
-      for (std::size_t j = 1; j < row.size(); ++j) row[j] = point_add(row[j - 1], base);
-      base = point_add(row.back(), base);
-    }
-    return rows;
-  }();
+  static const CombTable table = build_comb_table();
   return table;
 }
 
@@ -391,11 +531,14 @@ const BaseTable& base_table() {
 
 JacobianPoint base_mul(const U256& k) {
   const U256 scalar = sc_reduce(k);
-  const BaseTable& rows = base_table();
+  const CombTable& table = comb_table();
   JacobianPoint acc = JacobianPoint::infinity();
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const unsigned digit = (scalar.limb[i / 16] >> (4 * (i % 16))) & 0xf;
-    if (digit != 0) acc = point_add(acc, rows[i][digit - 1]);
+  for (int c = kColumns - 1; c >= 0; --c) {
+    acc = point_double(acc);
+    unsigned digit = 0;
+    for (int i = 0; i < kTeeth; ++i)
+      digit |= static_cast<unsigned>(scalar.bit(kColumns * i + c)) << i;
+    if (digit != 0) acc = add_affine(acc, table[digit - 1].x, table[digit - 1].y);
   }
   return acc;
 }

@@ -8,8 +8,10 @@
 // mod p and 2^256 - n (129 bits) mod n. Scalar arithmetic is on the hot path
 // because every Bitcoin-NG microblock is signed. Both inverses, mod p (to
 // leave Jacobian coordinates) and mod n (one per signature), run one binary
-// extended Euclidean routine, whose time depends on its input. Not
-// constant-time: this is a protocol simulator, not a wallet.
+// GCD (Pornin's optimized binary GCD, IACR ePrint 2020/972): rounds of 31
+// divsteps on 64-bit approximations, each applied to the full values as one
+// 2x2 matrix. Its time depends on its input. Not constant-time: this is a
+// protocol simulator, not a wallet.
 #pragma once
 
 #include <optional>
@@ -77,15 +79,19 @@ std::optional<AffinePoint> lift_x(const U256& x, bool odd_y);
 
 JacobianPoint point_double(const JacobianPoint& p);
 JacobianPoint point_add(const JacobianPoint& p, const JacobianPoint& q);
+/// p + q for an affine q: the mixed addition (8M + 3S against point_add's
+/// 12M + 4S), with point_add's cases: p == q doubles, p == -q gives infinity.
 JacobianPoint point_add_affine(const JacobianPoint& p, const AffinePoint& q);
 
 /// k * P (double-and-add). k is interpreted mod n. The generic path for any
 /// point, and the test oracle for base_mul.
 JacobianPoint scalar_mul(const U256& k, const AffinePoint& p);
 
-/// k * G from a table of precomputed multiples of G, built once per process
-/// on first use: one point_add per non-zero 4-bit digit of k, no doublings.
-/// k is interpreted mod n. Same point as scalar_mul(k, generator()).
+/// k * G from an 8-teeth comb: a table of 255 affine sums of the points
+/// 2^(32 i) * G (16 KB), built once per process on first use and normalized
+/// with one inversion. 31 doublings and one mixed addition per non-zero
+/// 8-bit column digit of k. k is interpreted mod n. Same point as
+/// scalar_mul(k, generator()).
 JacobianPoint base_mul(const U256& k);
 
 /// u1*G + u2*P computed with interleaved doubling (Shamir's trick).

@@ -76,21 +76,6 @@ U256 U256::sub(const U256& a, const U256& b, bool& borrow) {
   return r;
 }
 
-U512 U256::mul_wide(const U256& a, const U256& b) {
-  U512 r;
-  for (int i = 0; i < 4; ++i) {
-    unsigned __int128 carry = 0;
-    for (int j = 0; j < 4; ++j) {
-      unsigned __int128 cur = static_cast<unsigned __int128>(a.limb[i]) * b.limb[j] +
-                              r.limb[i + j] + carry;
-      r.limb[i + j] = static_cast<std::uint64_t>(cur);
-      carry = cur >> 64;
-    }
-    r.limb[i + 4] = static_cast<std::uint64_t>(carry);
-  }
-  return r;
-}
-
 U256 U256::shl(unsigned n) const {
   assert(n < 256);
   U256 r;

@@ -51,7 +51,8 @@ struct U256 {
   static U256 add(const U256& a, const U256& b, bool& carry);
   /// a - b; borrow-out returned via `borrow`.
   static U256 sub(const U256& a, const U256& b, bool& borrow);
-  /// Full 256x256 -> 512-bit product.
+  /// Full 256x256 -> 512-bit product. Inline (below), so the field and
+  /// scalar kernels in secp256k1.cpp make no call for it.
   static U512 mul_wide(const U256& a, const U256& b);
 
   [[nodiscard]] U256 shl(unsigned n) const;  // n in [0, 255]
@@ -76,5 +77,20 @@ struct U512 {
     return w;
   }
 };
+
+inline U512 U256::mul_wide(const U256& a, const U256& b) {
+  U512 r;
+  for (int i = 0; i < 4; ++i) {
+    unsigned __int128 carry = 0;
+    for (int j = 0; j < 4; ++j) {
+      unsigned __int128 cur = static_cast<unsigned __int128>(a.limb[i]) * b.limb[j] +
+                              r.limb[i + j] + carry;
+      r.limb[i + j] = static_cast<std::uint64_t>(cur);
+      carry = cur >> 64;
+    }
+    r.limb[i + 4] = static_cast<std::uint64_t>(carry);
+  }
+  return r;
+}
 
 }  // namespace bng::crypto

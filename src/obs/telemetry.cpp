@@ -21,6 +21,9 @@ void SweepTelemetry::start(std::size_t total_jobs) {
   elided_total_ = 0;
   has_messages_ = false;
   messages_ = {};
+  has_signatures_ = false;
+  signed_ = 0;
+  verified_ = 0;
   phase_jobs_ = 0;
   simulate_ms_ = 0;
   metrics_ms_ = 0;
@@ -49,6 +52,13 @@ void SweepTelemetry::add_events(std::uint64_t executed, std::uint64_t elided,
   elided_total_ += elided;
   has_messages_ = true;
   for (std::size_t k = 0; k < sent.size(); ++k) messages_[k] += sent[k];
+}
+
+void SweepTelemetry::add_signatures(std::uint64_t signed_count, std::uint64_t verified) {
+  std::lock_guard lock(mu_);
+  has_signatures_ = true;
+  signed_ += signed_count;
+  verified_ += verified;
 }
 
 void SweepTelemetry::add_phase_ms(double simulate_ms, double build_ms, double metrics_ms) {
@@ -176,6 +186,12 @@ std::string SweepTelemetry::to_json(const std::string& scenario, double wall_s) 
                   static_cast<unsigned long long>(messages_[2]),
                   static_cast<unsigned long long>(messages_[3]),
                   static_cast<unsigned long long>(messages_[0]));
+    j += buf;
+  }
+  if (has_signatures_) {
+    std::snprintf(buf, sizeof buf, ",\n  \"signatures\": {\"signed\": %llu, \"verified\": %llu}",
+                  static_cast<unsigned long long>(signed_),
+                  static_cast<unsigned long long>(verified_));
     j += buf;
   }
   std::snprintf(buf, sizeof buf,

@@ -92,6 +92,11 @@ class SweepTelemetry {
   /// thread executor; adds a "pool" section (sums over pools) to the stats
   /// JSON. Never part of a record.
   void add_pool(std::uint64_t txs, std::uint64_t built);
+  /// One finished job's ECDSA work: signatures its nodes made and checked
+  /// (crypto::thread_signature_counts across the job). Reported by the
+  /// in-process thread executor; adds a "signatures" section (sums over
+  /// jobs) to the stats JSON. Never part of a record.
+  void add_signatures(std::uint64_t signed_count, std::uint64_t verified);
 
   /// Peak resident set of THIS process so far, bytes: VmHWM, which starts
   /// afresh at exec, or else ru_maxrss (on Linux it keeps the pre-exec
@@ -149,6 +154,9 @@ class SweepTelemetry {
   double metrics_ms_ = 0;
   double workload_ms_ = 0;
   double build_ms_ = 0;
+  bool has_signatures_ = false;
+  std::uint64_t signed_ = 0;
+  std::uint64_t verified_ = 0;
   bool has_pool_ = false;
   std::uint64_t pool_txs_ = 0;
   std::uint64_t pool_built_ = 0;

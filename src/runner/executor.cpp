@@ -8,6 +8,7 @@
 #include <thread>
 #include <unordered_map>
 
+#include "crypto/ecdsa.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace_ring.hpp"
 #include "sim/experiment.hpp"
@@ -36,6 +37,7 @@ RunRecord run_job(const Scenario& scenario, const SweepPoint& point,
   const auto ms_since = [](Clock::time_point from, Clock::time_point to) {
     return std::chrono::duration<double, std::milli>(to - from).count();
   };
+  const crypto::SignatureCounts signatures_before = crypto::thread_signature_counts();
   const Clock::time_point simulate_start = Clock::now();
   sim::Experiment exp(std::move(cfg));
   exp.build();
@@ -57,6 +59,9 @@ RunRecord run_job(const Scenario& scenario, const SweepPoint& point,
                             ms_since(metrics_start, Clock::now()));
     telemetry->add_events(exp.queue().events_executed(), exp.network().deliveries_elided(),
                           exp.network().sent_by_kind());
+    const crypto::SignatureCounts signatures = crypto::thread_signature_counts();
+    telemetry->add_signatures(signatures.signs - signatures_before.signs,
+                              signatures.verifies - signatures_before.verifies);
   }
   return record;
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -88,23 +89,33 @@ TEST(Secp256k1Field, MulEdgeValuesNearP) {
   EXPECT_EQ(fe_mul(U256(0), pm1), U256(0));
 }
 
-/// {1, 2, m - 2, m - 1}: the ends of the range an inverse is defined on.
-std::vector<U256> inverse_edges(const U256& m) {
-  bool borrow;
-  return {U256(1), U256(2), U256::sub(m, U256(2), borrow), U256::sub(m, U256(1), borrow)};
+/// Inputs that steer the binary GCD's approximations to their limits, for
+/// modulus m: every 2^k and m - 2^k, 1 and m - 1, 2,000 values that share
+/// m's top 64 bits (so a and b agree in every bit the first rounds look
+/// at), and 10,000 seeded random values below m.
+std::vector<U256> inverse_inputs(const U256& m, std::uint64_t seed) {
+  bool flag;
+  std::vector<U256> values = {U256(1), U256::sub(m, U256(1), flag)};
+  for (unsigned k = 0; k < 256; ++k) {
+    values.push_back(U256(1).shl(k));
+    values.push_back(U256::sub(m, U256(1).shl(k), flag));
+  }
+  bng::Rng rng(seed);
+  for (int i = 0; i < 2000; ++i) {
+    U256 a(rng.next(), rng.next(), rng.next(), m.limb[3]);
+    if (a >= m) a = U256::sub(a, m, flag);
+    values.push_back(a);
+  }
+  for (int i = 0; i < 10000; ++i) values.push_back(U512::from_u256(random_u256(rng)).mod(m));
+  std::erase_if(values, [](const U256& a) { return a.is_zero(); });
+  return values;
 }
 
 TEST(Secp256k1Field, InverseIdentity) {
-  // fe_inv runs the binary extended Euclidean algorithm; Fermat's
-  // a^(p-2) is the oracle.
+  // fe_inv runs the binary GCD; Fermat's a^(p-2) is the oracle.
   bool borrow;
   const U256 pm2 = U256::sub(field_p(), U256(2), borrow);
-  std::vector<U256> values = inverse_edges(field_p());
-  bng::Rng rng(7);
-  for (int i = 0; i < 1000; ++i) values.push_back(random_u256(rng));
-  for (const U256& raw : values) {
-    const U256 a = U512::from_u256(raw).mod(field_p());
-    if (a.is_zero()) continue;
+  for (const U256& a : inverse_inputs(field_p(), 7)) {
     const U256 inv = fe_inv(a);
     ASSERT_EQ(fe_mul(a, inv), U256(1)) << a.to_hex();
     ASSERT_EQ(inv, fe_pow(a, pm2)) << a.to_hex();
@@ -114,6 +125,10 @@ TEST(Secp256k1Field, InverseIdentity) {
   EXPECT_EQ(fe_inv(pm1), pm1);
   bool carry;
   EXPECT_EQ(fe_inv(U256(2)), U256::add(field_p(), U256(1), carry).shr(1));
+  // Unreduced inputs below 2^256 invert as their remainder does.
+  const U256 max(UINT64_MAX, UINT64_MAX, UINT64_MAX, UINT64_MAX);
+  EXPECT_EQ(fe_inv(max), fe_inv(U512::from_u256(max).mod(field_p())));
+  EXPECT_EQ(fe_inv(U256::add(field_p(), U256(2), carry)), fe_inv(U256(2)));
 }
 
 TEST(Secp256k1Field, InverseOfZeroThrows) {
@@ -194,9 +209,7 @@ U256 fermat_inverse_mod_n(const U256& a) {
 
 TEST(Secp256k1Scalar, InverseIdentity) {
   std::vector<U256> values = scalar_edges();  // unreduced inputs too
-  for (const U256& a : inverse_edges(order_n())) values.push_back(a);
-  bng::Rng rng(11);
-  for (int i = 0; i < 1000; ++i) values.push_back(random_u256(rng));
+  for (const U256& a : inverse_inputs(order_n(), 11)) values.push_back(a);
   for (const U256& a : values) {
     if (sc_reduce(a).is_zero()) continue;  // 0 and n have no inverse
     const U256 inv = sc_inv(a);
@@ -325,14 +338,58 @@ TEST(Secp256k1Curve, BaseMulMatchesScalarMul) {
                           n,
                           U256::add(n, U256(1), flag),
                           U256(UINT64_MAX, UINT64_MAX, UINT64_MAX, UINT64_MAX)};
+  // base_mul reads comb entry d - 1 for column c's digit d, whose bit i is
+  // the scalar's bit 32*i + c: put every digit at the first (c = 31) and the
+  // last (c = 0) column it reads.
+  for (unsigned d = 1; d < 256; ++d) {
+    for (const unsigned c : {0u, 31u}) {
+      U256 k;
+      for (unsigned i = 0; i < 8; ++i) {
+        const unsigned bit = 32 * i + c;
+        if (d >> i & 1) k.limb[bit / 64] |= std::uint64_t{1} << bit % 64;
+      }
+      ks.push_back(k);
+    }
+  }
   bng::Rng rng(37);
-  for (int i = 0; i < 32; ++i) ks.push_back(random_u256(rng));
+  for (int i = 0; i < 256; ++i) ks.push_back(random_u256(rng));
   for (const U256& k : ks) {
     const JacobianPoint got = base_mul(k);
     const JacobianPoint want = scalar_mul(k, generator());
-    EXPECT_EQ(got.is_infinity(), want.is_infinity()) << k.to_hex();
-    EXPECT_EQ(got.to_affine(), want.to_affine()) << k.to_hex();
+    ASSERT_EQ(got.is_infinity(), want.is_infinity()) << k.to_hex();
+    ASSERT_EQ(got.to_affine(), want.to_affine()) << k.to_hex();
   }
+}
+
+TEST(Secp256k1Curve, MixedAdditionMatchesPointAdd) {
+  // point_add_affine(p, q) against point_add(p, q with Z = 1), with p's Z
+  // not 1: doubling (p == q), infinity (p == -q), either side infinite, and
+  // random pairs.
+  bng::Rng rng(53);
+  const AffinePoint inf;
+  std::vector<std::pair<JacobianPoint, AffinePoint>> cases;
+  for (int i = 0; i < 64; ++i) {
+    const JacobianPoint p = scalar_mul(random_scalar(rng), generator());
+    const AffinePoint pa = p.to_affine();
+    const AffinePoint neg{pa.x, fe_neg(pa.y), false};
+    const AffinePoint q = scalar_mul(random_scalar(rng), generator()).to_affine();
+    cases.push_back({p, pa});
+    cases.push_back({p, neg});
+    cases.push_back({p, q});
+    cases.push_back({p, inf});
+    cases.push_back({JacobianPoint::infinity(), q});
+  }
+  for (const auto& [p, q] : cases) {
+    ASSERT_NE(p.Z, U256(1));
+    const JacobianPoint got = point_add_affine(p, q);
+    const JacobianPoint want = point_add(p, JacobianPoint::from_affine(q));
+    ASSERT_EQ(got.is_infinity(), want.is_infinity()) << p.X.to_hex() << " + " << q.x.to_hex();
+    ASSERT_EQ(got.to_affine(), want.to_affine()) << p.X.to_hex() << " + " << q.x.to_hex();
+  }
+  // The doubling and the cancellation really happened.
+  const JacobianPoint p = cases[0].first;
+  EXPECT_EQ(point_add_affine(p, cases[0].second).to_affine(), point_double(p).to_affine());
+  EXPECT_TRUE(point_add_affine(p, cases[1].second).is_infinity());
 }
 
 }  // namespace

@@ -9,7 +9,9 @@
 // path is the same protocol and is covered by CI's --procs vs --jobs diff.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <mutex>
+#include <utility>
 
 #include "obs/telemetry.hpp"
 #include "runner/emit.hpp"
@@ -56,6 +58,41 @@ Scenario registered_mini() {
     register_scenario("exec_mini", "process-pool unit-test sweep", make_exec_mini);
   });
   auto s = make_scenario("exec_mini", RunKnobs{16, 4});
+  EXPECT_TRUE(s.has_value());
+  return *s;
+}
+
+/// A 2-point NG mini sweep, signature checks off and then on, registered so
+/// process-pool workers can rebuild it from its name.
+Scenario make_exec_ng_mini(const RunKnobs&) {
+  Scenario s;
+  s.name = "exec_ng_mini";
+  s.description = "signature-count unit-test sweep";
+  s.seed_base = 541;
+  s.base.num_nodes = 16;
+  s.base.target_blocks = 6;
+  s.base.drain_time = 5;
+  s.base.params = chain::Params::bitcoin_ng();
+  s.base.params.block_interval = 20;
+  s.base.params.microblock_interval = 1;
+  s.base.params.max_microblock_size = 1666;  // small enough to relay within the run
+  Axis axis{"verify_signatures", {}};
+  for (const bool verify : {false, true}) {
+    axis.values.push_back(AxisValue{verify ? "on" : "off", verify ? 1.0 : 0.0,
+                                    [verify](sim::ExperimentConfig& cfg) {
+                                      cfg.verify_signatures = verify;
+                                    }});
+  }
+  s.axes.push_back(std::move(axis));
+  return s;
+}
+
+Scenario registered_ng_mini() {
+  static std::once_flag once;
+  std::call_once(once, [] {
+    register_scenario("exec_ng_mini", "signature-count unit-test sweep", make_exec_ng_mini);
+  });
+  auto s = make_scenario("exec_ng_mini", RunKnobs{16, 6});
   EXPECT_TRUE(s.has_value());
   return *s;
 }
@@ -300,6 +337,70 @@ TEST(SweepTelemetry, MessageCountsByKindReportedInProcessAndKeptOutOfRecords) {
   proc_stats.telemetry = &procs;
   EXPECT_EQ(plain, artifacts(run_sweep(s, proc_stats)));
   EXPECT_EQ(procs.to_json(s.name, 1.0).find("\"messages\""), std::string::npos);
+}
+
+TEST(SweepTelemetry, SignatureCountsReportedInProcessAndKeptOutOfRecords) {
+  const Scenario s = registered_ng_mini();
+  constexpr std::uint32_t kSeeds = 2;
+  const auto signatures = [](const obs::SweepTelemetry& telemetry) {
+    const std::string json = telemetry.to_json("s", 1.0);
+    const std::size_t at = json.find("\"signatures\": {");
+    EXPECT_NE(at, std::string::npos) << json;
+    unsigned long long made = 0, checked = 0;
+    if (at != std::string::npos) {
+      EXPECT_EQ(std::sscanf(json.c_str() + at,
+                            "\"signatures\": {\"signed\": %llu, \"verified\": %llu}", &made,
+                            &checked),
+                2)
+          << json;
+    }
+    return std::pair{made, checked};
+  };
+  // The leader signs each microblock once: the count is the jobs' microblocks.
+  const auto microblocks = [&s](const Scenario& sweep) {
+    std::uint64_t n = 0;
+    const std::vector<SweepPoint> points = expand(sweep);
+    for (std::size_t p = 0; p < points.size(); ++p) {
+      for (std::uint32_t ordinal = 0; ordinal < kSeeds; ++ordinal) {
+        sim::ExperimentConfig cfg = points[p].config;
+        cfg.seed = job_seed(s.seed_base, p, ordinal);
+        sim::Experiment exp(std::move(cfg));
+        exp.run();
+        n += exp.trace().micro_blocks();
+      }
+    }
+    return n;
+  };
+
+  // Checks off: signatures made, none verified.
+  Scenario unchecked = s;
+  unchecked.axes[0].values.resize(1);
+  obs::SweepTelemetry off;
+  SweepOptions off_stats = thread_options(kSeeds, 2);
+  off_stats.telemetry = &off;
+  (void)run_sweep(unchecked, off_stats);
+  const auto [off_signed, off_verified] = signatures(off);
+  EXPECT_GT(off_signed, 0u);
+  EXPECT_EQ(off_signed, microblocks(unchecked));
+  EXPECT_EQ(off_verified, 0u);
+
+  // Both points: the same records with and without telemetry, and the
+  // receivers' checks counted.
+  const std::string plain = artifacts(run_sweep(s, thread_options(kSeeds, 2)));
+  obs::SweepTelemetry both;
+  SweepOptions with_stats = thread_options(kSeeds, 2);
+  with_stats.telemetry = &both;
+  EXPECT_EQ(plain, artifacts(run_sweep(s, with_stats)));
+  const auto [all_signed, all_verified] = signatures(both);
+  EXPECT_EQ(all_signed, microblocks(s));
+  EXPECT_GT(all_verified, all_signed);  // each microblock reaches many nodes
+
+  // Worker processes count in other address spaces: no section at all.
+  obs::SweepTelemetry procs;
+  SweepOptions proc_stats = proc_options(kSeeds, 2);
+  proc_stats.telemetry = &procs;
+  EXPECT_EQ(plain, artifacts(run_sweep(s, proc_stats)));
+  EXPECT_EQ(procs.to_json(s.name, 1.0).find("\"signatures\""), std::string::npos);
 }
 
 }  // namespace
