@@ -8,6 +8,13 @@
 // only falls back to the heap for oversized or throwing-move captures.
 // Trivially copyable / destructible callables (all of the above) skip the
 // indirect relocate / destroy calls entirely.
+//
+// Prefetch hook: a callable with a `prefetch() const` member can be told it
+// will run soon (SmallFn::prefetch), so it pulls what it will read toward the
+// cache while the event before it runs. The event loop calls it on the next
+// event; the network's delivery callables prefetch their receiver (see
+// net/network.hpp). It is a hint only: it must change no state. Every other
+// callable, and every heap-held one, keeps a null entry and pays one test.
 #pragma once
 
 #include <cstddef>
@@ -79,6 +86,13 @@ class SmallFn {
 
   [[nodiscard]] explicit operator bool() const noexcept { return ops_ != nullptr; }
 
+  /// Hint that this callable runs soon: calls its `prefetch() const` member
+  /// if it has one, and never invokes it. A no-op when empty, which an
+  /// event queue's stale entry may find in a recycled slot.
+  void prefetch() const noexcept {
+    if (ops_ != nullptr && ops_->prefetch != nullptr) ops_->prefetch(buf_);
+  }
+
   void reset() noexcept {
     if (ops_ != nullptr) {
       if (ops_->destroy != nullptr) ops_->destroy(buf_);
@@ -94,7 +108,12 @@ class SmallFn {
     void (*relocate)(void* dst, void* src) noexcept;
     /// Null when the callable is trivially destructible.
     void (*destroy)(void* obj) noexcept;
+    /// Null unless the callable is held inline and has `prefetch() const`.
+    void (*prefetch)(const void* obj) noexcept;
   };
+
+  template <typename Fn>
+  static constexpr bool kHasPrefetch = requires(const Fn& f) { f.prefetch(); };
 
   template <typename F>
   void construct(F&& f) {
@@ -125,17 +144,22 @@ class SmallFn {
       static_cast<Fn*>(src)->~Fn();
     }
     static void destroy(void* p) noexcept { static_cast<Fn*>(p)->~Fn(); }
+    static void prefetch(const void* p) noexcept {
+      if constexpr (kHasPrefetch<Fn>) static_cast<const Fn*>(p)->prefetch();
+    }
     static constexpr Ops ops{
         &invoke, std::is_trivially_copyable_v<Fn> ? nullptr : &relocate,
-        std::is_trivially_destructible_v<Fn> ? nullptr : &destroy};
+        std::is_trivially_destructible_v<Fn> ? nullptr : &destroy,
+        kHasPrefetch<Fn> ? &prefetch : nullptr};
   };
 
   template <typename Fn>
   struct HeapModel {
     static void invoke(void* p) { (**static_cast<Fn**>(p))(); }
     static void destroy(void* p) noexcept { delete *static_cast<Fn**>(p); }
-    // The buffer holds a plain pointer: relocation is always a memcpy.
-    static constexpr Ops ops{&invoke, nullptr, &destroy};
+    // The buffer holds a plain pointer: relocation is always a memcpy. A
+    // callable too big to sit inline gets no prefetch hook.
+    static constexpr Ops ops{&invoke, nullptr, &destroy, nullptr};
   };
 
   alignas(std::max_align_t) unsigned char buf_[kInlineBytes];

@@ -194,6 +194,11 @@ bool EventQueue::pop_one(Seconds limit) {
     cur_seq_ = e.seq;
     ++s.gen;  // no longer cancellable: it fires now
     ++executed_;
+    // Hint the run head, the next event in all but the rare near-heap pop,
+    // that it runs soon: a delivery prefetches its receiver while this
+    // event runs (common/small_fn.hpp). The entry may be stale; its slot
+    // then holds another callable or none, and a hint changes nothing.
+    if (run_index_ < run_.size()) slot(run_[run_index_].slot).fn.prefetch();
     // Invoke in place — slot addresses are stable (chunked storage), and the
     // slot cannot be recycled until it is pushed onto the freelist below, so
     // callbacks may schedule freely. The callable is destroyed only after it

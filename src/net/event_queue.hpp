@@ -25,6 +25,12 @@
 //     (fixed origin/width per epoch), so an event can never land behind one
 //     that orders after it — boundary cases included.
 //
+// Prefetch: before running an event, pop_one hands the run head — the next
+// event in all but the rare near-heap pop — SmallFn's prefetch hint, so a
+// callable that declares a hook (a network delivery) pulls its receiver
+// into the cache while this event runs. The hint reads no queue state a
+// pop depends on, so the (at, seq) order is untouched.
+//
 // Reserved places: reserve_seq(at) takes the seq a schedule now would get
 // and schedules nothing; schedule_reserved fills the (at, seq) place later,
 // as long as it has not passed (passed() compares it with the running

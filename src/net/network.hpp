@@ -37,6 +37,15 @@
 //     draining in the same callback, NDN-DPDK style, instead of bouncing
 //     through the scheduler once per message.
 //
+// Prefetch hook: both delivery callables declare `prefetch() const`
+// (common/small_fn.hpp), which the event loop calls on the next event while
+// the one before it runs. It prefetches the receiver's hot span — the first
+// INode::kHotBytes bytes of its object, where a node keeps what a delivery
+// reads (protocol/base_node.hpp) — and the link's state byte. At 5,000
+// nodes the node objects outgrow the L2 cache, and each delivery would
+// otherwise miss on its receiver. A receiver not attached yet is skipped.
+// The hint changes no value, so a run is the same with or without it.
+//
 // Ignored sends: most invs reach a peer that has already seen the block and
 // drops them on arrival. send_ignored charges such a message like any other
 // (bytes, link occupancy, arrival) but delivers nothing. On an idle link its
@@ -56,6 +65,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -91,6 +101,11 @@ static_assert(sizeof(Message) == 12 && std::is_trivially_copyable_v<Message>);
 /// Interface implemented by protocol nodes.
 class INode {
  public:
+  /// The hot span: a delivery prefetches this many bytes of its receiver,
+  /// from the INode's address. An implementation keeps the fields
+  /// on_message reads there.
+  static constexpr std::size_t kHotBytes = 256;
+
   virtual ~INode() = default;
   virtual void on_message(NodeId from, const Message& msg) = 0;
 };
@@ -223,6 +238,7 @@ class Network {
  private:
   static constexpr std::uint32_t kNoEdge = UINT32_MAX;
   static constexpr std::uint32_t kNoFifo = UINT32_MAX;
+  static constexpr std::size_t kCacheLine = 64;
 
   /// A message riding a link, waiting for its arrival time.
   struct InFlight {
@@ -250,6 +266,7 @@ class Network {
     Network* net;
     Link link;
     void operator()() const { net->drain_train(link); }
+    void prefetch() const { net->prefetch_delivery(link); }
   };
 
   /// Idle-link fast path: the message rides inside the event, not the FIFO.
@@ -258,6 +275,7 @@ class Network {
     Link link;
     Message msg;
     void operator()() const { net->deliver_direct(link, msg); }
+    void prefetch() const { net->prefetch_delivery(link); }
   };
   static_assert(std::is_trivially_copyable_v<DeliverDirect>);  // SmallFn memcpys it
 
@@ -281,6 +299,16 @@ class Network {
   void deliver_direct(Link link, Message msg);
   /// Hand one arrived message to the receiving node (offline drop here).
   inline void dispatch(NodeId from, NodeId to, Message msg);
+  /// The delivery callables' prefetch hook: the receiver's hot span and the
+  /// link's state byte.
+  void prefetch_delivery(const Link& link) const {
+    __builtin_prefetch(&state_[link.edge]);
+    const INode* receiver = handlers_[link.to];
+    if (receiver == nullptr) return;  // not attached yet
+    const char* hot = reinterpret_cast<const char*>(receiver);
+    for (std::size_t at = 0; at < INode::kHotBytes; at += kCacheLine)
+      __builtin_prefetch(hot + at);
+  }
 
   /// Directed-edge slot for (from, to): position of `to` in `from`'s sorted
   /// adjacency row, offset by the CSR row start. kNoEdge if absent.

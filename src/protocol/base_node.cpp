@@ -1,6 +1,7 @@
 #include "protocol/base_node.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <stdexcept>
 
 #include "obs/trace_ring.hpp"
@@ -50,12 +51,33 @@ BaseNode::BaseNode(NodeId id, net::Network& net, chain::BlockPtr genesis, NodeCo
                    Rng rng, IBlockObserver* observer)
     : id_(id),
       net_(net),
-      cfg_(std::move(cfg)),
-      rng_(rng),
-      tree_(std::move(genesis), cfg_.params.tie_break, fork_choice_for(cfg_.params), &rng_,
-            net.block_store(), id),
+      arena_(*net.node_state()),
       observer_(observer),
-      arena_(*net.node_state()) {
+      // The tree is built before cfg_ and rng_: it reads the parameter
+      // `cfg`, and only keeps &rng_ (its constructor draws nothing).
+      tree_(std::move(genesis), cfg.params.tie_break, fork_choice_for(cfg.params), &rng_,
+            net.block_store(), id),
+      cfg_(std::move(cfg)),
+      rng_(rng) {
+  // The hot span (see base_node.hpp): each field a delivery reads ends
+  // within the bytes Network prefetches. offsetof on a class with a vptr is
+  // conditionally supported; GCC and Clang give the layout's offsets.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Winvalid-offsetof"
+  constexpr std::size_t kHot = net::INode::kHotBytes;
+  constexpr std::size_t kRef = sizeof(void*);  // a reference member's storage
+  static_assert(offsetof(BaseNode, id_) + sizeof(id_) <= kHot);
+  static_assert(offsetof(BaseNode, net_) + kRef <= kHot);
+  static_assert(offsetof(BaseNode, arena_) + kRef <= kHot);
+  static_assert(offsetof(BaseNode, observer_) + sizeof(observer_) <= kHot);
+  static_assert(offsetof(BaseNode, orphans_) + sizeof(orphans_) <= kHot);
+  // The whole tree, so its store pointer, view and best tip.
+  static_assert(offsetof(BaseNode, tree_) + sizeof(tree_) <= kHot);
+  static_assert(offsetof(BaseNode, cfg_.verify_fixed) + sizeof(cfg_.verify_fixed) <= kHot);
+  static_assert(offsetof(BaseNode, cfg_.verify_bytes_per_second) +
+                    sizeof(cfg_.verify_bytes_per_second) <= kHot);
+  static_assert(offsetof(BaseNode, cfg_.trace) + sizeof(cfg_.trace) <= kHot);
+#pragma GCC diagnostic pop
   if (cfg_.workload_mode == WorkloadMode::kSynthetic && cfg_.workload == nullptr)
     throw std::invalid_argument("BaseNode: synthetic mode needs a workload");
   tree_.set_tie_switch_prob(cfg_.params.tie_switch_prob);

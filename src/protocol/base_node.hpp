@@ -12,6 +12,15 @@
 // announce() reads the arena's row for the block to see which peers have
 // already seen it: their inv would be dropped on arrival, so it goes out as
 // Network::send_ignored, charged but never delivered (see net/network.hpp).
+//
+// The hot span: every field a delivery reads (on_message through
+// process_after) lies in the node's first net::INode::kHotBytes bytes (four
+// cache lines), which the network prefetches while the event before the
+// delivery runs. They are the vptr, id_, net_, arena_, observer_, orphans_,
+// the tree (its store pointer, view and best tip) and NodeConfig's first
+// fields: verify_fixed, verify_bytes_per_second and trace. rng_, mempool_
+// and the rest of the config come after them. A static check in the
+// constructor fails the build if one of these fields leaves the span.
 #pragma once
 
 #include <atomic>
@@ -95,23 +104,23 @@ enum class WorkloadMode {
   kFullMempool,
 };
 
+/// A node's settings. The fields a delivery reads come first, so they share
+/// the node's hot span (see the header comment).
 struct NodeConfig {
-  chain::Params params;
-  /// Relative mining power of this node.
-  double mining_power = 1.0;
   /// Block verification cost model: fixed + size-proportional CPU time.
   /// 25 MB/s approximates a 2015-era bitcoind (ECDSA + UTXO checks).
   Seconds verify_fixed = 0.002;
   double verify_bytes_per_second = 25e6;
+  /// Optional decision trace (obs/trace_ring.hpp). Null in every normal run:
+  /// the traced paths pay one pointer test, nothing more. Recording never
+  /// mutates sim state, so traced and untraced runs are bit-identical.
+  obs::TraceRing* trace = nullptr;
+  chain::Params params;
   /// Check microblock ECDSA signatures (the paper's artifact skipped this;
   /// we support both).
   bool verify_signatures = false;
   WorkloadMode workload_mode = WorkloadMode::kSynthetic;
   const SyntheticWorkload* workload = nullptr;  ///< required in kSynthetic mode
-  /// Optional decision trace (obs/trace_ring.hpp). Null in every normal run:
-  /// the traced paths pay one pointer test, nothing more. Recording never
-  /// mutates sim state, so traced and untraced runs are bit-identical.
-  obs::TraceRing* trace = nullptr;
 };
 
 class BaseNode : public net::INode {
@@ -178,14 +187,12 @@ class BaseNode : public net::INode {
     return tree_.is_ancestor(id, tree_.best_tip());
   }
 
+  // The hot span, in declaration order (see the header comment).
   NodeId id_;
   net::Network& net_;
-  NodeConfig cfg_;
-  Rng rng_;
-  chain::BlockTree tree_;
-  chain::Mempool mempool_;
+  /// Deployment-wide gossip state; this node's entries are (id, id_).
+  NodeStateArena& arena_;
   IBlockObserver* observer_;
-
   /// Blocks (bodies in the store) whose parent is missing. Orphans are rare
   /// and few, so a flat vector scanned by interned parent id beats a hash map.
   struct Orphan {
@@ -194,8 +201,11 @@ class BaseNode : public net::INode {
     NodeId from;
   };
   std::vector<Orphan> orphans_;
-  /// Deployment-wide gossip state; this node's entries are (id, id_).
-  NodeStateArena& arena_;
+  chain::BlockTree tree_;
+  NodeConfig cfg_;  ///< its first fields are hot, the rest are not
+  // Past the hot span.
+  Rng rng_;
+  chain::Mempool mempool_;
 
  private:
   void handle_inv(NodeId from, BlockId id);

@@ -271,7 +271,6 @@ void Experiment::build_nodes() {
   for (NodeId i = 0; i < cfg_.num_nodes; ++i) {
     protocol::NodeConfig ncfg;
     ncfg.params = cfg_.params;
-    ncfg.mining_power = powers_[i];
     ncfg.verify_fixed = cfg_.verify_fixed;
     ncfg.verify_bytes_per_second = cfg_.verify_bytes_per_second;
     ncfg.verify_signatures = cfg_.verify_signatures;

@@ -99,5 +99,48 @@ TEST(SmallFn, AssignReplacesCallable) {
   EXPECT_EQ(second, 1);
 }
 
+/// A callable with a prefetch hook: counts its hints and its calls.
+struct Hinted {
+  int* hints;
+  int* calls;
+  void operator()() { ++*calls; }
+  void prefetch() const { ++*hints; }
+};
+
+TEST(SmallFn, PrefetchCallsTheHookWithoutInvoking) {
+  int hints = 0;
+  int calls = 0;
+  SmallFn fn = Hinted{&hints, &calls};
+  fn.prefetch();
+  EXPECT_EQ(hints, 1);
+  EXPECT_EQ(calls, 0);
+  fn();
+  EXPECT_EQ(calls, 1);
+  SmallFn moved = std::move(fn);  // the hook moves with the callable
+  moved.prefetch();
+  EXPECT_EQ(hints, 2);
+  EXPECT_EQ(calls, 1);
+}
+
+TEST(SmallFn, PrefetchIsANoOpWithoutAnInlineHook) {
+  SmallFn empty;
+  empty.prefetch();  // an event queue's stale slot may be empty
+  int calls = 0;
+  SmallFn lambda = [&calls] { ++calls; };
+  lambda.prefetch();
+  EXPECT_EQ(calls, 0);
+  // Too big to sit inline, so held on the heap: no hook, member or not.
+  struct BigHinted : Hinted {
+    std::array<std::uint64_t, 16> pad;
+  };
+  int hints = 0;
+  SmallFn heap = BigHinted{{&hints, &calls}, {}};
+  heap.prefetch();
+  EXPECT_EQ(hints, 0);
+  EXPECT_EQ(calls, 0);
+  heap();
+  EXPECT_EQ(calls, 1);
+}
+
 }  // namespace
 }  // namespace bng

@@ -203,17 +203,65 @@ TEST(EventQueue, MassCancellationDrainsClean) {
   EXPECT_EQ(q.pending(), 0u);
 }
 
-// Differential stress test: a mixed schedule/cancel/run workload must replay
-// in exactly the order of a naive reference model (sorted by (time, seq)).
-TEST(EventQueue, DifferentialAgainstReferenceModel) {
+/// A callable with a prefetch hook: logs its run as `id` and its hint as
+/// -1 - id.
+struct HintedEvent {
+  std::vector<int>* log;
+  int id;
+  void operator()() const { log->push_back(id); }
+  void prefetch() const { log->push_back(-1 - id); }
+};
+
+// pop_one hints the run head before it runs the event ahead of it.
+TEST(EventQueue, PopHintsTheNextRunEntryBeforeRunningTheCurrentOne) {
+  EventQueue q;
+  std::vector<int> log;
+  for (int id = 0; id < 3; ++id) q.schedule_at(1.0, HintedEvent{&log, id});
+  q.run_all();
+  EXPECT_EQ(log, (std::vector<int>{-2, 0, -3, 1, 2}));
+  EXPECT_EQ(q.events_executed(), 3u);
+
+  // An entry cancelled after its bucket froze stays in the run, stale. Its
+  // slot is empty, so its hint does nothing.
+  log.clear();
+  std::uint64_t doomed = 0;
+  q.schedule_at(2.0, [&] {
+    log.push_back(0);
+    EXPECT_TRUE(q.cancel(doomed));
+  });
+  q.schedule_at(2.0, HintedEvent{&log, 1});
+  doomed = q.schedule_at(2.0, HintedEvent{&log, 2});
+  q.schedule_at(2.0, HintedEvent{&log, 3});
+  q.run_all();
+  EXPECT_EQ(log, (std::vector<int>{-2, 0, 1, 3}));
+  EXPECT_EQ(q.events_executed(), 6u);
+}
+
+/// What one run of the differential script saw.
+struct DifferentialRun {
+  std::vector<std::uint64_t> fired;     ///< seqs in execution order
+  std::vector<std::uint64_t> expected;  ///< the reference model's order
+  std::uint64_t executed = 0;
+  std::size_t hints = 0;
+};
+
+/// A mixed schedule/cancel/run workload. With `hooked`, every other event
+/// is a callable with a prefetch hook instead of a lambda.
+DifferentialRun run_differential_script(bool hooked) {
   struct RefEvent {
     double at;
     std::uint64_t seq;
     bool cancelled = false;
   };
+  struct Hooked {
+    DifferentialRun* run;
+    std::uint64_t seq;
+    void operator()() const { run->fired.push_back(seq); }
+    void prefetch() const { ++run->hints; }
+  };
+  DifferentialRun out;
   EventQueue q;
   std::vector<RefEvent> ref;
-  std::vector<std::uint64_t> fired;           // seqs in execution order
   std::vector<std::uint64_t> ids;             // queue ids by ref index
   std::uint64_t rng = 0x243f6a8885a308d3ull;  // deterministic LCG
   auto next = [&rng] {
@@ -227,7 +275,11 @@ TEST(EventQueue, DifferentialAgainstReferenceModel) {
     for (int i = 0; i < 200; ++i) {
       const double at = window_start + static_cast<double>(next() % 40);
       const std::uint64_t s = seq++;
-      ids.push_back(q.schedule_at(at, [&fired, s] { fired.push_back(s); }));
+      if (hooked && s % 2 == 0) {
+        ids.push_back(q.schedule_at(at, Hooked{&out, s}));
+      } else {
+        ids.push_back(q.schedule_at(at, [&out, s] { out.fired.push_back(s); }));
+      }
       ref.push_back({at, s});
     }
     // Cancel a random half of the still-pending events.
@@ -242,6 +294,7 @@ TEST(EventQueue, DifferentialAgainstReferenceModel) {
     q.run_until(window_start);
   }
   q.run_all();
+  out.executed = q.events_executed();
 
   std::vector<RefEvent> expected;
   for (const auto& e : ref)
@@ -250,8 +303,30 @@ TEST(EventQueue, DifferentialAgainstReferenceModel) {
     if (a.at != b.at) return a.at < b.at;
     return a.seq < b.seq;
   });
-  ASSERT_EQ(fired.size(), expected.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) EXPECT_EQ(fired[i], expected[i].seq);
+  for (const auto& e : expected) out.expected.push_back(e.seq);
+  return out;
+}
+
+// Differential stress test: a mixed schedule/cancel/run workload must replay
+// in exactly the order of a naive reference model (sorted by (time, seq)).
+TEST(EventQueue, DifferentialAgainstReferenceModel) {
+  const DifferentialRun run = run_differential_script(false);
+  ASSERT_EQ(run.fired.size(), run.expected.size());
+  for (std::size_t i = 0; i < run.expected.size(); ++i)
+    EXPECT_EQ(run.fired[i], run.expected[i]);
+  EXPECT_EQ(run.executed, run.fired.size());
+}
+
+// The same script with prefetch hooks on half its events: the hints move no
+// event, and the run matches the one whose callables have none.
+TEST(EventQueue, PrefetchHooksMoveNoEvent) {
+  const DifferentialRun plain = run_differential_script(false);
+  const DifferentialRun hooked = run_differential_script(true);
+  EXPECT_EQ(hooked.fired, hooked.expected);
+  EXPECT_EQ(hooked.fired, plain.fired);
+  EXPECT_EQ(hooked.executed, plain.executed);
+  EXPECT_EQ(plain.hints, 0u);
+  EXPECT_GT(hooked.hints, 1000u);  // not vacuous: the hooks ran
 }
 
 // Far-future spill/refill differential: delays spanning eight orders of

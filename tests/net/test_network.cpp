@@ -348,6 +348,45 @@ TEST(NetworkStandalone, UnattachedRecipientThrows) {
   EXPECT_THROW(queue.run_all(), std::logic_error);
 }
 
+// A delivery's prefetch hook reads its receiver's handler slot while the
+// event before it runs. The three deliveries here arrive at one time, so
+// each is the run head while the one before it runs. The second one's
+// receiver is attached only by the first delivery, so its hook finds no
+// handler and must skip it. The third one's receiver is offline, and its
+// message is dropped on arrival.
+TEST(NetworkStandalone, PrefetchHookSkipsUnattachedAndOfflineReceivers) {
+  EventQueue queue;
+  Rng rng(3);
+  Network net(queue, Topology::line(3), LatencyModel::constant(0.1), LinkParams{1e9, 0}, rng);
+  Recorder late;
+  late.queue = &queue;
+  struct Attacher : INode {
+    Network* net = nullptr;
+    INode* late = nullptr;
+    int received = 0;
+    void on_message(NodeId, const Message&) override {
+      ++received;
+      net->attach(1, late);
+    }
+  };
+  Attacher first;
+  first.net = &net;
+  first.late = &late;
+  Recorder offline;
+  offline.queue = &queue;
+  net.attach(0, &first);
+  net.attach(2, &offline);
+  net.send(1, 0, test_message(1, 1));  // attaches node 1 when it arrives
+  net.send(0, 1, test_message(1, 2));  // hinted while node 1 has no handler
+  net.send(1, 2, test_message(1, 3));  // hinted while node 2 is offline
+  net.set_offline(2, true);
+  queue.run_all();
+  EXPECT_EQ(first.received, 1);
+  ASSERT_EQ(late.received.size(), 1u);
+  EXPECT_EQ(late.received[0].tag, 2);
+  EXPECT_TRUE(offline.received.empty());
+  EXPECT_EQ(queue.events_executed(), 3u);
+}
 
 // Busy links draw their FIFOs from one pool. A link that drained to empty
 // and queues again while another link is busy must deliver exactly its own
