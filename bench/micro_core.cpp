@@ -279,24 +279,6 @@ void BM_EventQueueBucketInsert(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueBucketInsert)->Arg(4096);
 
-void BM_EventQueueCancel(benchmark::State& state) {
-  net::EventQueue q;
-  std::vector<std::uint64_t> ids(static_cast<std::size_t>(state.range(0)));
-  double base = 10.0;
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < ids.size(); ++i)
-      ids[i] = q.schedule_at(base + static_cast<double>(i % 7), [] {});
-    for (std::uint64_t id : ids) q.cancel(id);
-    base += 10.0;
-    // Drain the tombstones inside the measurement: keeps memory bounded
-    // across framework-chosen iteration counts and charges the full
-    // cancelled-event lifecycle to the metric.
-    q.run_all();
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_EventQueueCancel)->Arg(4096);
-
 void BM_NetworkGossipBurst(benchmark::State& state) {
   const auto n_nodes = static_cast<std::uint32_t>(state.range(0));
   Rng rng(42);
@@ -364,10 +346,9 @@ BENCHMARK(BM_NetworkLinkTrainPending)->Args({200, 16})->Args({1000, 16});
 
 void BM_NetworkBurstDrain(benchmark::State& state) {
   // A deep train on one link: the first send rides the idle-link direct
-  // path, and once its delivery fires every queued message behind it should
-  // drain in the same callback (nothing else is due). The counters pin both
-  // fast paths — a change that silently disables either one shows up as a
-  // hard zero here, not as a slow timing drift.
+  // path, and every message queued behind it gets its own head event, popped
+  // one at a time. The counter pins the direct path — a change that silently
+  // disables it shows up as a hard zero here, not as a slow timing drift.
   const int train = static_cast<int>(state.range(0));
   Rng rng(42);
   net::EventQueue q;
@@ -386,13 +367,9 @@ void BM_NetworkBurstDrain(benchmark::State& state) {
   reg.counter("direct_deliveries", obs::Unit::kCount,
               "deliveries that rode the idle-link direct path")
       .inc(net.direct_deliveries());
-  reg.counter("burst_drained", obs::Unit::kCount,
-              "messages delivered by a burst continuation, no scheduler pop")
-      .inc(net.burst_drained());
   reg.gauge("fast_path_fraction", obs::Unit::kNone,
-            "fraction of deliveries that bypassed the generic pop path")
-      .set(delivered > 0 ? static_cast<double>(net.direct_deliveries() +
-                                               net.burst_drained()) /
+            "fraction of deliveries that rode the idle-link direct path")
+      .set(delivered > 0 ? static_cast<double>(net.direct_deliveries()) /
                                static_cast<double>(delivered)
                          : 0);
   export_registry(state, reg);

@@ -87,8 +87,8 @@ class SmallFn {
   [[nodiscard]] explicit operator bool() const noexcept { return ops_ != nullptr; }
 
   /// Hint that this callable runs soon: calls its `prefetch() const` member
-  /// if it has one, and never invokes it. A no-op when empty, which an
-  /// event queue's stale entry may find in a recycled slot.
+  /// if it has one, and never invokes it. A no-op when empty (default-
+  /// constructed, reset or moved from), so any SmallFn may be hinted.
   void prefetch() const noexcept {
     if (ops_ != nullptr && ops_->prefetch != nullptr) ops_->prefetch(buf_);
   }

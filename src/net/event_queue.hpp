@@ -5,9 +5,9 @@
 // insertion sequence, so a run is a pure function of its seed.
 //
 // Fast-path design (three pieces):
-//   * Callbacks live in a recycled slot pool; SmallFn keeps the common
-//     lambdas allocation-free, and cancellation is lazy — cancel() bumps the
-//     slot's generation in O(1) and stale entries die when they surface.
+//   * Callbacks live in a recycled slot pool, and SmallFn keeps the common
+//     lambdas allocation-free. A scheduled event always runs: there is no
+//     cancellation, so every queued entry is a live event.
 //   * The priority structure is a calendar queue: a ring of kBuckets
 //     fixed-width time buckets covers the near future, so the common insert
 //     (a delivery, a CPU completion, a re-armed link train) is one multiply
@@ -42,7 +42,6 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -62,19 +61,19 @@ class EventQueue {
   /// Current simulated time (seconds).
   [[nodiscard]] Seconds now() const { return now_; }
 
-  /// Schedule `fn` at absolute time `at` (>= now). Returns an event id.
-  /// Templated so the callable is constructed straight into its slot —
-  /// scheduling a fitting lambda performs no allocation and no extra moves.
+  /// Schedule `fn` at absolute time `at` (>= now). Templated so the callable
+  /// is constructed straight into its slot — scheduling a fitting lambda
+  /// performs no allocation and no extra moves.
   template <typename F>
-  std::uint64_t schedule_at(Seconds at, F&& fn) {
+  void schedule_at(Seconds at, F&& fn) {
     if (at < now_) throw std::invalid_argument("EventQueue: cannot schedule in the past");
-    return insert(at, next_seq_++, std::forward<F>(fn));
+    insert(at, next_seq_++, std::forward<F>(fn));
   }
 
   /// Schedule `fn` after `delay` seconds.
   template <typename F>
-  std::uint64_t schedule_in(Seconds delay, F&& fn) {
-    return schedule_at(now_ + delay, std::forward<F>(fn));
+  void schedule_in(Seconds delay, F&& fn) {
+    schedule_at(now_ + delay, std::forward<F>(fn));
   }
 
   /// Take the sequence number an event scheduled at `at` now would get, and
@@ -91,9 +90,9 @@ class EventQueue {
   /// Schedule `fn` at a place reserved by reserve_seq. Throws
   /// std::logic_error if the place has already passed.
   template <typename F>
-  std::uint64_t schedule_reserved(Seconds at, std::uint64_t seq, F&& fn) {
+  void schedule_reserved(Seconds at, std::uint64_t seq, F&& fn) {
     if (passed(at, seq)) throw std::logic_error("EventQueue: reserved place already passed");
-    return insert(at, seq, std::forward<F>(fn));
+    insert(at, seq, std::forward<F>(fn));
   }
 
   /// Whether an event at (at, seq) would already have run: it orders before
@@ -101,19 +100,6 @@ class EventQueue {
   [[nodiscard]] bool passed(Seconds at, std::uint64_t seq) const {
     return at < now_ || (at == now_ && seq < cur_seq_);
   }
-
-  /// Cancel a scheduled event. Returns false if already fired/cancelled.
-  bool cancel(std::uint64_t id);
-
-  /// If the event identified by `id` is live AND is the earliest pending
-  /// event (and within the current pop limit), consume it — advance now_ to
-  /// its time, count it as executed, recycle its slot — WITHOUT invoking its
-  /// callback, and return true. The caller then runs the work inline.
-  /// Because ordering is the total order (at, seq), success proves no other
-  /// pending event orders before it, so consuming inline is observationally
-  /// identical to the queue popping it next. Used by Network's burst drains
-  /// to collapse a train of per-link delivery events into one callback.
-  bool consume_if_next(std::uint64_t id);
 
   /// Run until the queue is empty or simulated time exceeds `t_end`.
   /// Events scheduled exactly at `t_end` are executed. Afterwards every
@@ -125,7 +111,7 @@ class EventQueue {
   /// every reserved place held an event.
   void run_all();
 
-  /// Pending event count (cancelled events may be counted until popped).
+  /// Pending event count. Exact: every queued entry is an event that runs.
   [[nodiscard]] std::size_t pending() const {
     return (run_.size() - run_index_) + near_.size() + ring_count_ + overflow_.size();
   }
@@ -139,7 +125,6 @@ class EventQueue {
     Seconds at;
     std::uint64_t seq;
     std::uint32_t slot;
-    std::uint32_t gen;  ///< live iff equal to the slot's generation
   };
 
   static bool entry_less(const Entry& a, const Entry& b) {
@@ -147,17 +132,9 @@ class EventQueue {
     return a.seq < b.seq;
   }
 
-  /// Callback storage, recycled through free_slots_. A slot's generation
-  /// advances on fire/cancel, invalidating entries that still point at it.
-  /// (A single slot would need 2^32 reuses for a stale match; runs are
-  /// orders of magnitude shorter.)
-  struct Slot {
-    Callback fn;
-    std::uint32_t gen = 0;
-  };
-
-  /// Slots live in fixed chunks so their addresses survive growth —
-  /// callbacks are invoked in place and may themselves schedule new events.
+  /// Callback slots, recycled through free_slots_, live in fixed chunks so
+  /// their addresses survive growth — callbacks are invoked in place and may
+  /// themselves schedule new events.
   static constexpr std::uint32_t kChunkShift = 8;
   static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
 
@@ -171,18 +148,17 @@ class EventQueue {
   static constexpr double kTargetPerBucket = 8.0;
   static constexpr double kMinWidth = 1e-7;
   static constexpr double kMaxWidth = 1e7;
-  static constexpr std::size_t kMinSweep = 64;
 
   static std::size_t ring_slot(std::int64_t b) {
     return static_cast<std::size_t>(b & (kBuckets - 1));
   }
 
-  Slot& slot(std::uint32_t s) { return chunks_[s >> kChunkShift][s & (kChunkSize - 1)]; }
+  Callback& slot(std::uint32_t s) { return chunks_[s >> kChunkShift][s & (kChunkSize - 1)]; }
   void grow_slots();
 
   /// Construct `fn` straight into a recycled slot and route it at (at, seq).
   template <typename F>
-  std::uint64_t insert(Seconds at, std::uint64_t seq, F&& fn) {
+  void insert(Seconds at, std::uint64_t seq, F&& fn) {
     std::uint32_t idx;
     if (!free_slots_.empty()) {
       idx = free_slots_.back();
@@ -191,10 +167,8 @@ class EventQueue {
       if ((num_slots_ & (kChunkSize - 1)) == 0) grow_slots();
       idx = num_slots_++;
     }
-    Slot& s = slot(idx);
-    s.fn.assign(std::forward<F>(fn));
-    route(Entry{at, seq, idx, s.gen});
-    return (static_cast<std::uint64_t>(s.gen) << 32) | idx;
+    slot(idx).assign(std::forward<F>(fn));
+    route(Entry{at, seq, idx});
   }
 
   static bool entry_greater(const Entry& a, const Entry& b) { return entry_less(b, a); }
@@ -219,9 +193,6 @@ class EventQueue {
 
   void route_overflow(const Entry& e);
 
-  /// Earliest live overflow entry (min-heap top), discarding tombstones.
-  const Entry* overflow_top();
-
   /// Fire the earliest event with at <= limit. Returns false if none.
   bool pop_one(Seconds limit);
 
@@ -231,12 +202,8 @@ class EventQueue {
 
   /// Ring empty, overflow not: pop a bounded sorted batch off the overflow
   /// heap, re-anchor the calendar at its minimum, and re-tune the bucket
-  /// width from the batch's median inter-event gap. Returns false if the
-  /// overflow was all tombstones.
-  bool epoch_restart();
-
-  /// Mass-cancellation compaction over ring + overflow.
-  void sweep_stale();
+  /// width from the batch's median inter-event gap.
+  void epoch_restart();
 
   void near_push(const Entry& e);
   void near_pop_top();
@@ -258,7 +225,7 @@ class EventQueue {
   double inv_width_ = 500.0;   ///< 1 / width_, the hot-path multiplier
   std::int64_t cur_bucket_ = -1;  ///< bucket last frozen into run_
   std::vector<std::vector<Entry>> buckets_;  ///< ring, indexed by b & (kBuckets-1)
-  std::size_t ring_count_ = 0;               ///< live+stale entries in the ring
+  std::size_t ring_count_ = 0;               ///< entries in the ring
   /// Beyond the ring window: a binary min-heap by (at, seq). Far-future
   /// inserts are rare by construction (the ring absorbs the near term), so
   /// the O(log n) push is off the hot path, and the heap makes both the
@@ -266,16 +233,9 @@ class EventQueue {
   std::vector<Entry> overflow_;
   std::vector<Entry> scratch_;  ///< epoch_restart's pop buffer (reused)
 
-  /// Limit of the pop in progress; consume_if_next honors it so a burst
-  /// drain can never run past the caller's run_until horizon.
-  Seconds pop_limit_ = std::numeric_limits<Seconds>::infinity();
-
-  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  std::vector<std::unique_ptr<Callback[]>> chunks_;
   std::uint32_t num_slots_ = 0;
   std::vector<std::uint32_t> free_slots_;
-  /// Tombstones still sitting in run_/near_/ring/overflow_; lets build_run()
-  /// decide when a compaction sweep pays for itself.
-  std::size_t stale_ = 0;
 };
 
 }  // namespace bng::net

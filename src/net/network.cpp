@@ -219,58 +219,42 @@ void Network::deliver_direct(Link l, Message msg) {
   ++direct_deliveries_;
   std::uint8_t& state = state_[l.edge];
   state &= static_cast<std::uint8_t>(~kDirect);
-  std::uint64_t rearm = 0;
   if (state == kIdle) {
     --active_links_;
   } else {
     // Messages queued up behind the direct flight: re-arm before delivering
-    // (see drain_train for the ordering discipline).
+    // (see deliver_head for the ordering discipline).
     const LinkFifo& f = fifos_[fifo_of_[l.edge]];
-    rearm = queue_.schedule_at(f.q[f.head].arrival, DeliverHead{this, l});
+    queue_.schedule_at(f.q[f.head].arrival, DeliverHead{this, l});
   }
   dispatch(l.from, l.to, msg);
-  if (rearm != 0 && queue_.consume_if_next(rearm)) {
-    ++burst_drained_;
-    drain_train(l);
-  }
 }
 
-void Network::drain_train(Link l) {
-  const std::uint32_t fifo = fifo_of_[l.edge];
-  for (;;) {
-    // Not held across dispatch: a send from the handler may grow fifos_.
-    LinkFifo& f = fifos_[fifo];
-    const Message msg = f.q[f.head].msg;
-    ++f.head;
-    --in_flight_;
-    std::uint64_t rearm = 0;
-    if (f.empty()) {
-      f.q.clear();
+void Network::deliver_head(Link l) {
+  LinkFifo& f = fifos_[fifo_of_[l.edge]];
+  const Message msg = f.q[f.head].msg;
+  ++f.head;
+  --in_flight_;
+  if (f.empty()) {
+    f.q.clear();
+    f.head = 0;
+    state_[l.edge] = kIdle;
+    --active_links_;
+  } else {
+    // Compact the delivered prefix once it dominates the vector, so a link
+    // that never fully drains holds O(in-flight) slots, not O(total ever
+    // sent). Amortized O(1) per message.
+    if (f.head >= 64 && f.head * 2 >= f.q.size()) {
+      f.q.erase(f.q.begin(), f.q.begin() + f.head);
       f.head = 0;
-      state_[l.edge] = kIdle;
-      --active_links_;
-    } else {
-      // Compact the delivered prefix once it dominates the vector, so a link
-      // that never fully drains holds O(in-flight) slots, not O(total ever
-      // sent). Amortized O(1) per message.
-      if (f.head >= 64 && f.head * 2 >= f.q.size()) {
-        f.q.erase(f.q.begin(), f.q.begin() + f.head);
-        f.head = 0;
-      }
-      // Re-arm before delivering: keeps this link's next delivery ahead (in
-      // schedule order) of any events the handler schedules now, matching
-      // the per-message scheduling the train replaced.
-      rearm = queue_.schedule_at(f.q[f.head].arrival, DeliverHead{this, l});
     }
-    dispatch(l.from, l.to, msg);
-    // Burst drain: if the event we just armed is the queue's next event,
-    // nothing else in the simulation is due before it — consume it and keep
-    // draining inline. consume_if_next advances time and the executed count
-    // exactly as a pop would, and no callback runs between the two points,
-    // so every later seq assignment (hence the digest) is unchanged.
-    if (rearm == 0 || !queue_.consume_if_next(rearm)) return;
-    ++burst_drained_;
+    // Re-arm before delivering: keeps this link's next delivery ahead (in
+    // schedule order) of any events the handler schedules now, matching
+    // the per-message scheduling the train replaced.
+    queue_.schedule_at(f.q[f.head].arrival, DeliverHead{this, l});
   }
+  // `f` is not used past here: a send from the handler may grow fifos_.
+  dispatch(l.from, l.to, msg);
 }
 
 void Network::set_offline(NodeId node, bool offline) {

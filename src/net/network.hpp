@@ -25,17 +25,11 @@
 // O(in-flight messages) — under a gossip burst that is an order of magnitude
 // smaller.
 //
-// Two delivery fast paths on top of the train (both observationally
-// identical to the one-event-per-message schedule, so digests don't move):
-//   * Idle-link direct delivery: a send onto an idle link carries the
-//     message inside its delivery event (SmallFn inline capture) instead of
-//     round-tripping through the FIFO — the common case in gossip, where
-//     most sends hit an idle link.
-//   * Burst drains: after delivering, if the re-armed delivery event for
-//     this edge is the event queue's next event (EventQueue::consume_if_next
-//     — possible only when nothing else is due first), the train keeps
-//     draining in the same callback, NDN-DPDK style, instead of bouncing
-//     through the scheduler once per message.
+// Idle-link direct delivery on top of the train (observationally identical
+// to the one-event-per-message schedule, so digests don't move): a send onto
+// an idle link carries the message inside its delivery event (SmallFn inline
+// capture) instead of round-tripping through the FIFO — the common case in
+// gossip, where most sends hit an idle link.
 //
 // Prefetch hook: both delivery callables declare `prefetch() const`
 // (common/small_fn.hpp), which the event loop calls on the next event while
@@ -200,9 +194,6 @@ class Network {
   /// Deliveries that rode the idle-link fast path (message carried in the
   /// event, no FIFO round-trip).
   [[nodiscard]] std::uint64_t direct_deliveries() const { return direct_deliveries_; }
-  /// Messages delivered by a burst continuation (train drained in the same
-  /// callback instead of a fresh scheduler pop).
-  [[nodiscard]] std::uint64_t burst_drained() const { return burst_drained_; }
   /// send_ignored deliveries that never got an event.
   [[nodiscard]] std::uint64_t deliveries_elided() const { return deliveries_elided_; }
 
@@ -265,7 +256,7 @@ class Network {
   struct DeliverHead {
     Network* net;
     Link link;
-    void operator()() const { net->drain_train(link); }
+    void operator()() const { net->deliver_head(link); }
     void prefetch() const { net->prefetch_delivery(link); }
   };
 
@@ -293,9 +284,8 @@ class Network {
   void schedule_skipped(const Link& link);
   /// Queue a message behind the link's in-flight ones.
   inline void enqueue(std::uint32_t edge, Seconds arrival, Message msg);
-  /// Deliver the FIFO head, then keep draining while this link's re-armed
-  /// delivery event is the queue's next event.
-  void drain_train(Link link);
+  /// Deliver the FIFO head, re-arming the link for the message behind it.
+  void deliver_head(Link link);
   void deliver_direct(Link link, Message msg);
   /// Hand one arrived message to the receiving node (offline drop here).
   inline void dispatch(NodeId from, NodeId to, Message msg);
@@ -343,7 +333,6 @@ class Network {
   std::uint64_t in_flight_ = 0;
   std::uint32_t active_links_ = 0;
   std::uint64_t direct_deliveries_ = 0;
-  std::uint64_t burst_drained_ = 0;
   std::uint64_t deliveries_elided_ = 0;
 };
 

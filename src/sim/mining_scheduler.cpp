@@ -2,6 +2,7 @@
 
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 namespace bng::sim {
 
@@ -17,6 +18,10 @@ MiningScheduler::MiningScheduler(net::EventQueue& queue,
     throw std::invalid_argument("MiningScheduler: miners/powers size mismatch");
   if (miners_.empty()) throw std::invalid_argument("MiningScheduler: no miners");
   if (mean_interval_ <= 0) throw std::invalid_argument("MiningScheduler: bad interval");
+  for (std::size_t i = 0; i < powers_.size(); ++i)
+    if (powers_[i] < 0)
+      throw std::invalid_argument("MiningScheduler: negative power for miner " +
+                                  std::to_string(i));
   total_power_ = std::accumulate(powers_.begin(), powers_.end(), 0.0);
   if (total_power_ <= 0) throw std::invalid_argument("MiningScheduler: zero total power");
   initial_total_power_ = total_power_;

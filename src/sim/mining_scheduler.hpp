@@ -23,7 +23,8 @@ namespace bng::sim {
 class MiningScheduler {
  public:
   /// `miners[i]` wins with probability powers[i]/Σ. `mean_interval` is the
-  /// target expected time between PoW blocks.
+  /// target expected time between PoW blocks. Throws std::invalid_argument
+  /// on a negative power (naming the miner) or a total that is not positive.
   MiningScheduler(net::EventQueue& queue, std::vector<protocol::BaseNode*> miners,
                   std::vector<double> powers, Seconds mean_interval, Rng rng);
 

@@ -66,16 +66,6 @@ TEST(EventQueue, RunUntilStopsAtBoundary) {
   EXPECT_EQ(q.now(), 10.0);  // advances to t_end even when idle
 }
 
-TEST(EventQueue, CancelPreventsExecution) {
-  EventQueue q;
-  int fired = 0;
-  auto id = q.schedule_at(1.0, [&] { ++fired; });
-  EXPECT_TRUE(q.cancel(id));
-  EXPECT_FALSE(q.cancel(id));  // second cancel is a no-op
-  q.run_all();
-  EXPECT_EQ(fired, 0);
-}
-
 TEST(EventQueue, EventsCanScheduleMoreEvents) {
   EventQueue q;
   int count = 0;
@@ -154,55 +144,6 @@ TEST(EventQueue, LateShortDelayInsertKeepsOrder) {
   EXPECT_EQ(fired[1], 1.5);
 }
 
-TEST(EventQueue, CancelAfterFireFails) {
-  EventQueue q;
-  int fired = 0;
-  auto id = q.schedule_at(1.0, [&] { ++fired; });
-  q.run_all();
-  EXPECT_EQ(fired, 1);
-  EXPECT_FALSE(q.cancel(id));
-}
-
-// A fired/cancelled event's internal storage is recycled; a stale id must
-// not cancel the event that now occupies the same storage.
-TEST(EventQueue, StaleIdCannotCancelRecycledSlot) {
-  EventQueue q;
-  int first = 0;
-  int second = 0;
-  auto id1 = q.schedule_at(1.0, [&] { ++first; });
-  q.run_all();
-  auto id2 = q.schedule_at(2.0, [&] { ++second; });
-  EXPECT_FALSE(q.cancel(id1));  // stale handle
-  q.run_all();
-  EXPECT_EQ(first, 1);
-  EXPECT_EQ(second, 1);
-  EXPECT_TRUE(id1 != id2);
-}
-
-// Cancelling the currently-executing event from its own callback is a no-op.
-TEST(EventQueue, SelfCancelDuringExecutionFails) {
-  EventQueue q;
-  bool cancel_result = true;
-  std::uint64_t id = 0;
-  id = q.schedule_at(1.0, [&] { cancel_result = q.cancel(id); });
-  q.run_all();
-  EXPECT_FALSE(cancel_result);
-  EXPECT_EQ(q.events_executed(), 1u);
-}
-
-TEST(EventQueue, MassCancellationDrainsClean) {
-  EventQueue q;
-  int fired = 0;
-  std::vector<std::uint64_t> ids;
-  for (int i = 0; i < 10000; ++i)
-    ids.push_back(q.schedule_at(static_cast<double>(i % 100), [&] { ++fired; }));
-  for (std::size_t i = 0; i < ids.size(); i += 2) EXPECT_TRUE(q.cancel(ids[i]));
-  q.run_all();
-  EXPECT_EQ(fired, 5000);
-  EXPECT_EQ(q.events_executed(), 5000u);
-  EXPECT_EQ(q.pending(), 0u);
-}
-
 /// A callable with a prefetch hook: logs its run as `id` and its hint as
 /// -1 - id.
 struct HintedEvent {
@@ -220,21 +161,6 @@ TEST(EventQueue, PopHintsTheNextRunEntryBeforeRunningTheCurrentOne) {
   q.run_all();
   EXPECT_EQ(log, (std::vector<int>{-2, 0, -3, 1, 2}));
   EXPECT_EQ(q.events_executed(), 3u);
-
-  // An entry cancelled after its bucket froze stays in the run, stale. Its
-  // slot is empty, so its hint does nothing.
-  log.clear();
-  std::uint64_t doomed = 0;
-  q.schedule_at(2.0, [&] {
-    log.push_back(0);
-    EXPECT_TRUE(q.cancel(doomed));
-  });
-  q.schedule_at(2.0, HintedEvent{&log, 1});
-  doomed = q.schedule_at(2.0, HintedEvent{&log, 2});
-  q.schedule_at(2.0, HintedEvent{&log, 3});
-  q.run_all();
-  EXPECT_EQ(log, (std::vector<int>{-2, 0, 1, 3}));
-  EXPECT_EQ(q.events_executed(), 6u);
 }
 
 /// What one run of the differential script saw.
@@ -245,13 +171,12 @@ struct DifferentialRun {
   std::size_t hints = 0;
 };
 
-/// A mixed schedule/cancel/run workload. With `hooked`, every other event
-/// is a callable with a prefetch hook instead of a lambda.
+/// A mixed schedule/run workload. With `hooked`, every other event is a
+/// callable with a prefetch hook instead of a lambda.
 DifferentialRun run_differential_script(bool hooked) {
   struct RefEvent {
     double at;
     std::uint64_t seq;
-    bool cancelled = false;
   };
   struct Hooked {
     DifferentialRun* run;
@@ -262,7 +187,6 @@ DifferentialRun run_differential_script(bool hooked) {
   DifferentialRun out;
   EventQueue q;
   std::vector<RefEvent> ref;
-  std::vector<std::uint64_t> ids;             // queue ids by ref index
   std::uint64_t rng = 0x243f6a8885a308d3ull;  // deterministic LCG
   auto next = [&rng] {
     rng = rng * 6364136223846793005ull + 1442695040888963407ull;
@@ -276,18 +200,11 @@ DifferentialRun run_differential_script(bool hooked) {
       const double at = window_start + static_cast<double>(next() % 40);
       const std::uint64_t s = seq++;
       if (hooked && s % 2 == 0) {
-        ids.push_back(q.schedule_at(at, Hooked{&out, s}));
+        q.schedule_at(at, Hooked{&out, s});
       } else {
-        ids.push_back(q.schedule_at(at, [&out, s] { out.fired.push_back(s); }));
+        q.schedule_at(at, [&out, s] { out.fired.push_back(s); });
       }
       ref.push_back({at, s});
-    }
-    // Cancel a random half of the still-pending events.
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-      if (!ref[i].cancelled && ref[i].at > q.now() && next() % 4 == 0) {
-        const bool ok = q.cancel(ids[i]);
-        if (ok) ref[i].cancelled = true;
-      }
     }
     // Advance partway.
     window_start += 20.0;
@@ -296,18 +213,15 @@ DifferentialRun run_differential_script(bool hooked) {
   q.run_all();
   out.executed = q.events_executed();
 
-  std::vector<RefEvent> expected;
-  for (const auto& e : ref)
-    if (!e.cancelled) expected.push_back(e);
-  std::sort(expected.begin(), expected.end(), [](const RefEvent& a, const RefEvent& b) {
+  std::sort(ref.begin(), ref.end(), [](const RefEvent& a, const RefEvent& b) {
     if (a.at != b.at) return a.at < b.at;
     return a.seq < b.seq;
   });
-  for (const auto& e : expected) out.expected.push_back(e.seq);
+  for (const auto& e : ref) out.expected.push_back(e.seq);
   return out;
 }
 
-// Differential stress test: a mixed schedule/cancel/run workload must replay
+// Differential stress test: a mixed schedule/run workload must replay
 // in exactly the order of a naive reference model (sorted by (time, seq)).
 TEST(EventQueue, DifferentialAgainstReferenceModel) {
   const DifferentialRun run = run_differential_script(false);
@@ -332,18 +246,16 @@ TEST(EventQueue, PrefetchHooksMoveNoEvent) {
 // Far-future spill/refill differential: delays spanning eight orders of
 // magnitude force every calendar path at once — near-term bucket inserts,
 // overflow-heap spills, window slides, epoch restarts with width retunes —
-// interleaved with cancels and equal-time bursts. Execution order must still
-// match the naive (time, seq) reference exactly.
+// interleaved with equal-time bursts. Execution order must still match the
+// naive (time, seq) reference exactly.
 TEST(EventQueue, DifferentialFarFutureSpillRefill) {
   struct RefEvent {
     double at;
     std::uint64_t seq;
-    bool cancelled = false;
   };
   EventQueue q;
   std::vector<RefEvent> ref;
   std::vector<std::uint64_t> fired;
-  std::vector<std::uint64_t> ids;
   std::uint64_t rng = 0x9e3779b97f4a7c15ull;
   auto next = [&rng] {
     rng = rng * 6364136223846793005ull + 1442695040888963407ull;
@@ -357,84 +269,20 @@ TEST(EventQueue, DifferentialFarFutureSpillRefill) {
       double at = q.now() + mag * (1.0 + static_cast<double>(next() % 97) / 97.0);
       if (i % 5 == 0) at = q.now() + 64.0;  // same-timestamp FIFO pressure
       const std::uint64_t s = seq++;
-      ids.push_back(q.schedule_at(at, [&fired, s] { fired.push_back(s); }));
+      q.schedule_at(at, [&fired, s] { fired.push_back(s); });
       ref.push_back({at, s});
-    }
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-      if (!ref[i].cancelled && ref[i].at > q.now() && next() % 5 == 0 &&
-          q.cancel(ids[i]))
-        ref[i].cancelled = true;
     }
     // Drain far enough to pull overflow entries back through epoch restarts.
     q.run_until(q.now() + std::pow(10.0, static_cast<double>(next() % 7)));
   }
   q.run_all();
 
-  std::vector<RefEvent> expected;
-  for (const auto& e : ref)
-    if (!e.cancelled) expected.push_back(e);
-  std::sort(expected.begin(), expected.end(), [](const RefEvent& a, const RefEvent& b) {
+  std::sort(ref.begin(), ref.end(), [](const RefEvent& a, const RefEvent& b) {
     if (a.at != b.at) return a.at < b.at;
     return a.seq < b.seq;
   });
-  ASSERT_EQ(fired.size(), expected.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) EXPECT_EQ(fired[i], expected[i].seq);
-}
-
-// --- consume_if_next: the burst-drain primitive ------------------------------
-
-TEST(EventQueue, ConsumeIfNextConsumesHeadWithoutInvoking) {
-  EventQueue q;
-  int fired = 0;
-  auto id = q.schedule_at(2.0, [&] { ++fired; });
-  EXPECT_TRUE(q.consume_if_next(id));
-  EXPECT_EQ(fired, 0);  // consumed, never invoked
-  EXPECT_EQ(q.now(), 2.0);
-  EXPECT_EQ(q.events_executed(), 1u);
-  EXPECT_EQ(q.pending(), 0u);
-  EXPECT_FALSE(q.cancel(id));  // the handle is spent
-}
-
-TEST(EventQueue, ConsumeIfNextRefusesWhenEarlierEventPending) {
-  EventQueue q;
-  int fired = 0;
-  q.schedule_at(1.0, [&] { ++fired; });
-  auto id = q.schedule_at(2.0, [&] { ++fired; });
-  EXPECT_FALSE(q.consume_if_next(id));
-  q.run_all();
-  EXPECT_EQ(fired, 2);  // refusal left both events intact
-}
-
-TEST(EventQueue, ConsumeIfNextRefusesSameTimeEarlierSeq) {
-  EventQueue q;
-  q.schedule_at(1.0, [] {});
-  auto id = q.schedule_at(1.0, [] {});
-  EXPECT_FALSE(q.consume_if_next(id));  // FIFO: the first scheduling wins
-}
-
-TEST(EventQueue, ConsumeIfNextRefusesCancelledId) {
-  EventQueue q;
-  auto id = q.schedule_at(1.0, [] {});
-  EXPECT_TRUE(q.cancel(id));
-  EXPECT_FALSE(q.consume_if_next(id));
-}
-
-TEST(EventQueue, ConsumeIfNextHonorsRunUntilHorizon) {
-  // Inside a run_until(t) callback, a re-armed event past t must be refused
-  // (exactly what pop_one's limit would enforce), while one inside the
-  // horizon may be consumed.
-  EventQueue q;
-  std::vector<int> log;
-  q.schedule_at(1.0, [&] {
-    auto late = q.schedule_at(5.0, [&] { log.push_back(5); });
-    EXPECT_FALSE(q.consume_if_next(late));
-    auto soon = q.schedule_at(1.5, [&] { log.push_back(1); });
-    EXPECT_TRUE(q.consume_if_next(soon));
-  });
-  q.run_until(2.0);
-  EXPECT_EQ(q.now(), 2.0);
-  q.run_all();
-  EXPECT_EQ(log, (std::vector<int>{5}));  // the consumed 1.5 never fired
+  ASSERT_EQ(fired.size(), ref.size());
+  for (std::size_t i = 0; i < ref.size(); ++i) EXPECT_EQ(fired[i], ref[i].seq);
 }
 
 // --- Reserved places: reserve_seq / schedule_reserved / passed --------------
@@ -472,22 +320,6 @@ TEST(EventQueue, ScheduleReservedOnAPassedPlaceThrows) {
   EXPECT_FALSE(q.passed(2.0, tied));
   q.run_all();
   EXPECT_TRUE(checked);
-}
-
-TEST(EventQueue, ConsumeIfNextPassesThePlacesBeforeIt) {
-  // A reserved place is not an event, so consume_if_next may take an event
-  // that orders after one; the place has then passed.
-  EventQueue q;
-  std::uint64_t place = 0;
-  q.schedule_at(1.0, [&] {
-    place = q.reserve_seq(2.0);
-    const std::uint64_t next = q.schedule_at(2.0, [] {});
-    EXPECT_FALSE(q.passed(2.0, place));
-    EXPECT_TRUE(q.consume_if_next(next));
-    EXPECT_TRUE(q.passed(2.0, place));
-  });
-  q.run_all();
-  EXPECT_EQ(q.events_executed(), 2u);
 }
 
 TEST(EventQueue, RunUntilPassesEveryPlaceUpToItsEnd) {

@@ -266,14 +266,13 @@ TEST_F(NetworkTest, ReplyFromHandlerDoesNotDisturbTrain) {
 }
 
 // Fast-path counters: a send on an idle link delivers directly (no FIFO),
-// while messages queued behind it drain as a burst train.
+// while messages queued behind it ride the link's train, one event each.
 TEST_F(NetworkTest, IdleLinkSendsCountAsDirectDeliveries) {
   net_.send(0, 1, test_message(1250, 1));  // idle link: direct
   queue_.run_all();
   net_.send(0, 1, test_message(1250, 2));  // idle again: direct
   queue_.run_all();
   EXPECT_EQ(net_.direct_deliveries(), 2u);
-  EXPECT_EQ(net_.burst_drained(), 0u);
   ASSERT_EQ(nodes_[1].received.size(), 2u);
   EXPECT_NEAR(nodes_[1].received[0].at, 0.2, 1e-9);  // same timing as the slow path
 }
@@ -282,12 +281,60 @@ TEST_F(NetworkTest, BusyLinkTrainCountsBurstDrains) {
   constexpr int kTrain = 8;
   for (int i = 0; i < kTrain; ++i) net_.send(0, 1, test_message(1250, i));
   queue_.run_all();
-  // First message rode the direct path; the 7 queued behind it drained as
-  // consecutive head events on the same link.
+  // First message rode the direct path; the 7 queued behind it were
+  // delivered by consecutive head events on the same link, one event each.
   EXPECT_EQ(net_.direct_deliveries(), 1u);
-  EXPECT_EQ(net_.burst_drained(), static_cast<std::uint64_t>(kTrain - 1));
+  EXPECT_EQ(queue_.events_executed(), static_cast<std::uint64_t>(kTrain));
   ASSERT_EQ(nodes_[1].received.size(), static_cast<std::size_t>(kTrain));
   for (int i = 0; i < kTrain; ++i) EXPECT_EQ(nodes_[1].received[i].tag, i);
+}
+
+// A train's receiver that sends from inside a head delivery, on links that
+// have never queued: each pair of sends gives its link a FIFO, so the FIFO
+// pool grows while the delivery that reads it is on the stack. Every link
+// must still deliver its own messages, in order and on time.
+TEST_F(NetworkTest, TrainReceiverQueuingOnNewLinksKeepsEveryLinkOnTime) {
+  struct Forwarder : INode {
+    Network* net = nullptr;
+    EventQueue* queue = nullptr;
+    std::vector<Recorder::Received> received;
+    void on_message(NodeId from, const Message& msg) override {
+      const int tag = tag_of(msg);
+      received.push_back({from, tag, queue->now()});
+      if (tag != 1 && tag != 3) return;
+      const NodeId to = tag == 1 ? 2 : 0;
+      for (int k = 0; k < 2; ++k) net->send(1, to, test_message(1250, 10 * tag + k));
+    }
+  };
+  Forwarder forwarder;
+  forwarder.net = &net_;
+  forwarder.queue = &queue_;
+  net_.attach(1, &forwarder);
+  constexpr int kTrain = 8;
+  for (int i = 0; i < kTrain; ++i) net_.send(0, 1, test_message(1250, i));
+  queue_.run_all();
+
+  // 0.1 s transfer per message, serialized per link, + 0.1 s propagation.
+  ASSERT_EQ(forwarder.received.size(), static_cast<std::size_t>(kTrain));
+  for (int i = 0; i < kTrain; ++i) {
+    EXPECT_EQ(forwarder.received[i].from, 0u);
+    EXPECT_EQ(forwarder.received[i].tag, i);
+    EXPECT_NEAR(forwarder.received[i].at, 0.1 * (i + 1) + 0.1, 1e-9);
+  }
+  // Message 1 arrives at 0.3 and message 3 at 0.5; each reply pair departs then.
+  const auto check = [](const std::vector<Recorder::Received>& got, int first_tag,
+                        Seconds first_at) {
+    ASSERT_EQ(got.size(), 2u);
+    for (int k = 0; k < 2; ++k) {
+      EXPECT_EQ(got[k].from, 1u);
+      EXPECT_EQ(got[k].tag, first_tag + k);
+      EXPECT_NEAR(got[k].at, first_at + 0.1 * k, 1e-9);
+    }
+  };
+  check(nodes_[2].received, 10, 0.5);
+  check(nodes_[0].received, 30, 0.7);
+  EXPECT_EQ(net_.messages_in_flight(), 0u);
+  EXPECT_EQ(net_.active_links(), 0u);
 }
 
 TEST_F(NetworkTest, FastPathPreservesTimingAcrossIdleGaps) {

@@ -192,6 +192,30 @@ TEST(RunCache, EditedScenarioSourceTurnsEntriesStale) {
   EXPECT_EQ(c.hits, 4u);
 }
 
+TEST(RunCache, ANegativeMiningPowerFailsTheJobAndCachesNothing) {
+  // adversary_share 1.5 leaves each of the 19 honest nodes (1 - 1.5) / 19 of
+  // the power: the job must fail before it simulates, and store no record.
+  const auto selfish = [](const std::string& share) {
+    return load_scenario_string("name = overshare\n"
+                                "seed_base = 7600\n"
+                                "base.protocol = bitcoin\n"
+                                "base.block_interval = 9\n"
+                                "base.max_block_size = 4000\n"
+                                "base.adversary = selfish\n"
+                                "base.adversary_share = " + share + "\n",
+                                "<test>", RunKnobs{20, 3});
+  };
+  RunCache cache(fresh_dir("overshare"));
+  EXPECT_THROW(run_sweep(selfish("1.5"), options(1, 1, &cache)), std::invalid_argument);
+  EXPECT_EQ(cache.counters().stores, 0u);
+  EXPECT_TRUE(entry_files(cache.dir()).empty());
+  // All of the power on the attacker is still a valid population.
+  const SweepResult whole = run_sweep(selfish("1.0"), options(1, 1, &cache));
+  ASSERT_EQ(whole.points.size(), 1u);
+  EXPECT_EQ(whole.points[0].seeds.size(), 1u);
+  EXPECT_EQ(cache.counters().stores, 1u);
+}
+
 TEST(RunCache, SourcelessScenariosBypassTheCache) {
   // A programmatic scenario (no ScenarioSource) has no shippable identity to
   // key on; the cache must stay untouched rather than guess.

@@ -3,8 +3,11 @@
 
 #include <cstdio>
 #include <fstream>
+#include <stdexcept>
+#include <string>
 
 #include "runner/scenario.hpp"
+#include "sim/experiment.hpp"
 
 namespace bng::runner {
 namespace {
@@ -158,6 +161,29 @@ TEST(Overrides, RejectsUnknownKeyAndBadValue) {
   // The largest value that fits is still accepted.
   apply_config_override(cfg, "blocks", "4294967295");
   EXPECT_EQ(cfg.target_blocks, 4294967295u);
+}
+
+// Every key a scenario file can set must reach the record-cache key: a field
+// config_digest misses would let a warm --cache serve a record computed under
+// another value. Each key gets the first candidate value it accepts.
+TEST(Overrides, EveryKeyChangesTheConfigDigest) {
+  const sim::ExperimentConfig defaults{};
+  const std::uint64_t base = sim::config_digest(defaults);
+  for (const std::string& key : config_override_keys()) {
+    bool applied = false;
+    for (const char* value : {"2", "true", "bitcoin", "first-seen", "selfish"}) {
+      sim::ExperimentConfig cfg = defaults;
+      try {
+        apply_config_override(cfg, key, value);
+      } catch (const std::invalid_argument&) {
+        continue;
+      }
+      applied = true;
+      EXPECT_NE(sim::config_digest(cfg), base) << key << " = " << value;
+      break;
+    }
+    EXPECT_TRUE(applied) << key << " accepts none of the candidate values";
+  }
 }
 
 class ScenarioFileTest : public ::testing::Test {

@@ -133,6 +133,9 @@ TEST(MiningScheduler, RejectsBadConfig) {
                std::invalid_argument);
   EXPECT_THROW(MiningScheduler(net.queue(), miners, {0.0, 0.0}, 10.0, Rng(1)),
                std::invalid_argument);
+  // A positive total does not excuse a negative share.
+  EXPECT_THROW(MiningScheduler(net.queue(), miners, {1.5, -0.5}, 10.0, Rng(1)),
+               std::invalid_argument);
 }
 
 TEST(MiningScheduler, WinnersActuallyMine) {
