@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the primitives underpinning the
 // simulation: hashing, Merkle trees, ECDSA, the event queue, the network
-// fast path, fork choice, mempool assembly, the tx-pool build, and the
-// consensus-delay metric.
+// fast path, fork choice, the tx-pool build, and the consensus-delay
+// metric.
 // These bound how far the experiment harness scales.
 //
 // Machine-readable output: pass --benchmark_format=json.
@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "chain/block_tree.hpp"
-#include "chain/mempool.hpp"
 #include "crypto/ecdsa.hpp"
 #include "crypto/merkle.hpp"
 #include "crypto/sha256.hpp"
@@ -465,17 +464,6 @@ void BM_BlockTreeForkChoiceGhost(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_BlockTreeForkChoiceGhost)->Arg(300);
-
-void BM_MempoolAssemble(benchmark::State& state) {
-  chain::Mempool pool;
-  for (int i = 0; i < 20000; ++i) {
-    chain::Outpoint op;
-    op.vout = static_cast<std::uint32_t>(i);
-    pool.submit(chain::make_transfer(op, 1000, chain::address_from_tag(i), 10, 300));
-  }
-  for (auto _ : state) benchmark::DoNotOptimize(pool.assemble(1'000'000));
-}
-BENCHMARK(BM_MempoolAssemble);
 
 void BM_BuildSharedWorkload(benchmark::State& state) {
   // The tx-pool layer of a bitcoin_fig7 perfbench job (60 kB blocks, 30

@@ -1,12 +1,12 @@
-// Payment network demo: real transactions through real mempools.
+// Payment network demo: the shared transaction pool as real payments.
 //
-// Unlike the measurement harness (which pre-fills identical transactions,
-// paper §7), this example exercises the full-mempool path: users submit
-// transfers, leaders serialize them into microblocks, and the resulting
-// chain replays through the UTXO ledger, including the 40/60 fee split
-// (§4.4) and coinbase maturity. It also reports per-transaction
-// confirmation latency, illustrating §4.3: a user should wait for network
-// propagation before trusting a microblock.
+// Every node's blocks draw from one pool of independent transfers (paper
+// §7, "No Transaction Propagation"), each spending its own premined output
+// of the genesis coinbase. Leaders serialize them into microblocks, and the
+// resulting chain replays through the UTXO ledger, including the 40/60 fee
+// split (§4.4) and coinbase maturity; a failed replay exits 1. It also
+// reports per-transaction confirmation latency, illustrating §4.3: a user
+// should wait for network propagation before trusting a microblock.
 #include <cstdio>
 #include <unordered_map>
 
@@ -27,10 +27,9 @@ int main() {
   cfg.num_nodes = 60;
   cfg.target_blocks = 40;
   cfg.pool_size = 4000;  // premine outputs feeding the payments
-  cfg.workload_mode = protocol::WorkloadMode::kFullMempool;
   cfg.seed = 7;
 
-  std::printf("payment network: %u nodes, full mempools, %zu pending payments\n",
+  std::printf("payment network: %u nodes, one shared pool, %zu pending payments\n",
               cfg.num_nodes, cfg.pool_size);
   sim::Experiment exp(cfg);
   exp.run();

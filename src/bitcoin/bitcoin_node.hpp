@@ -1,7 +1,7 @@
 // The baseline: a stock-Bitcoin miner node (paper §3).
 //
-// Mines on the heaviest chain it knows (random tie-breaking), assembles
-// blocks from its mempool/workload, and gossips blocks over the overlay.
+// Mines on the heaviest chain it knows (random tie-breaking), fills blocks
+// from the shared tx pool, and gossips blocks over the overlay.
 // Proof-of-work is driven externally by the mining scheduler, mirroring the
 // paper's regtest + in-situ controller setup (§7 "Simulated Mining").
 #pragma once

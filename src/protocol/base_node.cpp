@@ -78,8 +78,7 @@ BaseNode::BaseNode(NodeId id, net::Network& net, chain::BlockPtr genesis, NodeCo
                     sizeof(cfg_.verify_bytes_per_second) <= kHot);
   static_assert(offsetof(BaseNode, cfg_.trace) + sizeof(cfg_.trace) <= kHot);
 #pragma GCC diagnostic pop
-  if (cfg_.workload_mode == WorkloadMode::kSynthetic && cfg_.workload == nullptr)
-    throw std::invalid_argument("BaseNode: synthetic mode needs a workload");
+  if (cfg_.workload == nullptr) throw std::invalid_argument("BaseNode: needs a workload");
   tree_.set_tie_switch_prob(cfg_.params.tie_switch_prob);
 }
 
@@ -162,10 +161,6 @@ void BaseNode::accept_block(const chain::BlockPtr& block, BlockId id, NodeId fro
   const BlockId old_tip = tree_.best_tip();
   tree_.insert(block, id, now(), work);
   arena_.learn(id, id_);
-  if (cfg_.workload_mode == WorkloadMode::kFullMempool) {
-    const BlockId new_tip = tree_.best_tip();
-    if (new_tip != old_tip) update_mempool_for_tip_change(old_tip, new_tip);
-  }
   if (cfg_.trace != nullptr && cfg_.trace->wants(obs::kTraceBlocks))
     cfg_.trace->record(obs::kTraceBlocks, obs::TraceKind::kAccept, id_, id,
                        tree_.facts(id).parent, from);
@@ -205,33 +200,16 @@ void BaseNode::resolve_orphans(BlockId parent_id) {
 }
 
 std::vector<chain::TxPtr> BaseNode::assemble_payload(BlockId tip, std::size_t max_bytes,
-                                                     std::size_t reserve_bytes) {
-  if (cfg_.workload_mode == WorkloadMode::kSynthetic) {
-    const SyntheticWorkload& pool = *cfg_.workload;
-    if (pool.tx_wire_size() == 0 || reserve_bytes >= max_bytes) return {};
-    const std::size_t budget = max_bytes - reserve_bytes;
-    const std::size_t start = tree_.facts(tip).chain_tx_count;
-    const std::size_t count =
-        std::min(budget / pool.tx_wire_size(), pool.size() > start ? pool.size() - start : 0);
-    if (count == 0) return {};
-    const std::span<const chain::TxPtr> txs = pool.txs(start, count);
-    return {txs.begin(), txs.end()};
-  }
-  return mempool_.assemble(max_bytes, reserve_bytes);
-}
-
-void BaseNode::update_mempool_for_tip_change(BlockId old_tip, BlockId new_tip) {
-  const BlockId fork = tree_.common_ancestor(old_tip, new_tip);
-  // Return transactions from abandoned blocks to the pool...
-  for (BlockId cur = old_tip; cur != fork; cur = tree_.facts(cur).parent) {
-    for (const auto& tx : tree_.facts(cur).block->txs())
-      if (!tx->is_coinbase()) mempool_.mark_excluded(tx->id());
-  }
-  // ...and mark the newly adopted chain's transactions as included.
-  for (BlockId cur = new_tip; cur != fork; cur = tree_.facts(cur).parent) {
-    for (const auto& tx : tree_.facts(cur).block->txs())
-      if (!tx->is_coinbase()) mempool_.mark_included(tx->id());
-  }
+                                                     std::size_t reserve_bytes) const {
+  const SyntheticWorkload& pool = *cfg_.workload;
+  if (pool.tx_wire_size() == 0 || reserve_bytes >= max_bytes) return {};
+  const std::size_t budget = max_bytes - reserve_bytes;
+  const std::size_t start = tree_.facts(tip).chain_tx_count;
+  const std::size_t count =
+      std::min(budget / pool.tx_wire_size(), pool.size() > start ? pool.size() - start : 0);
+  if (count == 0) return {};
+  const std::span<const chain::TxPtr> txs = pool.txs(start, count);
+  return {txs.begin(), txs.end()};
 }
 
 }  // namespace bng::protocol

@@ -1,5 +1,5 @@
 // Shared machinery for protocol nodes: gossip, orphan handling, a CPU model
-// for block verification, and mempool/workload bookkeeping.
+// for block verification, and block payloads from the shared tx pool.
 //
 // Hot-path state is keyed by interned BlockId (common/intern.hpp), shared
 // experiment-wide through the Network: each node's known/requested bits and
@@ -18,9 +18,9 @@
 // cache lines), which the network prefetches while the event before the
 // delivery runs. They are the vptr, id_, net_, arena_, observer_, orphans_,
 // the tree (its store pointer, view and best tip) and NodeConfig's first
-// fields: verify_fixed, verify_bytes_per_second and trace. rng_, mempool_
-// and the rest of the config come after them. A static check in the
-// constructor fails the build if one of these fields leaves the span.
+// fields: verify_fixed, verify_bytes_per_second and trace. rng_ and the
+// rest of the config come after them. A static check in the constructor
+// fails the build if one of these fields leaves the span.
 #pragma once
 
 #include <atomic>
@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "chain/block_tree.hpp"
-#include "chain/mempool.hpp"
 #include "chain/params.hpp"
 #include "common/intern.hpp"
 #include "common/node_state.hpp"
@@ -47,14 +46,15 @@ class TraceRing;
 
 namespace bng::protocol {
 
-/// Pre-generated synthetic transaction pool shared by all nodes
-/// (paper §7 "No Transaction Propagation": identical mempools, independent
-/// identically-sized transactions serializable in any order).
+/// The synthetic transaction pool every node's blocks draw from. Paper §7
+/// ("No Transaction Propagation") gives every node the same mempool of
+/// independent, identically sized transactions serializable in any order;
+/// one shared pool models that, and a node keeps no mempool of its own: a
+/// block's payload is the pool slice after its parent's chain_tx_count.
 ///
 /// Transaction i spends output i of the genesis coinbase and pays
 /// address_from_tag(tag_base + i). It is built the first time a block reads
-/// it: a chain's payload is the pool slice after its tip's chain_tx_count,
-/// so blocks read a prefix, and the pool builds [0, highest index read) and
+/// it: blocks read a prefix, so the pool builds [0, highest index read) and
 /// nothing past it. Concurrent jobs share one pool, so reads are safe from
 /// any thread: a transaction's id and wire size are computed (they are
 /// cached in plain mutable fields) before the built watermark moves past it.
@@ -96,14 +96,6 @@ class SyntheticWorkload {
   mutable std::mutex build_mu_;
 };
 
-enum class WorkloadMode {
-  /// Assemble from the shared pool by chain position: O(1) state per node,
-  /// used for large-scale sweeps.
-  kSynthetic,
-  /// Full mempool with inclusion tracking and reorg handling.
-  kFullMempool,
-};
-
 /// A node's settings. The fields a delivery reads come first, so they share
 /// the node's hot span (see the header comment).
 struct NodeConfig {
@@ -119,8 +111,7 @@ struct NodeConfig {
   /// Check microblock ECDSA signatures (the paper's artifact skipped this;
   /// we support both).
   bool verify_signatures = false;
-  WorkloadMode workload_mode = WorkloadMode::kSynthetic;
-  const SyntheticWorkload* workload = nullptr;  ///< required in kSynthetic mode
+  const SyntheticWorkload* workload = nullptr;  ///< required
 };
 
 class BaseNode : public net::INode {
@@ -138,11 +129,7 @@ class BaseNode : public net::INode {
 
   [[nodiscard]] NodeId id() const { return id_; }
   [[nodiscard]] const chain::BlockTree& tree() const { return tree_; }
-  [[nodiscard]] chain::Mempool& mempool() { return mempool_; }
   [[nodiscard]] const NodeConfig& config() const { return cfg_; }
-
-  /// Submit a transaction locally (full-mempool mode).
-  void submit_transaction(const chain::TxPtr& tx) { mempool_.submit(tx); }
 
  protected:
   /// Protocol-specific validation + insertion. Runs after the verification
@@ -150,7 +137,7 @@ class BaseNode : public net::INode {
   /// Implementations call accept_block() when the block is valid.
   virtual void handle_block(const chain::BlockPtr& block, BlockId id, NodeId from) = 0;
 
-  /// Insert into the tree, relay, resolve orphans, maintain the mempool.
+  /// Insert into the tree, relay, resolve orphans.
   void accept_block(const chain::BlockPtr& block, BlockId id, NodeId from, double work);
 
   /// Announce a block id to all neighbours except `except`.
@@ -166,13 +153,11 @@ class BaseNode : public net::INode {
 
   [[nodiscard]] Seconds now() const { return net_.queue().now(); }
 
-  /// Assemble up to `max_bytes` of payload transactions on top of `tip`.
+  /// Up to `max_bytes - reserve_bytes` of payload for a block on `tip`: the
+  /// pool transactions after the tip's chain_tx_count, in pool order.
   [[nodiscard]] std::vector<chain::TxPtr> assemble_payload(BlockId tip,
                                                            std::size_t max_bytes,
-                                                           std::size_t reserve_bytes);
-
-  /// Update mempool inclusion state after the tip moved (full-mempool mode).
-  void update_mempool_for_tip_change(BlockId old_tip, BlockId new_tip);
+                                                           std::size_t reserve_bytes) const;
 
   /// Called after a block is accepted and the tip possibly changed.
   virtual void after_accept(const chain::BlockPtr& block, BlockId id, BlockId old_tip) {
@@ -205,7 +190,6 @@ class BaseNode : public net::INode {
   NodeConfig cfg_;  ///< its first fields are hot, the rest are not
   // Past the hot span.
   Rng rng_;
-  chain::Mempool mempool_;
 
  private:
   void handle_inv(NodeId from, BlockId id);

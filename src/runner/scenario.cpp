@@ -136,109 +136,123 @@ std::vector<SweepPoint> expand(const Scenario& s) {
   return points;
 }
 
+namespace {
+
+/// One scenario-file key: its name and how it sets a config from a value.
+/// `apply` gets the key too, for its parser's error message.
+struct ConfigKey {
+  std::string_view key;
+  void (*apply)(sim::ExperimentConfig& cfg, std::string_view key, std::string_view value);
+};
+
+using Cfg = sim::ExperimentConfig;
+using Key = std::string_view;
+
+/// Every key apply_config_override understands, in the order --help and the
+/// unknown-key error list them.
+constexpr ConfigKey kConfigKeys[] = {
+    {"protocol",
+     [](Cfg& c, Key, Key v) {
+       // Sets only the protocol, never the whole preset: a protocol axis
+       // must not wipe interval/size overrides applied earlier
+       // (matched-comparison sweeps rely on shared knobs surviving the
+       // protocol switch).
+       if (v == "bitcoin") {
+         c.params.protocol = chain::Protocol::kBitcoin;
+       } else if (v == "ng" || v == "bitcoin-ng") {
+         c.params.protocol = chain::Protocol::kBitcoinNG;
+       } else if (v == "ghost") {
+         c.params.protocol = chain::Protocol::kGhost;
+       } else {
+         throw std::invalid_argument("unknown protocol '" + std::string(v) +
+                                     "' (bitcoin | ng | ghost)");
+       }
+     }},
+    {"nodes", [](Cfg& c, Key k, Key v) { c.num_nodes = parse_u32(k, v); }},
+    {"min_degree", [](Cfg& c, Key k, Key v) { c.min_degree = parse_u32(k, v); }},
+    {"blocks", [](Cfg& c, Key k, Key v) { c.target_blocks = parse_u32(k, v); }},
+    {"tx_size", [](Cfg& c, Key k, Key v) { c.tx_size = parse_u64(k, v); }},
+    {"tx_fee",
+     [](Cfg& c, Key k, Key v) {
+       c.tx_fee = static_cast<Amount>(parse_u64(k, v, std::numeric_limits<Amount>::max()));
+     }},
+    {"pool_size", [](Cfg& c, Key k, Key v) { c.pool_size = parse_u64(k, v); }},
+    {"drain_time", [](Cfg& c, Key k, Key v) { c.drain_time = parse_double(k, v); }},
+    {"power_exponent", [](Cfg& c, Key k, Key v) { c.power_exponent = parse_double(k, v); }},
+    {"verify_signatures",
+     [](Cfg& c, Key k, Key v) { c.verify_signatures = parse_bool(k, v); }},
+    {"block_interval",
+     [](Cfg& c, Key k, Key v) { c.params.block_interval = parse_double(k, v); }},
+    {"microblock_interval",
+     [](Cfg& c, Key k, Key v) { c.params.microblock_interval = parse_double(k, v); }},
+    {"min_microblock_interval",
+     [](Cfg& c, Key k, Key v) { c.params.min_microblock_interval = parse_double(k, v); }},
+    {"max_block_size", [](Cfg& c, Key k, Key v) { c.params.max_block_size = parse_u64(k, v); }},
+    {"max_microblock_size",
+     [](Cfg& c, Key k, Key v) { c.params.max_microblock_size = parse_u64(k, v); }},
+    {"leader_fee_fraction",
+     [](Cfg& c, Key k, Key v) { c.params.leader_fee_fraction = parse_double(k, v); }},
+    {"tie_break",
+     [](Cfg& c, Key, Key v) {
+       if (v == "random") {
+         c.params.tie_break = chain::TieBreak::kRandom;
+       } else if (v == "first-seen") {
+         c.params.tie_break = chain::TieBreak::kFirstSeen;
+       } else {
+         throw std::invalid_argument("unknown tie_break '" + std::string(v) +
+                                     "' (random | first-seen)");
+       }
+     }},
+    {"adversary",
+     [](Cfg& c, Key, Key v) {
+       using Kind = sim::AdversarySpec::Kind;
+       if (v == "none") {
+         c.adversary.kind = Kind::kNone;
+       } else if (v == "selfish") {
+         c.adversary.kind = Kind::kSelfish;
+       } else if (v == "stubborn") {
+         c.adversary.kind = Kind::kStubborn;
+       } else if (v == "equivocate") {
+         c.adversary.kind = Kind::kEquivocate;
+       } else if (v == "withhold-micro") {
+         c.adversary.kind = Kind::kWithholdMicro;
+       } else {
+         throw std::invalid_argument(
+             "unknown adversary '" + std::string(v) +
+             "' (none | selfish | stubborn | equivocate | withhold-micro)");
+       }
+     }},
+    {"adversary_node", [](Cfg& c, Key k, Key v) { c.adversary.node = parse_u32(k, v); }},
+    {"adversary_share",
+     [](Cfg& c, Key k, Key v) { c.adversary.power_share = parse_double(k, v); }},
+    {"adversary_gamma", [](Cfg& c, Key k, Key v) { c.adversary.gamma = parse_double(k, v); }},
+    {"equivocate_every",
+     [](Cfg& c, Key k, Key v) { c.adversary.equivocate_every = parse_u32(k, v); }},
+};
+
+}  // namespace
+
 void apply_config_override(sim::ExperimentConfig& cfg, std::string_view key,
                            std::string_view value) {
-  if (key == "protocol") {
-    // Sets only the protocol, never the whole preset: a protocol axis must
-    // not wipe interval/size overrides applied earlier (matched-comparison
-    // sweeps rely on shared knobs surviving the protocol switch).
-    if (value == "bitcoin") {
-      cfg.params.protocol = chain::Protocol::kBitcoin;
-    } else if (value == "ng" || value == "bitcoin-ng") {
-      cfg.params.protocol = chain::Protocol::kBitcoinNG;
-    } else if (value == "ghost") {
-      cfg.params.protocol = chain::Protocol::kGhost;
-    } else {
-      throw std::invalid_argument("unknown protocol '" + std::string(value) +
-                                  "' (bitcoin | ng | ghost)");
+  for (const ConfigKey& row : kConfigKeys) {
+    if (row.key == key) {
+      row.apply(cfg, key, value);
+      return;
     }
-  } else if (key == "nodes") {
-    cfg.num_nodes = parse_u32(key, value);
-  } else if (key == "min_degree") {
-    cfg.min_degree = parse_u32(key, value);
-  } else if (key == "blocks") {
-    cfg.target_blocks = parse_u32(key, value);
-  } else if (key == "tx_size") {
-    cfg.tx_size = static_cast<std::size_t>(parse_u64(key, value));
-  } else if (key == "tx_fee") {
-    cfg.tx_fee = static_cast<Amount>(
-        parse_u64(key, value, std::numeric_limits<Amount>::max()));
-  } else if (key == "pool_size") {
-    cfg.pool_size = static_cast<std::size_t>(parse_u64(key, value));
-  } else if (key == "drain_time") {
-    cfg.drain_time = parse_double(key, value);
-  } else if (key == "power_exponent") {
-    cfg.power_exponent = parse_double(key, value);
-  } else if (key == "verify_signatures") {
-    cfg.verify_signatures = parse_bool(key, value);
-  } else if (key == "block_interval") {
-    cfg.params.block_interval = parse_double(key, value);
-  } else if (key == "microblock_interval") {
-    cfg.params.microblock_interval = parse_double(key, value);
-  } else if (key == "min_microblock_interval") {
-    cfg.params.min_microblock_interval = parse_double(key, value);
-  } else if (key == "max_block_size") {
-    cfg.params.max_block_size = static_cast<std::size_t>(parse_u64(key, value));
-  } else if (key == "max_microblock_size") {
-    cfg.params.max_microblock_size = static_cast<std::size_t>(parse_u64(key, value));
-  } else if (key == "leader_fee_fraction") {
-    cfg.params.leader_fee_fraction = parse_double(key, value);
-  } else if (key == "tie_break") {
-    if (value == "random") {
-      cfg.params.tie_break = chain::TieBreak::kRandom;
-    } else if (value == "first-seen") {
-      cfg.params.tie_break = chain::TieBreak::kFirstSeen;
-    } else {
-      throw std::invalid_argument("unknown tie_break '" + std::string(value) +
-                                  "' (random | first-seen)");
-    }
-  } else if (key == "adversary") {
-    if (value == "none") {
-      cfg.adversary.kind = sim::AdversarySpec::Kind::kNone;
-    } else if (value == "selfish") {
-      cfg.adversary.kind = sim::AdversarySpec::Kind::kSelfish;
-    } else if (value == "stubborn") {
-      cfg.adversary.kind = sim::AdversarySpec::Kind::kStubborn;
-    } else if (value == "equivocate") {
-      cfg.adversary.kind = sim::AdversarySpec::Kind::kEquivocate;
-    } else if (value == "withhold-micro") {
-      cfg.adversary.kind = sim::AdversarySpec::Kind::kWithholdMicro;
-    } else {
-      throw std::invalid_argument(
-          "unknown adversary '" + std::string(value) +
-          "' (none | selfish | stubborn | equivocate | withhold-micro)");
-    }
-  } else if (key == "adversary_node") {
-    cfg.adversary.node = parse_u32(key, value);
-  } else if (key == "adversary_share") {
-    cfg.adversary.power_share = parse_double(key, value);
-  } else if (key == "adversary_gamma") {
-    cfg.adversary.gamma = parse_double(key, value);
-  } else if (key == "equivocate_every") {
-    cfg.adversary.equivocate_every = parse_u32(key, value);
-  } else {
-    std::string known;
-    for (const std::string& k : config_override_keys()) {
-      if (!known.empty()) known += ", ";
-      known += k;
-    }
-    throw std::invalid_argument("unknown config key '" + std::string(key) +
-                                "' (known: " + known + ")");
   }
+  std::string known;
+  for (const ConfigKey& row : kConfigKeys) {
+    if (!known.empty()) known += ", ";
+    known += row.key;
+  }
+  throw std::invalid_argument("unknown config key '" + std::string(key) + "' (known: " + known +
+                              ")");
 }
 
 std::vector<std::string> config_override_keys() {
-  return {"protocol",        "nodes",
-          "min_degree",      "blocks",
-          "tx_size",         "tx_fee",
-          "pool_size",       "drain_time",
-          "power_exponent",  "verify_signatures",
-          "block_interval",  "microblock_interval",
-          "min_microblock_interval", "max_block_size",
-          "max_microblock_size",     "leader_fee_fraction",
-          "tie_break",       "adversary",
-          "adversary_node",  "adversary_share",
-          "adversary_gamma", "equivocate_every"};
+  std::vector<std::string> keys;
+  for (const ConfigKey& row : kConfigKeys) keys.emplace_back(row.key);
+  return keys;
 }
 
 Scenario load_scenario_file(const std::string& path, const RunKnobs& knobs) {

@@ -48,13 +48,22 @@ std::shared_ptr<const PrebuiltWorkload> generate_workload(const ExperimentConfig
   return std::make_shared<const PrebuiltWorkload>(std::move(genesis), generator, pool);
 }
 
-/// Checks that fail before any work, including a shared pool's: an NG
-/// leader schedules its next microblock this far ahead, so at zero sim time
-/// never advances.
+/// Checks that fail before any work, including a shared pool's. An NG
+/// leader schedules its next microblock microblock_interval ahead, so at zero
+/// sim time never advances. Out of [0, 1], a leader's fee share pays more
+/// than the epoch's fees (or, below 0, silently counts as 0), and gamma is
+/// clamped by the tie-break draw. A negative drain silently drains nothing.
 void check_config(const ExperimentConfig& cfg) {
   if (cfg.params.protocol == chain::Protocol::kBitcoinNG &&
       !(cfg.params.microblock_interval > 0))
     throw std::invalid_argument("Experiment: Bitcoin-NG needs microblock_interval > 0");
+  const auto in_unit_interval = [](double x) { return x >= 0 && x <= 1; };
+  if (!in_unit_interval(cfg.params.leader_fee_fraction))
+    throw std::invalid_argument("Experiment: leader_fee_fraction must be in [0, 1]");
+  if (!in_unit_interval(cfg.adversary.gamma))
+    throw std::invalid_argument("Experiment: adversary_gamma must be in [0, 1]");
+  if (!(cfg.drain_time >= 0))
+    throw std::invalid_argument("Experiment: drain_time must be >= 0");
 }
 }  // namespace
 
@@ -147,7 +156,6 @@ std::uint64_t config_digest(const ExperimentConfig& cfg) {
   fnv.f64(cfg.verify_fixed);
   fnv.f64(cfg.verify_bytes_per_second);
   fnv.u64(cfg.verify_signatures ? 1 : 0);
-  fnv.u64(static_cast<std::uint64_t>(cfg.workload_mode));
   // Mining population.
   fnv.f64(cfg.power_exponent);
   fnv.u64(cfg.custom_powers.has_value() ? 1 : 0);
@@ -274,7 +282,6 @@ void Experiment::build_nodes() {
     ncfg.verify_fixed = cfg_.verify_fixed;
     ncfg.verify_bytes_per_second = cfg_.verify_bytes_per_second;
     ncfg.verify_signatures = cfg_.verify_signatures;
-    ncfg.workload_mode = cfg_.workload_mode;
     ncfg.workload = &workload();
     ncfg.trace = cfg_.trace;
     // Gamma: honest nodes adopt the attacker's equal-work branch with this
@@ -311,14 +318,6 @@ void Experiment::build_nodes() {
   scheduler_ = std::make_unique<MiningScheduler>(queue_, std::move(miners), powers_,
                                                  cfg_.params.block_interval, sched_rng);
   if (cfg_.retarget) scheduler_->enable_difficulty(*cfg_.retarget);
-
-  // In full-mempool mode every node starts with the identical pool, all of
-  // it built.
-  if (cfg_.workload_mode == protocol::WorkloadMode::kFullMempool) {
-    const auto all = workload().txs(0, workload().size());
-    for (auto& n : nodes_)
-      for (const auto& tx : all) n->submit_transaction(tx);
-  }
 }
 
 std::unique_ptr<protocol::BaseNode> Experiment::make_adversary(

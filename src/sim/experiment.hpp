@@ -2,8 +2,9 @@
 // it to a block-count target.
 //
 // One Experiment = one data point in the paper's figures: a topology, a
-// latency assignment, a miner population, pre-filled mempools, and a
-// protocol (Bitcoin / Bitcoin-NG / GHOST) run for a set number of blocks.
+// latency assignment, a miner population, the transaction pool every node's
+// blocks draw from, and a protocol (Bitcoin / Bitcoin-NG / GHOST) run for a
+// set number of blocks.
 #pragma once
 
 #include <functional>
@@ -121,7 +122,6 @@ struct ExperimentConfig {
   Seconds verify_fixed = 0.002;
   double verify_bytes_per_second = 25e6;
   bool verify_signatures = false;
-  protocol::WorkloadMode workload_mode = protocol::WorkloadMode::kSynthetic;
 
   // --- Mining population -----------------------------------------------------
   /// Power of node i ∝ exp(power_exponent * (i+1)) — the paper's fit.

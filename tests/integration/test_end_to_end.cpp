@@ -3,6 +3,8 @@
 // chains, cross-protocol comparisons).
 #include <gtest/gtest.h>
 
+#include <unordered_set>
+
 #include "chain/utxo.hpp"
 #include "metrics/metrics.hpp"
 #include "sim/experiment.hpp"

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_set>
+
 #include "../support/harness.hpp"
 
 namespace bng::bitcoin {

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace bng::sim {
 namespace {
@@ -140,19 +141,6 @@ TEST(Experiment, SyntheticBlocksRespectSizeCaps) {
   }
 }
 
-TEST(Experiment, FullMempoolModeProducesSameShape) {
-  auto cfg = small_ng(4);
-  cfg.num_nodes = 10;
-  cfg.target_blocks = 8;
-  cfg.pool_size = 2000;
-  cfg.workload_mode = protocol::WorkloadMode::kFullMempool;
-  Experiment exp(cfg);
-  exp.run();
-  EXPECT_GE(exp.trace().micro_blocks(), 8u);
-  // Payload flowed through real mempools.
-  EXPECT_GT(exp.global_tree().best().chain_tx_count, 0u);
-}
-
 TEST(Experiment, GhostProtocolRuns) {
   auto cfg = small_btc(6);
   cfg.params.protocol = chain::Protocol::kGhost;
@@ -187,6 +175,51 @@ TEST(Experiment, NgRejectsZeroMicroblockInterval) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("microblock_interval"), std::string::npos)
         << e.what();
+  }
+}
+
+TEST(Experiment, RejectsOutOfRangeInputsBeforeAnyWork) {
+  // Each input is refused by the shared-pool build a sweep does first and by
+  // build(), naming the key; the boundaries 0 and 1 are accepted.
+  struct Input {
+    const char* key;
+    void (*set)(ExperimentConfig&, double);
+    std::vector<double> bad;
+    std::vector<double> good;
+  };
+  const std::vector<Input> inputs = {
+      // At 2 the leader would be paid twice the epoch's fees; below 0 the
+      // share would silently count as 0.
+      {"leader_fee_fraction",
+       [](ExperimentConfig& c, double v) { c.params.leader_fee_fraction = v; },
+       {-0.1, 1.5, 2, NAN},
+       {0, 1}},
+      // The tie-break draw would silently treat 7 as 1.
+      {"adversary_gamma", [](ExperimentConfig& c, double v) { c.adversary.gamma = v; },
+       {-0.5, 7, NAN},
+       {0, 1}},
+      {"drain_time", [](ExperimentConfig& c, double v) { c.drain_time = v; }, {-1, NAN}, {0, 1}},
+  };
+  for (const Input& in : inputs) {
+    for (double v : in.bad) {
+      ExperimentConfig cfg = small_ng();
+      in.set(cfg, v);
+      try {
+        (void)build_shared_workload(cfg);
+        ADD_FAILURE() << in.key << " = " << v << " was accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(in.key), std::string::npos) << e.what();
+      }
+      Experiment exp(cfg);
+      EXPECT_THROW(exp.build(), std::invalid_argument) << in.key << " = " << v;
+    }
+    for (double v : in.good) {
+      ExperimentConfig cfg = small_ng();
+      in.set(cfg, v);
+      EXPECT_NO_THROW((void)build_shared_workload(cfg)) << in.key << " = " << v;
+      Experiment exp(cfg);
+      EXPECT_NO_THROW(exp.build()) << in.key << " = " << v;
+    }
   }
 }
 

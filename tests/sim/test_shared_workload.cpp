@@ -2,6 +2,7 @@
 // (ROADMAP "synthetic-workload memory") without cross-talk.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <span>
 #include <thread>
 #include <vector>
@@ -201,6 +202,87 @@ TEST(SharedWorkload, ConcurrentReadersGetOneTransactionPerIndex) {
     }
   }
   EXPECT_EQ(pool_digest(*pool, w.txs(0, n)), kFig7PoolDigest);
+}
+
+/// A block's payload: its transactions minus the coinbase and any poison.
+std::vector<chain::TxPtr> payload_of(const chain::Block& block) {
+  std::vector<chain::TxPtr> out;
+  for (const auto& tx : block.txs())
+    if (!tx->is_coinbase() && !tx->poison) out.push_back(tx);
+  return out;
+}
+
+/// Every generated block's payload is the pool slice [c, c + k), in order,
+/// with c its parent's chain_tx_count. Returns the number of microblock
+/// pairs that share a parent and a miner (an equivocating leader's forks),
+/// after checking that both start at that parent's c.
+std::size_t expect_pool_slices(const Experiment& exp) {
+  const chain::BlockTree& g = exp.global_tree();
+  const protocol::SyntheticWorkload& pool = exp.workload();
+  std::map<std::pair<BlockId, NodeId>, std::vector<BlockId>> micro_children;
+  for (const TraceRecorder::Generated& rec : exp.trace().generated()) {
+    const BlockId parent = g.facts(rec.id).parent;
+    const std::uint64_t c = g.facts(parent).chain_tx_count;
+    const std::vector<chain::TxPtr> payload = payload_of(*rec.block);
+    for (std::size_t k = 0; k < payload.size(); ++k) {
+      if (c + k >= pool.size()) {
+        ADD_FAILURE() << "block " << rec.id << " reads past the pool";
+        break;
+      }
+      EXPECT_EQ(payload[k]->id(), pool.tx(c + k)->id()) << "block " << rec.id << " tx " << k;
+    }
+    if (rec.block->type() == chain::BlockType::kMicro)
+      micro_children[{parent, rec.miner}].push_back(rec.id);
+  }
+  std::size_t pairs = 0;
+  for (const auto& [key, children] : micro_children) {
+    if (children.size() < 2) continue;
+    const std::uint64_t c = g.facts(key.first).chain_tx_count;
+    for (const BlockId child : children) {
+      const std::vector<chain::TxPtr> payload = payload_of(*g.facts(child).block);
+      if (payload.empty()) {
+        ADD_FAILURE() << "forked block " << child << " carries no payload";
+        continue;
+      }
+      EXPECT_EQ(payload.front()->id(), pool.tx(c)->id()) << "block " << child;
+    }
+    ++pairs;
+  }
+  return pairs;
+}
+
+TEST(SharedWorkload, EveryBlockCarriesThePoolSliceAfterItsParent) {
+  for (const chain::Protocol protocol :
+       {chain::Protocol::kBitcoin, chain::Protocol::kGhost, chain::Protocol::kBitcoinNG}) {
+    SCOPED_TRACE(static_cast<int>(protocol));
+    ExperimentConfig cfg = small_config(11);
+    cfg.params.protocol = protocol;
+    cfg.params.block_interval = 4.0;  // short enough for some forks
+    cfg.params.microblock_interval = 1.0;
+    cfg.params.max_microblock_size = 4000;
+    cfg.num_nodes = 20;
+    cfg.target_blocks = 15;
+    Experiment exp(cfg);
+    exp.run();
+    ASSERT_GT(exp.global_tree().best().chain_tx_count, 0u);
+    EXPECT_EQ(expect_pool_slices(exp), 0u);
+  }
+
+  // An equivocating leader forks microblocks from a parent it saved before
+  // its tip moved: both siblings spend the same pool transactions.
+  ExperimentConfig cfg = small_config(5);
+  cfg.params = chain::Params::bitcoin_ng();
+  cfg.params.block_interval = 15;
+  cfg.params.microblock_interval = 3;
+  cfg.params.max_microblock_size = 4000;
+  cfg.num_nodes = 16;
+  cfg.target_blocks = 40;
+  cfg.adversary.kind = AdversarySpec::Kind::kEquivocate;
+  cfg.adversary.power_share = 0.3;
+  cfg.adversary.equivocate_every = 1;
+  Experiment exp(cfg);
+  exp.run();
+  EXPECT_GT(expect_pool_slices(exp), 0u);
 }
 
 }  // namespace

@@ -38,7 +38,6 @@ class MiniNet {
       cfg.params = params;
       cfg.verify_signatures = verify_signatures;
       cfg.verify_fixed = 0.0005;
-      cfg.workload_mode = protocol::WorkloadMode::kSynthetic;
       cfg.workload = &workload_;
       nodes_.push_back(std::make_unique<NodeT>(i, network_, genesis_, cfg, rng_.fork(i),
                                                trace_.get()));
