@@ -4,9 +4,12 @@
 // §7, "No Transaction Propagation"), each spending its own premined output
 // of the genesis coinbase. Leaders serialize them into microblocks, and the
 // resulting chain replays through the UTXO ledger, including the 40/60 fee
-// split (§4.4) and coinbase maturity; a failed replay exits 1. It also
-// reports per-transaction confirmation latency, illustrating §4.3: a user
-// should wait for network propagation before trusting a microblock.
+// split (§4.4) and coinbase maturity; a failed replay exits 1. A key block
+// pays the previous epoch's fees, so the run lasts several epochs (4 key
+// blocks at seed 7), and it exits 1 too if no miner holds more than its key
+// blocks' subsidy: then no fee share was paid. It also reports
+// per-transaction confirmation latency, illustrating §4.3: a user should
+// wait for network propagation before trusting a microblock.
 #include <cstdio>
 #include <unordered_map>
 
@@ -21,7 +24,7 @@ int main() {
 
   sim::ExperimentConfig cfg;
   cfg.params = chain::Params::bitcoin_ng();
-  cfg.params.block_interval = 60;
+  cfg.params.block_interval = 20;
   cfg.params.microblock_interval = 5;
   cfg.params.max_microblock_size = 20'000;
   cfg.num_nodes = 60;
@@ -78,11 +81,15 @@ int main() {
   // --- Leader revenues -----------------------------------------------------
   std::printf("\nminer balances after the run (subsidy + fee shares, incl. immature):\n");
   int shown = 0;
-  for (std::uint32_t i = 0; i < cfg.num_nodes && shown < 5; ++i) {
+  bool fees_paid = false;
+  for (std::uint32_t i = 0; i < cfg.num_nodes; ++i) {
     const auto* node = dynamic_cast<const ng::NgNode*>(exp.nodes()[i].get());
     if (node == nullptr) continue;
-    Amount balance = ledger.total_balance(node->reward_address());
-    if (balance > 0) {
+    const Amount balance = ledger.total_balance(node->reward_address());
+    const Amount subsidy =
+        cfg.params.block_subsidy * static_cast<Amount>(node->key_blocks_mined());
+    if (balance > subsidy) fees_paid = true;
+    if (balance > 0 && shown < 5) {
       std::printf("  node %-3u mined %llu key blocks -> %.4f coins\n", i,
                   static_cast<unsigned long long>(node->key_blocks_mined()),
                   static_cast<double>(balance) / kCoin);
@@ -92,5 +99,9 @@ int main() {
   auto m = metrics::compute_metrics(exp);
   std::printf("\nthroughput: %.2f tx/s, consensus delay %.1f s\n", m.tx_per_sec,
               m.consensus_delay_s);
+  if (!fees_paid) {
+    std::printf("no miner holds more than its key blocks' subsidy: no fee share was paid\n");
+    return 1;
+  }
   return 0;
 }

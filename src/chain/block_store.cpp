@@ -113,28 +113,6 @@ std::vector<BlockId> BlockStore::path_from_genesis(BlockId tip) const {
   return path;
 }
 
-BlockId BlockStore::common_ancestor(BlockId a, BlockId b) const {
-  // Equalize heights, then descend both by jump while the jumps disagree
-  // (the ancestor is at or below the jump height) and by parent otherwise.
-  // Jump heights are a pure function of depth, so a and b stay level.
-  if (facts_[a].height > facts_[b].height)
-    a = ancestor_at_height(a, facts_[b].height);
-  else if (facts_[b].height > facts_[a].height)
-    b = ancestor_at_height(b, facts_[a].height);
-  while (a != b) {
-    const BlockId ja = facts_[a].jump;
-    const BlockId jb = facts_[b].jump;
-    if (ja != jb && facts_[ja].height == facts_[jb].height) {
-      a = ja;
-      b = jb;
-    } else {
-      a = facts_[a].parent;
-      b = facts_[b].parent;
-    }
-  }
-  return a;
-}
-
 BlockId BlockStore::ancestor_at_or_before(BlockId tip, Seconds time) const {
   // Timestamps are non-decreasing along a chain (a block is built after its
   // parent existed), so if the jump target still violates `time`, everything

@@ -16,12 +16,11 @@
 // same block in every tree, gossip set and wire message of the deployment,
 // and the body of every block put on the wire (a message carries the id).
 //
-// Ancestry queries (`is_ancestor`, `common_ancestor`, `ancestor_at_height`,
+// Ancestry queries (`is_ancestor`, `ancestor_at_height`,
 // `ancestor_at_or_before`) run here in O(log height) over skip-ancestor
 // "jump" pointers (the skew-binary level-ancestor scheme: the jump length is
-// a pure function of depth, so two blocks at equal depth jump to equal
-// depths — which is what makes the common-ancestor descent sound). Ancestry
-// is a fact of the blocks, so the answer is the same from every node's view.
+// a pure function of depth). Ancestry is a fact of the blocks, so the answer
+// is the same from every node's view.
 #pragma once
 
 #include <cstdint>
@@ -100,8 +99,6 @@ class BlockStore {
 
   /// Ancestor of `id` at exactly `height` (requires height <= id's height).
   [[nodiscard]] BlockId ancestor_at_height(BlockId id, std::uint32_t height) const;
-
-  [[nodiscard]] BlockId common_ancestor(BlockId a, BlockId b) const;
 
   /// Last block on the path to `tip` whose block timestamp is <= `time`
   /// (used by the consensus-delay metric). Accelerated by jump pointers;

@@ -104,9 +104,6 @@ class BlockTree {
   [[nodiscard]] bool is_ancestor(BlockId anc, BlockId desc) const {
     return store_->is_ancestor(anc, desc);
   }
-  [[nodiscard]] BlockId common_ancestor(BlockId a, BlockId b) const {
-    return store_->common_ancestor(a, b);
-  }
   [[nodiscard]] BlockId ancestor_at_or_before(BlockId tip, Seconds time) const {
     return store_->ancestor_at_or_before(tip, time);
   }

@@ -19,6 +19,16 @@ void EventQueue::route_overflow(const Entry& e) {
   std::push_heap(overflow_.begin(), overflow_.end(), entry_greater);
 }
 
+void EventQueue::anchor(Seconds origin, double width) {
+  width_ = std::clamp(width, kMinWidth, kMaxWidth);
+  inv_width_ = 1.0 / width_;
+  origin_ = origin;
+  cur_bucket_ = -1;
+  // Entries past the new window fall (back) into the overflow heap; one at
+  // `origin` lands in bucket 0, so the caller always makes progress.
+  for (const Entry& e : scratch_) route(e);
+}
+
 void EventQueue::epoch_restart() {
   // Pop a bounded sorted batch off the overflow heap. Its span is exactly
   // the future the next epoch must cover, so the width tunes itself to the
@@ -38,19 +48,36 @@ void EventQueue::epoch_restart() {
   if (gap <= 0 && scratch_.size() > 1) {
     gap = (scratch_.back().at - mn) / static_cast<double>(scratch_.size() - 1);
   }
-  if (gap > 0) {
-    double w = gap * kTargetPerBucket;
-    if (w < kMinWidth) w = kMinWidth;
-    if (w > kMaxWidth) w = kMaxWidth;
-    width_ = w;
-    inv_width_ = 1.0 / w;
+  anchor(mn, gap > 0 ? gap * kTargetPerBucket : width_);
+}
+
+bool EventQueue::reanchor_dense_run() {
+  const std::size_t n = run_.size();
+  const Seconds first = run_.front().at;
+  const double width = std::clamp(
+      (run_.back().at - first) / static_cast<double>(n - 1) * kTargetPerBucket, kMinWidth,
+      kMaxWidth);
+  if (width * kNarrowStep > width_) return false;
+  // No width splits a tie, so a bucket mostly at one time stays as it is.
+  // In a sorted run, a time held by more than half the entries is the
+  // middle entry's.
+  const Seconds mid = run_[n / 2].at;
+  const auto lo = std::lower_bound(run_.begin(), run_.end(), mid,
+                                   [](const Entry& e, Seconds t) { return e.at < t; });
+  const auto hi = std::upper_bound(lo, run_.end(), mid,
+                                   [](Seconds t, const Entry& e) { return t < e.at; });
+  if (2 * static_cast<std::size_t>(hi - lo) > n) return false;
+  scratch_.assign(run_.begin(), run_.end());
+  run_.clear();
+  for (std::int64_t b = cur_bucket_ + 1; ring_count_ > 0; ++b) {
+    auto& bucket = buckets_[ring_slot(b)];
+    scratch_.insert(scratch_.end(), bucket.begin(), bucket.end());
+    ring_count_ -= bucket.size();
+    bucket.clear();
   }
-  origin_ = mn;
-  cur_bucket_ = -1;
-  // Batch entries past the new window (median tuning can leave a tail) fall
-  // straight back into the overflow heap; the minimum lands in bucket 0, so
-  // the restart always makes progress.
-  for (const Entry& e : scratch_) route(e);
+  ++reanchors_;
+  anchor(first, width);
+  return true;
 }
 
 void EventQueue::build_run() {
@@ -82,6 +109,9 @@ void EventQueue::build_run() {
     run_.insert(run_.end(), bucket.begin(), bucket.end());
     bucket.clear();  // keeps capacity for the slot's next lap
     std::sort(run_.begin(), run_.end(), entry_less);
+    // run_ holds only this bucket and near_ is empty: the one point where
+    // the whole calendar can move with no queued entry left behind.
+    if (run_.size() > kDenseBucket && reanchor_dense_run()) continue;
     return;
   }
 }
@@ -98,15 +128,16 @@ bool EventQueue::pop_one(Seconds limit) {
   if (e.at > limit) return false;
   if (from_near) {
     near_pop_top();
+    ++near_pops_;
   } else {
     ++run_index_;
   }
   now_ = e.at;
   cur_seq_ = e.seq;
   ++executed_;
-  // Hint the run head, the next event in all but the rare near-heap pop,
-  // that it runs soon: a delivery prefetches its receiver while this
-  // event runs (common/small_fn.hpp).
+  // Hint the run head, the next event unless the near heap's top orders
+  // before it, that it runs soon: a delivery prefetches its receiver while
+  // this event runs (common/small_fn.hpp).
   if (run_index_ < run_.size()) slot(run_[run_index_].slot).prefetch();
   // Invoke in place — slot addresses are stable (chunked storage), and the
   // slot cannot be recycled until it is pushed onto the freelist below, so
@@ -142,11 +173,14 @@ void EventQueue::run_all() {
   cur_seq_ = next_seq_;
 }
 
-// --- Small 4-ary min-heap for arrivals behind the consuming bucket ----------
+// --- 4-ary min-heap for arrivals at or behind the consuming bucket ----------
 //
 // Holds only events scheduled (after their bucket was frozen) for times at
-// or before the current bucket window — typically zero-delay follow-ups.
-// Stays tiny, so sift depth is 1-2 levels.
+// or before the current bucket window: zero-delay follow-ups, and any delay
+// shorter than what is left of the bucket. Its share of events follows the
+// width. On bitcoin_fig7 (job 0 of seed 1) 53% of events ran from it, and it
+// peaked at 129 entries, under a 0.31 s width; re-anchored at 0.0195 s, 20%
+// do, and it peaks at 60.
 
 void EventQueue::near_push(const Entry& e) {
   near_.push_back(e);

@@ -24,6 +24,9 @@ void SweepTelemetry::start(std::size_t total_jobs) {
   has_signatures_ = false;
   signed_ = 0;
   verified_ = 0;
+  has_queue_ = false;
+  reanchors_ = 0;
+  near_pops_ = 0;
   phase_jobs_ = 0;
   simulate_ms_ = 0;
   metrics_ms_ = 0;
@@ -59,6 +62,13 @@ void SweepTelemetry::add_signatures(std::uint64_t signed_count, std::uint64_t ve
   has_signatures_ = true;
   signed_ += signed_count;
   verified_ += verified;
+}
+
+void SweepTelemetry::add_queue(std::uint64_t reanchors, std::uint64_t near_pops) {
+  std::lock_guard lock(mu_);
+  has_queue_ = true;
+  reanchors_ += reanchors;
+  near_pops_ += near_pops;
 }
 
 void SweepTelemetry::add_phase_ms(double simulate_ms, double build_ms, double metrics_ms) {
@@ -192,6 +202,12 @@ std::string SweepTelemetry::to_json(const std::string& scenario, double wall_s) 
     std::snprintf(buf, sizeof buf, ",\n  \"signatures\": {\"signed\": %llu, \"verified\": %llu}",
                   static_cast<unsigned long long>(signed_),
                   static_cast<unsigned long long>(verified_));
+    j += buf;
+  }
+  if (has_queue_) {
+    std::snprintf(buf, sizeof buf, ",\n  \"queue\": {\"reanchors\": %llu, \"near_pops\": %llu}",
+                  static_cast<unsigned long long>(reanchors_),
+                  static_cast<unsigned long long>(near_pops_));
     j += buf;
   }
   std::snprintf(buf, sizeof buf,

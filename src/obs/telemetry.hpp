@@ -97,6 +97,12 @@ class SweepTelemetry {
   /// in-process thread executor; adds a "signatures" section (sums over
   /// jobs) to the stats JSON. Never part of a record.
   void add_signatures(std::uint64_t signed_count, std::uint64_t verified);
+  /// One finished job's event-queue mechanism: how often a dense bucket
+  /// re-anchored the calendar (EventQueue::reanchors) and how many events
+  /// ran from its near heap (EventQueue::near_pops). Reported by the
+  /// in-process thread executor; adds a "queue" section (sums over jobs) to
+  /// the stats JSON. Never part of a record.
+  void add_queue(std::uint64_t reanchors, std::uint64_t near_pops);
 
   /// Peak resident set of THIS process so far, bytes: VmHWM, which starts
   /// afresh at exec, or else ru_maxrss (on Linux it keeps the pre-exec
@@ -157,6 +163,9 @@ class SweepTelemetry {
   bool has_signatures_ = false;
   std::uint64_t signed_ = 0;
   std::uint64_t verified_ = 0;
+  bool has_queue_ = false;
+  std::uint64_t reanchors_ = 0;
+  std::uint64_t near_pops_ = 0;
   bool has_pool_ = false;
   std::uint64_t pool_txs_ = 0;
   std::uint64_t pool_built_ = 0;

@@ -62,6 +62,7 @@ RunRecord run_job(const Scenario& scenario, const SweepPoint& point,
     const crypto::SignatureCounts signatures = crypto::thread_signature_counts();
     telemetry->add_signatures(signatures.signs - signatures_before.signs,
                               signatures.verifies - signatures_before.verifies);
+    telemetry->add_queue(exp.queue().reanchors(), exp.queue().near_pops());
   }
   return record;
 }

@@ -161,8 +161,6 @@ TEST_F(BlockTreeTest, AncestorQueries) {
   EXPECT_TRUE(tree_.is_ancestor(i2, i2));
   EXPECT_FALSE(tree_.is_ancestor(ir, i2));
   EXPECT_FALSE(tree_.is_ancestor(i2, i1));
-  EXPECT_EQ(tree_.common_ancestor(i2, ir), g);
-  EXPECT_EQ(tree_.common_ancestor(i2, i1), i1);
 }
 
 TEST_F(BlockTreeTest, PathFromGenesis) {

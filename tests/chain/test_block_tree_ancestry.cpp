@@ -2,7 +2,7 @@
 // brute-force parent-walk reference.
 //
 // The jump-pointer (skew-binary skip ancestor) rewrite made is_ancestor /
-// common_ancestor / ancestor_at_or_before O(log height); these tests pin
+// ancestor_at_height / ancestor_at_or_before O(log height); these tests pin
 // their answers to the O(height) walks they replaced, over tree shapes the
 // unit tests in test_block_tree.cpp are too small to exercise: long chains,
 // bushy forks, and mixtures of both. The queries run in the shared
@@ -33,16 +33,6 @@ bool ref_is_ancestor(const BlockTree& t, BlockId anc, BlockId desc) {
   const std::uint32_t target_height = t.facts(anc).height;
   while (t.facts(cur).height > target_height) cur = t.facts(cur).parent;
   return cur == anc;
-}
-
-BlockId ref_common_ancestor(const BlockTree& t, BlockId a, BlockId b) {
-  while (t.facts(a).height > t.facts(b).height) a = t.facts(a).parent;
-  while (t.facts(b).height > t.facts(a).height) b = t.facts(b).parent;
-  while (a != b) {
-    a = t.facts(a).parent;
-    b = t.facts(b).parent;
-  }
-  return a;
 }
 
 BlockId ref_ancestor_at_or_before(const BlockTree& t, BlockId tip, Seconds time) {
@@ -101,8 +91,6 @@ TEST_P(AncestryShapes, MatchesBruteForceOnRandomPairs) {
     ASSERT_EQ(tree.is_ancestor(a, b), ref_is_ancestor(tree, a, b))
         << "a=" << a << " b=" << b;
     ASSERT_EQ(tree.is_ancestor(b, a), ref_is_ancestor(tree, b, a))
-        << "a=" << a << " b=" << b;
-    ASSERT_EQ(tree.common_ancestor(a, b), ref_common_ancestor(tree, a, b))
         << "a=" << a << " b=" << b;
   }
 }
@@ -176,7 +164,6 @@ TEST(AncestryDeepChain, FiftyThousandBlockChain) {
     const auto a = static_cast<std::uint32_t>(rng.next_below(tree.size()));
     const auto b = static_cast<std::uint32_t>(rng.next_below(tree.size()));
     // On a pure chain every pair is ancestor-ordered by height.
-    ASSERT_EQ(tree.common_ancestor(at_height[a], at_height[b]), at_height[std::min(a, b)]);
     ASSERT_EQ(tree.is_ancestor(at_height[a], at_height[b]), a <= b);
     ASSERT_EQ(tree.store().ancestor_at_height(tip, a), at_height[a]);
   }

@@ -175,7 +175,6 @@ void expect_same_view(const Pair& p, Rng& query_rng) {
     const BlockId ia = p.id_of(a);
     const BlockId ib = p.id_of(b);
     EXPECT_EQ(p.tree.is_ancestor(ia, ib), p.ref.is_ancestor(a, b));
-    EXPECT_EQ(p.tree.common_ancestor(ia, ib), p.id_of(p.ref.common_ancestor(a, b)));
     const auto h = static_cast<std::uint32_t>(query_rng.next_below(p.ref.entry(a).height + 1));
     EXPECT_EQ(p.tree.store().ancestor_at_height(ia, h), p.id_of(p.ref.ancestor_at_height(a, h)));
     const Seconds t = static_cast<Seconds>(query_rng.next_below(n + 2)) - 0.5;

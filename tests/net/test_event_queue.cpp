@@ -285,6 +285,102 @@ TEST(EventQueue, DifferentialFarFutureSpillRefill) {
   for (std::size_t i = 0; i < ref.size(); ++i) EXPECT_EQ(fired[i], ref[i].seq);
 }
 
+// --- The dense-bucket re-anchor --------------------------------------------
+
+/// A script whose events log their seq, and whose callbacks may schedule
+/// follow-ups at zero and sub-width delays. Every schedule goes through
+/// add(), so the reference seq of an event is its place in `ref`.
+class ReanchorScript {
+ public:
+  struct RefEvent {
+    double at;
+    std::uint64_t seq;
+  };
+
+  /// A sparse prefix widens the calendar through an epoch restart; then
+  /// bursts of 250 events within 1 s freeze into one wide bucket while
+  /// later entries wait in the ring past it and far-future ones in overflow.
+  void run_bursts() {
+    for (int i = 1; i <= 16; ++i) add(50.0 * i, 0);
+    for (int i = 0; i < 4; ++i) add(1e6 + i, 0);  // far future: stays in overflow
+    q.run_until(60.0);  // the restart at t = 50 widens the buckets to ~400 s
+    for (int round = 0; round < 6; ++round) {
+      const double t0 = 1000.0 + 700.0 * round;
+      for (int i = 0; i < 250; ++i) add(t0 + static_cast<double>(next() % 1000) / 1000.0, 2);
+      add(t0 + 400.0, 0);  // ring entries past the burst's bucket
+      add(t0 + 3000.0, 0);
+      q.run_until(t0 + 0.5);  // stop part-way through the burst
+    }
+    q.run_all();
+  }
+
+  /// The execution order a correct queue must produce: every scheduled
+  /// event sorted by (at, seq).
+  [[nodiscard]] std::vector<std::uint64_t> expected() const {
+    std::vector<RefEvent> sorted = ref;
+    std::sort(sorted.begin(), sorted.end(), [](const RefEvent& a, const RefEvent& b) {
+      if (a.at != b.at) return a.at < b.at;
+      return a.seq < b.seq;
+    });
+    std::vector<std::uint64_t> out;
+    for (const RefEvent& e : sorted) out.push_back(e.seq);
+    return out;
+  }
+
+  void add(double at, int depth) {
+    const std::uint64_t s = ref.size();
+    ref.push_back({at, s});
+    q.schedule_at(at, [this, s, depth] {
+      fired.push_back(s);
+      if (depth == 0) return;
+      const std::uint64_t r = next();
+      if (r % 4 == 0) add(q.now(), depth - 1);  // zero delay: behind the frozen bucket
+      if (r % 3 == 0) add(q.now() + 1e-4 * static_cast<double>((r >> 8) % 50), depth - 1);
+    });
+  }
+
+  EventQueue q;
+  std::vector<RefEvent> ref;
+  std::vector<std::uint64_t> fired;
+
+ private:
+  std::uint64_t next() {
+    rng_ = rng_ * 6364136223846793005ull + 1442695040888963407ull;
+    return rng_ >> 33;
+  }
+  std::uint64_t rng_ = 0x452821e638d01377ull;
+};
+
+// A dense bucket re-anchors the calendar at a narrower width, moving every
+// ring entry; the run still matches the (at, seq) reference exactly.
+TEST(EventQueue, DenseBucketReanchorKeepsTheReferenceOrder) {
+  ReanchorScript script;
+  script.run_bursts();
+  EXPECT_EQ(script.fired, script.expected());
+  EXPECT_EQ(script.q.events_executed(), script.ref.size());
+  EXPECT_EQ(script.fired.size(), script.ref.size());
+  EXPECT_GT(script.q.reanchors(), 0u);  // not vacuous: the re-anchor ran
+  EXPECT_GT(script.q.near_pops(), 0u);  // zero-delay follow-ups used the near heap
+  EXPECT_EQ(script.q.pending(), 0u);
+}
+
+// A burst mostly tied at one time (a gossip wave at constant latency) is
+// frozen as it is: no width splits a tie, so the calendar must not
+// re-anchor at ever narrower widths chasing one.
+TEST(EventQueue, TiedBurstDoesNotReanchor) {
+  ReanchorScript script;
+  const double tie = 0.05608;
+  for (int i = 0; i < 240; ++i) script.add(tie, 0);
+  for (int i = 1; i <= 3; ++i) {  // stragglers in the same 2 ms bucket
+    script.add(tie - 1e-5 * i, 0);
+    script.add(tie + 1e-5 * i, 1);
+  }
+  script.q.run_all();
+  EXPECT_EQ(script.fired, script.expected());
+  EXPECT_EQ(script.q.events_executed(), script.ref.size());
+  EXPECT_EQ(script.q.reanchors(), 0u);
+}
+
 // --- Reserved places: reserve_seq / schedule_reserved / passed --------------
 
 TEST(EventQueue, ReservedPlaceRunsWhereAnEventScheduledThenWould) {

@@ -403,5 +403,48 @@ TEST(SweepTelemetry, SignatureCountsReportedInProcessAndKeptOutOfRecords) {
   EXPECT_EQ(procs.to_json(s.name, 1.0).find("\"signatures\""), std::string::npos);
 }
 
+TEST(SweepTelemetry, QueueCountsReportedInProcessAndKeptOutOfRecords) {
+  const Scenario s = registered_mini();
+  constexpr std::uint32_t kSeeds = 2;
+  const std::string plain = artifacts(run_sweep(s, thread_options(kSeeds, 2)));
+  obs::SweepTelemetry threads;
+  SweepOptions with_stats = thread_options(kSeeds, 2);
+  with_stats.telemetry = &threads;
+  EXPECT_EQ(plain, artifacts(run_sweep(s, with_stats)));
+  const std::string json = threads.to_json(s.name, 1.0);
+  const std::size_t at = json.find("\"queue\": {");
+  ASSERT_NE(at, std::string::npos) << json;
+  unsigned long long reanchors = 0, near_pops = 0;
+  ASSERT_EQ(std::sscanf(json.c_str() + at, "\"queue\": {\"reanchors\": %llu, \"near_pops\": %llu}",
+                        &reanchors, &near_pops),
+            2)
+      << json;
+
+  // The sums of the jobs' own queue counters.
+  std::uint64_t want_reanchors = 0, want_near_pops = 0, executed = 0;
+  const std::vector<SweepPoint> points = expand(s);
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    for (std::uint32_t ordinal = 0; ordinal < kSeeds; ++ordinal) {
+      sim::ExperimentConfig cfg = points[p].config;
+      cfg.seed = job_seed(s.seed_base, p, ordinal);
+      sim::Experiment exp(std::move(cfg));
+      exp.run();
+      want_reanchors += exp.queue().reanchors();
+      want_near_pops += exp.queue().near_pops();
+      executed += exp.queue().events_executed();
+    }
+  }
+  EXPECT_EQ(reanchors, want_reanchors);
+  EXPECT_EQ(near_pops, want_near_pops);
+  EXPECT_LE(near_pops, executed);
+
+  // Worker processes count in other address spaces: no section at all.
+  obs::SweepTelemetry procs;
+  SweepOptions proc_stats = proc_options(kSeeds, 2);
+  proc_stats.telemetry = &procs;
+  EXPECT_EQ(plain, artifacts(run_sweep(s, proc_stats)));
+  EXPECT_EQ(procs.to_json(s.name, 1.0).find("\"queue\""), std::string::npos);
+}
+
 }  // namespace
 }  // namespace bng::runner

@@ -120,8 +120,6 @@ class ReferenceBlockTree {
   /// Indices from genesis to `tip`, inclusive.
   [[nodiscard]] std::vector<std::uint32_t> path_from_genesis(std::uint32_t tip) const;
 
-  [[nodiscard]] std::uint32_t common_ancestor(std::uint32_t a, std::uint32_t b) const;
-
   /// Last block on the path to `tip` whose block timestamp is <= `time`
   /// (used by the consensus-delay metric). Accelerated by jump pointers;
   /// chain timestamps are non-decreasing root-to-tip (a child is built after
@@ -320,28 +318,6 @@ inline std::vector<std::uint32_t> ReferenceBlockTree::path_from_genesis(std::uin
     path.push_back(static_cast<std::uint32_t>(cur));
   std::reverse(path.begin(), path.end());
   return path;
-}
-
-inline std::uint32_t ReferenceBlockTree::common_ancestor(std::uint32_t a, std::uint32_t b) const {
-  // Equalize heights, then descend both by jump while the jumps disagree
-  // (the ancestor is at or below the jump height) and by parent otherwise.
-  // Jump heights are a pure function of depth, so a and b stay level.
-  if (entries_[a].height > entries_[b].height)
-    a = ancestor_at_height(a, entries_[b].height);
-  else if (entries_[b].height > entries_[a].height)
-    b = ancestor_at_height(b, entries_[a].height);
-  while (a != b) {
-    const std::uint32_t ja = entries_[a].jump;
-    const std::uint32_t jb = entries_[b].jump;
-    if (ja != jb && entries_[ja].height == entries_[jb].height) {
-      a = ja;
-      b = jb;
-    } else {
-      a = static_cast<std::uint32_t>(entries_[a].parent);
-      b = static_cast<std::uint32_t>(entries_[b].parent);
-    }
-  }
-  return a;
 }
 
 inline std::uint32_t ReferenceBlockTree::ancestor_at_or_before(std::uint32_t tip, Seconds time) const {
