@@ -261,7 +261,9 @@ BENCHMARK(BM_EventQueueSteadyState)->Arg(4096);
 void BM_EventQueueBucketInsert(benchmark::State& state) {
   // The calendar layer's O(1) claim: inserts landing inside the active
   // bucket window (the overwhelmingly common case in a live simulation)
-  // are one multiply + one vector push, no heap sift.
+  // are one multiply + a push onto the bucket's list (the slot's link
+  // takes the old head, the ring's head takes the slot): no heap sift and
+  // no allocation once the slots exist.
   net::EventQueue q;
   std::uint64_t fired = 0;
   std::uint64_t lcg = 99;

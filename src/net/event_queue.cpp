@@ -12,11 +12,34 @@ namespace {
 constexpr Seconds kInf = std::numeric_limits<Seconds>::infinity();
 }
 
-void EventQueue::grow_slots() { chunks_.push_back(std::make_unique<Callback[]>(kChunkSize)); }
+void EventQueue::grow_slots() { chunks_.push_back(std::make_unique<Chunk>()); }
 
 void EventQueue::route_overflow(const Entry& e) {
   overflow_.push_back(e);
   std::push_heap(overflow_.begin(), overflow_.end(), entry_greater);
+  ++overflow_pushes_;
+}
+
+void EventQueue::drain_bucket(std::size_t i, std::vector<Entry>& out) {
+  for (std::uint32_t s = heads_[i]; s != kNil;) {
+    const Link& l = link(s);
+    out.push_back(Entry{l.at, l.seq, s});
+    s = l.next;
+    --ring_count_;
+  }
+  heads_[i] = kNil;
+}
+
+Seconds EventQueue::latest_ring_time() {
+  std::int64_t b = cur_bucket_ + kBuckets;
+  while (heads_[ring_slot(b)] == kNil) --b;  // ring_count_ > 0 bounds this
+  Seconds latest = -kInf;
+  for (std::uint32_t s = heads_[ring_slot(b)]; s != kNil;) {
+    const Link& l = link(s);
+    latest = std::max(latest, l.at);
+    s = l.next;
+  }
+  return latest;
 }
 
 void EventQueue::anchor(Seconds origin, double width) {
@@ -54,10 +77,18 @@ void EventQueue::epoch_restart() {
 bool EventQueue::reanchor_dense_run() {
   const std::size_t n = run_.size();
   const Seconds first = run_.front().at;
-  const double width = std::clamp(
+  double width = std::clamp(
       (run_.back().at - first) / static_cast<double>(n - 1) * kTargetPerBucket, kMinWidth,
       kMaxWidth);
   if (width * kNarrowStep > width_) return false;
+  // A ring narrower than what is already queued would send the entries
+  // past its end to the overflow heap, and each later epoch restart would
+  // widen the calendar again. So the new ring reaches the latest ring entry
+  // (into its last bucket), and the 4x rule holds for that width too.
+  if (ring_count_ > 0) {
+    width = std::max(width, (latest_ring_time() - first) / static_cast<double>(kBuckets - 1));
+    if (width * kNarrowStep > width_) return false;
+  }
   // No width splits a tie, so a bucket mostly at one time stays as it is.
   // In a sorted run, a time held by more than half the entries is the
   // middle entry's.
@@ -69,12 +100,7 @@ bool EventQueue::reanchor_dense_run() {
   if (2 * static_cast<std::size_t>(hi - lo) > n) return false;
   scratch_.assign(run_.begin(), run_.end());
   run_.clear();
-  for (std::int64_t b = cur_bucket_ + 1; ring_count_ > 0; ++b) {
-    auto& bucket = buckets_[ring_slot(b)];
-    scratch_.insert(scratch_.end(), bucket.begin(), bucket.end());
-    ring_count_ -= bucket.size();
-    bucket.clear();
-  }
+  for (std::int64_t b = cur_bucket_ + 1; ring_count_ > 0; ++b) drain_bucket(ring_slot(b), scratch_);
   ++reanchors_;
   anchor(first, width);
   return true;
@@ -90,7 +116,7 @@ void EventQueue::build_run() {
       continue;
     }
     std::int64_t b = cur_bucket_ + 1;
-    while (buckets_[ring_slot(b)].empty()) ++b;  // ring_count_ > 0 bounds this
+    while (heads_[ring_slot(b)] == kNil) ++b;  // ring_count_ > 0 bounds this
     // Overflow entries whose bucket is at or before b must merge in before
     // the window passes them; the heap surfaces exactly the matured ones.
     bool merged = false;
@@ -103,11 +129,8 @@ void EventQueue::build_run() {
       merged = true;
     }
     if (merged) continue;  // merged entries may occupy an earlier bucket
-    auto& bucket = buckets_[ring_slot(b)];
     cur_bucket_ = b;
-    ring_count_ -= bucket.size();
-    run_.insert(run_.end(), bucket.begin(), bucket.end());
-    bucket.clear();  // keeps capacity for the slot's next lap
+    drain_bucket(ring_slot(b), run_);
     std::sort(run_.begin(), run_.end(), entry_less);
     // run_ holds only this bucket and near_ is empty: the one point where
     // the whole calendar can move with no queued entry left behind.
@@ -140,19 +163,16 @@ bool EventQueue::pop_one(Seconds limit) {
   // this event runs (common/small_fn.hpp).
   if (run_index_ < run_.size()) slot(run_[run_index_].slot).prefetch();
   // Invoke in place — slot addresses are stable (chunked storage), and the
-  // slot cannot be recycled until it is pushed onto the freelist below, so
+  // slot cannot be recycled until it is put on the free list below, so
   // callbacks may schedule freely. The callable is destroyed only after it
   // returns, like the std::function it replaced.
-  Callback& fn = slot(e.slot);
   try {
-    fn();
+    slot(e.slot)();
   } catch (...) {
-    fn.reset();
-    free_slots_.push_back(e.slot);
+    free_slot(e.slot);
     throw;
   }
-  fn.reset();
-  free_slots_.push_back(e.slot);
+  free_slot(e.slot);
   return true;
 }
 
@@ -179,7 +199,7 @@ void EventQueue::run_all() {
 // or before the current bucket window: zero-delay follow-ups, and any delay
 // shorter than what is left of the bucket. Its share of events follows the
 // width. On bitcoin_fig7 (job 0 of seed 1) 53% of events ran from it, and it
-// peaked at 129 entries, under a 0.31 s width; re-anchored at 0.0195 s, 20%
+// peaked at 129 entries, under a 0.31 s width; re-anchored at 0.0269 s, 22%
 // do, and it peaks at 60.
 
 void EventQueue::near_push(const Entry& e) {

@@ -7,25 +7,34 @@
 // Fast-path design (three pieces):
 //   * Callbacks live in a recycled slot pool, and SmallFn keeps the common
 //     lambdas allocation-free. A scheduled event always runs: there is no
-//     cancellation, so every queued entry is a live event.
+//     cancellation, so every queued entry is a live event. Each slot has a
+//     Link beside it (same chunk, so neither ever moves): while its event
+//     waits in a ring bucket the link holds the event's (at, seq) and the
+//     next slot in that bucket's list, and while the slot is free it
+//     threads the free list.
 //   * The priority structure is a calendar queue: a ring of kBuckets
 //     fixed-width time buckets covers the near future, so the common insert
 //     (a delivery, a CPU completion, a re-armed link train) is one multiply
-//     and a push_back — O(1), no sift, no sort. Consumption drains one
-//     bucket at a time into a sorted run (buckets hold ~kTargetPerBucket
-//     events, so each sort is short). Events beyond the ring spill to an
-//     overflow heap and are pulled forward in bulk as the window advances;
-//     when the ring drains, the epoch restarts at the overflow minimum and
-//     the bucket width re-tunes itself from the observed inter-event gap. A
-//     bucket frozen with more than kDenseBucket entries re-tunes it too
-//     (Brown's calendar queue re-sizes from the density it observes): if
-//     its own mean gap asks for a width at least kNarrowStep times
-//     narrower, the calendar re-anchors at its first entry with that width.
+//     and a list push onto its bucket's head — O(1), no sift, no sort, no
+//     allocation. A bucket is a singly linked list through the slots' links
+//     and the ring is one 8 KB array of list heads, so the queue's memory
+//     follows its pending events (the slots) rather than each bucket's peak.
+//     Consumption drains one bucket at a time into a sorted run (buckets
+//     hold ~kTargetPerBucket events, so each sort is short). Events beyond
+//     the ring spill to an overflow heap and are pulled forward in bulk as
+//     the window advances; when the ring drains, the epoch restarts at the
+//     overflow minimum and the bucket width re-tunes itself from the
+//     observed inter-event gap. A bucket frozen with more than kDenseBucket
+//     entries re-tunes it too (Brown's calendar queue re-sizes from the
+//     density it observes): if its own mean gap, floored so the new ring
+//     still reaches the latest ring entry, asks for a width at least
+//     kNarrowStep times narrower, the calendar re-anchors at its first
+//     entry with that width.
 //     A 4-ary heap takes every event scheduled at or behind the bucket
 //     being consumed. How many depends on the width: on perfbench's
 //     bitcoin_fig7 (job 0 of seed 1, 120,468 events) 64,420 ran from it
 //     under a 0.31 s width set once and never lowered; re-anchored at
-//     0.0195 s, 23,845 do.
+//     0.0269 s, 26,056 do.
 //   * Ordering is the total order (at, seq); the structure only changes how
 //     that order is produced, so a run replays identically. All routing
 //     decisions go through one monotone map from time to bucket index
@@ -49,6 +58,7 @@
 // reads while every other event keeps its exact place.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -64,7 +74,7 @@ class EventQueue {
  public:
   using Callback = SmallFn;
 
-  EventQueue() : buckets_(kBuckets) {}
+  EventQueue() { heads_.fill(kNil); }
 
   /// Current simulated time (seconds).
   [[nodiscard]] Seconds now() const { return now_; }
@@ -134,6 +144,14 @@ class EventQueue {
   /// Events that ran from the near heap rather than the sorted run.
   [[nodiscard]] std::uint64_t near_pops() const { return near_pops_; }
 
+  /// Callback slots the queue holds: the most events ever live at once
+  /// (queued, or running), since a slot is made only when none is free.
+  [[nodiscard]] std::uint32_t slots() const { return num_slots_; }
+
+  /// Entries pushed onto the overflow heap, past the ring's window (also
+  /// when an anchor re-routes one there). Observation only.
+  [[nodiscard]] std::uint64_t overflow_pushes() const { return overflow_pushes_; }
+
  private:
   /// Execution key is (at, seq); seq is unique, so the order is total and a
   /// run replays identically regardless of the internal structure.
@@ -148,11 +166,25 @@ class EventQueue {
     return a.seq < b.seq;
   }
 
-  /// Callback slots, recycled through free_slots_, live in fixed chunks so
-  /// their addresses survive growth — callbacks are invoked in place and may
-  /// themselves schedule new events.
+  /// A slot's calendar link. While the slot's event waits in a ring
+  /// bucket: its (at, seq) and the next slot in that bucket's list. While
+  /// the slot is free: `next` is the next free slot.
+  struct Link {
+    Seconds at;
+    std::uint64_t seq;
+    std::uint32_t next;
+  };
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};  ///< end of a list
+
+  /// Callback slots, recycled through the free list, live in fixed chunks
+  /// with their links so their addresses survive growth — callbacks are
+  /// invoked in place and may themselves schedule new events.
   static constexpr std::uint32_t kChunkShift = 8;
   static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
+  struct Chunk {
+    Callback fns[kChunkSize];
+    Link links[kChunkSize];
+  };
 
   // --- Calendar geometry ----------------------------------------------------
   // Bucket b covers [origin_ + b*width_, origin_ + (b+1)*width_). The ring
@@ -175,16 +207,16 @@ class EventQueue {
     return static_cast<std::size_t>(b & (kBuckets - 1));
   }
 
-  Callback& slot(std::uint32_t s) { return chunks_[s >> kChunkShift][s & (kChunkSize - 1)]; }
+  Callback& slot(std::uint32_t s) { return chunks_[s >> kChunkShift]->fns[s & (kChunkSize - 1)]; }
+  Link& link(std::uint32_t s) { return chunks_[s >> kChunkShift]->links[s & (kChunkSize - 1)]; }
   void grow_slots();
 
   /// Construct `fn` straight into a recycled slot and route it at (at, seq).
   template <typename F>
   void insert(Seconds at, std::uint64_t seq, F&& fn) {
-    std::uint32_t idx;
-    if (!free_slots_.empty()) {
-      idx = free_slots_.back();
-      free_slots_.pop_back();
+    std::uint32_t idx = free_head_;
+    if (idx != kNil) {
+      free_head_ = link(idx).next;
     } else {
       if ((num_slots_ & (kChunkSize - 1)) == 0) grow_slots();
       idx = num_slots_++;
@@ -193,12 +225,19 @@ class EventQueue {
     route(Entry{at, seq, idx});
   }
 
+  /// Reset slot `s`'s callable and put the slot on the free list.
+  void free_slot(std::uint32_t s) {
+    slot(s).reset();
+    link(s).next = free_head_;
+    free_head_ = s;
+  }
+
   static bool entry_greater(const Entry& a, const Entry& b) { return entry_less(b, a); }
 
   /// Place an entry in near_/ring/overflow_. The bucket index is
   /// floor((at - origin_) * inv_width_) — one shared monotone map, so
   /// routing can never reorder two entries across a boundary. Inline: this
-  /// is the schedule_at hot path (one multiply, one compare, one push_back).
+  /// is the schedule_at hot path (one multiply, one compare, one list push).
   void route(const Entry& e) {
     const double q = (e.at - origin_) * inv_width_;
     if (q < static_cast<double>(cur_bucket_ + kBuckets + 1)) {
@@ -206,12 +245,18 @@ class EventQueue {
         near_push(e);
         return;
       }
-      buckets_[ring_slot(static_cast<std::int64_t>(q))].push_back(e);
+      std::uint32_t& head = heads_[ring_slot(static_cast<std::int64_t>(q))];
+      link(e.slot) = Link{e.at, e.seq, head};
+      head = e.slot;
       ++ring_count_;
       return;
     }
     route_overflow(e);
   }
+
+  /// Append ring bucket `i`'s entries to `out` (latest insert first) and
+  /// empty the bucket.
+  void drain_bucket(std::size_t i, std::vector<Entry>& out);
 
   void route_overflow(const Entry& e);
 
@@ -228,11 +273,16 @@ class EventQueue {
   void epoch_restart();
 
   /// run_ holds a freshly frozen, sorted, dense bucket and near_ is empty.
-  /// If the bucket's mean gap asks for a width at least kNarrowStep times
-  /// narrower, and no one time holds more than half its entries (no width
-  /// splits ties), move the run and every ring entry into scratch_ and
-  /// anchor there. Returns whether it did.
+  /// The width its mean gap asks for, raised so the new ring still reaches
+  /// the latest ring entry: if that is at least kNarrowStep times narrower,
+  /// and no one time holds more than half its entries (no width splits
+  /// ties), move the run and every ring entry into scratch_ and anchor
+  /// there. Returns whether it did.
   bool reanchor_dense_run();
+
+  /// The latest time queued in the ring (ring_count_ > 0): the last
+  /// non-empty bucket's list, found stepping back from the ring's end.
+  Seconds latest_ring_time();
 
   /// Start a new map from time to bucket: bucket 0 at `origin`, buckets
   /// `width` wide (clamped), none frozen; then route every scratch_ entry
@@ -258,25 +308,28 @@ class EventQueue {
   double width_ = 0.002;       ///< bucket width, seconds (re-tuned per anchor)
   double inv_width_ = 500.0;   ///< 1 / width_, the hot-path multiplier
   std::int64_t cur_bucket_ = -1;  ///< bucket last frozen into run_
-  std::vector<std::vector<Entry>> buckets_;  ///< ring, indexed by b & (kBuckets-1)
-  std::size_t ring_count_ = 0;               ///< entries in the ring
+  std::size_t ring_count_ = 0;    ///< entries in the ring
   /// Beyond the ring window: a binary min-heap by (at, seq). Far-future
   /// inserts are rare while the width suits the traffic (the ring absorbs
   /// the near term), so the O(log n) push is off the hot path, and the heap
   /// makes both the window-slide merge and the epoch restart exact — no
-  /// full scans. (On fig7_10k a re-anchor can narrow the ring to about
-  /// 0.5 s, and until the next epoch restart widens it again most new
-  /// events land here: one in seven of the run's events.)
+  /// full scans. (A re-anchor keeps the new ring reaching the latest ring
+  /// entry, so on fig7_10k --blocks 20 2,134 of 1,208,669 events land
+  /// here.)
   std::vector<Entry> overflow_;
   std::vector<Entry> scratch_;  ///< the batch anchor() routes (reused)
 
-  std::vector<std::unique_ptr<Callback[]>> chunks_;
+  std::vector<std::unique_ptr<Chunk>> chunks_;
   std::uint32_t num_slots_ = 0;
-  std::vector<std::uint32_t> free_slots_;
+  std::uint32_t free_head_ = kNil;  ///< free-slot list, threaded through links
 
   // Observation only, kept past the hot fields.
   std::uint64_t reanchors_ = 0;
   std::uint64_t near_pops_ = 0;
+  std::uint64_t overflow_pushes_ = 0;
+
+  /// The ring: bucket b's list head at b & (kBuckets-1), kNil when empty.
+  std::array<std::uint32_t, kBuckets> heads_;
 };
 
 }  // namespace bng::net

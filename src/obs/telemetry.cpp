@@ -1,5 +1,6 @@
 #include "obs/telemetry.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 
@@ -27,6 +28,8 @@ void SweepTelemetry::start(std::size_t total_jobs) {
   has_queue_ = false;
   reanchors_ = 0;
   near_pops_ = 0;
+  queue_slots_ = 0;
+  overflow_pushes_ = 0;
   phase_jobs_ = 0;
   simulate_ms_ = 0;
   metrics_ms_ = 0;
@@ -64,11 +67,14 @@ void SweepTelemetry::add_signatures(std::uint64_t signed_count, std::uint64_t ve
   verified_ += verified;
 }
 
-void SweepTelemetry::add_queue(std::uint64_t reanchors, std::uint64_t near_pops) {
+void SweepTelemetry::add_queue(std::uint64_t reanchors, std::uint64_t near_pops,
+                               std::uint32_t slots, std::uint64_t overflow_pushes) {
   std::lock_guard lock(mu_);
   has_queue_ = true;
   reanchors_ += reanchors;
   near_pops_ += near_pops;
+  queue_slots_ = std::max(queue_slots_, slots);
+  overflow_pushes_ += overflow_pushes;
 }
 
 void SweepTelemetry::add_phase_ms(double simulate_ms, double build_ms, double metrics_ms) {
@@ -205,9 +211,12 @@ std::string SweepTelemetry::to_json(const std::string& scenario, double wall_s) 
     j += buf;
   }
   if (has_queue_) {
-    std::snprintf(buf, sizeof buf, ",\n  \"queue\": {\"reanchors\": %llu, \"near_pops\": %llu}",
+    std::snprintf(buf, sizeof buf,
+                  ",\n  \"queue\": {\"reanchors\": %llu, \"near_pops\": %llu, \"slots\": %u, "
+                  "\"overflow_pushes\": %llu}",
                   static_cast<unsigned long long>(reanchors_),
-                  static_cast<unsigned long long>(near_pops_));
+                  static_cast<unsigned long long>(near_pops_), queue_slots_,
+                  static_cast<unsigned long long>(overflow_pushes_));
     j += buf;
   }
   std::snprintf(buf, sizeof buf,

@@ -98,11 +98,14 @@ class SweepTelemetry {
   /// jobs) to the stats JSON. Never part of a record.
   void add_signatures(std::uint64_t signed_count, std::uint64_t verified);
   /// One finished job's event-queue mechanism: how often a dense bucket
-  /// re-anchored the calendar (EventQueue::reanchors) and how many events
-  /// ran from its near heap (EventQueue::near_pops). Reported by the
-  /// in-process thread executor; adds a "queue" section (sums over jobs) to
-  /// the stats JSON. Never part of a record.
-  void add_queue(std::uint64_t reanchors, std::uint64_t near_pops);
+  /// re-anchored the calendar (EventQueue::reanchors), how many events ran
+  /// from its near heap (EventQueue::near_pops), the callback slots it held
+  /// (EventQueue::slots, its peak of live events) and its overflow-heap
+  /// pushes (EventQueue::overflow_pushes). Reported by the in-process thread
+  /// executor; adds a "queue" section to the stats JSON: the largest
+  /// `slots` of any job, sums of the rest. Never part of a record.
+  void add_queue(std::uint64_t reanchors, std::uint64_t near_pops, std::uint32_t slots,
+                 std::uint64_t overflow_pushes);
 
   /// Peak resident set of THIS process so far, bytes: VmHWM, which starts
   /// afresh at exec, or else ru_maxrss (on Linux it keeps the pre-exec
@@ -166,6 +169,8 @@ class SweepTelemetry {
   bool has_queue_ = false;
   std::uint64_t reanchors_ = 0;
   std::uint64_t near_pops_ = 0;
+  std::uint32_t queue_slots_ = 0;
+  std::uint64_t overflow_pushes_ = 0;
   bool has_pool_ = false;
   std::uint64_t pool_txs_ = 0;
   std::uint64_t pool_built_ = 0;

@@ -62,7 +62,8 @@ RunRecord run_job(const Scenario& scenario, const SweepPoint& point,
     const crypto::SignatureCounts signatures = crypto::thread_signature_counts();
     telemetry->add_signatures(signatures.signs - signatures_before.signs,
                               signatures.verifies - signatures_before.verifies);
-    telemetry->add_queue(exp.queue().reanchors(), exp.queue().near_pops());
+    telemetry->add_queue(exp.queue().reanchors(), exp.queue().near_pops(), exp.queue().slots(),
+                         exp.queue().overflow_pushes());
   }
   return record;
 }

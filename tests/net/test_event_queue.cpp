@@ -306,7 +306,7 @@ class ReanchorScript {
     q.run_until(60.0);  // the restart at t = 50 widens the buckets to ~400 s
     for (int round = 0; round < 6; ++round) {
       const double t0 = 1000.0 + 700.0 * round;
-      for (int i = 0; i < 250; ++i) add(t0 + static_cast<double>(next() % 1000) / 1000.0, 2);
+      burst(t0);
       add(t0 + 400.0, 0);  // ring entries past the burst's bucket
       add(t0 + 3000.0, 0);
       q.run_until(t0 + 0.5);  // stop part-way through the burst
@@ -314,16 +314,23 @@ class ReanchorScript {
     q.run_all();
   }
 
+  /// 250 events within [t0, t0 + 1), each with follow-ups.
+  void burst(double t0) {
+    for (int i = 0; i < 250; ++i) add(t0 + static_cast<double>(next() % 1000) / 1000.0, 2);
+  }
+
   /// The execution order a correct queue must produce: every scheduled
   /// event sorted by (at, seq).
-  [[nodiscard]] std::vector<std::uint64_t> expected() const {
-    std::vector<RefEvent> sorted = ref;
-    std::sort(sorted.begin(), sorted.end(), [](const RefEvent& a, const RefEvent& b) {
+  [[nodiscard]] std::vector<std::uint64_t> expected() const { return reference_order(ref); }
+
+  /// The seqs of `events` sorted by (at, seq).
+  static std::vector<std::uint64_t> reference_order(std::vector<RefEvent> events) {
+    std::sort(events.begin(), events.end(), [](const RefEvent& a, const RefEvent& b) {
       if (a.at != b.at) return a.at < b.at;
       return a.seq < b.seq;
     });
     std::vector<std::uint64_t> out;
-    for (const RefEvent& e : sorted) out.push_back(e.seq);
+    for (const RefEvent& e : events) out.push_back(e.seq);
     return out;
   }
 
@@ -379,6 +386,126 @@ TEST(EventQueue, TiedBurstDoesNotReanchor) {
   EXPECT_EQ(script.fired, script.expected());
   EXPECT_EQ(script.q.events_executed(), script.ref.size());
   EXPECT_EQ(script.q.reanchors(), 0u);
+}
+
+// The re-anchor keeps the new ring wide enough to reach the latest entry
+// already in the ring. A dense burst freezes while a ring entry waits about
+// 0.9 of the ring's span ahead: the width the burst's gap asks for would
+// leave that entry past the new ring's end, and the width that reaches it
+// is not 4x narrower, so the calendar stays as it is. Once that entry has
+// run, a burst whose ring reaches only 400 s ahead re-anchors, at the width
+// that keeps that entry in the new ring. Neither sends an entry to the
+// overflow heap.
+// Mutants it catches: a rule without the floor re-anchors at the first
+// burst and pushes the far entry to the overflow heap; the floor without
+// the 4x re-check never returns from that burst's freeze, re-anchoring at
+// 0.9x the width over and over.
+TEST(EventQueue, ReanchorKeepsTheRingReachingItsLatestEntry) {
+  ReanchorScript script;
+  for (int i = 1; i <= 16; ++i) script.add(50.0 * i, 0);
+  script.q.run_until(60.0);  // the restart at t = 50 sets 400 s buckets
+  const std::uint64_t pushes = script.q.overflow_pushes();  // the 16 above, before it
+  const double span = 2048 * 400.0;
+  const double far = 1000.0 + 0.9 * span;
+  script.add(far, 0);
+  script.burst(1000.0);
+  script.q.run_until(1000.5);
+  EXPECT_EQ(script.q.reanchors(), 0u);
+  EXPECT_EQ(script.q.overflow_pushes(), pushes);
+  script.q.run_until(far);  // the far entry has run; the ring is empty
+  const double t1 = far + 1000.0;
+  script.add(t1 + 400.0, 0);
+  script.burst(t1);
+  script.q.run_all();
+  EXPECT_EQ(script.fired, script.expected());
+  EXPECT_EQ(script.q.events_executed(), script.ref.size());
+  EXPECT_EQ(script.q.reanchors(), 1u);  // the second burst, not the first
+  EXPECT_EQ(script.q.overflow_pushes(), pushes);
+  EXPECT_EQ(script.q.pending(), 0u);
+}
+
+// --- Bucket lists through the event slots -----------------------------------
+
+/// Events that log their seq and count each run at which pending() was not
+/// the number of events scheduled and not yet run. An event of depth > 0
+/// may schedule follow-ups one lap of the ring ahead (into the ring slot
+/// its bucket just left), at zero delay (the near heap) and ten laps ahead
+/// (the overflow heap). Every schedule goes through add(), so the reference
+/// seq of an event is its place in `ref`.
+class LapScript {
+ public:
+  static constexpr double kLap = 2048 * 0.002;  ///< the ring's span at the initial width
+
+  void add(double at, int depth) {
+    const std::uint64_t s = ref.size();
+    ref.push_back({at, s});
+    q.schedule_at(at, [this, s, depth] {
+      fired.push_back(s);
+      if (q.pending() != unrun()) ++pending_mismatches;
+      if (depth == 0) return;
+      const std::uint64_t r = next();
+      if (r % 2 == 0) add(q.now() + kLap, depth - 1);
+      if (r % 5 == 0) add(q.now(), depth - 1);
+      if (r % 7 == 0) add(q.now() + 10 * kLap, depth - 1);
+    });
+  }
+
+  /// Events scheduled and not yet run (the one running counts as run).
+  [[nodiscard]] std::size_t unrun() const { return ref.size() - fired.size(); }
+
+  [[nodiscard]] std::vector<std::uint64_t> expected() const {
+    return ReanchorScript::reference_order(ref);
+  }
+
+  std::uint64_t next() {
+    rng_ = rng_ * 6364136223846793005ull + 1442695040888963407ull;
+    return rng_ >> 33;
+  }
+
+  EventQueue q;
+  std::vector<ReanchorScript::RefEvent> ref;
+  std::vector<std::uint64_t> fired;
+  std::size_t pending_mismatches = 0;
+
+ private:
+  std::uint64_t rng_ = 0x13198a2e03707344ull;
+};
+
+// A bucket is a list threaded through its events' slots, and a slot is
+// reused as soon as its event has run. Many events land in the same ring
+// slots lap after lap (12 bucket positions, each hit in four laps per
+// round, plus follow-ups one lap ahead into the slot just frozen), mixed
+// with near-heap and overflow traffic, over more than ten laps of
+// kBuckets buckets. The run must match the (at, seq) reference, and
+// pending() must be exact at every event and between rounds.
+// Mutants it catches: a drain that skips --ring_count_ fails the pending
+// checks in the first round (every other queue test that drains its
+// events hangs on it, scanning an empty ring); a drain that leaves the
+// bucket's head in place walks a stale list a lap later and runs a freed
+// slot (bad_function_call).
+TEST(EventQueue, LapReuseKeepsTheReferenceOrderAndAnExactPendingCount) {
+  LapScript script;
+  for (int round = 0; round < 16; ++round) {
+    const double t0 = script.q.now();
+    for (int i = 0; i < 48; ++i) {
+      const double at = t0 + LapScript::kLap * static_cast<double>(i / 12) +
+                        0.002 * (170.0 * static_cast<double>(i % 12) +
+                                 static_cast<double>(script.next() % 100) / 100.0);
+      script.add(at, 3);
+    }
+    script.q.run_until(t0 + 0.6 * LapScript::kLap);
+    ASSERT_EQ(script.q.pending(), script.unrun());
+    ASSERT_EQ(script.pending_mismatches, 0u);
+  }
+  script.q.run_all();
+  EXPECT_EQ(script.fired, script.expected());
+  EXPECT_EQ(script.q.events_executed(), script.ref.size());
+  EXPECT_EQ(script.q.pending(), 0u);
+  EXPECT_EQ(script.pending_mismatches, 0u);
+  // Not vacuous: every structure took entries, and the slots were reused.
+  EXPECT_GT(script.q.near_pops(), 0u);
+  EXPECT_GT(script.q.overflow_pushes(), 0u);
+  EXPECT_LT(script.q.slots() * 4, script.ref.size());
 }
 
 // --- Reserved places: reserve_seq / schedule_reserved / passed --------------

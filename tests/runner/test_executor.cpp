@@ -9,6 +9,7 @@
 // path is the same protocol and is covered by CI's --procs vs --jobs diff.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <mutex>
 #include <utility>
@@ -414,14 +415,18 @@ TEST(SweepTelemetry, QueueCountsReportedInProcessAndKeptOutOfRecords) {
   const std::string json = threads.to_json(s.name, 1.0);
   const std::size_t at = json.find("\"queue\": {");
   ASSERT_NE(at, std::string::npos) << json;
-  unsigned long long reanchors = 0, near_pops = 0;
-  ASSERT_EQ(std::sscanf(json.c_str() + at, "\"queue\": {\"reanchors\": %llu, \"near_pops\": %llu}",
-                        &reanchors, &near_pops),
-            2)
+  unsigned long long reanchors = 0, near_pops = 0, overflow_pushes = 0;
+  unsigned slots = 0;
+  ASSERT_EQ(std::sscanf(json.c_str() + at,
+                        "\"queue\": {\"reanchors\": %llu, \"near_pops\": %llu, \"slots\": %u, "
+                        "\"overflow_pushes\": %llu}",
+                        &reanchors, &near_pops, &slots, &overflow_pushes),
+            4)
       << json;
 
-  // The sums of the jobs' own queue counters.
-  std::uint64_t want_reanchors = 0, want_near_pops = 0, executed = 0;
+  // The jobs' own queue counters: sums, and the largest slot count.
+  std::uint64_t want_reanchors = 0, want_near_pops = 0, want_overflow_pushes = 0, executed = 0;
+  std::uint32_t want_slots = 0;
   const std::vector<SweepPoint> points = expand(s);
   for (std::size_t p = 0; p < points.size(); ++p) {
     for (std::uint32_t ordinal = 0; ordinal < kSeeds; ++ordinal) {
@@ -431,12 +436,18 @@ TEST(SweepTelemetry, QueueCountsReportedInProcessAndKeptOutOfRecords) {
       exp.run();
       want_reanchors += exp.queue().reanchors();
       want_near_pops += exp.queue().near_pops();
+      want_slots = std::max(want_slots, exp.queue().slots());
+      want_overflow_pushes += exp.queue().overflow_pushes();
       executed += exp.queue().events_executed();
     }
   }
   EXPECT_EQ(reanchors, want_reanchors);
   EXPECT_EQ(near_pops, want_near_pops);
+  EXPECT_EQ(slots, want_slots);
+  EXPECT_EQ(overflow_pushes, want_overflow_pushes);
   EXPECT_LE(near_pops, executed);
+  EXPECT_GT(slots, 0u);  // every job queued an event
+  EXPECT_LE(slots, executed);
 
   // Worker processes count in other address spaces: no section at all.
   obs::SweepTelemetry procs;
